@@ -209,25 +209,18 @@ let workloads ~quick =
   List.map sip_workload sip @ micro
 
 (* one detector "subject": fresh per timed run; the audit accessors
-   read back report counts and dedup signatures for fidelity checks *)
+   read back report counts and dedup locations for fidelity checks *)
 type subject = {
   s_name : string;
   s_config : Obs.Json.t;  (** full detector configuration, echoed into the JSON header *)
-  s_make : unit -> Vm.Tool.t list * (unit -> int) * (unit -> string list);
+  s_make : unit -> Vm.Tool.t list * (unit -> int) * (unit -> (Det.Report.t * int) list);
 }
-
-let sig_string (r : Det.Report.t) =
-  let kind, frames = Det.Report.signature r in
-  Fmt.str "%a@%s" Det.Report.pp_kind kind
-    (String.concat ";" (List.map (fun l -> Fmt.str "%a" Loc.pp l) frames))
-
-let sigs_of locations = List.map (fun (r, _) -> sig_string r) locations
 
 let mk_helgrind cfg () =
   let h = Det.Helgrind.create cfg in
   ( [ Det.Helgrind.tool h ],
     (fun () -> Det.Helgrind.location_count h),
-    fun () -> sigs_of (Det.Helgrind.locations h) )
+    fun () -> Det.Helgrind.locations h )
 
 let other_config detector = Obs.Json.Obj [ ("detector", Obs.Json.Str detector) ]
 
@@ -266,7 +259,7 @@ let subjects =
           let d = Det.Djit.create () in
           ( [ Det.Djit.tool d ],
             (fun () -> Det.Djit.location_count d),
-            fun () -> sigs_of (Det.Djit.locations d) ));
+            fun () -> Det.Djit.locations d ));
     };
     {
       s_name = "fasttrack";
@@ -276,7 +269,7 @@ let subjects =
           let f = Det.Fasttrack.create () in
           ( [ Det.Fasttrack.tool f ],
             (fun () -> Det.Fasttrack.location_count f),
-            fun () -> sigs_of (Det.Fasttrack.locations f) ));
+            fun () -> Det.Fasttrack.locations f ));
     };
     {
       s_name = "hybrid";
@@ -286,7 +279,7 @@ let subjects =
           let h = Det.Hybrid.create () in
           ( [ Det.Hybrid.tool h ],
             (fun () -> Det.Hybrid.location_count h),
-            fun () -> sigs_of (Det.Hybrid.locations h) ));
+            fun () -> Det.Hybrid.locations h ));
     };
     {
       s_name = "hybrid-epoch";
@@ -296,7 +289,7 @@ let subjects =
           let h = Det.Hybrid.create ~config:Det.Hybrid.epoch_config () in
           ( [ Det.Hybrid.tool h ],
             (fun () -> Det.Hybrid.location_count h),
-            fun () -> sigs_of (Det.Hybrid.locations h) ));
+            fun () -> Det.Hybrid.locations h ));
     };
     {
       s_name = "racetrack";
@@ -306,7 +299,7 @@ let subjects =
           let r = Det.Racetrack.create () in
           ( [ Det.Racetrack.tool r ],
             (fun () -> Det.Racetrack.location_count r),
-            fun () -> sigs_of (Det.Racetrack.locations r) ));
+            fun () -> Det.Racetrack.locations r ));
     };
   ]
 
@@ -342,8 +335,6 @@ let count_events w ~seed =
   w.w_run ~seed [ Vm.Tool.of_fn "count" (fun _ -> incr n) ];
   !n
 
-let digest_sigs sigs = Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare sigs)))
-
 let run_throughput ~quick ~seed ~domains =
   let workloads = workloads ~quick in
   let quota, limit = if quick then (0.15, 60) else (0.5, 200) in
@@ -367,13 +358,13 @@ let run_throughput ~quick ~seed ~domains =
   let audited =
     Raceguard_par.Par.map_cells ~domains
       (fun (w, s) ->
-        let tools, n_reports, signatures = s.s_make () in
+        let tools, n_reports, locations = s.s_make () in
         let before = Obs.Metrics.snapshot () in
         let gc0 = Gc.minor_words () in
         w.w_run ~seed tools;
         let gc_words = Gc.minor_words () -. gc0 in
         let m = Obs.Metrics.diff ~before (Obs.Metrics.snapshot ()) in
-        (w.w_name, (s.s_name, (n_reports (), digest_sigs (signatures ()), m, gc_words))))
+        (w.w_name, (s.s_name, (n_reports (), Det.Offline.digest_signatures (locations ()), m, gc_words))))
       audit_cells
   in
   let audits =
@@ -596,7 +587,7 @@ let hints_rows ~quick ~seed =
   let mk name hints =
     let h = hints_run ~seed ~hints () in
     let reports = Det.Helgrind.location_count h in
-    let digest = digest_sigs (sigs_of (Det.Helgrind.locations h)) in
+    let digest = Det.Offline.digest_signatures (Det.Helgrind.locations h) in
     let checked = Det.Helgrind.accesses_checked h in
     let hits = Det.Helgrind.fast_path_hits h in
     let reps = if quick then 3 else 10 in
@@ -695,7 +686,7 @@ let faults_rows ~quick ~seed =
         let h = faults_run ~seed ~injector:(inj ()) () in
         let events = faults_events ~seed ~injector:(inj ()) in
         (name, inj, events, Det.Helgrind.location_count h,
-         digest_sigs (sigs_of (Det.Helgrind.locations h))))
+         Det.Offline.digest_signatures (Det.Helgrind.locations h)))
       variants
   in
   (* interleave the timed repetitions so clock drift hits both equally *)
@@ -825,7 +816,7 @@ let trace_rows ~quick ~seed =
      next to the detector must not move the report digest *)
   let audit record =
     let h, r = trace_run ~seed ~record () in
-    (Det.Helgrind.location_count h, digest_sigs (sigs_of (Det.Helgrind.locations h)), r)
+    (Det.Helgrind.location_count h, Det.Offline.digest_signatures (Det.Helgrind.locations h), r)
   in
   let base_reports, base_digest, _ = audit false in
   let rec_reports, rec_digest, recorder = audit true in
@@ -1043,12 +1034,11 @@ let fix_rows ~quick ~seed:_ =
     exit 2
   end;
   let digest =
-    digest_sigs
-      (List.map
-         (fun p ->
-           p.Fix.Engine.pr_plan.Fix.Synth.pl_strategy
-           ^ "|" ^ p.Fix.Engine.pr_plan.Fix.Synth.pl_guard_desc)
-         verified)
+    List.map
+      (fun p ->
+        p.Fix.Engine.pr_plan.Fix.Synth.pl_strategy ^ "|" ^ p.Fix.Engine.pr_plan.Fix.Synth.pl_guard_desc)
+      verified
+    |> List.sort compare |> String.concat "\n" |> Digest.string |> Digest.to_hex
   in
   Printf.printf
     "fix pipeline gate OK: %d verified patch(es) in %.1f ms (plain run %.2f ms, cost \
@@ -1163,7 +1153,7 @@ let storm_rows ~quick ~seed =
   let audited =
     List.map
       (fun (name, make) ->
-        let tools, n_reports, signatures = make () in
+        let tools, n_reports, locations = make () in
         let before = Obs.Metrics.snapshot () in
         let gc0 = Gc.minor_words () in
         let r = storm_run ~quick ~seed tools in
@@ -1186,7 +1176,7 @@ let storm_rows ~quick ~seed =
            migration(s), audit clean\n%!"
           name users (Sip.Registrar.shard_count r) (Sip.Registrar.resizes r)
           (Sip.Registrar.migrations r);
-        (name, make, n_reports (), digest_sigs (signatures ()), m, gc_words))
+        (name, make, n_reports (), Det.Offline.digest_signatures (locations ()), m, gc_words))
       variants
   in
   (* interleave the timed repetitions so clock drift hits both equally *)

@@ -151,13 +151,10 @@ type cell = {
   cl_shard_audit : string list;  (** {!Sip.Registrar.audit} violations *)
 }
 
-let sig_string (r : Det.Report.t) =
-  let kind, frames = Det.Report.signature r in
-  Fmt.str "%a@%s" Det.Report.pp_kind kind
-    (String.concat ";" (List.map (fun l -> Fmt.str "%a" Raceguard_util.Loc.pp l) frames))
-
-let digest_of_strings sigs =
-  Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare sigs)))
+(* behaviour evidence and the matrix digest; report signatures go
+   through [Det.Offline.digest_signatures] *)
+let digest_of_strings lines =
+  Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare lines)))
 
 (** Final binding expectation per AOR: the last acknowledged
     REGISTER/unREGISTER wins. *)
@@ -340,7 +337,6 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
     List.filter_map (fun o -> if o.o_ok then None else Some (o.o_name ^ ": " ^ o.o_detail)) oracles
   in
   let locations = Runner.locations_of result "HWLC+DR" in
-  let sigs = List.map (fun (r, _) -> sig_string r) locations in
   let behavior =
     [
       "bound=" ^ String.concat "," cr.cr_bound;
@@ -376,7 +372,7 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
     cl_oracles = oracles;
     cl_violations = violations;
     cl_locations = List.length locations;
-    cl_sig_digest = digest_of_strings sigs;
+    cl_sig_digest = Det.Offline.digest_signatures locations;
     cl_behavior_digest = digest_of_strings behavior;
     cl_unanswered = cr.cr_unanswered;
     cl_wrong_finals = List.length cr.cr_base.r_failures;

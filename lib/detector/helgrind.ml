@@ -182,6 +182,9 @@ type cell = {
   mutable hist_dropped : int;
 }
 
+(* rendered "Previous state: ..." details, keyed by [detail_key] *)
+module Details = Hashtbl.Make (Int)
+
 type t = {
   config : config;
   mutable shadow : cell array;
@@ -190,6 +193,10 @@ type t = {
   mutable locks : Held_locks.t array;  (** indexed by tid *)
   segments : Segments.t;
   lock_names : (int, string) Hashtbl.t;  (** uid -> name *)
+  details : string Details.t;
+      (** memoised warning details: every occurrence with the same
+          previous state shares one rendering.  Reset whenever
+          [lock_names] changes, because the rendering names locks. *)
   collector : Report.collector;
   hints : (string * int, unit) Hashtbl.t;
       (** (file, line) of allocation sites statically proven
@@ -212,6 +219,7 @@ let create ?(suppressions = []) config =
     locks = [||];
     segments = Segments.create ();
     lock_names = Hashtbl.create 64;
+    details = Details.create 64;
     collector = Report.collector ~suppressions ();
     hints = Hashtbl.create 8;
     benign = [];
@@ -323,6 +331,23 @@ let record_transition t (ctx : Vm.Tool.ctx) c ~tid ~access ~from_st ~to_st ~loc 
       c.hist_len <- c.hist_len + 1
     end
 
+(* A state renders from its constructor plus the owner tid or the
+   interned set's id alone (given [lock_names]), so that is the key. *)
+let detail_key = function
+  | Virgin -> 0
+  | Exclusive o -> (o.o_tid lsl 2) lor 1
+  | Shared_ro ls -> (Lockset.id ls lsl 2) lor 2
+  | Shared_mod ls -> (Lockset.id ls lsl 2) lor 3
+
+let detail t prev_state =
+  let key = detail_key prev_state in
+  match Details.find t.details key with
+  | d -> d
+  | exception Not_found ->
+      let d = Fmt.str "Previous state: %a" (pp_state ~name_of:(name_of t)) prev_state in
+      Details.add t.details key d;
+      d
+
 let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~prev_state ~cell:c =
   let block =
     match ctx.block_of addr with
@@ -361,7 +386,7 @@ let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~prev_state ~cell:c =
       tid;
       thread_name = ctx.thread_name tid;
       stack;
-      detail = Fmt.str "Previous state: %a" (pp_state ~name_of:(name_of t)) prev_state;
+      detail = detail t prev_state;
       block;
       clock = ctx.clock ();
       provenance;
@@ -556,7 +581,11 @@ let on_event t (ctx : Vm.Tool.ctx) (e : Vm.Event.t) =
   | E_free _ -> ()
   | E_sync_create { sync; name; _ } -> (
       match Lock_id.of_sync_ref sync with
-      | Some uid -> Hashtbl.replace t.lock_names uid name
+      | Some uid ->
+          Hashtbl.replace t.lock_names uid name;
+          (* a memoised detail may show this lock as lock#N or under
+             an earlier name *)
+          Details.reset t.details
       | None -> ())
   | E_acquire { tid; lock; mode; _ } -> (
       match lock with

@@ -22,7 +22,6 @@
     parallel fan-out in [lib/core] maps across domains. *)
 
 module Vm = Raceguard_vm
-module Loc = Raceguard_util.Loc
 module Json = Raceguard_obs.Json
 module Trace = Raceguard_trace
 
@@ -154,23 +153,19 @@ let sinks ?(configs = configs) () = List.map sink configs
 
 (* --- verdicts: what a detector concluded, digested ------------------ *)
 
-let sig_string (r : Report.t) =
-  let kind, frames = Report.signature r in
-  Fmt.str "%a@%s" Report.pp_kind kind
-    (String.concat ";" (List.map (fun l -> Fmt.str "%a" Loc.pp l) frames))
-
 let digest_strings lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
 
-(** MD5 over the sorted dedup signatures — the same digest the bench
-    and chaos fidelity gates use. *)
+(** MD5 over the sorted dedup signatures ({!Report.signature_string}) —
+    the one signature digest: verdicts, chaos cells and the bench and
+    test audits all use it. *)
 let digest_signatures locations =
-  digest_strings (List.sort compare (List.map (fun (r, _) -> sig_string r) locations))
+  digest_strings
+    (List.sort String.compare (List.map (fun (r, _) -> Report.signature_string r) locations))
 
-(** MD5 over every occurrence rendered with {!Report.pp}, in
+(** MD5 over every occurrence rendered with {!Report.to_string}, in
     chronological order: byte-level equality of the full report stream,
     not just of its dedup signatures. *)
-let digest_reports occurrences =
-  digest_strings (List.map (Fmt.str "%a" Report.pp) occurrences)
+let digest_reports occurrences = digest_strings (List.map Report.to_string occurrences)
 
 type verdict = {
   v_config : string;
@@ -182,13 +177,16 @@ type verdict = {
 }
 
 let verdict_of_sink ~events s =
+  (* each accessor rebuilds its list (a reversal, a map traversal and
+     sort), so read each once *)
+  let occurrences = s.sk_occurrences () and locations = s.sk_locations () in
   {
     v_config = s.sk_name;
     v_events = events;
-    v_occurrences = List.length (s.sk_occurrences ());
-    v_locations = List.length (s.sk_locations ());
-    v_sig_digest = digest_signatures (s.sk_locations ());
-    v_report_digest = digest_reports (s.sk_occurrences ());
+    v_occurrences = List.length occurrences;
+    v_locations = List.length locations;
+    v_sig_digest = digest_signatures locations;
+    v_report_digest = digest_reports occurrences;
   }
 
 let verdict_to_json v =

@@ -77,12 +77,15 @@ type verdict = {
   v_locations : int;  (** deduplicated — the Figure-6 metric *)
   v_sig_digest : string;  (** MD5 over the sorted dedup signatures *)
   v_report_digest : string;
-      (** MD5 over every occurrence rendered with {!Report.pp},
+      (** MD5 over every occurrence rendered with {!Report.to_string},
           chronologically — byte-level equality of the report stream *)
 }
 
-val sig_string : Report.t -> string
 val digest_signatures : (Report.t * int) list -> string
+(** MD5 over the sorted {!Report.signature_string}s of the locations —
+    the signature digest of verdicts, chaos cells, bench rows and the
+    test audits. *)
+
 val digest_reports : Report.t list -> string
 
 val verdict_of_sink : events:int -> sink -> verdict

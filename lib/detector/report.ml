@@ -13,10 +13,12 @@ type kind =
   | Race_read  (** read with empty candidate lock-set in Shared-Modified *)
   | Lock_order  (** lock acquisition order inverts an earlier order *)
 
-let pp_kind ppf = function
-  | Race_write -> Fmt.string ppf "Possible data race writing variable"
-  | Race_read -> Fmt.string ppf "Possible data race reading variable"
-  | Lock_order -> Fmt.string ppf "Lock order violation (potential deadlock)"
+let kind_to_string = function
+  | Race_write -> "Possible data race writing variable"
+  | Race_read -> "Possible data race reading variable"
+  | Lock_order -> "Lock order violation (potential deadlock)"
+
+let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
 
 type block_info = {
   b_base : int;
@@ -79,21 +81,106 @@ let signature r : signature = (r.kind, take signature_depth r.stack)
 
 (* --- rendering ----------------------------------------------------- *)
 
-let pp_stack ppf stack =
-  List.iteri
-    (fun i loc -> Fmt.pf ppf "   %s %a@\n" (if i = 0 then "at" else "by") Loc.pp loc)
-    stack
+(* The one report layout.  Digests render every occurrence, and
+   rendering one can cost more than detecting it, so the layout is
+   written straight into a [Buffer]: no [Format], and integers digit by
+   digit rather than through [Printf].  [eol] ends each line:
+   {!to_string} appends a newline, {!pp} hands the finished line to a
+   formatter. *)
+
+let add_int b n =
+  if n < 0 then Buffer.add_string b (string_of_int n)
+  else
+    let rec go n =
+      if n >= 10 then go (n / 10);
+      Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+    in
+    go n
+
+(* Printf's [%#x]: "0x" and lower-case digits, but a bare "0" for 0;
+   [lsr] reads a negative value as unsigned, as [%x] does *)
+let add_hex b n =
+  if n = 0 then Buffer.add_char b '0'
+  else begin
+    Buffer.add_string b "0x";
+    let rec go n =
+      if n <> 0 then begin
+        go (n lsr 4);
+        Buffer.add_char b "0123456789abcdef".[n land 15]
+      end
+    in
+    go n
+  end
+
+(* one frame, as [Loc.pp] prints it: "func (file:line)" *)
+let add_frame b (l : Loc.t) =
+  Buffer.add_string b l.func;
+  Buffer.add_string b " (";
+  Buffer.add_string b l.file;
+  Buffer.add_char b ':';
+  add_int b l.line;
+  Buffer.add_char b ')'
+
+let add_stack b ~eol ?(depth = max_int) stack =
+  let rec go i = function
+    | loc :: rest when i < depth ->
+        Buffer.add_string b (if i = 0 then "   at " else "   by ");
+        add_frame b loc;
+        eol b;
+        go (i + 1) rest
+    | _ -> ()
+  in
+  go 0 stack
+
+let render b ~eol r =
+  Buffer.add_string b (kind_to_string r.kind);
+  Buffer.add_string b " at ";
+  add_hex b r.addr;
+  eol b;
+  add_stack b ~eol r.stack;
+  (match r.block with
+  | Some bl ->
+      Buffer.add_string b " Address ";
+      add_hex b r.addr;
+      Buffer.add_string b " is ";
+      add_int b (r.addr - bl.b_base);
+      Buffer.add_string b " words inside a block of size ";
+      add_int b bl.b_len;
+      Buffer.add_string b " alloc'd by thread ";
+      add_int b bl.b_alloc_tid;
+      eol b;
+      add_stack b ~eol ~depth:signature_depth bl.b_alloc_stack
+  | None -> ());
+  if r.detail <> "" then begin
+    Buffer.add_char b ' ';
+    Buffer.add_string b r.detail;
+    eol b
+  end
+
+let to_string r =
+  let b = Buffer.create 512 in
+  render b ~eol:(fun b -> Buffer.add_char b '\n') r;
+  Buffer.contents b
 
 let pp ppf r =
-  Fmt.pf ppf "%a at %#x@\n" pp_kind r.kind r.addr;
-  pp_stack ppf r.stack;
-  (match r.block with
-  | Some b ->
-      Fmt.pf ppf " Address %#x is %d words inside a block of size %d alloc'd by thread %d@\n"
-        r.addr (r.addr - b.b_base) b.b_len b.b_alloc_tid;
-      pp_stack ppf (take signature_depth b.b_alloc_stack)
-  | None -> ());
-  if r.detail <> "" then Fmt.pf ppf " %s@\n" r.detail
+  render (Buffer.create 128) r ~eol:(fun b ->
+      Format.pp_print_string ppf (Buffer.contents b);
+      Format.pp_force_newline ppf ();
+      Buffer.clear b)
+
+let signature_string r =
+  let b = Buffer.create 160 in
+  Buffer.add_string b (kind_to_string r.kind);
+  Buffer.add_char b '@';
+  let rec go i = function
+    | loc :: rest when i < signature_depth ->
+        if i > 0 then Buffer.add_char b ';';
+        add_frame b loc;
+        go (i + 1) rest
+    | _ -> ()
+  in
+  go 0 r.stack;
+  Buffer.contents b
 
 (* Provenance rendering is kept out of [pp] on purpose: [pp] output is
    compared byte-for-byte by the fast-path fidelity tests and by users
@@ -138,7 +225,7 @@ let provenance_to_json p =
 let to_json r =
   Json.Obj
     ([
-       ("kind", Json.Str (Fmt.str "%a" pp_kind r.kind));
+       ("kind", Json.Str (kind_to_string r.kind));
        ("addr", Json.int r.addr);
        ("tid", Json.int r.tid);
        ("thread", Json.Str r.thread_name);
@@ -184,7 +271,7 @@ let collector ?(suppressions = []) () =
   { all = []; by_sig = Sig_map.empty; suppressed = 0; suppressions }
 
 let add c r =
-  if List.exists (fun s -> Suppression.matches s ~kind:(Fmt.str "%a" pp_kind r.kind) ~stack:r.stack) c.suppressions
+  if List.exists (fun s -> Suppression.matches s ~kind:(kind_to_string r.kind) ~stack:r.stack) c.suppressions
   then c.suppressed <- c.suppressed + 1
   else begin
     c.all <- r :: c.all;

@@ -12,6 +12,9 @@ type kind =
   | Race_read  (** read with empty candidate lock-set (Shared-Modified) *)
   | Lock_order  (** lock acquisition inverts an established order *)
 
+val kind_to_string : kind -> string
+(** The headline, e.g. ["Possible data race writing variable"]. *)
+
 val pp_kind : Format.formatter -> kind -> unit
 
 type block_info = {
@@ -63,11 +66,20 @@ type signature = kind * Loc.t list
 
 val signature : t -> signature
 
-val pp : Format.formatter -> t -> unit
+val signature_string : t -> string
+(** The dedup signature as one line: the headline, ["@"], then the
+    signature frames as ["func (file:line)"] joined by [";"].  The
+    signature digests hash these. *)
+
+val to_string : t -> string
 (** Valgrind-style rendering: headline, "at/by" stack, allocation
-    footer, previous-state line.  Deliberately does {e not} render
+    footer, previous-state line, each ending in a newline.  Built in a
+    [Buffer] without [Format].  Deliberately does {e not} render
     provenance — the byte-stability tests compare this output across
     fast-path modes, and provenance is an opt-in second section. *)
+
+val pp : Format.formatter -> t -> unit
+(** The lines of {!to_string}, each ended by [Format.pp_force_newline]. *)
 
 val pp_provenance : Format.formatter -> provenance -> unit
 (** The explain trace: one line per shadow-state transition, the elided

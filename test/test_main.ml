@@ -13,6 +13,7 @@ let () =
       Test_sip.suite;
       Test_sip_internals.suite;
       Test_classify.suite;
+      Test_report.suite;
       Test_explore.suite;
       Test_properties.suite;
       Test_fasttrack.suite;

@@ -11,7 +11,6 @@ module R = Raceguard
 module Det = Raceguard_detector
 module Vm = Raceguard_vm
 module Sip = Raceguard_sip
-module Loc = Raceguard_util.Loc
 
 (* --- deque vs sequential model ------------------------------------- *)
 
@@ -188,11 +187,6 @@ let chaos_pin seed () =
 (* bench-style audit digest: the same per-cell computation the bench
    suite's audit pass does — run a workload under a fresh detector and
    digest the sorted dedup signatures *)
-let sig_string (r : Det.Report.t) =
-  let kind, frames = Det.Report.signature r in
-  Fmt.str "%a@%s" Det.Report.pp_kind kind
-    (String.concat ";" (List.map (fun l -> Fmt.str "%a" Loc.pp l) frames))
-
 let audit_cell ~seed (tc, cfg) =
   let h = Det.Helgrind.create cfg in
   let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
@@ -203,8 +197,7 @@ let audit_cell ~seed (tc, cfg) =
          ignore
            (Sip.Workload.run_test_case ~transport
               ~server_config:R.Runner.default.server tc ())));
-  let sigs = List.map (fun (r, _) -> sig_string r) (Det.Helgrind.locations h) in
-  Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare sigs)))
+  Det.Offline.digest_signatures (Det.Helgrind.locations h)
 
 let bench_audit_digests ~seed ~domains =
   let cells =
