@@ -22,7 +22,8 @@
                           timing would corrupt the measurements.
      --out FILE           output path (default BENCH_detector.json)
      --compare FILE       compare against a committed baseline JSON;
-                          exit 2 on >threshold normalized-throughput regression
+                          exit 2 on >threshold normalized-throughput regression,
+                          or before the suite runs if FILE is unreadable
      --max-regression PCT regression threshold in percent (default 25)
 
    Table/figure index (see DESIGN.md §4):
@@ -208,100 +209,21 @@ let workloads ~quick =
   in
   List.map sip_workload sip @ micro
 
-(* one detector "subject": fresh per timed run; the audit accessors
-   read back report counts and dedup locations for fidelity checks *)
-type subject = {
-  s_name : string;
-  s_config : Obs.Json.t;  (** full detector configuration, echoed into the JSON header *)
-  s_make : unit -> Vm.Tool.t list * (unit -> int) * (unit -> (Det.Report.t * int) list);
-}
-
-let mk_helgrind cfg () =
-  let h = Det.Helgrind.create cfg in
-  ( [ Det.Helgrind.tool h ],
-    (fun () -> Det.Helgrind.location_count h),
-    fun () -> Det.Helgrind.locations h )
-
-let other_config detector = Obs.Json.Obj [ ("detector", Obs.Json.Str detector) ]
-
+(* The throughput subjects: the no-tool row, then nine registry
+   configurations (every one but the §5 annotation extension).  Each
+   run builds its detector fresh from [Det.Offline.sink]. *)
 let subjects =
-  [
-    {
-      s_name = "no-tool";
-      s_config = other_config "none";
-      s_make = (fun () -> ([], (fun () -> 0), fun () -> []));
-    };
-    {
-      s_name = "helgrind-original";
-      s_config = Det.Helgrind.config_to_json Det.Helgrind.original;
-      s_make = mk_helgrind Det.Helgrind.original;
-    };
-    {
-      s_name = "helgrind-hwlc";
-      s_config = Det.Helgrind.config_to_json Det.Helgrind.hwlc;
-      s_make = mk_helgrind Det.Helgrind.hwlc;
-    };
-    {
-      s_name = "helgrind-hwlc+dr";
-      s_config = Det.Helgrind.config_to_json Det.Helgrind.hwlc_dr;
-      s_make = mk_helgrind Det.Helgrind.hwlc_dr;
-    };
-    {
-      s_name = "eraser-pure";
-      s_config = Det.Helgrind.config_to_json Det.Helgrind.pure_eraser;
-      s_make = mk_helgrind Det.Helgrind.pure_eraser;
-    };
-    {
-      s_name = "djit";
-      s_config = other_config "djit";
-      s_make =
-        (fun () ->
-          let d = Det.Djit.create () in
-          ( [ Det.Djit.tool d ],
-            (fun () -> Det.Djit.location_count d),
-            fun () -> Det.Djit.locations d ));
-    };
-    {
-      s_name = "fasttrack";
-      s_config = Det.Fasttrack.config_to_json Det.Fasttrack.default_config;
-      s_make =
-        (fun () ->
-          let f = Det.Fasttrack.create () in
-          ( [ Det.Fasttrack.tool f ],
-            (fun () -> Det.Fasttrack.location_count f),
-            fun () -> Det.Fasttrack.locations f ));
-    };
-    {
-      s_name = "hybrid";
-      s_config = other_config "hybrid";
-      s_make =
-        (fun () ->
-          let h = Det.Hybrid.create () in
-          ( [ Det.Hybrid.tool h ],
-            (fun () -> Det.Hybrid.location_count h),
-            fun () -> Det.Hybrid.locations h ));
-    };
-    {
-      s_name = "hybrid-epoch";
-      s_config = other_config "hybrid-epoch";
-      s_make =
-        (fun () ->
-          let h = Det.Hybrid.create ~config:Det.Hybrid.epoch_config () in
-          ( [ Det.Hybrid.tool h ],
-            (fun () -> Det.Hybrid.location_count h),
-            fun () -> Det.Hybrid.locations h ));
-    };
-    {
-      s_name = "racetrack";
-      s_config = other_config "racetrack";
-      s_make =
-        (fun () ->
-          let r = Det.Racetrack.create () in
-          ( [ Det.Racetrack.tool r ],
-            (fun () -> Det.Racetrack.location_count r),
-            fun () -> Det.Racetrack.locations r ));
-    };
-  ]
+  [ "no-tool"; "helgrind-original"; "helgrind-hwlc"; "helgrind-hwlc+dr"; "eraser-pure"; "djit";
+    "fasttrack"; "hybrid"; "hybrid-epoch"; "racetrack" ]
+
+let sink_of subject = if subject = "no-tool" then None else Some (Det.Offline.sink subject)
+let tools_of = Option.fold ~none:[] ~some:(fun s -> [ s.Det.Offline.sk_tool ])
+let locations_of = Option.fold ~none:[] ~some:(fun s -> s.Det.Offline.sk_locations ())
+
+let subject_config subject =
+  match sink_of subject with
+  | Some s -> s.Det.Offline.sk_config
+  | None -> Obs.Json.Obj [ ("detector", Obs.Json.Str "none") ]
 
 type row = {
   r_workload : string;
@@ -319,7 +241,7 @@ type row = {
   r_gc_words_per_event : float;  (** minor words allocated per event (audit run) *)
 }
 
-let composite w s = w.w_name ^ "::" ^ s.s_name
+let composite w s = w.w_name ^ "::" ^ s
 
 (* Analyze.all keys carry the grouped-test prefix; match on suffix. *)
 let estimate tbl composite =
@@ -358,13 +280,14 @@ let run_throughput ~quick ~seed ~domains =
   let audited =
     Raceguard_par.Par.map_cells ~domains
       (fun (w, s) ->
-        let tools, n_reports, locations = s.s_make () in
+        let sink = sink_of s in
         let before = Obs.Metrics.snapshot () in
         let gc0 = Gc.minor_words () in
-        w.w_run ~seed tools;
+        w.w_run ~seed (tools_of sink);
         let gc_words = Gc.minor_words () -. gc0 in
         let m = Obs.Metrics.diff ~before (Obs.Metrics.snapshot ()) in
-        (w.w_name, (s.s_name, (n_reports (), Det.Offline.digest_signatures (locations ()), m, gc_words))))
+        let locations = locations_of sink in
+        (w.w_name, (s, (List.length locations, Det.Offline.digest_signatures locations, m, gc_words))))
       audit_cells
   in
   let audits =
@@ -385,9 +308,7 @@ let run_throughput ~quick ~seed ~domains =
         List.map
           (fun s ->
             Test.make ~name:(composite w s)
-              (Staged.stage (fun () ->
-                   let tools, _, _ = s.s_make () in
-                   w.w_run ~seed tools)))
+              (Staged.stage (fun () -> w.w_run ~seed (tools_of (sink_of s)))))
           subjects)
       workloads
   in
@@ -411,14 +332,14 @@ let run_throughput ~quick ~seed ~domains =
             let eps =
               if Float.is_nan ns || ns <= 0. then 0. else float_of_int events /. (ns /. 1e9)
             in
-            let n_reports, digest, m, gc_words = List.assoc s.s_name per_subject in
+            let n_reports, digest, m, gc_words = List.assoc s per_subject in
             let counter name = Option.value ~default:0 (Obs.Metrics.find_counter m name) in
             let gauge name = Option.value ~default:0 (Obs.Metrics.find_gauge m name) in
             (* the fast-path columns read whichever detector family the
                subject runs: fasttrack rows report epoch hits, everything
                else the lock-set shadow fast path *)
             let checked, fast_hits =
-              if s.s_name = "fasttrack" then
+              if s = "fasttrack" then
                 ( counter "detector.fasttrack.accesses_checked",
                   counter "detector.fasttrack.epoch_hits" )
               else
@@ -427,7 +348,7 @@ let run_throughput ~quick ~seed ~domains =
             in
             {
               r_workload = w.w_name;
-              r_config = s.s_name;
+              r_config = s;
               r_events = events;
               r_reports = n_reports;
               r_sig_digest = digest;
@@ -1131,11 +1052,9 @@ let storm_run ~quick ~seed tools =
   end;
   Option.get !reg
 
-let storm_configs =
-  [
-    ("storm-no-tool", other_config "none");
-    ("storm-hwlc+dr", Det.Helgrind.config_to_json Det.Helgrind.hwlc_dr);
-  ]
+(* row name -> throughput subject *)
+let storm_variants = [ ("storm-no-tool", "no-tool"); ("storm-hwlc+dr", "helgrind-hwlc+dr") ]
+let storm_configs = List.map (fun (name, s) -> (name, subject_config s)) storm_variants
 
 let storm_rows ~quick ~seed =
   let users, max_shards = storm_params ~quick in
@@ -1144,19 +1063,13 @@ let storm_rows ~quick ~seed =
     ignore (storm_run ~quick ~seed [ Vm.Tool.of_fn "count" (fun _ -> incr n) ]);
     !n
   in
-  let variants =
-    [
-      ("storm-no-tool", fun () -> ([], (fun () -> 0), fun () -> []));
-      ("storm-hwlc+dr", mk_helgrind Det.Helgrind.hwlc_dr);
-    ]
-  in
   let audited =
     List.map
-      (fun (name, make) ->
-        let tools, n_reports, locations = make () in
+      (fun (name, s) ->
+        let sink = sink_of s in
         let before = Obs.Metrics.snapshot () in
         let gc0 = Gc.minor_words () in
-        let r = storm_run ~quick ~seed tools in
+        let r = storm_run ~quick ~seed (tools_of sink) in
         let gc_words = Gc.minor_words () -. gc0 in
         let m = Obs.Metrics.diff ~before (Obs.Metrics.snapshot ()) in
         let audit = Sip.Registrar.audit r in
@@ -1176,22 +1089,21 @@ let storm_rows ~quick ~seed =
            migration(s), audit clean\n%!"
           name users (Sip.Registrar.shard_count r) (Sip.Registrar.resizes r)
           (Sip.Registrar.migrations r);
-        (name, make, n_reports (), Det.Offline.digest_signatures (locations ()), m, gc_words))
-      variants
+        let locations = locations_of sink in
+        (name, s, List.length locations, Det.Offline.digest_signatures locations, m, gc_words))
+      storm_variants
   in
   (* interleave the timed repetitions so clock drift hits both equally *)
   let reps = if quick then 3 else 6 in
   let spent = Hashtbl.create 4 in
   List.iter (fun (name, _, _, _, _, _) -> Hashtbl.replace spent name 0.) audited;
   List.iter
-    (fun (_, make, _, _, _, _) ->
-      let tools, _, _ = make () in
-      ignore (storm_run ~quick ~seed tools))
+    (fun (_, s, _, _, _, _) -> ignore (storm_run ~quick ~seed (tools_of (sink_of s))))
     audited (* warm-up *);
   for _ = 1 to reps do
     List.iter
-      (fun (name, make, _, _, _, _) ->
-        let tools, _, _ = make () in
+      (fun (name, s, _, _, _, _) ->
+        let tools = tools_of (sink_of s) in
         let t0 = Sys.time () in
         ignore (storm_run ~quick ~seed tools);
         Hashtbl.replace spent name (Hashtbl.find spent name +. (Sys.time () -. t0)))
@@ -1351,7 +1263,7 @@ let write_json ~out ~quick ~seed ~domains ~scaling rows =
   Printf.fprintf oc "  ],\n";
   Printf.fprintf oc "  \"configs\": {\n";
   let configs =
-    List.map (fun s -> (s.s_name, s.s_config)) subjects
+    List.map (fun s -> (s, subject_config s)) subjects
     @ hints_configs @ faults_configs @ trace_configs @ storm_configs
   in
   let ns = List.length configs in
@@ -1380,77 +1292,43 @@ let print_summary rows =
 
 (* --- baseline comparison ------------------------------------------- *)
 
-(* minimal field extraction from the one-object-per-line JSON we emit *)
-let json_str_field line key =
-  let pat = "\"" ^ key ^ "\": \"" in
-  match String.index_opt line '{' with
-  | None -> None
-  | Some _ -> (
-      let rec find i =
-        if i + String.length pat > String.length line then None
-        else if String.sub line i (String.length pat) = pat then Some (i + String.length pat)
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> None
-      | Some start ->
-          let stop = String.index_from line start '"' in
-          Some (String.sub line start (stop - start)))
-
-let json_num_field line key =
-  let pat = "\"" ^ key ^ "\": " in
-  let rec find i =
-    if i + String.length pat > String.length line then None
-    else if String.sub line i (String.length pat) = pat then Some (i + String.length pat)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      while
-        !stop < String.length line
-        && (match line.[!stop] with
-           | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' | 'n' | 'a' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub line start (!stop - start))
-
-(* Tolerates both the one-row-per-line output [write_json] emits and a
-   pretty-printed (one-field-per-line) baseline: fields are tracked as
-   they stream past and a row is flushed when its "normalized" field
-   arrives — [row_json] fixes the field order within a row, so the
-   pending workload/config always belong to that row. *)
+(* The baseline's normalized throughput per (workload, config).  It
+   is read before the suite runs, and anything but a raceguard-bench/2
+   document whose every row names its workload, config and normalized
+   value fails with the reason: a gate that read nothing from its
+   baseline would pass every run. *)
 let load_baseline file =
-  let ic = open_in file in
-  let rows = ref [] in
-  let cur_w = ref None and cur_c = ref None and cur_eps = ref 0. in
-  (try
-     while true do
-       let line = input_line ic in
-       (match json_str_field line "workload" with Some w -> cur_w := Some w | None -> ());
-       (match json_str_field line "config" with Some c -> cur_c := Some c | None -> ());
-       (match json_num_field line "events_per_sec" with
-       | Some e -> cur_eps := e
-       | None -> ());
-       match json_num_field line "normalized" with
-       | Some norm -> (
-           match (!cur_w, !cur_c) with
-           | Some w, Some c ->
-               rows := ((w, c), (norm, !cur_eps)) :: !rows;
-               cur_w := None;
-               cur_c := None;
-               cur_eps := 0.
-           | _ -> ())
-       | None -> ()
-     done
-   with End_of_file -> close_in ic);
-  !rows
+  let module J = Obs.Json in
+  let get conv key j = Option.bind (J.member key j) conv in
+  let fail reason = failwith (file ^ ": " ^ reason) in
+  let doc =
+    match J.parse (In_channel.with_open_bin file In_channel.input_all) with
+    | Ok doc -> doc
+    | Error e -> fail ("not JSON: " ^ e)
+    | exception Sys_error e -> failwith e
+  in
+  if get J.to_string_opt "schema" doc <> Some "raceguard-bench/2" then
+    fail "schema is not raceguard-bench/2";
+  match get J.to_list_opt "results" doc with
+  | None | Some [] -> fail "no non-empty results list"
+  | Some rows ->
+      List.mapi
+        (fun i row ->
+          match
+            ( get J.to_string_opt "workload" row,
+              get J.to_string_opt "config" row,
+              get J.to_float_opt "normalized" row )
+          with
+          | Some w, Some c, Some norm -> ((w, c), norm)
+          | _ ->
+              fail
+                (Printf.sprintf
+                   "results[%d] lacks a string workload, a string config or a numeric \
+                    normalized"
+                   i))
+        rows
 
-let compare_baseline ~threshold_pct ~baseline rows =
-  let base = load_baseline baseline in
+let compare_baseline ~threshold_pct ~baseline:(baseline, base) rows =
   let tolerance = 1. -. (threshold_pct /. 100.) in
   let regressions =
     List.filter_map
@@ -1458,8 +1336,8 @@ let compare_baseline ~threshold_pct ~baseline rows =
         if r.r_config = "no-tool" then None
         else
           match List.assoc_opt (r.r_workload, r.r_config) base with
-          | None | Some (0., _) -> None
-          | Some (b_norm, _) ->
+          | None | Some 0. -> None
+          | Some b_norm ->
               (* normalized throughput is machine-speed independent:
                  detector events/sec relative to the no-tool run of the
                  same binary on the same machine *)
@@ -1519,6 +1397,16 @@ let () =
         parse rest
   in
   parse args;
+  let baseline =
+    Option.map
+      (fun file ->
+        match load_baseline file with
+        | rows -> (file, rows)
+        | exception Failure reason ->
+            Printf.printf "BASELINE UNREADABLE: %s\n" reason;
+            exit 2)
+      !baseline
+  in
   if !json_mode then begin
     let domains = Raceguard_par.Par.resolve !domains in
     Printf.printf "throughput suite: mode=%s seed=%d domains=%d\n%!"
@@ -1542,7 +1430,7 @@ let () =
           l.sc_cells_per_sec l.sc_speedup l.sc_steals)
       scaling;
     Printf.printf "wrote %s\n" !out;
-    match !baseline with
+    match baseline with
     | Some b -> if not (compare_baseline ~threshold_pct:!threshold ~baseline:b rows) then exit 2
     | None -> ()
   end

@@ -77,16 +77,14 @@ let thread_vc t tid = Hb_clocks.thread_vc t.clocks tid
 let fresh_cell () = { last_write = None; reads = []; dead = false }
 
 let cell t addr =
-  let n = Array.length t.shadow in
-  if addr >= n then begin
-    let a =
-      Array.init
-        (max 4096 (max (2 * n) (addr + 1)))
-        (fun i -> if i < n then Array.unsafe_get t.shadow i else fresh_cell ())
-    in
-    t.shadow <- a
-  end;
+  if addr >= Array.length t.shadow then
+    t.shadow <- Dense.grow t.shadow addr ~floor:4096 fresh_cell;
   Array.unsafe_get t.shadow addr
+
+let reset_cell c =
+  c.last_write <- None;
+  c.reads <- [];
+  c.dead <- false
 
 let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~(prev : last_access) =
   let block =
@@ -151,44 +149,12 @@ let check_write t ctx ~tid ~addr ~loc =
     end
   end
 
-(** Probe for detector composition: would an access by [tid] to [addr]
-    right now be unordered with a previous conflicting access?  Pure —
-    does not update any state.  [write] selects whether previous reads
-    conflict too. *)
-let unordered_now t ~tid ~addr ~write =
-  if addr >= Array.length t.shadow then false
-  else
-    let c = Array.unsafe_get t.shadow addr in
-    if c.dead then
-      (* once [first_only] kills a cell its [last_write]/[reads] stop
-         being maintained; answering from that stale state would keep
-         gating composed (hybrid) warnings on an access that may long
-         since have been ordered — dead cells answer [false] *)
-      false
-    else
-      let me = thread_vc t tid in
-      let unordered (a : last_access) =
-        a.a_tid <> tid && not (Vc.ordered_before ~tid:a.a_tid ~clk:a.a_clk me)
-      in
-      (match c.last_write with Some w when unordered w -> true | _ -> false)
-      || (write && List.exists unordered c.reads)
-
 let on_event t (ctx : Vm.Tool.ctx) (e : Vm.Event.t) =
   Hb_clocks.on_event t.clocks e;
   match e with
   | E_read { tid; addr; loc; _ } -> check_read t ctx ~tid ~addr ~loc
   | E_write { tid; addr; loc; _ } -> check_write t ctx ~tid ~addr ~loc
-  | E_alloc { addr; len; _ } ->
-      (* range clear on the dense shadow (one array sweep, no hashing;
-         the old Hashtbl shadow paid one probe per byte of every
-         allocation); slots past the frontier are already fresh *)
-      let n = Array.length t.shadow in
-      for a = addr to min (addr + len - 1) (n - 1) do
-        let c = Array.unsafe_get t.shadow a in
-        c.last_write <- None;
-        c.reads <- [];
-        c.dead <- false
-      done
+  | E_alloc { addr; len; _ } -> Dense.iter_range t.shadow ~addr ~len reset_cell
   | E_thread_start _ | E_thread_exit _ | E_join _ | E_spawn _ | E_free _ | E_sync_create _
   | E_acquire _ | E_release _ | E_cond_signal _ | E_cond_wait_pre _ | E_cond_wait_post _
   | E_sem_post _ | E_sem_wait_post _ | E_client _ ->

@@ -28,11 +28,6 @@ val tool : t -> Raceguard_vm.Tool.t
 val on_event : t -> Raceguard_vm.Tool.ctx -> Raceguard_vm.Event.t -> unit
 (** Feed one event directly (composition / offline replay). *)
 
-val unordered_now : t -> tid:int -> addr:int -> write:bool -> bool
-(** Composition probe: would an access by [tid] to [addr] right now be
-    concurrent (unordered) with a previous conflicting access?  Pure.
-    [write] makes previous reads conflict too. *)
-
 val reports : t -> Report.t list
 val locations : t -> (Report.t * int) list
 val location_count : t -> int

@@ -31,10 +31,9 @@
       representation instead of paying the vector forever.  The same
       replacement lemma makes this report-preserving.
 
-    The {!unordered_now} probe mirrors {!Djit.unordered_now} for the
-    {!Hybrid} composition — including answering [false] for cells
-    killed by [first_only], which the DJIT probe historically got
-    wrong. *)
+    The {!unordered_now} probe is the {!Hybrid} composition's
+    happens-before gate; cells retired by [first_only] answer
+    [false]. *)
 
 module Loc = Raceguard_util.Loc
 module Vm = Raceguard_vm
@@ -164,15 +163,8 @@ let fresh_cell () =
   }
 
 let cell t addr =
-  let n = Array.length t.shadow in
-  if addr >= n then begin
-    let a =
-      Array.init
-        (max 4096 (max (2 * n) (addr + 1)))
-        (fun i -> if i < n then Array.unsafe_get t.shadow i else fresh_cell ())
-    in
-    t.shadow <- a
-  end;
+  if addr >= Array.length t.shadow then
+    t.shadow <- Dense.grow t.shadow addr ~floor:4096 fresh_cell;
   Array.unsafe_get t.shadow addr
 
 let reset_cell c =
@@ -214,16 +206,10 @@ let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~prev_tid ~prev_loc =
     }
 
 let grow_shared s tid =
-  let n = Array.length s.s_clk in
-  if tid >= n then begin
-    let m = max 8 (max (2 * n) (tid + 1)) in
-    let clk = Array.make m 0 and seq = Array.make m 0 and loc = Array.make m Loc.unknown in
-    Array.blit s.s_clk 0 clk 0 n;
-    Array.blit s.s_seq 0 seq 0 n;
-    Array.blit s.s_loc 0 loc 0 n;
-    s.s_clk <- clk;
-    s.s_seq <- seq;
-    s.s_loc <- loc
+  if tid >= Array.length s.s_clk then begin
+    s.s_clk <- Dense.grow s.s_clk tid ~floor:8 (fun () -> 0);
+    s.s_seq <- Dense.grow s.s_seq tid ~floor:8 (fun () -> 0);
+    s.s_loc <- Dense.grow s.s_loc tid ~floor:8 (fun () -> Loc.unknown)
   end
 
 let record_shared s ~tid ~clk ~loc =
@@ -412,10 +398,9 @@ let check_write t ctx ~tid ~addr ~loc =
     end
   end
 
-(** Composition probe, mirroring {!Djit.unordered_now} — with dead
-    cells correctly answering [false]: once [first_only] stops
-    updating a cell, its stale state must not keep gating lock-set
-    warnings. *)
+(** Composition probe (the {!Hybrid} gate).  Dead cells answer
+    [false]: once [first_only] stops updating a cell, its stale state
+    must not keep gating lock-set warnings. *)
 let unordered_now t ~tid ~addr ~write =
   if addr >= Array.length t.shadow then false
   else
@@ -442,13 +427,7 @@ let on_event t (ctx : Vm.Tool.ctx) (e : Vm.Event.t) =
   match e with
   | E_read { tid; addr; loc; _ } -> check_read t ctx ~tid ~addr ~loc
   | E_write { tid; addr; loc; _ } -> check_write t ctx ~tid ~addr ~loc
-  | E_alloc { addr; len; _ } ->
-      (* range clear on the dense shadow: slots past the frontier are
-         already fresh *)
-      let n = Array.length t.shadow in
-      for a = addr to min (addr + len - 1) (n - 1) do
-        reset_cell (Array.unsafe_get t.shadow a)
-      done
+  | E_alloc { addr; len; _ } -> Dense.iter_range t.shadow ~addr ~len reset_cell
   | E_thread_start _ | E_thread_exit _ | E_join _ | E_spawn _ | E_free _ | E_sync_create _
   | E_acquire _ | E_release _ | E_cond_signal _ | E_cond_wait_pre _ | E_cond_wait_post _
   | E_sem_post _ | E_sem_wait_post _ | E_client _ ->

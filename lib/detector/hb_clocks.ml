@@ -49,12 +49,8 @@ let vc_of tbl id =
       vc
 
 let set_thread_vc t tid vc =
-  let n = Array.length t.threads in
-  if tid >= n then begin
-    let a = Array.make (max 64 (max (2 * n) (tid + 1))) None in
-    Array.blit t.threads 0 a 0 n;
-    t.threads <- a
-  end;
+  if tid >= Array.length t.threads then
+    t.threads <- Dense.grow t.threads tid ~floor:64 (fun () -> None);
   t.threads.(tid) <- Some vc
 
 let thread_vc t tid =

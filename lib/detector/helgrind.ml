@@ -248,15 +248,8 @@ let name_of t uid =
   | None -> Printf.sprintf "lock#%d" uid
 
 let thread_locks t tid =
-  let n = Array.length t.locks in
-  if tid >= n then begin
-    let a =
-      Array.init
-        (max 16 (max (2 * n) (tid + 1)))
-        (fun i -> if i < n then Array.unsafe_get t.locks i else Held_locks.create ())
-    in
-    t.locks <- a
-  end;
+  if tid >= Array.length t.locks then
+    t.locks <- Dense.grow t.locks tid ~floor:16 Held_locks.create;
   Array.unsafe_get t.locks tid
 
 let fresh_cell () =
@@ -272,15 +265,8 @@ let fresh_cell () =
   }
 
 let cell t addr =
-  let n = Array.length t.shadow in
-  if addr >= n then begin
-    let a =
-      Array.init
-        (max 4096 (max (2 * n) (addr + 1)))
-        (fun i -> if i < n then Array.unsafe_get t.shadow i else fresh_cell ())
-    in
-    t.shadow <- a
-  end;
+  if addr >= Array.length t.shadow then
+    t.shadow <- Dense.grow t.shadow addr ~floor:4096 fresh_cell;
   Array.unsafe_get t.shadow addr
 
 let is_benign t addr = List.exists (fun (base, len) -> addr >= base && addr < base + len) t.benign
@@ -544,40 +530,23 @@ let on_event t (ctx : Vm.Tool.ctx) (e : Vm.Event.t) =
   | E_write { tid; addr; atomic; loc; _ } ->
       check_access t ctx ~access:Write ~tid ~addr ~atomic ~loc
   | E_alloc { addr; len; loc; _ } ->
-      if Hashtbl.mem t.hints (loc.Loc.file, loc.Loc.line) then
-        (* a statically-proven thread-local allocation site: mark the
-           whole block (materialising cells past the frontier, which
-           would otherwise be created lazily without the mark) *)
-        for a = addr to addr + len - 1 do
-          let c = cell t a in
+      (* fresh (or recycled through malloc) memory starts life virgin.
+         A statically-proven thread-local allocation site marks the
+         whole block, so its cells past the frontier are materialised
+         first — lazily created ones would miss the mark. *)
+      let local = Hashtbl.mem t.hints (loc.Loc.file, loc.Loc.line) in
+      if local && len > 0 then ignore (cell t (addr + len - 1));
+      Dense.iter_range t.shadow ~addr ~len (fun c ->
           c.st <- Virgin;
           c.f_any <- Lockset.top;
           c.f_wrote <- false;
-          c.f_local <- true;
-          if c.hist_len > 0 then begin
-            c.hist <- [];
-            c.hist_len <- 0;
-            c.hist_dropped <- 0
-          end
-        done
-      else begin
-        (* fresh (or recycled through malloc) memory starts life virgin;
-           slots past the shadow's frontier are already virgin *)
-        let n = Array.length t.shadow in
-        for a = addr to min (addr + len - 1) (n - 1) do
-          let c = Array.unsafe_get t.shadow a in
-          c.st <- Virgin;
-          c.f_any <- Lockset.top;
-          c.f_wrote <- false;
-          c.f_local <- false;
+          c.f_local <- local;
           if c.hist_len > 0 then begin
             (* recycled memory starts a fresh provenance life *)
             c.hist <- [];
             c.hist_len <- 0;
             c.hist_dropped <- 0
-          end
-        done
-      end
+          end)
   | E_free _ -> ()
   | E_sync_create { sync; name; _ } -> (
       match Lock_id.of_sync_ref sync with

@@ -7,79 +7,36 @@
     with a vector-clock happens-before check on synchronisation
     primitives.
 
-    This implementation composes the two real engines: a {!Helgrind}
-    instance performs the lock-set analysis, and each of its candidate
-    warnings is admitted only if a {!Djit} instance (updated on the
-    same event stream) confirms the access is {e concurrent} with a
-    previous conflicting access.  Lock-discipline violations whose
+    This implementation composes two real engines on one event stream:
+    a {!Helgrind} instance (HWLC+DR) performs the lock-set analysis,
+    and each of its candidate warnings is admitted only if a
+    {!Fasttrack} instance (condition-variable and semaphore edges on)
+    confirms the access is {e concurrent} with a previous conflicting
+    access.  FastTrack's epochs answer that question exactly as DJIT's
+    vector clocks do (DESIGN.md §14).  Lock-discipline violations whose
     accesses happened to be ordered on this execution are therefore
-    suppressed — precision up, at the price of DJIT's
-    schedule-dependence (the §2.2 trade-off, measurable in the
+    suppressed — precision up, at the price of the happens-before
+    family's schedule-dependence (the §2.2 trade-off, measurable in the
     [baselines] experiment). *)
 
 module Vm = Raceguard_vm
 
-type gate_engine =
-  | Vector_clocks  (** full-VC {!Djit} gate — the historical default *)
-  | Epochs
-      (** {!Fasttrack} gate with adaptive read-vector demotion — same
-          answers (both probes implement the same unordered-now
-          question over equivalent state), cheaper per access *)
+type t = { lockset : Helgrind.t; hb : Fasttrack.t }
 
-type config = {
-  helgrind : Helgrind.config;
-  sync_on_cond : bool;  (** HB edges for condition variables *)
-  sync_on_sem : bool;  (** HB edges for semaphores *)
-  gate : gate_engine;
-}
-
-let default_config =
-  {
-    helgrind = Helgrind.hwlc_dr;
-    sync_on_cond = true;
-    sync_on_sem = true;
-    gate = Vector_clocks;
-  }
-
-let epoch_config = { default_config with gate = Epochs }
-
-type engine = Vc of Djit.t | Ft of Fasttrack.t
-type t = { lockset : Helgrind.t; hb : engine }
-
-let create ?(config = default_config) ?(suppressions = []) () =
-  let lockset = Helgrind.create ~suppressions config.helgrind in
+let create ?(suppressions = []) () =
+  let lockset = Helgrind.create ~suppressions Helgrind.hwlc_dr in
+  (* every race is reported, so no cell is ever retired from the gate *)
   let hb =
-    match config.gate with
-    | Vector_clocks ->
-        Vc
-          (Djit.create
-             ~config:
-               {
-                 Djit.sync_on_cond = config.sync_on_cond;
-                 sync_on_sem = config.sync_on_sem;
-                 sync_on_annotations = true;
-                 first_only = false;
-               }
-             ())
-    | Epochs ->
-        Ft
-          (Fasttrack.create
-             ~config:
-               {
-                 Fasttrack.default_config with
-                 sync_on_cond = config.sync_on_cond;
-                 sync_on_sem = config.sync_on_sem;
-                 first_only = false;
-               }
-             ())
+    Fasttrack.create
+      ~config:
+        { Fasttrack.default_config with sync_on_cond = true; sync_on_sem = true; first_only = false }
+      ()
   in
   (* the gate: a lock-set warning survives only when the access is
      genuinely unordered with a previous conflicting access *)
   Helgrind.set_warning_filter lockset (fun ~tid ~addr ~kind ->
       let write = match kind with Report.Race_write -> true | _ -> false in
-      match hb with
-      | Vc d -> Djit.unordered_now d ~tid ~addr ~write
-      | Ft f -> Fasttrack.unordered_now f ~tid ~addr ~write);
+      Fasttrack.unordered_now hb ~tid ~addr ~write);
   { lockset; hb }
 
 (* event order matters: the lock-set side (and its gate probing the
@@ -87,7 +44,7 @@ let create ?(config = default_config) ?(suppressions = []) () =
    absorbs the current event. *)
 let on_event t ctx e =
   Helgrind.on_event t.lockset ctx e;
-  match t.hb with Vc d -> Djit.on_event d ctx e | Ft f -> Fasttrack.on_event f ctx e
+  Fasttrack.on_event t.hb ctx e
 
 let tool t = Vm.Tool.make ~name:"hybrid" ~on_event:(on_event t)
 

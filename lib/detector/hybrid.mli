@@ -1,32 +1,16 @@
 (** Hybrid lock-set × happens-before detection — the Multi-Race /
     O'Callahan-Choi combination surveyed in §2.2.
 
-    A {!Helgrind} instance performs the lock-set analysis; each of its
-    candidate warnings is admitted only if a {!Djit} instance on the
-    same event stream confirms the access is concurrent with a previous
-    conflicting access.  Precision up; DJIT's schedule-dependence is
-    the price. *)
-
-type gate_engine =
-  | Vector_clocks  (** full-VC {!Djit} gate — the historical default *)
-  | Epochs  (** {!Fasttrack} gate with adaptive demotion — same answers *)
-
-type config = {
-  helgrind : Helgrind.config;
-  sync_on_cond : bool;  (** HB edges for condition variables *)
-  sync_on_sem : bool;  (** HB edges for semaphores *)
-  gate : gate_engine;
-}
-
-val default_config : config
-(** HWLC+DR lock-sets, all HB edge sources on, vector-clock gate. *)
-
-val epoch_config : config
-(** [default_config] with the epoch ({!Fasttrack}) gate. *)
+    A {!Helgrind} instance (HWLC+DR) performs the lock-set analysis;
+    each of its candidate warnings is admitted only if a {!Fasttrack}
+    instance on the same event stream (condition-variable and
+    semaphore edges on, every race kept) confirms the access is
+    concurrent with a previous conflicting access.  Precision up; the
+    happens-before family's schedule-dependence is the price. *)
 
 type t
 
-val create : ?config:config -> ?suppressions:Suppression.t list -> unit -> t
+val create : ?suppressions:Suppression.t list -> unit -> t
 val tool : t -> Raceguard_vm.Tool.t
 val on_event : t -> Raceguard_vm.Tool.ctx -> Raceguard_vm.Event.t -> unit
 

@@ -10,9 +10,10 @@
     amounts of data" cost the paper attributes to offline techniques —
     now the cost of the encoded bytes.
 
-    The {!sink} registry gives the replay plane a uniform face over the
-    ten detector configurations it drives; a {!verdict} digests what
-    one configuration concluded, comparably between live and replayed
+    The {!sink} registry is the one table of named detector
+    configurations, a uniform face over all ten for the replay plane,
+    the bench and the tests; a {!verdict} digests what one
+    configuration concluded, comparably between live and replayed
     runs. *)
 
 module Vm = Raceguard_vm
@@ -60,7 +61,10 @@ val configs : string list
 (** The ten replayable configurations: ["helgrind-original"],
     ["helgrind-hwlc"], ["helgrind-hwlc+dr"], ["helgrind-hwlc+dr+hb"],
     ["eraser-pure"], ["djit"], ["fasttrack"], ["racetrack"],
-    ["hybrid"], ["hybrid-epoch"]. *)
+    ["hybrid"], ["hybrid-epoch"].  ["djit"] is FastTrack's test oracle
+    and feeds the [fneg] and [baselines] tables; ["hybrid"] and
+    ["hybrid-epoch"] are one detector under two names, kept because
+    the trace-replay benchmark replays all ten. *)
 
 val sink : string -> sink
 (** A fresh detector instance for a registry name.

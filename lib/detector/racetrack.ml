@@ -61,30 +61,20 @@ let location_count t = Report.location_count t.collector
 let collector t = t.collector
 
 let thread_locks t tid =
-  let n = Array.length t.locks in
-  if tid >= n then begin
-    let a =
-      Array.init
-        (max 16 (max (2 * n) (tid + 1)))
-        (fun i -> if i < n then Array.unsafe_get t.locks i else Held_locks.create ())
-    in
-    t.locks <- a
-  end;
+  if tid >= Array.length t.locks then
+    t.locks <- Dense.grow t.locks tid ~floor:16 Held_locks.create;
   Array.unsafe_get t.locks tid
 
 let fresh_cell () = { lockset = Lockset.top; threadset = [] }
 
 let cell t addr =
-  let n = Array.length t.shadow in
-  if addr >= n then begin
-    let a =
-      Array.init
-        (max 4096 (max (2 * n) (addr + 1)))
-        (fun i -> if i < n then Array.unsafe_get t.shadow i else fresh_cell ())
-    in
-    t.shadow <- a
-  end;
+  if addr >= Array.length t.shadow then
+    t.shadow <- Dense.grow t.shadow addr ~floor:4096 fresh_cell;
   Array.unsafe_get t.shadow addr
+
+let reset_cell c =
+  c.lockset <- Lockset.top;
+  c.threadset <- []
 
 let is_benign t addr = List.exists (fun (b, l) -> addr >= b && addr < b + l) t.benign
 
@@ -168,13 +158,7 @@ let on_event t (ctx : Vm.Tool.ctx) (e : Vm.Event.t) =
   | E_read { tid; addr; atomic; loc; _ } -> check_access t ctx ~access:Read ~tid ~addr ~atomic ~loc
   | E_write { tid; addr; atomic; loc; _ } ->
       check_access t ctx ~access:Write ~tid ~addr ~atomic ~loc
-  | E_alloc { addr; len; _ } ->
-      let n = Array.length t.shadow in
-      for a = addr to min (addr + len - 1) (n - 1) do
-        let c = Array.unsafe_get t.shadow a in
-        c.lockset <- Lockset.top;
-        c.threadset <- []
-      done
+  | E_alloc { addr; len; _ } -> Dense.iter_range t.shadow ~addr ~len reset_cell
   | E_sync_create { sync; name; _ } -> (
       match Lock_id.of_sync_ref sync with
       | Some uid -> Hashtbl.replace t.lock_names uid name

@@ -36,12 +36,8 @@ let create () =
 let new_seg t parents = Growvec.push t.parents parents
 
 let set_current t tid s =
-  let n = Array.length t.current in
-  if tid >= n then begin
-    let a = Array.make (max (2 * n) (tid + 1)) (-1) in
-    Array.blit t.current 0 a 0 n;
-    t.current <- a
-  end;
+  if tid >= Array.length t.current then
+    t.current <- Dense.grow t.current tid ~floor:0 (fun () -> -1);
   t.current.(tid) <- s
 
 (* the hottest query of the detector: one bounds check and a load *)

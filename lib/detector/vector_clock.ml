@@ -10,11 +10,7 @@ let create () = { data = Array.make 8 0 }
 let get t tid = if tid < Array.length t.data then t.data.(tid) else 0
 
 let ensure t tid =
-  if tid >= Array.length t.data then begin
-    let data = Array.make (max (tid + 1) (2 * Array.length t.data)) 0 in
-    Array.blit t.data 0 data 0 (Array.length t.data);
-    t.data <- data
-  end
+  if tid >= Array.length t.data then t.data <- Dense.grow t.data tid ~floor:0 (fun () -> 0)
 
 let set t tid v =
   ensure t tid;

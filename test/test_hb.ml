@@ -336,9 +336,9 @@ let test_lock_order_three_cycle () =
 
 (* --- hybrid (lock-set gated by happens-before) ------------------------------ *)
 
-let run_hybrid ?(seed = 1) ?config f =
+let run_hybrid ?(seed = 1) f =
   let vm = Engine.create ~config:{ Engine.default_config with seed } () in
-  let h = Det.Hybrid.create ?config () in
+  let h = Det.Hybrid.create () in
   Engine.add_tool vm (Det.Hybrid.tool h);
   let outcome = Engine.run vm f in
   assert (outcome.failures = []);
