@@ -18,6 +18,7 @@ type ctx = {
   write_bus : Lockset.t;
 }
 
+module Int_list = Raceguard_util.Int_list
 module Metrics = Raceguard_obs.Metrics
 
 let m_ctx_count = Metrics.gauge "detector.held_locks.ctx_count"
@@ -114,10 +115,6 @@ let acquire t uid (mode : Raceguard_vm.Eff.mode) =
   | Raceguard_vm.Eff.Read_mode -> ());
   t.ctx <- transition t.ctx uid mode
 
-let remove_one uid xs =
-  let rec go = function [] -> [] | x :: rest -> if x = uid then rest else x :: go rest in
-  go xs
-
 (* cold path: rebuild a ctx from the uid lists after a non-LIFO
    release; the sets are interned so equal rebuilds stay cheap to
    compare, and transitions from the fresh ctx re-memoise *)
@@ -140,8 +137,8 @@ let release t uid =
   | _ ->
       Metrics.incr m_nonlifo_releases;
       t.snaps <- [];
-      t.held_any <- remove_one uid t.held_any;
-      t.held_write <- remove_one uid t.held_write;
+      t.held_any <- Int_list.remove_one uid t.held_any;
+      t.held_write <- Int_list.remove_one uid t.held_write;
       t.ctx <- recompute t.held_any t.held_write
 
 (** The effective (any, write) lock-sets of one access.  [bus_rw] is

@@ -10,6 +10,7 @@
     that closes a cycle. *)
 
 module Loc = Raceguard_util.Loc
+module Int_list = Raceguard_util.Int_list
 module Vm = Raceguard_vm
 open Vm.Event
 
@@ -110,12 +111,7 @@ let on_acquire t ctx ~tid ~uid ~loc =
 let on_release t ~tid ~uid =
   match Hashtbl.find_opt t.held tid with
   | None -> ()
-  | Some held ->
-      let rec remove_one = function
-        | [] -> []
-        | x :: rest -> if x = uid then rest else x :: remove_one rest
-      in
-      Hashtbl.replace t.held tid (remove_one held)
+  | Some held -> Hashtbl.replace t.held tid (Int_list.remove_one uid held)
 
 let on_event t (ctx : Vm.Tool.ctx) (e : Vm.Event.t) =
   match e with

@@ -18,6 +18,7 @@
 module Loc = Raceguard_util.Loc
 module Rng = Raceguard_util.Rng
 module Growvec = Raceguard_util.Growvec
+module Int_list = Raceguard_util.Int_list
 module Metrics = Raceguard_obs.Metrics
 module Trace = Raceguard_obs.Trace
 module Injector = Raceguard_faults.Injector
@@ -87,6 +88,7 @@ let default_config =
 (* ------------------------------------------------------------------ *)
 
 type wake =
+  | No_wake
   | Wake : ('a, unit) Effect.Deep.continuation * (unit -> 'a) -> wake
   | Wake_v : ('a, unit) Effect.Deep.continuation * 'a -> wake
       (** plain-value resume: the common case, no thunk allocation *)
@@ -111,7 +113,7 @@ type thread = {
   name : string;
   parent : int option;
   mutable status : status;
-  mutable wake : wake option;
+  mutable wake : wake;
   mutable frames : Loc.t list;
   mutable failure : exn option;
   mutable join_waiters : int list;
@@ -199,6 +201,7 @@ type t = {
   mutable current : int;
   mutable clock : int;
   mutable ops : int;
+  mutable events : int;  (** published to [vm.events_emitted] at the end of {!run} *)
   mutable switches : int;
   mutable tools : Tool.t list;
   mutable trace : Event.t Growvec.t;
@@ -224,7 +227,7 @@ let dummy_thread =
     name = "<dummy>";
     parent = None;
     status = Done;
-    wake = None;
+    wake = No_wake;
     frames = [];
     failure = None;
     join_waiters = [];
@@ -250,6 +253,7 @@ let create ?(config = default_config) () =
     current = -1;
     clock = 0;
     ops = 0;
+    events = 0;
     switches = 0;
     tools = [];
     trace = Growvec.create ~dummy:(Event.E_thread_exit { tid = -1 });
@@ -283,15 +287,21 @@ let tool_ctx t : Tool.ctx =
       t.cached_ctx <- Some ctx;
       ctx
 
+(* A direct loop rather than [List.iter]: no closure per event. *)
+let rec dispatch ctx event = function
+  | [] -> ()
+  | (tool : Tool.t) :: rest ->
+      tool.on_event ctx event;
+      dispatch ctx event rest
+
 let emit t event =
-  Metrics.incr m_events;
+  t.events <- t.events + 1;
   if t.config.trace_events then ignore (Growvec.push t.trace event);
   (match t.config.tracer with
   | None -> ()
   | Some tr ->
       Trace.emit tr ~ts:t.clock ~tid:(Event.tid event) ~name:(Event.kind_name event) ~cat:"vm" ());
-  let ctx = tool_ctx t in
-  List.iter (fun (tool : Tool.t) -> tool.on_event ctx event) t.tools
+  dispatch (tool_ctx t) event t.tools
 
 (* --- ready queue ------------------------------------------------- *)
 
@@ -319,9 +329,10 @@ let take_ready_at t idx =
   t.ready_len <- t.ready_len - 1;
   x
 
+(* The next thread to run, or -1 when none is ready. *)
 let pick_ready t =
   let n = t.ready_len in
-  if n = 0 then None
+  if n = 0 then -1
   else begin
     let choice =
       match t.config.policy with
@@ -341,16 +352,16 @@ let pick_ready t =
       | Scripted _ -> t.decisions <- (choice, n) :: t.decisions
       | Round_robin | Random_seeded | Sticky -> ()
     end;
-    Some (take_ready_at t choice)
+    take_ready_at t choice
   end
 
 (* --- waking helpers ---------------------------------------------- *)
 
 let resume_with (th : thread) (v : unit -> 'a) (k : ('a, unit) Effect.Deep.continuation) =
-  th.wake <- Some (Wake (k, v))
+  th.wake <- Wake (k, v)
 
 let resume_value (th : thread) (v : 'a) (k : ('a, unit) Effect.Deep.continuation) =
-  th.wake <- Some (Wake_v (k, v))
+  th.wake <- Wake_v (k, v)
 
 (* Grant a mutex to a waiting thread and make it runnable.  The
    acquire event is emitted at grant time: that is the moment the
@@ -410,7 +421,8 @@ let describe_wait t = function
   | On_sleep until -> Fmt.str "sleep until %d" until
 
 (* waits-for edges: tid -> tid that could wake it (single blocking
-   owner for mutex/rwlock-writer/join; none for cond/sem). *)
+   owner for mutex/rwlock-writer/join, or the one thread holding every
+   read hold; none for cond/sem). *)
 let waiting_on_thread t reason =
   match reason with
   | On_mutex m -> (Growvec.get t.mutexes m).m_owner
@@ -418,7 +430,10 @@ let waiting_on_thread t reason =
       let r = Growvec.get t.rwlocks rw in
       match r.rw_writer with
       | Some w -> Some w
-      | None -> ( match r.rw_readers with [ x ] -> Some x | _ -> None))
+      | None -> (
+          match r.rw_readers with
+          | x :: rest when List.for_all (Int.equal x) rest -> Some x
+          | _ -> None))
   | On_join tid -> Some tid
   | On_cond _ | On_sem _ | On_sleep _ -> None
 
@@ -514,7 +529,7 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
           name;
           parent = Some th.tid;
           status = Fresh body;
-          wake = None;
+          wake = No_wake;
           frames = [ loc ];
           failure = None;
           join_waiters = [];
@@ -619,7 +634,8 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
       let r = Growvec.get t.rwlocks rw in
       (if r.rw_writer = Some th.tid then r.rw_writer <- None
        else if List.mem th.tid r.rw_readers then
-         r.rw_readers <- List.filter (fun x -> x <> th.tid) r.rw_readers
+         (* one hold per [rdlock]: an unlock releases one *)
+         r.rw_readers <- Int_list.remove_one th.tid r.rw_readers
        else raise (Misuse (Fmt.str "thread %d unlocks rwlock %S it does not hold" th.tid r.rw_name)));
       emit t (Event.E_release { tid = th.tid; lock = Event.Rwlock rw; loc });
       rwlock_grant_waiters t r ~loc;
@@ -716,27 +732,25 @@ and wake_cond_waiter t w m ~cv ~loc =
          still be emitted — we wrap the thread's wake closure. *)
       wth.status <- Blocked (On_mutex m);
       (match wth.wake with
-      | Some (Wake (k, v)) ->
+      | Wake (k, v) ->
           wth.wake <-
-            Some
-              (Wake
-                 ( k,
-                   fun () ->
-                     emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
-                     v () ))
-      | Some (Wake_v (k, v)) ->
+            Wake
+              ( k,
+                fun () ->
+                  emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
+                  v () )
+      | Wake_v (k, v) ->
           wth.wake <-
-            Some
-              (Wake
-                 ( k,
-                   fun () ->
-                     emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
-                     v ))
-      | None -> ());
+            Wake
+              ( k,
+                fun () ->
+                  emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
+                  v )
+      | No_wake -> ());
       Queue.push w mu.m_waiters)
 
 (* ------------------------------------------------------------------ *)
-(* The scheduler loop                                                  *)
+(* The scheduler                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let thread_finished t th =
@@ -748,50 +762,6 @@ let thread_finished t th =
       enqueue_ready t w)
     th.join_waiters;
   th.join_waiters <- []
-
-let handler t th : (unit, unit) Effect.Deep.handler =
-  {
-    retc = (fun () -> thread_finished t th);
-    exnc =
-      (fun e ->
-        th.failure <- Some e;
-        thread_finished t th);
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Do op ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                (* API misuse (bad unlock, double free, out-of-bounds
-                   access, ...) is the calling thread's error: deliver
-                   it at the perform point so the thread fails and the
-                   VM keeps running.  Engine-level conditions
-                   (Too_many_ops) still abort the run. *)
-                match handle_op t th op k with
-                | () -> ()
-                | exception ((Misuse _ | Invalid_argument _) as e) ->
-                    Effect.Deep.discontinue k e)
-        | _ -> None);
-  }
-
-let run_thread t th =
-  t.current <- th.tid;
-  t.switches <- t.switches + 1;
-  match th.status with
-  | Fresh body ->
-      th.status <- Running;
-      Effect.Deep.match_with body () (handler t th)
-  | Ready -> (
-      th.status <- Running;
-      match th.wake with
-      | Some (Wake (k, v)) ->
-          th.wake <- None;
-          Effect.Deep.continue k (v ())
-      | Some (Wake_v (k, v)) ->
-          th.wake <- None;
-          Effect.Deep.continue k v
-      | None -> invalid_arg "run_thread: ready thread without wake")
-  | Running | Blocked _ | Done -> invalid_arg "run_thread: thread not runnable"
 
 let wake_due_sleepers t =
   let woke = ref false in
@@ -832,6 +802,80 @@ let earliest_sleeper t =
       | _ -> acc)
     from_delayed t.threads
 
+(* The scheduler is a trampoline.  [schedule] picks the next thread and
+   resumes it; that thread runs until its next operation, whose handler
+   applies the operation and calls [schedule] again; a finishing thread's
+   [retc]/[exnc] do the same.  Every one of these calls — [schedule] from
+   a handler, and [continue]/[match_with] from [run_thread] — is a tail
+   call (OCaml compiles a tail [%resume]/[%runstack] as a jump), so the
+   carrier stack stays flat however many operations run, and [schedule]
+   returns to {!run} only when no thread is runnable or sleeping.  None
+   of them may sit inside a [try]: test/stack_flat.ml runs a million
+   operations on a 64 KiB stack to hold this. *)
+let rec schedule t =
+  let tid = pick_ready t in
+  if tid >= 0 then run_thread t (thread t tid)
+  else begin
+    ignore (wake_due_sleepers t);
+    if ready_count t > 0 then schedule t
+    else
+      match earliest_sleeper t with
+      | Some until ->
+          t.clock <- until;
+          ignore (wake_due_sleepers t);
+          schedule t
+      | None -> ()
+  end
+
+and run_thread t th =
+  t.current <- th.tid;
+  t.switches <- t.switches + 1;
+  match th.status with
+  | Fresh body ->
+      th.status <- Running;
+      Effect.Deep.match_with body () (handler t th)
+  | Ready -> (
+      th.status <- Running;
+      match th.wake with
+      | Wake (k, v) ->
+          th.wake <- No_wake;
+          Effect.Deep.continue k (v ())
+      | Wake_v (k, v) ->
+          th.wake <- No_wake;
+          Effect.Deep.continue k v
+      | No_wake -> invalid_arg "run_thread: ready thread without wake")
+  | Running | Blocked _ | Done -> invalid_arg "run_thread: thread not runnable"
+
+and handler t th : (unit, unit) Effect.Deep.handler =
+  {
+    retc =
+      (fun () ->
+        thread_finished t th;
+        schedule t);
+    exnc =
+      (fun e ->
+        th.failure <- Some e;
+        thread_finished t th;
+        schedule t);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Do op ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                (* API misuse (bad unlock, double free, out-of-bounds
+                   access, ...) is the calling thread's error: deliver
+                   it at the perform point so the thread fails and the
+                   VM keeps running.  Engine-level conditions
+                   (Too_many_ops) still abort the run.  [schedule] is
+                   in the value branch, outside the trap. *)
+                match handle_op t th op k with
+                | () -> schedule t
+                | exception ((Misuse _ | Invalid_argument _) as e) ->
+                    Effect.Deep.discontinue k e)
+        | _ -> None);
+  }
+
 (** Run [main] as thread 0 until all threads finish, a deadlock is
     detected, or the op budget is exhausted. *)
 let run t main =
@@ -841,7 +885,7 @@ let run t main =
       name = "main";
       parent = None;
       status = Fresh main;
-      wake = None;
+      wake = No_wake;
       frames = [ Loc.v "<vm>" "main" 0 ];
       failure = None;
       join_waiters = [];
@@ -851,47 +895,31 @@ let run t main =
   ignore (Growvec.push t.threads main_thread);
   emit t (Event.E_thread_start { tid = 0; name = "main"; parent = None });
   enqueue_ready t 0;
-  let deadlock = ref None in
-  (try
-     let continue_loop = ref true in
-     while !continue_loop do
-       match pick_ready t with
-       | Some tid -> run_thread t (thread t tid)
-       | None -> (
-           ignore (wake_due_sleepers t);
-           if ready_count t > 0 then ()
-           else
-             match earliest_sleeper t with
-             | Some until ->
-                 t.clock <- until;
-                 ignore (wake_due_sleepers t)
-             | None -> (
-                 match detect_deadlock t with
-                 | Some d ->
-                     deadlock := Some d;
-                     continue_loop := false
-                 | None -> continue_loop := false))
-     done
-   with Too_many_ops ->
-     deadlock :=
-       Some
-         {
-           dl_cycle = [];
-           dl_stuck = [ (t.current, Fmt.str "op budget (%d) exhausted — livelock?" t.config.max_ops) ];
-         });
+  let deadlock =
+    try
+      schedule t;
+      detect_deadlock t
+    with Too_many_ops ->
+      Some
+        {
+          dl_cycle = [];
+          dl_stuck = [ (t.current, Fmt.str "op budget (%d) exhausted — livelock?" t.config.max_ops) ];
+        }
+  in
   let failures =
     Growvec.fold
       (fun acc th -> match th.failure with Some e -> (th.tid, th.name, e) :: acc | None -> acc)
       [] t.threads
   in
+  Metrics.add m_events t.events;
   Metrics.add m_ops t.ops;
   Metrics.add m_switches t.switches;
   Metrics.add m_threads (Growvec.length t.threads);
   Metrics.add m_allocs (Memory.total_allocs t.memory);
-  if !deadlock <> None then Metrics.incr m_deadlocks;
+  if deadlock <> None then Metrics.incr m_deadlocks;
   Growvec.iter (fun (th : thread) -> Metrics.observe h_thread_ops th.ops) t.threads;
   {
-    deadlock = !deadlock;
+    deadlock;
     failures = List.rev failures;
     stats =
       {

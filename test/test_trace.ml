@@ -284,6 +284,42 @@ let test_recording_deterministic () =
   let c = Det.Offline.contents (R.Trace_ops.record_test ~seed:42 t4).rec_recorder in
   Alcotest.(check bool) "different seed => different trace" true (a <> c)
 
+(* The recorded bytes of every SIP test case at seed 7, pinned across
+   versions.  They carry every scheduling decision, clock, stack and
+   block, so any change to the VM's schedule or event stream shows here
+   even where the detectors' verdicts would not.  The eight recordings
+   run in order on one fresh domain: the C++ object model numbers
+   vtables per domain in first-use order and writes those numbers into
+   VM memory, so the bytes depend on which programs the domain ran
+   before (the tests ahead of this one run many). *)
+let recorded_pins =
+  [
+    ("T1", "c4cc8dc6c71da4ed51de2792e4235e68", 757730);
+    ("T2", "f7f9e7959089772fbaf4e5735ff0dd1b", 559809);
+    ("T3", "090586bf7d3a30d3721afad9a0c94e45", 258172);
+    ("T4", "4a5fad54d8c36d4f0ca8c70ef2c9c8a6", 783123);
+    ("T5", "3642c2627a75ed46752d1c4e74b47d45", 1076145);
+    ("T6", "7ba24f9f579ffa6729830061f03093c2", 1094260);
+    ("T7", "7b8a5e53e6b531ed8f2583dfd699c7ce", 209751);
+    ("T8", "5f11d8c73a969576d15d4a87aeafbf5a", 413576);
+  ]
+
+let test_recording_pinned () =
+  let record (tc : Sip.Workload.test_case) =
+    (tc.tc_name, Det.Offline.contents (R.Trace_ops.record_test ~seed:7 tc).rec_recorder)
+  in
+  let recorded =
+    Domain.join (Domain.spawn (fun () -> List.map record Sip.Workload.all_test_cases))
+  in
+  Alcotest.(check (list string)) "a pin per test case, in order"
+    (List.map (fun (name, _, _) -> name) recorded_pins)
+    (List.map fst recorded);
+  List.iter2
+    (fun (name, md5, len) (_, bytes) ->
+      Alcotest.(check int) (name ^ " trace length") len (String.length bytes);
+      Alcotest.(check string) (name ^ " trace MD5") md5 (Digest.to_hex (Digest.string bytes)))
+    recorded_pins recorded
+
 let test_write_behind_materialize () =
   (* record mode logs only (workload, seed); materializing must yield the
      same bytes as an eager capture run, and must cache the result *)
@@ -406,6 +442,7 @@ let suite =
       Alcotest.test_case "corrupt containers rejected" `Quick test_corruption_rejected;
       Alcotest.test_case "monotonic clock enforced" `Quick test_monotonic_clock_enforced;
       Alcotest.test_case "recording is deterministic" `Slow test_recording_deterministic;
+      Alcotest.test_case "recorded bytes pinned (T1-T8, seed 7)" `Slow test_recording_pinned;
       Alcotest.test_case "write-behind materialization matches eager capture" `Slow
         test_write_behind_materialize;
       Alcotest.test_case "trace is self-describing" `Slow test_trace_self_describing;

@@ -3,6 +3,7 @@
 module Rng = Raceguard_util.Rng
 module Iss = Raceguard_util.Int_sorted_set
 module Growvec = Raceguard_util.Growvec
+module Int_list = Raceguard_util.Int_list
 module Loc = Raceguard_util.Loc
 module Table = Raceguard_util.Table
 
@@ -51,6 +52,20 @@ let test_rng_split_independent () =
   let b = List.init 8 (fun _ -> Rng.next s) in
   Alcotest.(check bool) "split streams differ" true (a <> b)
 
+(* The splitmix64 stream itself, as literals: the tests above compare
+   two generators of one build, so they cannot see a changed mix.  Every
+   schedule and every pinned digest hangs off these numbers. *)
+let test_rng_stream_pinned () =
+  let draws r n = List.init n (fun _ -> Rng.next r) in
+  Alcotest.(check (list int)) "seed 0"
+    [ 2459150361376443823; 3348600503766967796; 487617019471545679; 4074553321498378732 ]
+    (draws (Rng.create ~seed:0) 4);
+  Alcotest.(check (list int)) "seed 7"
+    [ 2579403582464986583; 309689372594955804; 2781043691533445634; 1529793891446696395 ]
+    (draws (Rng.create ~seed:7) 4);
+  Alcotest.(check (list int)) "split of seed 7" [ 3385502555577140607; 4022549533585779567 ]
+    (draws (Rng.split (Rng.create ~seed:7)) 2)
+
 let test_iss_basics () =
   let s = Iss.of_list [ 3; 1; 2; 3; 1 ] in
   Alcotest.(check int) "dedup" 3 (Iss.cardinal s);
@@ -93,6 +108,12 @@ let qc_iss_inter_laws =
       Iss.equal (Iss.inter a b) (Iss.inter b a)
       && Iss.equal (Iss.inter a (Iss.inter b c)) (Iss.inter (Iss.inter a b) c)
       && Iss.equal (Iss.inter a a) a)
+
+let test_int_list_remove_one () =
+  Alcotest.(check (list int)) "first occurrence only" [ 1; 3; 2 ] (Int_list.remove_one 2 [ 1; 2; 3; 2 ]);
+  Alcotest.(check (list int)) "repeated head" [ 4 ] (Int_list.remove_one 4 [ 4; 4 ]);
+  Alcotest.(check (list int)) "absent" [ 1; 3 ] (Int_list.remove_one 2 [ 1; 3 ]);
+  Alcotest.(check (list int)) "empty" [] (Int_list.remove_one 2 [])
 
 let test_growvec () =
   let v = Growvec.create ~dummy:0 in
@@ -151,10 +172,12 @@ let suite =
       Alcotest.test_case "rng non-negative" `Quick test_rng_nonnegative;
       Alcotest.test_case "rng shuffle is a permutation" `Quick test_rng_shuffle_permutation;
       Alcotest.test_case "rng split independent" `Quick test_rng_split_independent;
+      Alcotest.test_case "rng stream pinned" `Quick test_rng_stream_pinned;
       Alcotest.test_case "sorted set basics" `Quick test_iss_basics;
       Alcotest.test_case "sorted set inter/union" `Quick test_iss_inter;
       QCheck_alcotest.to_alcotest qc_iss_model;
       QCheck_alcotest.to_alcotest qc_iss_inter_laws;
+      Alcotest.test_case "int list remove_one" `Quick test_int_list_remove_one;
       Alcotest.test_case "growvec" `Quick test_growvec;
       Alcotest.test_case "loc" `Quick test_loc;
       Alcotest.test_case "table rendering" `Quick test_table;

@@ -628,6 +628,54 @@ let test_rwlock_writer_waits_for_readers () =
         (idx "w:in" > idx "r1:out")
   | None -> Alcotest.fail "no result"
 
+let test_rwlock_unlock_releases_one_hold () =
+  (* a thread holding the read lock twice still holds it after one
+     unlock: a writer must wait for the second *)
+  let outcome, result =
+    run ~policy:Engine.Round_robin (fun () ->
+        let rw = Api.Rwlock.create ~loc "rw" in
+        let log = ref [] in
+        Api.Rwlock.rdlock ~loc rw;
+        Api.Rwlock.rdlock ~loc rw;
+        Api.Rwlock.unlock ~loc rw;
+        let w =
+          Api.spawn ~loc ~name:"w" (fun () ->
+              Api.Rwlock.wrlock ~loc rw;
+              log := "w:in" :: !log;
+              Api.Rwlock.unlock ~loc rw)
+        in
+        Api.yield ();
+        log := "main:unlock" :: !log;
+        Api.Rwlock.unlock ~loc rw;
+        Api.join ~loc w;
+        List.rev !log)
+  in
+  check_clean outcome;
+  Alcotest.(check (option (list string)))
+    "writer enters after the last read hold is released" (Some [ "main:unlock"; "w:in" ]) result
+
+let test_rwlock_deadlock_names_double_reader () =
+  (* a writer queued behind a thread holding two read holds waits for
+     that thread; if it joins the writer, that is a cycle, not a hang *)
+  let outcome, _ =
+    run ~policy:Engine.Round_robin (fun () ->
+        let rw = Api.Rwlock.create ~loc "rw" in
+        Api.Rwlock.rdlock ~loc rw;
+        Api.Rwlock.rdlock ~loc rw;
+        let w =
+          Api.spawn ~loc ~name:"w" (fun () ->
+              Api.Rwlock.wrlock ~loc rw;
+              Api.Rwlock.unlock ~loc rw)
+        in
+        Api.join ~loc w)
+  in
+  match outcome.deadlock with
+  | Some d ->
+      Alcotest.(check (list int)) "reader and writer in the cycle" [ 0; 1 ]
+        (List.sort compare (List.map fst d.dl_cycle));
+      Alcotest.(check int) "nobody merely stuck" 0 (List.length d.dl_stuck)
+  | None -> Alcotest.fail "deadlock not detected"
+
 let test_block_metadata () =
   let info = ref None in
   let tool =
@@ -694,6 +742,10 @@ let suite =
       Alcotest.test_case "lost signal semantics" `Quick test_signal_with_no_waiter_is_lost;
       Alcotest.test_case "many threads" `Quick test_spawn_many_threads;
       Alcotest.test_case "rwlock writer waits" `Quick test_rwlock_writer_waits_for_readers;
+      Alcotest.test_case "rwlock unlock releases one read hold" `Quick
+        test_rwlock_unlock_releases_one_hold;
+      Alcotest.test_case "rwlock deadlock names a double reader" `Quick
+        test_rwlock_deadlock_names_double_reader;
       Alcotest.test_case "block metadata" `Quick test_block_metadata;
       Alcotest.test_case "call stacks" `Quick test_frames_stack;
       Alcotest.test_case "memory stats" `Quick test_memory_stats;
