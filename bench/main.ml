@@ -1,40 +1,18 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (the same rows/series the paper reports), times the
-   detector configurations with Bechamel, and measures detector
-   throughput (events/sec) as machine-readable JSON for CI.
+(* Benchmark harness: detector throughput per (workload, config) as
+   machine-readable JSON, the in-process gates of the bench suites, and
+   a comparison against a committed baseline for CI.  The paper's
+   tables and figures are regenerated by [bin/experiments.exe run all];
+   end-to-end timing is perfbench's.
 
-     dune exec bench/main.exe                  # tables + timings
-     dune exec bench/main.exe -- tables        # only the tables/figures
-     dune exec bench/main.exe -- timings       # only the Bechamel timings
-     dune exec bench/main.exe -- --json        # throughput suite -> BENCH_detector.json
-     dune exec bench/main.exe -- --json --quick
-     dune exec bench/main.exe -- --json --compare bench/baseline.json
+     dune exec bench/main.exe -- --quick      # CI subset -> BENCH_detector.json
+     dune exec bench/main.exe -- --quick --compare bench/baseline.json --max-regression 40
+     dune exec bench/main.exe -- --help       # every flag
 
-   Throughput flags:
-     --json               run the throughput suite and write JSON
-     --quick              CI smoke subset (fewer workloads, shorter quota)
-     --seed N             VM scheduling seed (default 7; echoed into the JSON)
-     --domains N          worker domains for the audit pass and the
-                          sequential leg of the scaling suite
-                          (1 = sequential, 0 = auto); digests are
-                          identical for any value.  The Bechamel timed
-                          pass always runs sequentially — parallel
-                          timing would corrupt the measurements.
-     --out FILE           output path (default BENCH_detector.json)
-     --compare FILE       compare against a committed baseline JSON;
-                          exit 2 on >threshold normalized-throughput regression,
-                          or before the suite runs if FILE is unreadable
-     --max-regression PCT regression threshold in percent (default 25)
-
-   Table/figure index (see DESIGN.md §4):
-     Figure 6  -> "fig6"      Figure 5    -> "fig5"
-     Figure 4  -> "fig4"      Figures 8/9 -> "fig8"
-     Figures 10/11 -> "pools" §4.3 -> "fneg"   §4.1 -> "bugs"
-     §4 alloc  -> "alloc"     §4.5 -> "perf"   §3.3 -> "deadlock"
-     ablations -> "segments", "states", "baselines" *)
-
-open Bechamel
-open Toolkit
+   Every count is deterministic in the seed and the compiler, for any
+   [--domains]: events, reports and sig_digest come from an untimed
+   audit run, minor words from one warm run.  Only [time] reads the
+   clock: every suite times its legs through [measure], on one domain,
+   and the scaling suite times each domain count once. *)
 
 module R = Raceguard
 module Det = Raceguard_detector
@@ -42,117 +20,150 @@ module Vm = Raceguard_vm
 module Sip = Raceguard_sip
 module Loc = Raceguard_util.Loc
 module Obs = Raceguard_obs
-
-let seed = 7
+module J = Raceguard_obs.Json
+module Trace = Raceguard_trace
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel test subjects: one per table/figure workload               *)
+(* The one timing loop                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_t2 helgrind_configs ~djit () =
-  let cfg = { R.Runner.default with seed; helgrind_configs; run_djit = djit } in
-  ignore (R.Runner.run_test_case cfg Sip.Workload.t2)
+(* Seconds per run of [f], over [reps] back-to-back runs. *)
+let time reps f =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  (Unix.gettimeofday () -. t0) /. float_of_int reps
 
-let run_scenario helgrind_configs scenario () =
-  let cfg = { R.Runner.default with seed; helgrind_configs } in
-  ignore (R.Runner.run_main cfg scenario)
+let median xs =
+  let a = Array.copy xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  (a.((n - 1) / 2) +. a.(n / 2)) /. 2.
 
-let offline_replay () =
-  (* record once per run, replay through the detector post mortem *)
-  let recorder = Det.Offline.create_recorder () in
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  Vm.Engine.add_tool vm (Det.Offline.tool recorder);
-  let transport = Sip.Transport.create () in
-  let _ =
-    Vm.Engine.run vm (fun () ->
-        ignore
-          (Sip.Workload.run_test_case ~transport ~server_config:R.Runner.default.server
-             Sip.Workload.t3 ()))
+type timing = {
+  ns_per_run : float;  (** median over blocks *)
+  ratio : float;  (** median over blocks of the reference leg's time / this leg's *)
+  words_per_run : float;  (** minor words one warm run allocates *)
+}
+
+(* In each block a leg repeats to run for about this long (at least
+   half of it), so a preemption or the clock's resolution stays small
+   against one sample. *)
+let min_block_s = 0.01
+
+(* Time a suite's legs; the first is the reference.  Each leg runs once
+   to warm up, then once counting minor words, which also sizes its
+   repetitions per block.  A block runs every leg back to back, and the
+   leg that starts it rotates, so drift and noisy neighbours hit all
+   legs alike.  Ratios are taken within a block, which cancels what
+   slowed that block; the medians drop outlying blocks. *)
+let measure ~blocks legs =
+  let legs = Array.of_list legs in
+  let n = Array.length legs in
+  let sized =
+    Array.map
+      (fun f ->
+        f ();
+        let w0 = Gc.minor_words () in
+        let t = time 1 f in
+        (Gc.minor_words () -. w0, max 1 (truncate (min_block_s /. Float.max t 1e-6))))
+      legs
   in
-  let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
-  Det.Offline.replay recorder (Det.Helgrind.tool h)
+  let samples = Array.make_matrix n blocks 0. in
+  for b = 0 to blocks - 1 do
+    for k = 0 to n - 1 do
+      let i = (b + k) mod n in
+      samples.(i).(b) <- time (snd sized.(i)) legs.(i)
+    done
+  done;
+  Array.mapi
+    (fun i s ->
+      {
+        ns_per_run = median s *. 1e9;
+        ratio = median (Array.map2 ( /. ) samples.(0) s);
+        words_per_run = fst sized.(i);
+      })
+    samples
 
-let minicc_pipeline () =
-  let module M = Raceguard_minicc in
-  let interp, _pretty, _n =
-    M.Interp.compile ~annotate:true ~file:"g.mcc" R.Experiments.figure4_source
+(* ------------------------------------------------------------------ *)
+(* Rows and audits                                                     *)
+(* ------------------------------------------------------------------ *)
+
+type row = {
+  r_workload : string;
+  r_config : string;
+  r_events : int;  (** per run *)
+  r_reports : int;  (** deduplicated race locations *)
+  r_sig_digest : string;  (** MD5 over the sorted dedup signatures *)
+  r_checked : int;  (** detector accesses checked during the audit run *)
+  r_fast_hits : int;  (** of which answered by the fast path *)
+  r_interned : int;  (** lock-set intern table size after the audit run *)
+  r_timing : timing;
+  r_normalized : float;  (** the leg's ratio if the baseline gates it, else 0 *)
+}
+
+let row ~workload ~config ~events ~reports ~digest =
+  {
+    r_workload = workload;
+    r_config = config;
+    r_events = events;
+    r_reports = reports;
+    r_sig_digest = digest;
+    r_checked = 0;
+    r_fast_hits = 0;
+    r_interned = 0;
+    r_timing = { ns_per_run = 0.; ratio = 0.; words_per_run = 0. };
+    r_normalized = 0.;
+  }
+
+let events_per_sec r =
+  if r.r_timing.ns_per_run <= 0. then 0.
+  else float_of_int r.r_events /. r.r_timing.ns_per_run *. 1e9
+
+let words_per_event r =
+  if r.r_events = 0 then 0. else r.r_timing.words_per_run /. float_of_int r.r_events
+
+let hit_rate r =
+  if r.r_checked = 0 then 0. else float_of_int r.r_fast_hits /. float_of_int r.r_checked
+
+(* One untimed run of [run], which attaches a fresh detector and returns
+   its locations; every count of the row comes from it.  The metrics
+   registry is domain-local, so the audit may run on any pool domain. *)
+let audit ~workload ~config run =
+  let before = Obs.Metrics.snapshot () in
+  let locations = run () in
+  let m = Obs.Metrics.diff ~before (Obs.Metrics.snapshot ()) in
+  let counter name = Option.value ~default:0 (Obs.Metrics.find_counter m name) in
+  (* fasttrack rows report epoch hits, every other row the lock-set
+     shadow fast path *)
+  let checked, hits =
+    if config = "fasttrack" then ("fasttrack.accesses_checked", "fasttrack.epoch_hits")
+    else ("helgrind.accesses_checked", "helgrind.fast_path_hits")
   in
-  let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  Vm.Engine.add_tool vm (Det.Helgrind.tool h);
-  ignore (Vm.Engine.run vm (fun () -> M.Interp.run_main interp))
+  {
+    (row ~workload ~config ~events:(counter "vm.events_emitted")
+       ~reports:(List.length locations)
+       ~digest:(Det.Offline.digest_signatures locations))
+    with
+    r_checked = counter ("detector." ^ checked);
+    r_fast_hits = counter ("detector." ^ hits);
+    r_interned = Option.value ~default:0 (Obs.Metrics.find_gauge m "detector.lockset.interned");
+  }
 
-let cfgs name c = [ (name, c) ]
-
-let tests =
-  [
-    (* Figure 6 / §4.5 series: T2 under each configuration *)
-    Test.make ~name:"fig6/T2-no-tool" (Staged.stage (run_t2 [] ~djit:false));
-    Test.make ~name:"fig6/T2-Original"
-      (Staged.stage (run_t2 (cfgs "Original" Det.Helgrind.original) ~djit:false));
-    Test.make ~name:"fig6/T2-HWLC"
-      (Staged.stage (run_t2 (cfgs "HWLC" Det.Helgrind.hwlc) ~djit:false));
-    Test.make ~name:"fig6/T2-HWLC+DR"
-      (Staged.stage (run_t2 (cfgs "HWLC+DR" Det.Helgrind.hwlc_dr) ~djit:false));
-    (* baselines: DJIT on the same workload *)
-    Test.make ~name:"baselines/T2-DJIT" (Staged.stage (run_t2 [] ~djit:true));
-    (* ablation: pure Eraser (no state machine) *)
-    Test.make ~name:"states/T2-pure-eraser"
-      (Staged.stage (run_t2 (cfgs "pure" Det.Helgrind.pure_eraser) ~djit:false));
-    (* Figures 8/9: the string test *)
-    Test.make ~name:"fig8/stringtest-original"
-      (Staged.stage
-         (run_scenario (cfgs "Original" Det.Helgrind.original) R.Scenarios.stringtest));
-    Test.make ~name:"fig8/stringtest-hwlc"
-      (Staged.stage (run_scenario (cfgs "HWLC" Det.Helgrind.hwlc) R.Scenarios.stringtest));
-    (* Figures 10/11: handoff patterns *)
-    Test.make ~name:"pools/handoff-per-request"
-      (Staged.stage
-         (run_scenario (cfgs "HWLC+DR" Det.Helgrind.hwlc_dr) R.Scenarios.handoff_per_request));
-    Test.make ~name:"pools/handoff-queue"
-      (Staged.stage
-         (run_scenario (cfgs "HWLC+DR" Det.Helgrind.hwlc_dr) R.Scenarios.handoff_pool));
-    (* §4.5 offline mode: record + post-mortem replay *)
-    Test.make ~name:"perf/offline-record-replay-T3" (Staged.stage offline_replay);
-    (* Figure 4: the full MiniC++ instrumentation pipeline *)
-    Test.make ~name:"fig4/minicc-pipeline" (Staged.stage minicc_pipeline);
-  ]
-
-let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-
-let run_timings () =
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) () in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"raceguard" tests) in
-  let analyzed = Analyze.all ols Instance.monotonic_clock raw in
-  print_endline "Bechamel timings (monotonic clock, OLS estimate per run):";
-  print_endline "";
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some (est :: _) -> est
-        | Some [] | None -> nan
-      in
-      rows := (name, ns) :: !rows)
-    analyzed;
-  let rows = List.sort compare !rows in
-  let width = List.fold_left (fun w (n, _) -> max w (String.length n)) 0 rows in
-  List.iter
-    (fun (name, ns) -> Printf.printf "  %-*s  %12.3f ms/run\n" width name (ns /. 1e6))
+(* Attach each leg's timing to its row; [gated] rows also carry the
+   leg's ratio as [normalized], which the baseline comparison checks. *)
+let with_timings ~gated rows timings =
+  List.mapi
+    (fun i r ->
+      let t = timings.(i) in
+      { r with r_timing = t; r_normalized = (if gated r then t.ratio else 0.) })
     rows
 
-let run_tables () =
-  List.iter
-    (fun (id, descr, f) ->
-      Printf.printf "==== %s — %s ====\n%!" id descr;
-      print_endline (f ());
-      print_newline ())
-    R.Experiments.all
+let fail fmt = Printf.ksprintf (fun msg -> print_endline msg; exit 2) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Throughput suite: events/sec per detector config × workload, JSON   *)
+(* Throughput suite: every registry configuration × workload           *)
 (* ------------------------------------------------------------------ *)
 
 type workload = {
@@ -223,164 +234,33 @@ let locations_of = Option.fold ~none:[] ~some:(fun s -> s.Det.Offline.sk_locatio
 let subject_config subject =
   match sink_of subject with
   | Some s -> s.Det.Offline.sk_config
-  | None -> Obs.Json.Obj [ ("detector", Obs.Json.Str "none") ]
+  | None -> J.Obj [ ("detector", J.Str "none") ]
 
-type row = {
-  r_workload : string;
-  r_config : string;
-  r_events : int;  (** VM events emitted by one run (seed-deterministic) *)
-  r_reports : int;  (** deduplicated race locations *)
-  r_sig_digest : string;  (** MD5 over the sorted dedup signatures *)
-  r_ns_per_run : float;
-  r_events_per_sec : float;
-  r_minor_words_per_event : float;
-  r_normalized : float;  (** events/sec relative to no-tool on this workload *)
-  r_checked : int;  (** detector accesses checked during the audit run *)
-  r_fast_hits : int;  (** of which answered by the shadow fast path *)
-  r_interned : int;  (** lock-set intern table size after the audit run *)
-  r_gc_words_per_event : float;  (** minor words allocated per event (audit run) *)
-}
-
-let composite w s = w.w_name ^ "::" ^ s
-
-(* Analyze.all keys carry the grouped-test prefix; match on suffix. *)
-let estimate tbl composite =
-  Hashtbl.fold
-    (fun name ols_result acc ->
-      if name = composite || String.ends_with ~suffix:("/" ^ composite) name then
-        match Analyze.OLS.estimates ols_result with Some (e :: _) -> Some e | _ -> acc
-      else acc)
-    tbl None
-
-let count_events w ~seed =
-  let n = ref 0 in
-  w.w_run ~seed [ Vm.Tool.of_fn "count" (fun _ -> incr n) ];
-  !n
-
-let run_throughput ~quick ~seed ~domains =
+(* Audits fan out over the pool, one cell per subject × workload; each
+   workload's subjects are then timed together, no-tool as reference. *)
+let run_throughput ~quick ~blocks ~seed ~domains =
   let workloads = workloads ~quick in
-  let quota, limit = if quick then (0.15, 60) else (0.5, 200) in
-  (* audit pass: one untimed run per subject×workload for event counts,
-     report counts, dedup signatures and a metrics-registry delta.
-     Each subject×workload pair is one cell on the work-stealing pool:
-     detector state is per-instance and the metrics registry is
-     domain-local, so report counts and digests are identical for any
-     domain count.  (Registry-level gauges such as the lockset intern
-     size reflect whatever else already ran on the executing domain —
-     in sequential mode, all preceding cells — and are informational,
-     not digest material.) *)
-  let events_of =
-    Raceguard_par.Par.map_cells ~domains
-      (fun w -> count_events w ~seed)
-      (Array.of_list workloads)
-  in
-  let audit_cells =
+  let cells =
     Array.of_list (List.concat_map (fun w -> List.map (fun s -> (w, s)) subjects) workloads)
   in
   let audited =
     Raceguard_par.Par.map_cells ~domains
       (fun (w, s) ->
-        let sink = sink_of s in
-        let before = Obs.Metrics.snapshot () in
-        let gc0 = Gc.minor_words () in
-        w.w_run ~seed (tools_of sink);
-        let gc_words = Gc.minor_words () -. gc0 in
-        let m = Obs.Metrics.diff ~before (Obs.Metrics.snapshot ()) in
-        let locations = locations_of sink in
-        (w.w_name, (s, (List.length locations, Det.Offline.digest_signatures locations, m, gc_words))))
-      audit_cells
+        audit ~workload:w.w_name ~config:s (fun () ->
+            let sink = sink_of s in
+            w.w_run ~seed (tools_of sink);
+            locations_of sink))
+      cells
+    |> Array.to_list
   in
-  let audits =
-    List.mapi
-      (fun i w ->
-        let per_subject =
-          Array.to_list audited
-          |> List.filter_map (fun (wn, entry) ->
-                 if wn = w.w_name then Some entry else None)
-        in
-        (w.w_name, (events_of.(i), per_subject)))
-      workloads
-  in
-  (* timed pass: bechamel over every subject×workload *)
-  let tests =
-    List.concat_map
-      (fun w ->
-        List.map
-          (fun s ->
-            Test.make ~name:(composite w s)
-              (Staged.stage (fun () -> w.w_run ~seed (tools_of (sink_of s)))))
-          subjects)
-      workloads
-  in
-  let cfg = Benchmark.cfg ~limit ~quota:(Time.second quota) ~kde:None () in
-  let raw =
-    Benchmark.all cfg
-      Instance.[ monotonic_clock; minor_allocated ]
-      (Test.make_grouped ~name:"throughput" tests)
-  in
-  let times = Analyze.all ols Instance.monotonic_clock raw in
-  let allocs = Analyze.all ols Instance.minor_allocated raw in
-  let rows =
-    List.concat_map
-      (fun w ->
-        let events, per_subject = List.assoc w.w_name audits in
-        List.map
-          (fun s ->
-            let key = composite w s in
-            let ns = Option.value ~default:nan (estimate times key) in
-            let words = Option.value ~default:nan (estimate allocs key) in
-            let eps =
-              if Float.is_nan ns || ns <= 0. then 0. else float_of_int events /. (ns /. 1e9)
-            in
-            let n_reports, digest, m, gc_words = List.assoc s per_subject in
-            let counter name = Option.value ~default:0 (Obs.Metrics.find_counter m name) in
-            let gauge name = Option.value ~default:0 (Obs.Metrics.find_gauge m name) in
-            (* the fast-path columns read whichever detector family the
-               subject runs: fasttrack rows report epoch hits, everything
-               else the lock-set shadow fast path *)
-            let checked, fast_hits =
-              if s = "fasttrack" then
-                ( counter "detector.fasttrack.accesses_checked",
-                  counter "detector.fasttrack.epoch_hits" )
-              else
-                ( counter "detector.helgrind.accesses_checked",
-                  counter "detector.helgrind.fast_path_hits" )
-            in
-            {
-              r_workload = w.w_name;
-              r_config = s;
-              r_events = events;
-              r_reports = n_reports;
-              r_sig_digest = digest;
-              r_ns_per_run = ns;
-              r_events_per_sec = eps;
-              r_minor_words_per_event =
-                (if Float.is_nan words || events = 0 then 0.
-                 else words /. float_of_int events);
-              r_normalized = 0.;  (* filled below *)
-              r_checked = checked;
-              r_fast_hits = fast_hits;
-              r_interned = gauge "detector.lockset.interned";
-              r_gc_words_per_event =
-                (if events = 0 then 0. else gc_words /. float_of_int events);
-            })
-          subjects)
-      workloads
-  in
-  List.map
-    (fun r ->
-      let base =
-        List.find_opt
-          (fun b -> b.r_workload = r.r_workload && b.r_config = "no-tool")
-          rows
-      in
-      let normalized =
-        match base with
-        | Some b when b.r_events_per_sec > 0. -> r.r_events_per_sec /. b.r_events_per_sec
-        | _ -> 0.
-      in
-      { r with r_normalized = normalized })
-    rows
+  List.concat_map
+    (fun w ->
+      let legs = List.map (fun s () -> w.w_run ~seed (tools_of (sink_of s))) subjects in
+      with_timings
+        ~gated:(fun _ -> true)
+        (List.filter (fun r -> r.r_workload = w.w_name) audited)
+        (measure ~blocks legs))
+    workloads
 
 (* --- epoch fast-path gate ------------------------------------------- *)
 
@@ -398,37 +278,18 @@ let epoch_gate rows =
     && r.r_workload.[0] = 't'
     && match r.r_workload.[1] with '0' .. '9' -> true | _ -> false
   in
-  let rate r =
-    if r.r_checked = 0 then 0. else float_of_int r.r_fast_hits /. float_of_int r.r_checked
-  in
   let fts = List.filter (fun r -> r.r_config = "fasttrack" && is_sip r) rows in
   List.iter
     (fun r ->
-      if rate r < epoch_gate_threshold then begin
-        Printf.printf "EPOCH FAST-PATH GATE FAILURE: %s hit rate %.4f < %.2f (%d/%d)\n"
-          r.r_workload (rate r) epoch_gate_threshold r.r_fast_hits r.r_checked;
-        exit 2
-      end)
+      if hit_rate r < epoch_gate_threshold then
+        fail "EPOCH FAST-PATH GATE FAILURE: %s hit rate %.4f < %.2f (%d/%d)" r.r_workload
+          (hit_rate r) epoch_gate_threshold r.r_fast_hits r.r_checked)
     fts;
-  if fts <> [] then begin
-    let lo = List.fold_left (fun acc r -> min acc (rate r)) 1. fts in
+  if fts <> [] then
     Printf.printf
-      "epoch fast-path gate OK: min hit rate %.4f across %d SIP row(s) (>= %.2f)\n%!" lo
+      "epoch fast-path gate OK: min hit rate %.4f across %d SIP row(s) (>= %.2f)\n%!"
+      (List.fold_left (fun acc r -> min acc (hit_rate r)) 1. fts)
       (List.length fts) epoch_gate_threshold
-  end;
-  (* informational: the representation win in wall-clock terms *)
-  List.iter
-    (fun f ->
-      match
-        List.find_opt (fun d -> d.r_config = "djit" && d.r_workload = f.r_workload) rows
-      with
-      | Some d when d.r_events_per_sec > 0. && f.r_events_per_sec > 0. ->
-          Printf.printf "  fasttrack vs djit on %-18s %5.2fx (%.0f vs %.0f events/sec)\n"
-            f.r_workload
-            (f.r_events_per_sec /. d.r_events_per_sec)
-            f.r_events_per_sec d.r_events_per_sec
-      | _ -> ())
-    (List.filter (fun r -> r.r_config = "fasttrack") rows)
 
 (* --- static-hints suite --------------------------------------------- *)
 
@@ -492,73 +353,39 @@ let hints_configs =
     ("minicc-hwlc+dr+static-hints", Det.Helgrind.config_to_json Det.Helgrind.hwlc_dr);
   ]
 
-(* Two extra rows (baseline vs hinted) plus a strict gate: byte-identical
-   report digests AND a strictly higher fast-path hit rate, or exit 2. *)
-let hints_rows ~quick ~seed =
+(* Two rows (baseline vs hinted) plus a strict gate: byte-identical
+   report digests AND a strictly higher fast-path hit rate, or exit 2.
+   Neither row has a no-tool base, so the baseline gates neither's
+   throughput. *)
+let hints_rows ~blocks ~seed =
   let locs = hints_locs () in
-  let events =
-    let module M = Raceguard_minicc in
-    let interp, _, _ = M.Interp.compile ~annotate:true ~file:"hints.mcc" hints_source in
-    let n = ref 0 in
-    let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-    Vm.Engine.add_tool vm (Vm.Tool.of_fn "count" (fun _ -> incr n));
-    ignore (Vm.Engine.run vm (fun () -> M.Interp.run_main interp));
-    !n
+  let variants = List.combine (List.map fst hints_configs) [ None; Some locs ] in
+  let rows =
+    List.map
+      (fun (config, hints) ->
+        audit ~workload:hints_workload_name ~config (fun () ->
+            Det.Helgrind.locations (hints_run ~seed ~hints ())))
+      variants
   in
-  let mk name hints =
-    let h = hints_run ~seed ~hints () in
-    let reports = Det.Helgrind.location_count h in
-    let digest = Det.Offline.digest_signatures (Det.Helgrind.locations h) in
-    let checked = Det.Helgrind.accesses_checked h in
-    let hits = Det.Helgrind.fast_path_hits h in
-    let reps = if quick then 3 else 10 in
-    let t0 = Sys.time () in
-    for _ = 1 to reps do
-      ignore (hints_run ~seed ~hints ())
-    done;
-    let ns = (Sys.time () -. t0) /. float_of_int reps *. 1e9 in
-    {
-      r_workload = hints_workload_name;
-      r_config = name;
-      r_events = events;
-      r_reports = reports;
-      r_sig_digest = digest;
-      r_ns_per_run = ns;
-      r_events_per_sec = (if ns <= 0. then 0. else float_of_int events /. (ns /. 1e9));
-      r_minor_words_per_event = 0.;
-      r_normalized = 0.;
-      (* no no-tool base: excluded from the perf-regression gate *)
-      r_checked = checked;
-      r_fast_hits = hits;
-      r_interned = 0;
-      r_gc_words_per_event = 0.;
-    }
-  in
-  let base = mk "minicc-hwlc+dr" None in
-  let hinted = mk "minicc-hwlc+dr+static-hints" (Some locs) in
-  if hinted.r_sig_digest <> base.r_sig_digest then begin
-    Printf.printf "STATIC-HINTS FIDELITY FAILURE: report digest %s (hints) vs %s (baseline)\n"
+  let base = List.nth rows 0 and hinted = List.nth rows 1 in
+  if hinted.r_sig_digest <> base.r_sig_digest then
+    fail "STATIC-HINTS FIDELITY FAILURE: report digest %s (hints) vs %s (baseline)"
       hinted.r_sig_digest base.r_sig_digest;
-    exit 2
-  end;
-  let rate r =
-    if r.r_checked = 0 then 0. else float_of_int r.r_fast_hits /. float_of_int r.r_checked
-  in
-  if not (rate hinted > rate base) then begin
-    Printf.printf "STATIC-HINTS GATE FAILURE: fast-path hit rate %.4f (hints) <= %.4f (baseline)\n"
-      (rate hinted) (rate base);
-    exit 2
-  end;
+  if not (hit_rate hinted > hit_rate base) then
+    fail "STATIC-HINTS GATE FAILURE: fast-path hit rate %.4f (hints) <= %.4f (baseline)"
+      (hit_rate hinted) (hit_rate base);
   Printf.printf "static-hints gate OK: fast-path hit rate %.4f -> %.4f (%d hint site(s))\n%!"
-    (rate base) (rate hinted) (List.length locs);
-  [ base; hinted ]
+    (hit_rate base) (hit_rate hinted) (List.length locs);
+  let legs = List.map (fun (_, hints) () -> ignore (hints_run ~seed ~hints ())) variants in
+  with_timings ~gated:(fun _ -> false) rows (measure ~blocks legs)
 
 (* --- chaos-off overhead suite --------------------------------------- *)
 
 (* The fault-injection plane must compile to a no-op when its plan is
    empty: wiring an off injector into the transport, the server and the
    engine may not change the schedule (same events, same report digest)
-   and may not cost more than 5% of throughput vs no injector at all. *)
+   and may not cost more than 5% of throughput vs no injector at all.
+   Gated in-process, not via the baseline comparison. *)
 let faults_workload_name = "sip-t2-chaos-off"
 
 let faults_run ~seed ~injector () =
@@ -575,101 +402,44 @@ let faults_run ~seed ~injector () =
            (Sip.Workload.run_test_case ~transport ~server_config:server Sip.Workload.t2 ())));
   h
 
-let faults_events ~seed ~injector =
-  let vm =
-    Vm.Engine.create ~config:{ Vm.Engine.default_config with seed; faults = injector } ()
-  in
-  let n = ref 0 in
-  Vm.Engine.add_tool vm (Vm.Tool.of_fn "count" (fun _ -> incr n));
-  let transport = Sip.Transport.create ?faults:injector () in
-  let server = { R.Runner.default.server with Sip.Proxy.faults = injector } in
-  ignore
-    (Vm.Engine.run vm (fun () ->
-         ignore
-           (Sip.Workload.run_test_case ~transport ~server_config:server Sip.Workload.t2 ())));
-  !n
-
 let faults_configs =
   [
     ("sip-hwlc+dr-no-injector", Det.Helgrind.config_to_json Det.Helgrind.hwlc_dr);
     ("sip-hwlc+dr-injector-off", Det.Helgrind.config_to_json Det.Helgrind.hwlc_dr);
   ]
 
-let faults_rows ~quick ~seed =
+let faults_rows ~blocks ~seed =
   let off_injector () =
     Some (Raceguard_faults.Injector.create ~seed ~plan:Raceguard_faults.Plan.none)
   in
-  let variants = [ ("sip-hwlc+dr-no-injector", fun () -> None);
-                   ("sip-hwlc+dr-injector-off", off_injector) ] in
-  let audited =
-    List.map
-      (fun (name, inj) ->
-        let h = faults_run ~seed ~injector:(inj ()) () in
-        let events = faults_events ~seed ~injector:(inj ()) in
-        (name, inj, events, Det.Helgrind.location_count h,
-         Det.Offline.digest_signatures (Det.Helgrind.locations h)))
-      variants
-  in
-  (* interleave the timed repetitions so clock drift hits both equally *)
-  let reps = if quick then 4 else 12 in
-  let spent = Hashtbl.create 4 in
-  List.iter (fun (name, _, _, _, _) -> Hashtbl.replace spent name 0.) audited;
-  List.iter (fun (_, inj, _, _, _) -> ignore (faults_run ~seed ~injector:(inj ()) ()))
-    audited (* warm-up *);
-  for _ = 1 to reps do
-    List.iter
-      (fun (name, inj, _, _, _) ->
-        let injector = inj () in
-        let t0 = Sys.time () in
-        ignore (faults_run ~seed ~injector ());
-        Hashtbl.replace spent name (Hashtbl.find spent name +. (Sys.time () -. t0)))
-      audited
-  done;
+  let variants = List.combine (List.map fst faults_configs) [ (fun () -> None); off_injector ] in
   let rows =
     List.map
-      (fun (name, _, events, reports, digest) ->
-        let ns = Hashtbl.find spent name /. float_of_int reps *. 1e9 in
-        {
-          r_workload = faults_workload_name;
-          r_config = name;
-          r_events = events;
-          r_reports = reports;
-          r_sig_digest = digest;
-          r_ns_per_run = ns;
-          r_events_per_sec = (if ns <= 0. then 0. else float_of_int events /. (ns /. 1e9));
-          r_minor_words_per_event = 0.;
-          r_normalized = 0.;
-          (* gated in-process below, not via the baseline comparison *)
-          r_checked = 0;
-          r_fast_hits = 0;
-          r_interned = 0;
-          r_gc_words_per_event = 0.;
-        })
-      audited
+      (fun (config, injector) ->
+        audit ~workload:faults_workload_name ~config (fun () ->
+            Det.Helgrind.locations (faults_run ~seed ~injector:(injector ()) ())))
+      variants
   in
-  let find name = List.find (fun r -> r.r_config = name) rows in
-  let absent = find "sip-hwlc+dr-no-injector" in
-  let off = find "sip-hwlc+dr-injector-off" in
-  if off.r_sig_digest <> absent.r_sig_digest || off.r_events <> absent.r_events then begin
-    Printf.printf
+  let absent = List.nth rows 0 and off = List.nth rows 1 in
+  if off.r_sig_digest <> absent.r_sig_digest || off.r_events <> absent.r_events then
+    fail
       "CHAOS-OFF FIDELITY FAILURE: off injector perturbed the run (%d/%s events/digest vs \
-       %d/%s)\n"
+       %d/%s)"
       off.r_events off.r_sig_digest absent.r_events absent.r_sig_digest;
-    exit 2
-  end;
-  let ratio =
-    if absent.r_events_per_sec <= 0. then 1.
-    else off.r_events_per_sec /. absent.r_events_per_sec
+  (* a 5 % gate, not the baseline's 40 %: four times the blocks keep a
+     burst of host noise from moving the median ratio that far *)
+  let timings =
+    measure ~blocks:(4 * blocks)
+      (List.map (fun (_, injector) () -> ignore (faults_run ~seed ~injector:(injector ()) ())) variants)
   in
-  if ratio < 0.95 then begin
-    Printf.printf
+  let ratio = timings.(1).ratio in
+  if ratio < 0.95 then
+    fail
       "CHAOS-OFF OVERHEAD GATE FAILURE: normalized throughput %.3f < 0.95 of the \
-       injector-free build\n"
+       injector-free build"
       ratio;
-    exit 2
-  end;
   Printf.printf "chaos-off overhead gate OK: normalized throughput %.3f (>= 0.95)\n%!" ratio;
-  rows
+  with_timings ~gated:(fun _ -> false) rows timings
 
 (* --- record/replay trace suite -------------------------------------- *)
 
@@ -688,8 +458,6 @@ let faults_rows ~quick ~seed =
    capture) must not perturb the detector's digest, and the write-behind
    materialization must reproduce the ride-along capture byte for
    byte. *)
-
-module Trace = Raceguard_trace
 
 let trace_workload_name = "sip-t2-trace"
 
@@ -725,141 +493,95 @@ let trace_run ~seed ~record () =
 
 let trace_configs =
   [
-    ("sip-plain-detection-off", Obs.Json.Str "no tools attached");
+    ("sip-plain-detection-off", J.Str "no tools attached");
     ( "sip-record-write-behind",
-      Obs.Json.Str "record mode: log (workload, seed), write-behind capture" );
-    ("trace-capture-encode", Obs.Json.Str "deterministic capture re-execution + binary encode");
-    ("trace-replay-registry", Obs.Json.Str "all registry configurations, offline");
+      J.Str "record mode: log (workload, seed), write-behind capture" );
+    ("trace-capture-encode", J.Str "deterministic capture re-execution + binary encode");
+    ("trace-replay-registry", J.Str "all registry configurations, offline");
   ]
 
-let trace_rows ~quick ~seed =
+let trace_rows ~blocks ~seed =
   (* audit 1: the ride-along recorder is a pure observer — attaching it
      next to the detector must not move the report digest *)
-  let audit record =
+  let live record =
     let h, r = trace_run ~seed ~record () in
     (Det.Helgrind.location_count h, Det.Offline.digest_signatures (Det.Helgrind.locations h), r)
   in
-  let base_reports, base_digest, _ = audit false in
-  let rec_reports, rec_digest, recorder = audit true in
+  let base_reports, base_digest, _ = live false in
+  let rec_reports, rec_digest, recorder = live true in
   let recorder = Option.get recorder in
   let events = Det.Offline.length recorder in
-  if rec_digest <> base_digest || rec_reports <> base_reports then begin
-    Printf.printf
-      "RECORDER FIDELITY FAILURE: recorder perturbed the run (%d/%s vs %d/%s)\n" rec_reports
+  if rec_digest <> base_digest || rec_reports <> base_reports then
+    fail "RECORDER FIDELITY FAILURE: recorder perturbed the run (%d/%s vs %d/%s)" rec_reports
       rec_digest base_reports base_digest;
-    exit 2
-  end;
   (* audit 2: write-behind is sound only if the capture re-execution is
      deterministic — materializing the same (workload, seed) twice must
      produce byte-identical traces, with the same event count the
      ride-along recorder saw *)
-  let deferred = R.Trace_ops.record_deferred ~seed Sip.Workload.t2 in
-  let materialized = R.Trace_ops.materialize deferred in
-  let mat_bytes = Det.Offline.contents materialized.R.Trace_ops.rec_recorder in
-  let again =
-    Det.Offline.contents (R.Trace_ops.record_test ~seed Sip.Workload.t2).R.Trace_ops.rec_recorder
+  let capture () = (R.Trace_ops.record_test ~seed Sip.Workload.t2).R.Trace_ops.rec_recorder in
+  let materialized =
+    (R.Trace_ops.materialize (R.Trace_ops.record_deferred ~seed Sip.Workload.t2))
+      .R.Trace_ops.rec_recorder
   in
-  if
-    (not (String.equal mat_bytes again))
-    || Det.Offline.length materialized.R.Trace_ops.rec_recorder <> events
-  then begin
-    Printf.printf
+  let mat_bytes = Det.Offline.contents materialized in
+  let again = Det.Offline.contents (capture ()) in
+  if (not (String.equal mat_bytes again)) || Det.Offline.length materialized <> events then
+    fail
       "WRITE-BEHIND FIDELITY FAILURE: materialized trace diverges (%d bytes vs %d, %d \
-       events vs %d)\n"
+       events vs %d)"
       (String.length mat_bytes) (String.length again)
-      (Det.Offline.length materialized.R.Trace_ops.rec_recorder)
+      (Det.Offline.length materialized)
       events;
-    exit 2
-  end;
-  (* interleave the timed repetitions so clock drift hits all legs
-     equally: plain run | record-mode run | capture+encode pass *)
-  let reps = if quick then 4 else 12 in
-  let spent_plain = ref 0. and spent_record = ref 0. and spent_encode = ref 0. in
-  plain_run ~seed ();
-  ignore (R.Trace_ops.record_deferred ~seed Sip.Workload.t2) (* warm-up *);
-  for _ = 1 to reps do
-    let t0 = Sys.time () in
-    plain_run ~seed ();
-    spent_plain := !spent_plain +. (Sys.time () -. t0);
-    let t1 = Sys.time () in
-    ignore (R.Trace_ops.record_deferred ~seed Sip.Workload.t2);
-    spent_record := !spent_record +. (Sys.time () -. t1);
-    let t2 = Sys.time () in
-    ignore
-      (Det.Offline.contents
-         (R.Trace_ops.record_test ~seed Sip.Workload.t2).R.Trace_ops.rec_recorder);
-    spent_encode := !spent_encode +. (Sys.time () -. t2)
-  done;
   let trace =
     match Trace.Reader.of_string mat_bytes with
     | Ok t -> t
-    | Error (`Msg m) ->
-        Printf.printf "TRACE DECODE FAILURE: %s\n" m;
-        exit 2
+    | Error (`Msg m) -> fail "TRACE DECODE FAILURE: %s" m
   in
-  ignore (Det.Offline.replay_all trace) (* warm-up *);
-  let t0 = Sys.time () in
-  let verdicts = Det.Offline.replay_all trace in
-  let replay_s = Sys.time () -. t0 in
-  let n_configs = List.length verdicts in
-  let row name reports digest ns =
-    {
-      r_workload = trace_workload_name;
-      r_config = name;
-      r_events = events;
-      r_reports = reports;
-      r_sig_digest = digest;
-      r_ns_per_run = ns;
-      r_events_per_sec = (if ns <= 0. then 0. else float_of_int events /. (ns /. 1e9));
-      r_minor_words_per_event = 0.;
-      r_normalized = 0.;
-      (* gated in-process below, not via the baseline comparison *)
-      r_checked = 0;
-      r_fast_hits = 0;
-      r_interned = 0;
-      r_gc_words_per_event = 0.;
-    }
+  (* the gated pair gets four times the blocks, as in the chaos-off
+     suite; the capture and replay legs are reported, not gated *)
+  let timings =
+    Array.append
+      (measure ~blocks:(4 * blocks)
+         [ plain_run ~seed; (fun () -> ignore (R.Trace_ops.record_deferred ~seed Sip.Workload.t2)) ])
+      (measure ~blocks
+         [
+           (fun () -> ignore (Det.Offline.contents (capture ())));
+           (fun () -> ignore (Det.Offline.replay_all trace));
+         ])
   in
-  let plain =
-    row "sip-plain-detection-off" 0 "-" (!spent_plain /. float_of_int reps *. 1e9)
+  (* the replay row counts the events fed across all configs — the
+     offline plane's aggregate analysis rate *)
+  let rows =
+    with_timings
+      ~gated:(fun _ -> false)
+      (List.map2
+         (fun (config, _) (events, reports, digest) ->
+           row ~workload:trace_workload_name ~config ~events ~reports ~digest)
+         trace_configs
+         [
+           (events, 0, "-");
+           (events, 0, "-");
+           (events, rec_reports, rec_digest);
+           (events * List.length Det.Offline.configs, 0, "-");
+         ])
+      timings
   in
-  let record =
-    row "sip-record-write-behind" 0 "-" (!spent_record /. float_of_int reps *. 1e9)
-  in
-  let encode =
-    row "trace-capture-encode" rec_reports rec_digest
-      (!spent_encode /. float_of_int reps *. 1e9)
-  in
-  (* the replay row's events/sec counts events fed across all configs —
-     the offline plane's aggregate analysis rate *)
-  let replay =
-    let total = events * n_configs in
-    let r = row "trace-replay-registry" 0 "-" (replay_s *. 1e9) in
-    {
-      r with
-      r_events = total;
-      r_events_per_sec = (if replay_s <= 0. then 0. else float_of_int total /. replay_s);
-    }
-  in
-  let ratio =
-    if plain.r_events_per_sec <= 0. then 1.
-    else record.r_events_per_sec /. plain.r_events_per_sec
-  in
-  if ratio < 0.90 then begin
-    Printf.printf
-      "RECORD OVERHEAD GATE FAILURE: record-mode normalized throughput %.3f < 0.90 of \
-       the detection-off run\n"
+  let ratio = timings.(1).ratio in
+  if ratio < 0.90 then
+    fail
+      "RECORD OVERHEAD GATE FAILURE: record-mode normalized throughput %.3f < 0.90 of the \
+       detection-off run"
       ratio;
-    exit 2
-  end;
   Printf.printf
     "record overhead gate OK: normalized throughput %.3f (>= 0.90 vs detection-off), %d \
      events, %.2f bytes/event, capture+encode %.0f events/sec, replay %.0f events/sec \
      across %d configs\n%!"
     ratio events
     (float_of_int (String.length mat_bytes) /. float_of_int events)
-    encode.r_events_per_sec replay.r_events_per_sec n_configs;
-  [ plain; record; encode; replay ]
+    (events_per_sec (List.nth rows 2))
+    (events_per_sec (List.nth rows 3))
+    (List.length Det.Offline.configs);
+  rows
 
 (* --- automated-repair pipeline -------------------------------------- *)
 
@@ -868,9 +590,10 @@ let trace_rows ~quick ~seed =
    verification seeds -> cross-check -> patch synthesis -> four-stage
    verification -> emitted-source recheck.  Gated in-process: the
    pipeline must produce >= 1 verified patch whose emitted source
-   rechecks, or we exit 2.  The row's normalized value is the plain
-   (no-tool, single-seed) run's wall time over the pipeline's — a
-   machine-independent cost factor gated against the baseline. *)
+   rechecks, or we exit 2.  The row's events are the verification
+   seeds, and its normalized value is the plain (no-tool, single-seed)
+   MiniC++ run's time over the pipeline's — a machine-independent cost
+   factor gated against the baseline. *)
 
 let fix_source =
   {|
@@ -912,48 +635,27 @@ fn main() {
 }
 |}
 
-let fix_rows ~quick ~seed:_ =
+let fix_rows ~blocks =
   let module Fix = Raceguard_fix in
   let module M = Raceguard_minicc in
-  let reps = if quick then 2 else 4 in
   let run_fix () =
     match Fix.Engine.run ~file:"bench_fix.mcc" ~src:fix_source () with
     | Ok t -> t
-    | Error e ->
-        Printf.printf "FIX PIPELINE FAILURE: %s\n" e;
-        exit 2
+    | Error e -> fail "FIX PIPELINE FAILURE: %s" e
   in
   let run_plain () =
     let interp, _, _ = M.Interp.compile ~annotate:true ~file:"bench_fix.mcc" fix_source in
     let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed = 1 } () in
-    ignore (Vm.Engine.run vm (fun () -> M.Interp.run_main interp));
-    interp
+    ignore (Vm.Engine.run vm (fun () -> M.Interp.run_main interp))
   in
-  let best reps f =
-    let t = ref infinity and last = ref None in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !t then t := dt;
-      last := Some r
-    done;
-    (Option.get !last, !t)
-  in
-  let result, t_fix = best reps run_fix in
-  (* the plain leg is ~microseconds; many reps keep the min stable so
-     the normalized ratio doesn't flap the baseline gate *)
-  let _, t_plain = best (reps * 25) (fun () -> ignore (run_plain ())) in
+  let result = run_fix () in
   let verified =
     List.filter (fun p -> p.Fix.Engine.pr_verified) result.Fix.Engine.t_patches
   in
-  if verified = [] || not result.Fix.Engine.t_recheck_ok then begin
-    Printf.printf
-      "FIX PIPELINE GATE FAILURE: %d verified patch(es), emitted-source recheck %s\n"
+  if verified = [] || not result.Fix.Engine.t_recheck_ok then
+    fail "FIX PIPELINE GATE FAILURE: %d verified patch(es), emitted-source recheck %s"
       (List.length verified)
       (if result.Fix.Engine.t_recheck_ok then "ok" else "FAILED");
-    exit 2
-  end;
   let digest =
     List.map
       (fun p ->
@@ -961,26 +663,25 @@ let fix_rows ~quick ~seed:_ =
       verified
     |> List.sort compare |> String.concat "\n" |> Digest.string |> Digest.to_hex
   in
+  (* one long, allocation-heavy pipeline run against many short plain
+     runs makes each block's ratio noisy: four times the blocks *)
+  let timings = measure ~blocks:(4 * blocks) [ run_plain; (fun () -> ignore (run_fix ())) ] in
+  let t = timings.(1) in
   Printf.printf
     "fix pipeline gate OK: %d verified patch(es) in %.1f ms (plain run %.2f ms, cost \
      factor %.0fx)\n%!"
-    (List.length verified) (t_fix *. 1e3) (t_plain *. 1e3)
-    (if t_plain > 0. then t_fix /. t_plain else 0.);
+    (List.length verified) (t.ns_per_run /. 1e6)
+    (timings.(0).ns_per_run /. 1e6)
+    (1. /. t.ratio);
   [
     {
-      r_workload = "minicc-racy-counter";
-      r_config = "fix-pipeline";
-      r_events = List.length result.Fix.Engine.t_seeds;
-      r_reports = List.length result.Fix.Engine.t_confirmed;
-      r_sig_digest = digest;
-      r_ns_per_run = t_fix *. 1e9;
-      r_events_per_sec = (if t_fix <= 0. then 0. else 1. /. t_fix);
-      r_minor_words_per_event = 0.;
-      r_normalized = (if t_fix <= 0. then 0. else t_plain /. t_fix);
-      r_checked = 0;
-      r_fast_hits = 0;
-      r_interned = 0;
-      r_gc_words_per_event = 0.;
+      (row ~workload:"minicc-racy-counter" ~config:"fix-pipeline"
+         ~events:(List.length result.Fix.Engine.t_seeds)
+         ~reports:(List.length result.Fix.Engine.t_confirmed)
+         ~digest)
+      with
+      r_timing = t;
+      r_normalized = t.ratio;
     };
   ]
 
@@ -1043,102 +744,42 @@ let storm_run ~quick ~seed tools =
   (match outcome.Vm.Engine.failures with
   | [] -> ()
   | (_, name, e) :: _ ->
-      Printf.printf "REGISTRAR STORM FAILURE: thread %s raised %s\n" name
-        (Printexc.to_string e);
-      exit 2);
-  if outcome.Vm.Engine.deadlock <> None then begin
-    Printf.printf "REGISTRAR STORM FAILURE: deadlock\n";
-    exit 2
-  end;
+      fail "REGISTRAR STORM FAILURE: thread %s raised %s" name (Printexc.to_string e));
+  if outcome.Vm.Engine.deadlock <> None then fail "REGISTRAR STORM FAILURE: deadlock";
   Option.get !reg
 
 (* row name -> throughput subject *)
 let storm_variants = [ ("storm-no-tool", "no-tool"); ("storm-hwlc+dr", "helgrind-hwlc+dr") ]
 let storm_configs = List.map (fun (name, s) -> (name, subject_config s)) storm_variants
 
-let storm_rows ~quick ~seed =
+let storm_rows ~quick ~blocks ~seed =
   let users, max_shards = storm_params ~quick in
-  let events =
-    let n = ref 0 in
-    ignore (storm_run ~quick ~seed [ Vm.Tool.of_fn "count" (fun _ -> incr n) ]);
-    !n
-  in
-  let audited =
-    List.map
-      (fun (name, s) ->
-        let sink = sink_of s in
-        let before = Obs.Metrics.snapshot () in
-        let gc0 = Gc.minor_words () in
-        let r = storm_run ~quick ~seed (tools_of sink) in
-        let gc_words = Gc.minor_words () -. gc0 in
-        let m = Obs.Metrics.diff ~before (Obs.Metrics.snapshot ()) in
-        let audit = Sip.Registrar.audit r in
-        (* bound_aors, not size: the latter takes the shard locks and
-           needs VM context, the former reads the host mirrors *)
-        let bound = List.length (Sip.Registrar.bound_aors r) in
-        if audit <> [] || bound <> users || Sip.Registrar.shard_count r <> max_shards
-        then begin
-          Printf.printf
-            "REGISTRAR STORM GATE FAILURE (%s): bound %d/%d, %d/%d shards, audit [%s]\n" name
-            bound users (Sip.Registrar.shard_count r) max_shards
-            (String.concat ", " audit);
-          exit 2
-        end;
-        Printf.printf
-          "registrar storm gate OK (%s): %d users over %d shards, %d resize(s), %d \
-           migration(s), audit clean\n%!"
-          name users (Sip.Registrar.shard_count r) (Sip.Registrar.resizes r)
-          (Sip.Registrar.migrations r);
-        let locations = locations_of sink in
-        (name, s, List.length locations, Det.Offline.digest_signatures locations, m, gc_words))
-      storm_variants
-  in
-  (* interleave the timed repetitions so clock drift hits both equally *)
-  let reps = if quick then 3 else 6 in
-  let spent = Hashtbl.create 4 in
-  List.iter (fun (name, _, _, _, _, _) -> Hashtbl.replace spent name 0.) audited;
-  List.iter
-    (fun (_, s, _, _, _, _) -> ignore (storm_run ~quick ~seed (tools_of (sink_of s))))
-    audited (* warm-up *);
-  for _ = 1 to reps do
-    List.iter
-      (fun (name, s, _, _, _, _) ->
-        let tools = tools_of (sink_of s) in
-        let t0 = Sys.time () in
-        ignore (storm_run ~quick ~seed tools);
-        Hashtbl.replace spent name (Hashtbl.find spent name +. (Sys.time () -. t0)))
-      audited
-  done;
   let rows =
     List.map
-      (fun (name, _, reports, digest, m, gc_words) ->
-        let ns = Hashtbl.find spent name /. float_of_int reps *. 1e9 in
-        let counter n = Option.value ~default:0 (Obs.Metrics.find_counter m n) in
-        {
-          r_workload = storm_workload_name;
-          r_config = name;
-          r_events = events;
-          r_reports = reports;
-          r_sig_digest = digest;
-          r_ns_per_run = ns;
-          r_events_per_sec = (if ns <= 0. then 0. else float_of_int events /. (ns /. 1e9));
-          r_minor_words_per_event = 0.;
-          r_normalized = 0.;
-          (* filled below for the detector row *)
-          r_checked = counter "detector.helgrind.accesses_checked";
-          r_fast_hits = counter "detector.helgrind.fast_path_hits";
-          r_interned = 0;
-          r_gc_words_per_event =
-            (if events = 0 then 0. else gc_words /. float_of_int events);
-        })
-      audited
+      (fun (config, s) ->
+        audit ~workload:storm_workload_name ~config (fun () ->
+            let sink = sink_of s in
+            let r = storm_run ~quick ~seed (tools_of sink) in
+            let problems = Sip.Registrar.audit r in
+            (* bound_aors, not size: the latter takes the shard locks and
+               needs VM context, the former reads the host mirrors *)
+            let bound = List.length (Sip.Registrar.bound_aors r) in
+            if problems <> [] || bound <> users || Sip.Registrar.shard_count r <> max_shards then
+              fail "REGISTRAR STORM GATE FAILURE (%s): bound %d/%d, %d/%d shards, audit [%s]"
+                config bound users (Sip.Registrar.shard_count r) max_shards
+                (String.concat ", " problems);
+            Printf.printf
+              "registrar storm gate OK (%s): %d users over %d shards, %d resize(s), %d \
+               migration(s), audit clean\n%!"
+              config users (Sip.Registrar.shard_count r) (Sip.Registrar.resizes r)
+              (Sip.Registrar.migrations r);
+            locations_of sink))
+      storm_variants
   in
-  let base = List.find (fun r -> r.r_config = "storm-no-tool") rows in
-  List.map
-    (fun r ->
-      if r.r_config = "storm-no-tool" || base.r_events_per_sec <= 0. then r
-      else { r with r_normalized = r.r_events_per_sec /. base.r_events_per_sec })
-    rows
+  let legs =
+    List.map (fun (_, s) () -> ignore (storm_run ~quick ~seed (tools_of (sink_of s)))) storm_variants
+  in
+  with_timings ~gated:(fun r -> r.r_config <> "storm-no-tool") rows (measure ~blocks legs)
 
 (* --- domain-scaling suite ------------------------------------------- *)
 
@@ -1154,7 +795,6 @@ type scaling_row = {
   sc_domains : int;
   sc_cells : int;
   sc_seconds : float;
-  sc_cells_per_sec : float;
   sc_speedup : float;  (** vs the 1-domain leg of the same process *)
   sc_steals : int;
   sc_digest : string;  (** MD5 over the per-cell digests, in cell order *)
@@ -1166,32 +806,28 @@ let scaling_rows ~seed =
   let config = { R.Chaos.quick with R.Chaos.seed } in
   let grid = R.Chaos.grid config in
   let leg domains =
-    let t0 = Unix.gettimeofday () in
-    let cells, stats =
-      Raceguard_par.Par.map_cells_stats ~domains
-        (fun (plan, tc, resilient) -> R.Chaos.run_cell config ~plan ~resilient tc)
-        grid
+    let result = ref None in
+    let seconds =
+      time 1 (fun () ->
+          result :=
+            Some
+              (Raceguard_par.Par.map_cells_stats ~domains
+                 (fun (plan, tc, resilient) -> R.Chaos.run_cell config ~plan ~resilient tc)
+                 grid))
     in
-    let seconds = Unix.gettimeofday () -. t0 in
+    let cells, stats = Option.get !result in
     let digest =
-      Digest.to_hex
-        (Digest.string
-           (String.concat "\n"
-              (Array.to_list
-                 (Array.map
-                    (fun (c : R.Chaos.cell) ->
-                      Printf.sprintf "%s|%s|%b|%s|%s" c.R.Chaos.cl_plan c.R.Chaos.cl_test
-                        c.R.Chaos.cl_resilient c.R.Chaos.cl_sig_digest
-                        c.R.Chaos.cl_behavior_digest)
-                    cells))))
+      Array.to_list cells
+      |> List.map (fun (c : R.Chaos.cell) ->
+             Printf.sprintf "%s|%s|%b|%s|%s" c.R.Chaos.cl_plan c.R.Chaos.cl_test
+               c.R.Chaos.cl_resilient c.R.Chaos.cl_sig_digest c.R.Chaos.cl_behavior_digest)
+      |> String.concat "\n" |> Digest.string |> Digest.to_hex
     in
     {
       sc_domains = domains;
       sc_cells = Array.length cells;
       sc_seconds = seconds;
-      sc_cells_per_sec =
-        (if seconds <= 0. then 0. else float_of_int (Array.length cells) /. seconds);
-      sc_speedup = 1.;  (* filled below *)
+      sc_speedup = 1.;
       sc_steals = stats.Raceguard_par.Par.st_steals;
       sc_digest = digest;
     }
@@ -1200,242 +836,270 @@ let scaling_rows ~seed =
   let base = List.hd legs in
   List.iter
     (fun l ->
-      if l.sc_digest <> base.sc_digest then begin
-        Printf.printf
-          "SCALING DETERMINISM FAILURE: %d-domain digest %s differs from 1-domain %s\n"
-          l.sc_domains l.sc_digest base.sc_digest;
-        exit 2
-      end)
+      if l.sc_digest <> base.sc_digest then
+        fail "SCALING DETERMINISM FAILURE: %d-domain digest %s differs from 1-domain %s"
+          l.sc_domains l.sc_digest base.sc_digest)
     legs;
-  let legs =
-    List.map
-      (fun l ->
-        {
-          l with
-          sc_speedup = (if l.sc_seconds <= 0. then 0. else base.sc_seconds /. l.sc_seconds);
-        })
-      legs
-  in
   Printf.printf "scaling determinism OK: digest %s identical across domains %s\n%!"
     base.sc_digest
     (String.concat "/" (List.map string_of_int scaling_domains));
-  legs
+  List.map (fun l -> { l with sc_speedup = base.sc_seconds /. l.sc_seconds }) legs
 
 (* --- JSON output --------------------------------------------------- *)
 
-let fl x = if Float.is_nan x || Float.is_integer x then Printf.sprintf "%.1f" x else Printf.sprintf "%.6g" x
+let schema = "raceguard-bench/3"
 
 let row_json r =
-  let hit_rate =
-    if r.r_checked = 0 then 0. else float_of_int r.r_fast_hits /. float_of_int r.r_checked
-  in
-  Printf.sprintf
-    "{\"workload\": \"%s\", \"config\": \"%s\", \"events\": %d, \"reports\": %d, \
-     \"sig_digest\": \"%s\", \"ns_per_run\": %s, \"events_per_sec\": %s, \
-     \"minor_words_per_event\": %s, \"normalized\": %s, \"metrics\": \
-     {\"accesses_checked\": %d, \"fast_path_hits\": %d, \"fast_path_hit_rate\": %s, \
-     \"lockset_interned\": %d, \"gc_minor_words_per_event\": %s}}"
-    r.r_workload r.r_config r.r_events r.r_reports r.r_sig_digest (fl r.r_ns_per_run)
-    (fl r.r_events_per_sec) (fl r.r_minor_words_per_event) (fl r.r_normalized) r.r_checked
-    r.r_fast_hits (fl hit_rate) r.r_interned
-    (fl r.r_gc_words_per_event)
+  J.Obj
+    [
+      ("workload", J.Str r.r_workload);
+      ("config", J.Str r.r_config);
+      ("events", J.int r.r_events);
+      ("reports", J.int r.r_reports);
+      ("sig_digest", J.Str r.r_sig_digest);
+      ("ns_per_run", J.Num r.r_timing.ns_per_run);
+      ("events_per_sec", J.Num (events_per_sec r));
+      ("minor_words_per_event", J.Num (words_per_event r));
+      ("normalized", J.Num r.r_normalized);
+      ( "metrics",
+        J.Obj
+          [
+            ("accesses_checked", J.int r.r_checked);
+            ("fast_path_hits", J.int r.r_fast_hits);
+            ("fast_path_hit_rate", J.Num (hit_rate r));
+            ("lockset_interned", J.int r.r_interned);
+          ] );
+    ]
 
 let scaling_json l =
-  Printf.sprintf
-    "{\"domains\": %d, \"cells\": %d, \"seconds\": %s, \"cells_per_sec\": %s, \"speedup\": \
-     %s, \"steals\": %d, \"digest\": \"%s\"}"
-    l.sc_domains l.sc_cells (fl l.sc_seconds) (fl l.sc_cells_per_sec) (fl l.sc_speedup)
-    l.sc_steals l.sc_digest
+  J.Obj
+    [
+      ("domains", J.int l.sc_domains);
+      ("cells", J.int l.sc_cells);
+      ("seconds", J.Num l.sc_seconds);
+      ("cells_per_sec", J.Num (float_of_int l.sc_cells /. l.sc_seconds));
+      ("speedup", J.Num l.sc_speedup);
+      ("steals", J.int l.sc_steals);
+      ("digest", J.Str l.sc_digest);
+    ]
 
-let write_json ~out ~quick ~seed ~domains ~scaling rows =
-  let oc = open_out out in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"raceguard-bench/2\",\n";
-  Printf.fprintf oc "  \"seed\": %d,\n" seed;
-  Printf.fprintf oc "  \"mode\": \"%s\",\n" (if quick then "quick" else "full");
-  Printf.fprintf oc "  \"domains\": %d,\n" domains;
-  Printf.fprintf oc "  \"scaling\": [\n";
-  let nsc = List.length scaling in
-  List.iteri
-    (fun i l ->
-      Printf.fprintf oc "    %s%s\n" (scaling_json l) (if i = nsc - 1 then "" else ","))
-    scaling;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"configs\": {\n";
-  let configs =
-    List.map (fun s -> (s, subject_config s)) subjects
-    @ hints_configs @ faults_configs @ trace_configs @ storm_configs
+(* One member per line, and inside a list or object one element per
+   line, so a baseline diff shows whole rows. *)
+let write_json out members =
+  let str = J.to_string in
+  let lines open_ close items =
+    open_ ^ "\n    " ^ String.concat ",\n    " items ^ "\n  " ^ close
   in
-  let ns = List.length configs in
-  List.iteri
-    (fun i (name, cfg) ->
-      Printf.fprintf oc "    \"%s\": %s%s\n" name (Obs.Json.to_string cfg)
-        (if i = ns - 1 then "" else ","))
-    configs;
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"results\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r -> Printf.fprintf oc "    %s%s\n" (row_json r) (if i = n - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  let value = function
+    | J.List xs -> lines "[" "]" (List.map str xs)
+    | J.Obj kvs -> lines "{" "}" (List.map (fun (k, v) -> str (J.Str k) ^ ": " ^ str v) kvs)
+    | v -> str v
+  in
+  Out_channel.with_open_bin out (fun oc ->
+      output_string oc "{\n  ";
+      output_string oc
+        (String.concat ",\n  " (List.map (fun (k, v) -> str (J.Str k) ^ ": " ^ value v) members));
+      output_string oc "\n}\n")
 
-let print_summary rows =
-  Printf.printf "%-18s %-18s %10s %12s %8s %8s\n" "workload" "config" "events"
-    "events/sec" "norm" "reports";
+let print_summary rows scaling =
+  Printf.printf "%-19s %-28s %8s %12s %8s %9s %7s\n" "workload" "config" "events"
+    "events/sec" "norm" "words/ev" "reports";
   List.iter
     (fun r ->
-      Printf.printf "%-18s %-18s %10d %12.0f %8.3f %8d\n" r.r_workload r.r_config r.r_events
-        r.r_events_per_sec r.r_normalized r.r_reports)
-    rows
+      Printf.printf "%-19s %-28s %8d %12.0f %8.3f %9.2f %7d\n" r.r_workload r.r_config
+        r.r_events (events_per_sec r) r.r_normalized (words_per_event r) r.r_reports)
+    rows;
+  Printf.printf "%-10s %8s %10s %14s %8s %8s\n" "scaling" "domains" "cells" "cells/sec"
+    "speedup" "steals";
+  List.iter
+    (fun l ->
+      Printf.printf "%-10s %8d %10d %14.2f %8.2f %8d\n" "" l.sc_domains l.sc_cells
+        (float_of_int l.sc_cells /. l.sc_seconds)
+        l.sc_speedup l.sc_steals)
+    scaling
 
 (* --- baseline comparison ------------------------------------------- *)
 
-(* The baseline's normalized throughput per (workload, config).  It
-   is read before the suite runs, and anything but a raceguard-bench/2
-   document whose every row names its workload, config and normalized
-   value fails with the reason: a gate that read nothing from its
-   baseline would pass every run. *)
-let load_baseline file =
-  let module J = Obs.Json in
+type base = {
+  b_events : float;
+  b_reports : float;
+  b_digest : string;
+  b_words : float;  (** minor words per event *)
+  b_normalized : float;
+}
+
+(* The baseline is read before the suite runs, and it fails closed with
+   the reason: a gate that read nothing from its baseline would pass
+   every run.  It must be a raceguard-bench/3 document whose every row
+   carries the gated fields, written with this run's seed and mode by
+   this compiler, since minor-word counts are compiler-specific.  Rows
+   are checked before the header's run context, so each fixture in
+   bench/fixtures fails for its own reason under any compiler. *)
+let load_baseline ~seed ~mode file =
   let get conv key j = Option.bind (J.member key j) conv in
-  let fail reason = failwith (file ^ ": " ^ reason) in
+  let reject reason = failwith (file ^ ": " ^ reason) in
   let doc =
     match J.parse (In_channel.with_open_bin file In_channel.input_all) with
     | Ok doc -> doc
-    | Error e -> fail ("not JSON: " ^ e)
+    | Error e -> reject ("not JSON: " ^ e)
     | exception Sys_error e -> failwith e
   in
-  if get J.to_string_opt "schema" doc <> Some "raceguard-bench/2" then
-    fail "schema is not raceguard-bench/2";
-  match get J.to_list_opt "results" doc with
-  | None | Some [] -> fail "no non-empty results list"
-  | Some rows ->
-      List.mapi
-        (fun i row ->
-          match
-            ( get J.to_string_opt "workload" row,
-              get J.to_string_opt "config" row,
-              get J.to_float_opt "normalized" row )
-          with
-          | Some w, Some c, Some norm -> ((w, c), norm)
-          | _ ->
-              fail
-                (Printf.sprintf
-                   "results[%d] lacks a string workload, a string config or a numeric \
-                    normalized"
-                   i))
-        rows
-
-let compare_baseline ~threshold_pct ~baseline:(baseline, base) rows =
-  let tolerance = 1. -. (threshold_pct /. 100.) in
-  let regressions =
-    List.filter_map
-      (fun r ->
-        if r.r_config = "no-tool" then None
-        else
-          match List.assoc_opt (r.r_workload, r.r_config) base with
-          | None | Some 0. -> None
-          | Some b_norm ->
-              (* normalized throughput is machine-speed independent:
-                 detector events/sec relative to the no-tool run of the
-                 same binary on the same machine *)
-              let ratio = r.r_normalized /. b_norm in
-              if ratio < tolerance then Some (r, b_norm, ratio) else None)
-      rows
+  if get J.to_string_opt "schema" doc <> Some schema then reject ("schema is not " ^ schema);
+  let rows =
+    match get J.to_list_opt "results" doc with
+    | None | Some [] -> reject "no non-empty results list"
+    | Some rows ->
+        List.mapi
+          (fun i row ->
+            let need conv kind key =
+              match get conv key row with
+              | Some v -> v
+              | None -> reject (Printf.sprintf "results[%d] has no %s %s" i kind key)
+            in
+            let str = need J.to_string_opt "string" and num = need J.to_float_opt "numeric" in
+            let key = (str "workload", str "config") in
+            ( key,
+              {
+                b_events = num "events";
+                b_reports = num "reports";
+                b_digest = str "sig_digest";
+                b_words = num "minor_words_per_event";
+                b_normalized = num "normalized";
+              } ))
+          rows
   in
-  (match regressions with
-  | [] -> Printf.printf "baseline comparison OK (threshold %.0f%%, %s)\n" threshold_pct baseline
-  | rs ->
-      Printf.printf "PERF REGRESSION vs %s (threshold %.0f%%):\n" baseline threshold_pct;
-      List.iter
-        (fun (r, b_norm, ratio) ->
-          Printf.printf "  %s/%s: normalized %.3f vs baseline %.3f (%.0f%% of baseline)\n"
-            r.r_workload r.r_config r.r_normalized b_norm (ratio *. 100.))
-        rs);
-  regressions = []
+  let shown = Option.fold ~none:"missing" ~some:J.to_string in
+  List.iter
+    (fun (key, want) ->
+      let got = J.member key doc in
+      if got <> Some want then
+        reject (Printf.sprintf "%s is %s, this run's is %s" key (shown got) (J.to_string want)))
+    [ ("seed", J.int seed); ("mode", J.Str mode) ];
+  if get J.to_string_opt "ocaml_version" doc <> Some Sys.ocaml_version then
+    reject
+      (Printf.sprintf "ocaml_version is %s, not this compiler's"
+         (shown (J.member "ocaml_version" doc)));
+  rows
+
+(* Counts must match exactly and minor words may rise at most 5 %: both
+   are deterministic, so any change is the code's.  Normalized
+   throughput is a wall-clock ratio and gets [threshold_pct] of slack;
+   no-tool rows and rows the baseline does not gate (normalized 0) are
+   exempt from that check. *)
+let words_slack = 1.05
+
+let compare_baseline ~threshold_pct ~file base rows =
+  let tolerance = 1. -. (threshold_pct /. 100.) in
+  let row_failures r =
+    match List.assoc_opt (r.r_workload, r.r_config) base with
+    | None -> [ "not in the baseline" ]
+    | Some b ->
+        let words = words_per_event r in
+        let ratio = if b.b_normalized > 0. then r.r_normalized /. b.b_normalized else 1. in
+        List.filter_map
+          (fun (bad, msg) -> if bad then Some msg else None)
+          [
+            ( float_of_int r.r_events <> b.b_events,
+              Printf.sprintf "events %d vs baseline %.0f" r.r_events b.b_events );
+            ( float_of_int r.r_reports <> b.b_reports,
+              Printf.sprintf "reports %d vs baseline %.0f" r.r_reports b.b_reports );
+            ( r.r_sig_digest <> b.b_digest,
+              Printf.sprintf "sig_digest %s vs baseline %s" r.r_sig_digest b.b_digest );
+            ( words > b.b_words *. words_slack,
+              Printf.sprintf "minor words/event %.2f vs baseline %.2f (%+.1f%%, limit +5%%)"
+                words b.b_words
+                ((words /. b.b_words -. 1.) *. 100.) );
+            ( r.r_config <> "no-tool" && ratio < tolerance,
+              Printf.sprintf "normalized %.3f vs baseline %.3f (%.0f%% of baseline)"
+                r.r_normalized b.b_normalized (ratio *. 100.) );
+          ]
+  in
+  let failures =
+    (if List.length base <> List.length rows then
+       [ Printf.sprintf "  baseline has %d rows, this run %d" (List.length base) (List.length rows) ]
+     else [])
+    @ List.concat_map
+        (fun r ->
+          List.map (Printf.sprintf "  %s/%s: %s" r.r_workload r.r_config) (row_failures r))
+        rows
+  in
+  if failures = [] then
+    Printf.printf "baseline comparison OK (counters exact, minor words +5%%, normalized %.0f%%, %s)\n"
+      threshold_pct file
+  else begin
+    Printf.printf "BASELINE GATE FAILURE vs %s (normalized threshold %.0f%%):\n%s\n" file
+      threshold_pct (String.concat "\n" failures);
+    exit 2
+  end
 
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let json_mode = ref false
-  and quick = ref false
-  and seed_ref = ref seed
+  let quick = ref false
+  and seed = ref 7
   and domains = ref 1
   and out = ref "BENCH_detector.json"
   and baseline = ref None
-  and threshold = ref 25.
-  and positional = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--json" :: rest ->
-        json_mode := true;
-        parse rest
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--seed" :: n :: rest ->
-        seed_ref := int_of_string n;
-        parse rest
-    | "--domains" :: n :: rest ->
-        domains := int_of_string n;
-        parse rest
-    | "--out" :: f :: rest ->
-        out := f;
-        parse rest
-    | "--compare" :: f :: rest ->
-        json_mode := true;
-        baseline := Some f;
-        parse rest
-    | "--max-regression" :: p :: rest ->
-        threshold := float_of_string p;
-        parse rest
-    | x :: rest ->
-        positional := x :: !positional;
-        parse rest
-  in
-  parse args;
+  and threshold = ref 25. in
+  Arg.parse
+    (Arg.align
+       [
+         ("--quick", Arg.Set quick, " CI subset: fewer workloads and timing blocks");
+         ("--seed", Arg.Set_int seed, "N VM scheduling seed (default 7)");
+         ( "--domains",
+           Arg.Set_int domains,
+           "N worker domains for the audit pass (1 = sequential, 0 = auto)" );
+         ("--out", Arg.Set_string out, "FILE output path (default BENCH_detector.json)");
+         ( "--compare",
+           Arg.String (fun f -> baseline := Some f),
+           "FILE baseline to gate against; exit 2 on any failed check" );
+         ( "--max-regression",
+           Arg.Set_float threshold,
+           "PCT normalized-throughput threshold in percent (default 25)" );
+       ])
+    (fun arg -> raise (Arg.Bad ("unknown argument " ^ arg)))
+    "usage: main.exe [options]";
+  let quick = !quick and seed = !seed in
+  let mode = if quick then "quick" else "full" in
   let baseline =
     Option.map
       (fun file ->
-        match load_baseline file with
+        match load_baseline ~seed ~mode file with
         | rows -> (file, rows)
         | exception Failure reason ->
             Printf.printf "BASELINE UNREADABLE: %s\n" reason;
             exit 2)
       !baseline
   in
-  if !json_mode then begin
-    let domains = Raceguard_par.Par.resolve !domains in
-    Printf.printf "throughput suite: mode=%s seed=%d domains=%d\n%!"
-      (if !quick then "quick" else "full")
-      !seed_ref domains;
-    let rows = run_throughput ~quick:!quick ~seed:!seed_ref ~domains in
-    epoch_gate rows;
-    let rows = rows @ hints_rows ~quick:!quick ~seed:!seed_ref in
-    let rows = rows @ faults_rows ~quick:!quick ~seed:!seed_ref in
-    let rows = rows @ trace_rows ~quick:!quick ~seed:!seed_ref in
-    let rows = rows @ fix_rows ~quick:!quick ~seed:!seed_ref in
-    let rows = rows @ storm_rows ~quick:!quick ~seed:!seed_ref in
-    let scaling = scaling_rows ~seed:!seed_ref in
-    write_json ~out:!out ~quick:!quick ~seed:!seed_ref ~domains ~scaling rows;
-    print_summary rows;
-    Printf.printf "%-10s %8s %10s %14s %8s %8s\n" "scaling" "domains" "cells"
-      "cells/sec" "speedup" "steals";
-    List.iter
-      (fun l ->
-        Printf.printf "%-10s %8d %10d %14.2f %8.2f %8d\n" "" l.sc_domains l.sc_cells
-          l.sc_cells_per_sec l.sc_speedup l.sc_steals)
-      scaling;
-    Printf.printf "wrote %s\n" !out;
-    match baseline with
-    | Some b -> if not (compare_baseline ~threshold_pct:!threshold ~baseline:b rows) then exit 2
-    | None -> ()
-  end
-  else begin
-    let what = match !positional with [ x ] -> x | _ -> "all" in
-    if what = "tables" || what = "all" then run_tables ();
-    if what = "timings" || what = "all" then run_timings ()
-  end
+  let domains = Raceguard_par.Par.resolve !domains in
+  let blocks = if quick then 7 else 15 in
+  Printf.printf "bench: mode=%s seed=%d domains=%d\n%!" mode seed domains;
+  let throughput = run_throughput ~quick ~blocks ~seed ~domains in
+  epoch_gate throughput;
+  let hints = hints_rows ~blocks ~seed in
+  let faults = faults_rows ~blocks ~seed in
+  let trace = trace_rows ~blocks ~seed in
+  let fix = fix_rows ~blocks in
+  let storm = storm_rows ~quick ~blocks ~seed in
+  let rows = throughput @ hints @ faults @ trace @ fix @ storm in
+  let scaling = scaling_rows ~seed in
+  let configs =
+    List.map (fun s -> (s, subject_config s)) subjects
+    @ hints_configs @ faults_configs @ trace_configs @ storm_configs
+  in
+  write_json !out
+    [
+      ("schema", J.Str schema);
+      ("ocaml_version", J.Str Sys.ocaml_version);
+      ("seed", J.int seed);
+      ("mode", J.Str mode);
+      ("domains", J.int domains);
+      ("scaling", J.List (List.map scaling_json scaling));
+      ("configs", J.Obj configs);
+      ("results", J.List (List.map row_json rows));
+    ];
+  print_summary rows scaling;
+  Printf.printf "wrote %s\n" !out;
+  Option.iter
+    (fun (file, base) -> compare_baseline ~threshold_pct:!threshold ~file base rows)
+    baseline

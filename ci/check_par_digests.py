@@ -11,9 +11,11 @@ Checks, in order:
   1. the chaos report parses, has schema raceguard-chaos/1, and every
      per-cell (sig_digest, behavior_digest) plus the matrix digest is
      byte-identical to the committed sequential pin;
-  2. the bench JSON parses, has schema raceguard-bench/2, and every
-     (workload, config) row's sig_digest equals the committed
-     baseline's row (parallel audit == sequential audit);
+  2. the bench JSON parses, has schema raceguard-bench/3, and every
+     (workload, config) row's events, reports and sig_digest equal the
+     committed baseline's row (parallel audit == sequential audit; the
+     events come from the domain-local metrics registry, so this also
+     checks that registry under the pool);
   3. the scaling array's legs all carry the same digest (the bench
      binary already exits 2 on mismatch; this re-asserts from the
      artifact), and — only when this runner has >= 4 CPUs — the
@@ -70,26 +72,25 @@ def check_chaos(chaos_path: str, pin_path: str) -> None:
 def check_bench(bench_path: str, baseline_path: str) -> list:
     x = json.load(open(bench_path))
     base = json.load(open(baseline_path))
-    if x.get("schema") != "raceguard-bench/2":
-        fail(f"bench schema {x.get('schema')!r}")
-    if base.get("schema") != "raceguard-bench/2":
-        fail(f"baseline schema {base.get('schema')!r}")
-    want = {
-        (r["workload"], r["config"]): r["sig_digest"] for r in base["results"]
-    }
+    for doc, name in ((x, "bench"), (base, "baseline")):
+        if doc.get("schema") != "raceguard-bench/3":
+            fail(f"{name} schema {doc.get('schema')!r}")
+    fields = ("events", "reports", "sig_digest")
+    want = {(r["workload"], r["config"]): r for r in base["results"]}
     checked = 0
     for r in x["results"]:
         key = (r["workload"], r["config"])
         if key not in want:
             fail(f"row {key} missing from the committed baseline")
-        if r["sig_digest"] != want[key]:
-            fail(
-                f"row {'/'.join(key)} sig_digest {r['sig_digest']} "
-                f"!= baseline {want[key]}"
-            )
+        for field in fields:
+            if r[field] != want[key][field]:
+                fail(
+                    f"row {'/'.join(key)} {field} {r[field]} "
+                    f"!= baseline {want[key][field]}"
+                )
         checked += 1
     print(
-        f"bench: {checked} row sig_digests at domains={x.get('domains')} "
+        f"bench: {checked} rows' {', '.join(fields)} at domains={x.get('domains')} "
         f"identical to bench/baseline.json"
     )
     return x["scaling"]

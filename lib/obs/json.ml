@@ -35,8 +35,9 @@ let escape b s =
       | c -> Buffer.add_char b c)
     s
 
+(* JSON has no nan or infinity: every non-finite number prints as null *)
 let add_num b x =
-  if Float.is_nan x then Buffer.add_string b "null"
+  if not (Float.is_finite x) then Buffer.add_string b "null"
   else if Float.is_integer x && Float.abs x < 1e15 then
     Buffer.add_string b (Printf.sprintf "%.0f" x)
   else Buffer.add_string b (Printf.sprintf "%.17g" x)

@@ -16,7 +16,9 @@ val int : int -> t
 
 val to_string : ?indent:int -> t -> string
 (** Serialise.  [indent = 0] (default) is compact one-line output;
-    [indent > 0] pretty-prints with that many spaces per level. *)
+    [indent > 0] pretty-prints with that many spaces per level.  A
+    non-finite [Num] (nan, infinity) prints as [null], so the output
+    always parses back. *)
 
 val parse : string -> (t, string) result
 (** Parse a complete JSON document.  Numbers become [Num] (floats,

@@ -171,6 +171,14 @@ let test_metrics_json_parses () =
     "histogram sum" (Some 1035.)
     (Json.to_float_opt (member_exn "sum" hist))
 
+let test_json_non_finite () =
+  let v = Json.List [ Json.Num nan; Json.Num infinity; Json.Num neg_infinity; Json.Num 1.5 ] in
+  Alcotest.(check string)
+    "non-finite numbers print as null" "[null,null,null,1.5]" (Json.to_string v);
+  Alcotest.(check bool)
+    "and parse back" true
+    (Json.parse (Json.to_string v) = Ok (Json.List [ Json.Null; Json.Null; Json.Null; Json.Num 1.5 ]))
+
 (* --- provenance byte-stability across the fast path --------------------- *)
 
 let provenance_cfg base = { base with Det.Helgrind.provenance = true }
@@ -244,6 +252,7 @@ let suite =
         test_trace_wrap_monotonic_export;
       Alcotest.test_case "sampling is deterministic" `Quick test_trace_sampling_deterministic;
       Alcotest.test_case "metrics JSON parses back" `Quick test_metrics_json_parses;
+      Alcotest.test_case "non-finite numbers round-trip as null" `Quick test_json_non_finite;
       Alcotest.test_case "provenance stable across fast path" `Slow
         test_provenance_fast_path_stable;
       Alcotest.test_case "explain JSON carries provenance + knobs" `Slow
