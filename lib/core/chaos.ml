@@ -142,7 +142,8 @@ type cell = {
   cl_retransmits : int;
   cl_injected : Faults.Injector.counts;
   cl_thread_failures : int;
-  cl_deadlocked : bool;
+  cl_stop : Vm.Engine.stop;  (** why the cell's run stopped *)
+  cl_ops : int;  (** VM operations the run executed *)
   cl_wall : float;
   cl_sharded : bool;  (** scenario cell against a sharded registrar *)
   cl_shard_count : int;  (** final shard count (1 when unsharded) *)
@@ -382,7 +383,8 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
     cl_retransmits = cr.cr_retransmits;
     cl_injected = Faults.Injector.counts inj;
     cl_thread_failures = List.length result.Runner.outcome.Vm.Engine.failures;
-    cl_deadlocked = result.Runner.outcome.Vm.Engine.deadlock <> None;
+    cl_stop = Vm.Engine.stop_of result.Runner.outcome;
+    cl_ops = result.Runner.outcome.Vm.Engine.stats.ops_executed;
     cl_wall = result.Runner.wall_seconds;
     cl_sharded = sharded;
     cl_shard_count = cr.cr_shard_count;
@@ -485,7 +487,9 @@ let cell_to_json c =
       ("retransmits", Json.int c.cl_retransmits);
       ("injected", Faults.Injector.counts_to_json c.cl_injected);
       ("thread_failures", Json.int c.cl_thread_failures);
-      ("deadlocked", Json.Bool c.cl_deadlocked);
+      ("deadlocked", Json.Bool (c.cl_stop <> Vm.Engine.Clean));
+      ("stop", Json.Str (Vm.Engine.stop_name c.cl_stop));
+      ("ops", Json.int c.cl_ops);
     ]
     @
     if not c.cl_sharded then []

@@ -64,7 +64,8 @@ type cell = {
   cl_retransmits : int;
   cl_injected : Faults.Injector.counts;
   cl_thread_failures : int;
-  cl_deadlocked : bool;
+  cl_stop : Vm.Engine.stop;  (** why the cell's run stopped *)
+  cl_ops : int;  (** VM operations the run executed *)
   cl_wall : float;
   cl_sharded : bool;  (** scenario cell against a sharded registrar *)
   cl_shard_count : int;  (** final shard count (1 when unsharded) *)

@@ -13,7 +13,9 @@
     waits-for graph and reports the cycle (the paper's application
     detected deadlocks with lock timeouts; the race checker "also does
     dead-lock detection, [so] application level detection is not
-    needed", §3.3). *)
+    needed", §3.3).  The same analysis stops a hang that sleeping
+    daemons keep alive: main waiting on a chain no live thread can
+    wake (see [check_hang]). *)
 
 module Loc = Raceguard_util.Loc
 module Rng = Raceguard_util.Rng
@@ -118,6 +120,7 @@ type thread = {
   mutable failure : exn option;
   mutable join_waiters : int list;
   mutable ops : int;  (** operations executed by this thread *)
+  mutable mark : int;  (** [t.walk] of the last hang walk that reached this thread *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -139,18 +142,37 @@ type rwlock_obj = {
   rw_waiters : (int * mode) Queue.t;
 }
 
-type cond_obj = { cv_id : int; cv_name : string; cv_waiters : (int * int) Queue.t }
-(** waiters carry the mutex they must reacquire *)
+type cond_obj = {
+  cv_id : int;
+  cv_name : string;
+  cv_waiters : (int * int) Queue.t;  (** waiters carry the mutex they must reacquire *)
+  mutable cv_signallers : int list;  (** every thread that ever signalled or broadcast it *)
+}
 
-type sem_obj = { sem_id : int; sem_name : string; mutable sem_count : int; sem_waiters : int Queue.t }
+type sem_obj = {
+  sem_id : int;
+  sem_name : string;
+  mutable sem_count : int;
+  sem_waiters : int Queue.t;
+  mutable sem_posters : int list;  (** every thread that ever posted it *)
+}
 
 (* ------------------------------------------------------------------ *)
 (* Deadlock / run outcome                                              *)
 (* ------------------------------------------------------------------ *)
 
+type stop = Clean | Deadlock | Hang | Op_budget
+
+let stop_name = function
+  | Clean -> "clean"
+  | Deadlock -> "deadlock"
+  | Hang -> "hang"
+  | Op_budget -> "op-budget"
+
 type deadlock = {
+  dl_stop : stop;  (** [Deadlock], [Hang] or [Op_budget] *)
   dl_cycle : (int * string) list;  (** (tid, what it waits for) *)
-  dl_stuck : (int * string) list;  (** blocked threads not in a cycle *)
+  dl_stuck : (int * string) list;  (** (tid, what it is doing), for the other live threads *)
 }
 
 let pp_deadlock ppf d =
@@ -159,8 +181,8 @@ let pp_deadlock ppf d =
     List.iter (fun (tid, what) -> Fmt.pf ppf "  thread %d waits for %s@\n" tid what) d.dl_cycle
   end;
   if d.dl_stuck <> [] then begin
-    Fmt.pf ppf "HANG: %d thread(s) blocked with no waker:@\n" (List.length d.dl_stuck);
-    List.iter (fun (tid, what) -> Fmt.pf ppf "  thread %d waits for %s@\n" tid what) d.dl_stuck
+    Fmt.pf ppf "STUCK: %d thread(s):@\n" (List.length d.dl_stuck);
+    List.iter (fun (tid, what) -> Fmt.pf ppf "  thread %d %s@\n" tid what) d.dl_stuck
   end
 
 type run_stats = {
@@ -179,6 +201,8 @@ type outcome = {
   trace : Event.t array;  (** empty unless [trace_events] *)
 }
 
+let stop_of o = match o.deadlock with None -> Clean | Some d -> d.dl_stop
+
 exception Misuse of string
 (** raised inside a simulated thread on API misuse (unlocking a mutex
     one does not hold, double free, ...) *)
@@ -186,6 +210,16 @@ exception Misuse of string
 (* ------------------------------------------------------------------ *)
 (* The VM                                                              *)
 (* ------------------------------------------------------------------ *)
+
+(* How far [check_hang] has got with main's wait chain. *)
+type hang_watch =
+  | Unknown  (** main is not known to be orphaned *)
+  | Until of int
+      (** main has been orphaned since a check whose sleepers all wake
+          by this time *)
+  | Woken
+      (** main has stayed orphaned until every one of those sleepers was
+          woken; the next check decides *)
 
 type t = {
   config : config;
@@ -219,6 +253,9 @@ type t = {
       (** (tid, wake_at): spawned threads whose first run a spawn-delay
           fault postponed; they stay [Fresh] and enter the ready queue
           when the clock reaches [wake_at] *)
+  mutable walk : int;  (** number of hang walks so far; stamps [thread.mark] *)
+  mutable hang : hang_watch;
+  mutable next_wake : int;  (** set by [wake_due_sleepers]: the earliest wake time to come *)
 }
 
 let dummy_thread =
@@ -232,6 +269,7 @@ let dummy_thread =
     failure = None;
     join_waiters = [];
     ops = 0;
+    mark = 0;
   }
 
 let create ?(config = default_config) () =
@@ -245,8 +283,10 @@ let create ?(config = default_config) () =
     rwlocks =
       Growvec.create
         ~dummy:{ rw_id = -1; rw_name = ""; rw_writer = None; rw_readers = []; rw_waiters = Queue.create () };
-    conds = Growvec.create ~dummy:{ cv_id = -1; cv_name = ""; cv_waiters = Queue.create () };
-    sems = Growvec.create ~dummy:{ sem_id = -1; sem_name = ""; sem_count = 0; sem_waiters = Queue.create () };
+    conds = Growvec.create ~dummy:{ cv_id = -1; cv_name = ""; cv_waiters = Queue.create (); cv_signallers = [] };
+    sems =
+      Growvec.create
+        ~dummy:{ sem_id = -1; sem_name = ""; sem_count = 0; sem_waiters = Queue.create (); sem_posters = [] };
     ready = [||];
     ready_len = 0;
     decision_count = 0;
@@ -261,6 +301,9 @@ let create ?(config = default_config) () =
     decisions = [];
     cached_ctx = None;
     delayed_fresh = [];
+    walk = 0;
+    hang = Unknown;
+    next_wake = max_int;
   }
 
 let add_tool t tool = t.tools <- t.tools @ [ tool ]
@@ -305,11 +348,18 @@ let emit t event =
 
 (* --- ready queue ------------------------------------------------- *)
 
+(* A thread the last hang walk reached is leaving its wait: main's wait
+   chain moved, so what the hang check has seen so far no longer holds. *)
+let chain_moved t th = if th.mark = t.walk then t.hang <- Unknown
+
 let enqueue_ready t tid =
   let th = thread t tid in
   (match th.status with
   | Fresh _ | Ready -> ()
-  | Running | Blocked _ -> th.status <- Ready
+  | Running | Blocked (On_sleep _) -> th.status <- Ready
+  | Blocked _ ->
+      chain_moved t th;
+      th.status <- Ready
   | Done -> invalid_arg "enqueue_ready: thread is done");
   let n = Array.length t.ready in
   if t.ready_len >= n then begin
@@ -474,7 +524,100 @@ let detect_deadlock t =
         List.partition (fun (th, _) -> Hashtbl.mem in_cycle th.tid) blocked
       in
       let describe (th, r) = (th.tid, describe_wait t r) in
-      Some { dl_cycle = List.map describe cycle; dl_stuck = List.map describe stuck }
+      let waits (th, r) = (th.tid, "waits for " ^ describe_wait t r) in
+      Some { dl_stop = Deadlock; dl_cycle = List.map describe cycle; dl_stuck = List.map waits stuck }
+
+(* --- hang detection ------------------------------------------------ *)
+
+(* The threads whose progress could make a thread blocked for [reason]
+   runnable again: a lock's holder(s), a join's target, and every thread
+   that ever signalled the condition variable or posted the semaphore. *)
+let wakers t = function
+  | On_mutex m -> ( match (Growvec.get t.mutexes m).m_owner with Some o -> [ o ] | None -> [])
+  | On_rwlock (rw, _) -> (
+      let r = Growvec.get t.rwlocks rw in
+      match r.rw_writer with Some w -> [ w ] | None -> r.rw_readers)
+  | On_join tid -> [ tid ]
+  | On_cond (cv, _) -> (Growvec.get t.conds cv).cv_signallers
+  | On_sem s -> (Growvec.get t.sems s).sem_posters
+  | On_sleep _ -> []
+
+let is_done t tid = match (thread t tid).status with Done -> true | _ -> false
+
+(* Main is orphaned when its wait chain can no longer move.  A mutex or
+   rwlock leads to its holder(s) and a join to its target; every thread
+   reached that way must be done or itself orphaned, and a wait cycle
+   counts as orphaned.  A condition variable or semaphore wait is
+   orphaned only when some thread has signalled or posted that object
+   and every such thread is done: an object nobody else ever woke never
+   orphans its waiter.  Stamps each thread it reaches with a fresh
+   [t.walk], which is how [chain_moved] knows the chain. *)
+let orphaned t =
+  t.walk <- t.walk + 1;
+  let rec go = function
+    | [] -> true
+    | tid :: rest -> (
+        let th = thread t tid in
+        if th.mark = t.walk then go rest
+        else begin
+          th.mark <- t.walk;
+          match th.status with
+          | Done -> go rest
+          | Fresh _ | Ready | Running | Blocked (On_sleep _) -> false
+          | Blocked ((On_cond _ | On_sem _) as r) -> (
+              match wakers t r with [] -> false | ws -> List.for_all (is_done t) ws && go rest)
+          | Blocked r -> go (List.rev_append (wakers t r) rest)
+        end)
+  in
+  go [ 0 ]
+
+exception Hung
+
+(* Called whenever the ready queue empties while some thread sleeps,
+   after the due sleepers were woken; [horizon] is the latest wake time
+   of the sleepers.  When main is first found orphaned the check notes
+   that horizon.  At the first check at or past it every sleeper seen
+   then has been woken, so by the next check each has run; if main is
+   still orphaned there, with no thread of its chain woken in between
+   ([chain_moved]), no sleeper touched the chain and the run stops. *)
+let check_hang t horizon =
+  match (thread t 0).status with
+  | Blocked (On_mutex _ | On_rwlock _ | On_cond _ | On_sem _ | On_join _) when orphaned t -> (
+      match t.hang with
+      | Unknown -> t.hang <- Until horizon
+      | Until h -> if t.clock >= h then t.hang <- Woken
+      | Woken -> raise Hung)
+  | Fresh _ | Ready | Running | Blocked _ | Done -> t.hang <- Unknown
+
+(* Every thread that has not finished, with its name, state and op
+   count: the report of a run stopped as a hang or by the op budget.  On
+   a hang the threads of main's chain are the blocked ones the last walk
+   reached. *)
+let live_threads t ~hang =
+  Growvec.to_list t.threads
+  |> List.filter_map (fun th ->
+         let state =
+           match th.status with
+           | Done -> None
+           | Fresh _ -> Some "has not started"
+           | Ready -> Some "is ready"
+           | Running -> Some "is running"
+           | Blocked (On_sleep until) -> Some (Fmt.str "sleeps until %d" until)
+           | Blocked r when hang && th.mark = t.walk ->
+               let only verb =
+                 Fmt.str " (%s only by finished threads %s)" verb
+                   (String.concat ", " (List.map string_of_int (List.sort compare (wakers t r))))
+               in
+               let why =
+                 match r with
+                 | On_cond _ -> only "signalled"
+                 | On_sem _ -> only "posted"
+                 | On_mutex _ | On_rwlock _ | On_join _ | On_sleep _ -> ""
+               in
+               Some (Fmt.str "waits for %s, orphaned%s" (describe_wait t r) why)
+           | Blocked r -> Some ("waits for " ^ describe_wait t r)
+         in
+         Option.map (fun s -> (th.tid, Fmt.str "(%s) %s (%d ops)" th.name s th.ops)) state)
 
 (* ------------------------------------------------------------------ *)
 (* Operation interpretation                                            *)
@@ -534,6 +677,7 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
           failure = None;
           join_waiters = [];
           ops = 0;
+          mark = 0;
         }
       in
       ignore (Growvec.push t.threads child);
@@ -641,7 +785,7 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
       rwlock_grant_waiters t r ~loc;
       ret ()
   | Cond_create { name; loc } ->
-      let cv = { cv_id = Growvec.length t.conds; cv_name = name; cv_waiters = Queue.create () } in
+      let cv = { cv_id = Growvec.length t.conds; cv_name = name; cv_waiters = Queue.create (); cv_signallers = [] } in
       ignore (Growvec.push t.conds cv);
       emit t (Event.E_sync_create { tid = th.tid; sync = Event.Cond cv.cv_id; name; loc });
       ret cv.cv_id
@@ -655,6 +799,7 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
       resume_with th (fun () -> ()) k
   | Cond_signal { cv; loc } ->
       let c = Growvec.get t.conds cv in
+      c.cv_signallers <- Int_list.add_new th.tid c.cv_signallers;
       emit t (Event.E_cond_signal { tid = th.tid; cv; broadcast = false; loc });
       (if not (Queue.is_empty c.cv_waiters) then begin
          let w, m = Queue.pop c.cv_waiters in
@@ -663,6 +808,7 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
       ret ()
   | Cond_broadcast { cv; loc } ->
       let c = Growvec.get t.conds cv in
+      c.cv_signallers <- Int_list.add_new th.tid c.cv_signallers;
       emit t (Event.E_cond_signal { tid = th.tid; cv; broadcast = true; loc });
       while not (Queue.is_empty c.cv_waiters) do
         let w, m = Queue.pop c.cv_waiters in
@@ -670,7 +816,9 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
       done;
       ret ()
   | Sem_create { name; init; loc } ->
-      let s = { sem_id = Growvec.length t.sems; sem_name = name; sem_count = init; sem_waiters = Queue.create () } in
+      let s =
+        { sem_id = Growvec.length t.sems; sem_name = name; sem_count = init; sem_waiters = Queue.create (); sem_posters = [] }
+      in
       ignore (Growvec.push t.sems s);
       emit t (Event.E_sync_create { tid = th.tid; sync = Event.Sem s.sem_id; name; loc });
       ret s.sem_id
@@ -688,6 +836,7 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
       end
   | Sem_post { s; loc } ->
       let sem = Growvec.get t.sems s in
+      sem.sem_posters <- Int_list.add_new th.tid sem.sem_posters;
       emit t (Event.E_sem_post { tid = th.tid; sem = s; loc });
       (if Queue.is_empty sem.sem_waiters then sem.sem_count <- sem.sem_count + 1
        else begin
@@ -730,6 +879,7 @@ and wake_cond_waiter t w m ~cv ~loc =
   | Some _ ->
       (* park on the mutex; when granted, the wait_post event must
          still be emitted — we wrap the thread's wake closure. *)
+      chain_moved t wth;
       wth.status <- Blocked (On_mutex m);
       (match wth.wake with
       | Wake (k, v) ->
@@ -763,44 +913,35 @@ let thread_finished t th =
     th.join_waiters;
   th.join_waiters <- []
 
+(* One pass over the sleepers (and the threads a spawn delay holds
+   back): make every due one ready, leave the earliest wake time still
+   to come in [t.next_wake], and return the latest wake time seen, or -1
+   when nothing sleeps. *)
 let wake_due_sleepers t =
-  let woke = ref false in
-  (match t.delayed_fresh with
-  | [] -> ()
-  | delayed ->
-      let due, still = List.partition (fun (_, until) -> until <= t.clock) delayed in
-      if due <> [] then begin
-        t.delayed_fresh <- still;
-        List.iter
-          (fun (tid, _) ->
-            enqueue_ready t tid;
-            woke := true)
-          (List.sort compare due)
-      end);
-  Growvec.iter
-    (fun th ->
-      match th.status with
-      | Blocked (On_sleep until) when until <= t.clock ->
-          enqueue_ready t th.tid;
-          woke := true
-      | _ -> ())
-    t.threads;
-  !woke
-
-let earliest_sleeper t =
-  let from_delayed =
-    List.fold_left
-      (fun acc (_, until) ->
-        match acc with Some u -> Some (min u until) | None -> Some until)
-      None t.delayed_fresh
+  t.next_wake <- max_int;
+  let see horizon until =
+    if until > t.clock && until < t.next_wake then t.next_wake <- until;
+    max horizon until
+  in
+  let horizon =
+    match t.delayed_fresh with
+    | [] -> -1
+    | delayed ->
+        let due, still = List.partition (fun (_, until) -> until <= t.clock) delayed in
+        if due <> [] then begin
+          t.delayed_fresh <- still;
+          List.iter (fun (tid, _) -> enqueue_ready t tid) (List.sort compare due)
+        end;
+        List.fold_left (fun horizon (_, until) -> see horizon until) (-1) delayed
   in
   Growvec.fold
-    (fun acc th ->
+    (fun horizon th ->
       match th.status with
-      | Blocked (On_sleep until) -> (
-          match acc with Some u -> Some (min u until) | None -> Some until)
-      | _ -> acc)
-    from_delayed t.threads
+      | Blocked (On_sleep until) ->
+          if until <= t.clock then enqueue_ready t th.tid;
+          see horizon until
+      | _ -> horizon)
+    horizon t.threads
 
 (* The scheduler is a trampoline.  [schedule] picks the next thread and
    resumes it; that thread runs until its next operation, whose handler
@@ -816,15 +957,15 @@ let rec schedule t =
   let tid = pick_ready t in
   if tid >= 0 then run_thread t (thread t tid)
   else begin
-    ignore (wake_due_sleepers t);
+    let horizon = wake_due_sleepers t in
+    if horizon >= 0 then check_hang t horizon;
     if ready_count t > 0 then schedule t
-    else
-      match earliest_sleeper t with
-      | Some until ->
-          t.clock <- until;
-          ignore (wake_due_sleepers t);
-          schedule t
-      | None -> ()
+    else if horizon >= 0 then begin
+      (* everyone sleeps: jump the clock to the first wake-up *)
+      t.clock <- t.next_wake;
+      ignore (wake_due_sleepers t);
+      schedule t
+    end
   end
 
 and run_thread t th =
@@ -867,8 +1008,9 @@ and handler t th : (unit, unit) Effect.Deep.handler =
                    access, ...) is the calling thread's error: deliver
                    it at the perform point so the thread fails and the
                    VM keeps running.  Engine-level conditions
-                   (Too_many_ops) still abort the run.  [schedule] is
-                   in the value branch, outside the trap. *)
+                   (Too_many_ops, and Hung from [schedule]) still abort
+                   the run.  [schedule] is in the value branch, outside
+                   the trap. *)
                 match handle_op t th op k with
                 | () -> schedule t
                 | exception ((Misuse _ | Invalid_argument _) as e) ->
@@ -876,8 +1018,8 @@ and handler t th : (unit, unit) Effect.Deep.handler =
         | _ -> None);
   }
 
-(** Run [main] as thread 0 until all threads finish, a deadlock is
-    detected, or the op budget is exhausted. *)
+(** Run [main] as thread 0 until all threads finish, a deadlock or hang
+    is detected, or the op budget is exhausted. *)
 let run t main =
   let main_thread =
     {
@@ -890,6 +1032,7 @@ let run t main =
       failure = None;
       join_waiters = [];
       ops = 0;
+      mark = 0;
     }
   in
   ignore (Growvec.push t.threads main_thread);
@@ -899,12 +1042,9 @@ let run t main =
     try
       schedule t;
       detect_deadlock t
-    with Too_many_ops ->
-      Some
-        {
-          dl_cycle = [];
-          dl_stuck = [ (t.current, Fmt.str "op budget (%d) exhausted — livelock?" t.config.max_ops) ];
-        }
+    with
+    | Hung -> Some { dl_stop = Hang; dl_cycle = []; dl_stuck = live_threads t ~hang:true }
+    | Too_many_ops -> Some { dl_stop = Op_budget; dl_cycle = []; dl_stuck = live_threads t ~hang:false }
   in
   let failures =
     Growvec.fold

@@ -13,7 +13,16 @@
    thread catches (the handler's [discontinue]), and thread exit, both
    normal ([retc]) and by an uncaught [Misuse] ([exnc]).  Start and exit
    run once per thread, so 8,000 threads take each exit path: enough for
-   one leaked frame per thread to overflow as well. *)
+   one leaked frame per thread to overflow as well.
+
+   A second run hangs: main joins a thread waiting on a condition
+   variable whose only signaller has finished, while three daemons poll
+   a stop flag with sleeps of 3, 4 and 1,000,000 ticks.  The short
+   sleepers empty the ready queue every few operations, so for over
+   400,000 operations the scheduler runs its hang check and then either
+   wakes a due sleeper or jumps the clock, until the slow sleeper has
+   woken and the stop raises out of a handler.  Those paths must stay
+   flat too: a non-tail [schedule] on either branch overflows here. *)
 
 module Vm = Raceguard_vm
 module Engine = Vm.Engine
@@ -61,6 +70,28 @@ let round () =
   List.iter (Api.join ~loc) ts;
   Api.free ~loc pending
 
+let min_hung_ops = 400_000
+
+let hung () =
+  let m = Api.Mutex.create ~loc "hm" in
+  let cv = Api.Cond.create ~loc "hcv" in
+  let stop = Api.alloc ~loc 1 in
+  let daemon period () =
+    while Api.read ~loc stop = 0 do
+      Api.sleep period
+    done
+  in
+  let ds = List.map (fun period -> Api.spawn ~loc ~name:"daemon" (daemon period)) [ 3; 4; 1_000_000 ] in
+  Api.join ~loc (Api.spawn ~loc ~name:"signaller" (fun () -> Api.Cond.signal ~loc cv));
+  let waiter =
+    Api.spawn ~loc ~name:"waiter" (fun () ->
+        Api.Mutex.lock ~loc m;
+        Api.Cond.wait ~loc cv m)
+  in
+  Api.join ~loc waiter;
+  Api.write ~loc stop 1;
+  List.iter (Api.join ~loc) ds
+
 let () =
   let vm = Engine.create ~config:{ Engine.default_config with seed = 11 } () in
   let events = ref 0 in
@@ -78,4 +109,8 @@ let () =
   if failed <> rounds * failing_per_round then fail "%d failed threads, want %d" failed (rounds * failing_per_round);
   if o.stats.ops_executed < min_ops then fail "only %d ops, want >= %d" o.stats.ops_executed min_ops;
   if !misuses <> rounds * 2 * items then fail "%d caught misuses, want %d" !misuses (rounds * 2 * items);
-  if !events = 0 then fail "no events dispatched"
+  if !events = 0 then fail "no events dispatched";
+  let o = Engine.run (Engine.create ~config:{ Engine.default_config with seed = 11 } ()) hung in
+  if Engine.stop_of o <> Engine.Hang then fail "hung run stopped as %s" (Engine.stop_name (Engine.stop_of o));
+  if o.stats.ops_executed < min_hung_ops then
+    fail "hung run: only %d ops, want >= %d" o.stats.ops_executed min_hung_ops

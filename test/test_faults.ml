@@ -214,6 +214,26 @@ let test_chaos_oom_asymmetry () =
     (Faults.Injector.total on.cl_injected > 0);
   Alcotest.(check bool) "legacy cell demonstrably violates" true (off.cl_violations <> [])
 
+(* --- why each cell's run stopped -------------------------------------- *)
+
+let test_chaos_stops () =
+  (* the full grid at seed 7: the three oom baseline cells whose pool
+     workers die hang with the logger, reloader and timer wheel still
+     cycling, and stop as a hang long before the 4M-op budget; no cell
+     reaches the budget, and every resilient cell finishes cleanly *)
+  let r = Raceguard.Chaos.run Raceguard.Chaos.default in
+  List.iter
+    (fun (c : Raceguard.Chaos.cell) ->
+      let key = Printf.sprintf "%s/%s/%s" c.cl_plan c.cl_test (if c.cl_resilient then "res" else "base") in
+      let stop = Engine.stop_name c.cl_stop in
+      if c.cl_plan = "oom" && (not c.cl_resilient) && List.mem c.cl_test [ "T4"; "T5"; "T6" ] then begin
+        Alcotest.(check string) (key ^ " stop") "hang" stop;
+        if c.cl_ops >= 50_000 then Alcotest.failf "%s: hang found only after %d ops" key c.cl_ops
+      end
+      else if c.cl_resilient then Alcotest.(check string) (key ^ " stop") "clean" stop
+      else if stop = "op-budget" then Alcotest.failf "%s ran out of op budget" key)
+    r.rp_cells
+
 let suite =
   ( "faults",
     [
@@ -230,4 +250,5 @@ let suite =
         test_chaos_fast_path_invariant;
       Alcotest.test_case "chaos: oom asymmetry (resilient clean, legacy breaks)" `Quick
         test_chaos_oom_asymmetry;
+      Alcotest.test_case "chaos: oom cells stop as hangs, none at the budget" `Quick test_chaos_stops;
     ] )

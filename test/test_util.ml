@@ -115,6 +115,13 @@ let test_int_list_remove_one () =
   Alcotest.(check (list int)) "absent" [ 1; 3 ] (Int_list.remove_one 2 [ 1; 3 ]);
   Alcotest.(check (list int)) "empty" [] (Int_list.remove_one 2 [])
 
+let test_int_list_add_new () =
+  Alcotest.(check (list int)) "absent: consed" [ 2; 1; 3 ] (Int_list.add_new 2 [ 1; 3 ]);
+  Alcotest.(check (list int)) "empty" [ 2 ] (Int_list.add_new 2 []);
+  let xs = [ 1; 2; 3 ] in
+  Alcotest.(check bool) "present at head: same list" true (Int_list.add_new 1 xs == xs);
+  Alcotest.(check bool) "present deeper: same list" true (Int_list.add_new 3 xs == xs)
+
 let test_growvec () =
   let v = Growvec.create ~dummy:0 in
   Alcotest.(check int) "empty" 0 (Growvec.length v);
@@ -178,6 +185,7 @@ let suite =
       QCheck_alcotest.to_alcotest qc_iss_model;
       QCheck_alcotest.to_alcotest qc_iss_inter_laws;
       Alcotest.test_case "int list remove_one" `Quick test_int_list_remove_one;
+      Alcotest.test_case "int list add_new" `Quick test_int_list_add_new;
       Alcotest.test_case "growvec" `Quick test_growvec;
       Alcotest.test_case "loc" `Quick test_loc;
       Alcotest.test_case "table rendering" `Quick test_table;

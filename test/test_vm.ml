@@ -18,6 +18,7 @@ let run ?(seed = 1) ?(policy = Engine.Random_seeded) ?tool f =
 
 let check_clean (outcome : Engine.outcome) =
   Alcotest.(check bool) "no deadlock" true (outcome.deadlock = None);
+  Alcotest.(check string) "stopped clean" "clean" (Engine.stop_name (Engine.stop_of outcome));
   (match outcome.failures with
   | [] -> ()
   | (_, name, e) :: _ ->
@@ -374,11 +375,219 @@ let test_lost_signal_hang () =
         Api.Cond.wait ~loc cv m
         (* nobody will ever signal *))
   in
+  Alcotest.(check string) "nothing could run" "deadlock" (Engine.stop_name (Engine.stop_of outcome));
   match outcome.deadlock with
   | Some d ->
       Alcotest.(check bool) "reported as hang, not cycle" true
         (d.dl_cycle = [] && d.dl_stuck <> [])
   | None -> Alcotest.fail "hang not detected"
+
+let check_mentions what needle (entry : string) =
+  if not (Test_fix.contains ~needle entry) then Alcotest.failf "%s: %S does not mention %S" what entry needle
+
+let test_orphaned_wait_hangs () =
+  (* the oom chaos cells in miniature: both pool workers die on their
+     first task, the submitter then blocks in [submit] on the full
+     queue, main joins the submitter, and two daemons keep polling a
+     stop flag that only main would set *)
+  let max_ops = Engine.default_config.max_ops in
+  let outcome, _ =
+    run ~seed:5 (fun () ->
+        let stop = Api.alloc ~loc 1 in
+        let daemon period () =
+          while Api.read ~loc stop = 0 do
+            Api.sleep period
+          done
+        in
+        let d3 = Api.spawn ~loc ~name:"poll3" (daemon 3) in
+        let d25 = Api.spawn ~loc ~name:"poll25" (daemon 25) in
+        let pool =
+          Vm.Thread_pool.create ~name:"pool" ~workers:2 ~queue_capacity:2
+            ~handler:(fun _ -> failwith "task failed")
+            ()
+        in
+        let submitter =
+          Api.spawn ~loc ~name:"submitter" (fun () ->
+              for i = 1 to 10 do
+                Vm.Thread_pool.submit pool i
+              done)
+        in
+        Api.join ~loc submitter;
+        Api.write ~loc stop 1;
+        Api.join ~loc d3;
+        Api.join ~loc d25)
+  in
+  Alcotest.(check string) "stopped as a hang" "hang" (Engine.stop_name (Engine.stop_of outcome));
+  if outcome.stats.ops_executed >= max_ops / 100 then
+    Alcotest.failf "%d ops: not below 1%% of the %d budget" outcome.stats.ops_executed max_ops;
+  Alcotest.(check int) "both workers died" 2 (List.length outcome.failures);
+  match outcome.deadlock with
+  | None -> Alcotest.fail "no hang report"
+  | Some d ->
+      (* main 0, daemons 1-2, workers 3-4 (done, so not listed), submitter 5 *)
+      Alcotest.(check (list int)) "every live thread listed" [ 0; 1; 2; 5 ] (List.map fst d.dl_stuck);
+      let entry tid = List.assoc tid d.dl_stuck in
+      check_mentions "daemon" "(poll3)" (entry 1);
+      check_mentions "daemon" "(poll25)" (entry 2);
+      check_mentions "main" "termination of thread 5" (entry 0);
+      check_mentions "main" "orphaned" (entry 0);
+      check_mentions "submitter" "pool.queue.nonfull" (entry 5);
+      check_mentions "submitter" "signalled only by finished threads 3, 4" (entry 5)
+
+let test_late_first_signal_is_not_a_hang () =
+  (* a sleeper signals a condition variable nobody signalled before, and
+     only after 20 sleep cycles.  An object no other thread ever woke
+     never orphans its waiter, so the run completes however late the
+     first signal comes *)
+  let cycles = 20 in
+  let outcome, result =
+    run (fun () ->
+        let m = Api.Mutex.create ~loc "m" in
+        let cv = Api.Cond.create ~loc "cv" in
+        let flag = Api.alloc ~loc 1 in
+        let late =
+          Api.spawn ~loc ~name:"late" (fun () ->
+              for _ = 1 to cycles do
+                Api.sleep 5
+              done;
+              Api.Mutex.lock ~loc m;
+              Api.write ~loc flag 1;
+              Api.Cond.signal ~loc cv;
+              Api.Mutex.unlock ~loc m)
+        in
+        Api.Mutex.lock ~loc m;
+        while Api.read ~loc flag = 0 do
+          Api.Cond.wait ~loc cv m
+        done;
+        Api.Mutex.unlock ~loc m;
+        Api.join ~loc late;
+        cycles)
+  in
+  check_clean outcome;
+  Alcotest.(check (option int)) "main completed" (Some cycles) result
+
+let test_late_first_post_is_not_a_hang () =
+  (* the semaphore form: main waits for a worker that posts once, after
+     twelve sleeps *)
+  let outcome, result =
+    run (fun () ->
+        let s = Api.Sem.create ~loc ~init:0 "done" in
+        let worker =
+          Api.spawn ~loc ~name:"worker" (fun () ->
+              for _ = 1 to 12 do
+                Api.sleep 1
+              done;
+              Api.Sem.post ~loc s)
+        in
+        Api.Sem.wait ~loc s;
+        Api.join ~loc worker;
+        true)
+  in
+  check_clean outcome;
+  Alcotest.(check (option bool)) "main completed" (Some true) result
+
+let test_first_signal_at_next_wake_is_not_a_hang () =
+  (* main's second wait is orphaned: the only thread that ever signalled
+     the condition variable has finished.  A sleeper signals it for the
+     first time when it next wakes, and that wake-up comes due while a
+     busy daemon runs 50 operations between its sleeps, so the check
+     that wakes the sleeper already sees the clock past its wake time.
+     The check must let the sleeper run before it decides *)
+  let outcome, result =
+    run (fun () ->
+        let m = Api.Mutex.create ~loc "m" in
+        let cv = Api.Cond.create ~loc "cv" in
+        let stage = Api.alloc ~loc 1 in
+        let stop = Api.alloc ~loc 1 in
+        let advance () =
+          Api.Mutex.lock ~loc m;
+          Api.write ~loc stage (Api.read ~loc stage + 1);
+          Api.Cond.signal ~loc cv;
+          Api.Mutex.unlock ~loc m
+        in
+        let first = Api.spawn ~loc ~name:"first" advance in
+        let busy =
+          Api.spawn ~loc ~name:"busy" (fun () ->
+              while Api.read ~loc stop = 0 do
+                for _ = 1 to 50 do
+                  Api.yield ()
+                done;
+                Api.sleep 1
+              done)
+        in
+        let late =
+          Api.spawn ~loc ~name:"late" (fun () ->
+              Api.sleep 200;
+              advance ())
+        in
+        Api.Mutex.lock ~loc m;
+        while Api.read ~loc stage < 2 do
+          Api.Cond.wait ~loc cv m
+        done;
+        Api.Mutex.unlock ~loc m;
+        Api.write ~loc stop 1;
+        List.iter (Api.join ~loc) [ first; busy; late ];
+        true)
+  in
+  check_clean outcome;
+  Alcotest.(check (option bool)) "main completed" (Some true) result
+
+let test_chain_progress_restarts_the_check () =
+  (* main joins a waiter that waits on two condition variables in turn,
+     each signalled before only by a finished thread, while a daemon
+     polls a stop flag every 3 ticks.  A sleeper signals the first when
+     it next wakes and the second one 50-tick sleep later.  The waiter's
+     wake-up in between must restart the check: without that, its
+     second wait counts as orphaned since before the sleeper's first
+     wake-up, and the run stops before the second signal *)
+  let outcome, result =
+    run (fun () ->
+        let m = Api.Mutex.create ~loc "m" in
+        let c1 = Api.Cond.create ~loc "c1" in
+        let c2 = Api.Cond.create ~loc "c2" in
+        let f1 = Api.alloc ~loc 1 in
+        let f2 = Api.alloc ~loc 1 in
+        let stop = Api.alloc ~loc 1 in
+        Api.join ~loc (Api.spawn ~loc ~name:"a" (fun () -> Api.Cond.signal ~loc c1));
+        Api.join ~loc (Api.spawn ~loc ~name:"b" (fun () -> Api.Cond.signal ~loc c2));
+        let poller =
+          Api.spawn ~loc ~name:"poller" (fun () ->
+              while Api.read ~loc stop = 0 do
+                Api.sleep 3
+              done)
+        in
+        let await c f =
+          while Api.read ~loc f = 0 do
+            Api.Cond.wait ~loc c m
+          done
+        in
+        let waiter =
+          Api.spawn ~loc ~name:"waiter" (fun () ->
+              Api.Mutex.lock ~loc m;
+              await c1 f1;
+              await c2 f2;
+              Api.Mutex.unlock ~loc m)
+        in
+        let set c f =
+          Api.Mutex.lock ~loc m;
+          Api.write ~loc f 1;
+          Api.Cond.signal ~loc c;
+          Api.Mutex.unlock ~loc m
+        in
+        let late =
+          Api.spawn ~loc ~name:"late" (fun () ->
+              Api.sleep 50;
+              set c1 f1;
+              Api.sleep 50;
+              set c2 f2)
+        in
+        Api.join ~loc waiter;
+        Api.write ~loc stop 1;
+        List.iter (Api.join ~loc) [ poller; late ];
+        true)
+  in
+  check_clean outcome;
+  Alcotest.(check (option bool)) "main completed" (Some true) result
 
 (* --- clock / sleep / atomic ------------------------------------------ *)
 
@@ -429,11 +638,23 @@ let test_op_budget () =
   in
   let outcome =
     Engine.run vm (fun () ->
-        while true do
-          Api.yield ()
-        done)
+        let spinner =
+          Api.spawn ~loc ~name:"spinner" (fun () ->
+              while true do
+                Api.yield ()
+              done)
+        in
+        Api.join ~loc spinner)
   in
-  Alcotest.(check bool) "livelock cut off by op budget" true (outcome.deadlock <> None)
+  Alcotest.(check string) "livelock cut off by op budget" "op-budget" (Engine.stop_name (Engine.stop_of outcome));
+  match outcome.deadlock with
+  | None -> Alcotest.fail "no budget report"
+  | Some d ->
+      (* main spent 2 of the 1001 ops (spawn, join); the spinner the rest *)
+      Alcotest.(check (list (pair int string)))
+        "every live thread named with its state and op count"
+        [ (0, "(main) waits for termination of thread 1 (2 ops)"); (1, "(spinner) is running (999 ops)") ]
+        d.dl_stuck
 
 let test_frames_stack () =
   let stacks = ref [] in
@@ -731,6 +952,12 @@ let suite =
       Alcotest.test_case "thread pool completes" `Quick test_thread_pool_processes_all;
       Alcotest.test_case "deadlock detected" `Quick test_deadlock_detected;
       Alcotest.test_case "lost signal hang" `Quick test_lost_signal_hang;
+      Alcotest.test_case "orphaned wait stops as a hang" `Quick test_orphaned_wait_hangs;
+      Alcotest.test_case "late first signal is not a hang" `Quick test_late_first_signal_is_not_a_hang;
+      Alcotest.test_case "late first post is not a hang" `Quick test_late_first_post_is_not_a_hang;
+      Alcotest.test_case "first signal at next wake is not a hang" `Quick
+        test_first_signal_at_next_wake_is_not_a_hang;
+      Alcotest.test_case "chain progress restarts the check" `Quick test_chain_progress_restarts_the_check;
       Alcotest.test_case "sleep advances clock" `Quick test_sleep_advances_clock;
       Alcotest.test_case "atomic rmw indivisible" `Quick test_atomic_rmw_indivisible;
       Alcotest.test_case "atomic cas" `Quick test_atomic_cas;
