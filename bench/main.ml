@@ -783,8 +783,8 @@ let storm_rows ~quick ~blocks ~seed =
 
 (* --- domain-scaling suite ------------------------------------------- *)
 
-(* The quick chaos grid run whole, once per domain count: the
-   work-stealing pool's headline number (cells/sec vs domains) plus the
+(* The quick chaos grid run whole, once per domain count: the domain
+   pool's headline number (cells/sec vs domains) plus the
    determinism pin that justifies it — the concatenated per-cell
    digests must be byte-identical on every leg, or we exit 2.  The
    quick grid bounds the suite's runtime even in full mode; speedup is
@@ -796,7 +796,6 @@ type scaling_row = {
   sc_cells : int;
   sc_seconds : float;
   sc_speedup : float;  (** vs the 1-domain leg of the same process *)
-  sc_steals : int;
   sc_digest : string;  (** MD5 over the per-cell digests, in cell order *)
 }
 
@@ -811,11 +810,11 @@ let scaling_rows ~seed =
       time 1 (fun () ->
           result :=
             Some
-              (Raceguard_par.Par.map_cells_stats ~domains
+              (Raceguard_par.Par.map_cells ~domains
                  (fun (plan, tc, resilient) -> R.Chaos.run_cell config ~plan ~resilient tc)
                  grid))
     in
-    let cells, stats = Option.get !result in
+    let cells = Option.get !result in
     let digest =
       Array.to_list cells
       |> List.map (fun (c : R.Chaos.cell) ->
@@ -828,7 +827,6 @@ let scaling_rows ~seed =
       sc_cells = Array.length cells;
       sc_seconds = seconds;
       sc_speedup = 1.;
-      sc_steals = stats.Raceguard_par.Par.st_steals;
       sc_digest = digest;
     }
   in
@@ -879,7 +877,6 @@ let scaling_json l =
       ("seconds", J.Num l.sc_seconds);
       ("cells_per_sec", J.Num (float_of_int l.sc_cells /. l.sc_seconds));
       ("speedup", J.Num l.sc_speedup);
-      ("steals", J.int l.sc_steals);
       ("digest", J.Str l.sc_digest);
     ]
 
@@ -909,13 +906,12 @@ let print_summary rows scaling =
       Printf.printf "%-19s %-28s %8d %12.0f %8.3f %9.2f %7d\n" r.r_workload r.r_config
         r.r_events (events_per_sec r) r.r_normalized (words_per_event r) r.r_reports)
     rows;
-  Printf.printf "%-10s %8s %10s %14s %8s %8s\n" "scaling" "domains" "cells" "cells/sec"
-    "speedup" "steals";
+  Printf.printf "%-10s %8s %10s %14s %8s\n" "scaling" "domains" "cells" "cells/sec" "speedup";
   List.iter
     (fun l ->
-      Printf.printf "%-10s %8d %10d %14.2f %8.2f %8d\n" "" l.sc_domains l.sc_cells
+      Printf.printf "%-10s %8d %10d %14.2f %8.2f\n" "" l.sc_domains l.sc_cells
         (float_of_int l.sc_cells /. l.sc_seconds)
-        l.sc_speedup l.sc_steals)
+        l.sc_speedup)
     scaling
 
 (* --- baseline comparison ------------------------------------------- *)

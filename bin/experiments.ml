@@ -100,16 +100,7 @@ let explain_cmd =
       & opt (some string) None
       & info [ "metrics" ] ~docv:"FILE" ~doc:"write the run's metrics snapshot JSON to $(docv)")
   in
-  let domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "worker domains: run each detector configuration as its own cell on the \
-             work-stealing pool (1 = sequential, 0 = auto); warnings and attribution are \
-             identical for any value")
-  in
-  let run test from_trace window json seed trace sample metrics domains =
+  let run test from_trace window json seed trace sample metrics =
     match from_trace with
     | Some file -> (
         match Raceguard_trace.Reader.of_file file with
@@ -136,7 +127,7 @@ let explain_cmd =
           | Some _ -> Some (Obs.Trace.create ~capacity:65536 ~sample ())
         in
         let runner = { Raceguard.Runner.default with seed; tracer } in
-        let x = Raceguard.Explain.run ~runner ~domains tc in
+        let x = Raceguard.Explain.run ~runner tc in
         if json then print_endline (Obs.Json.to_string ~indent:2 (Raceguard.Explain.to_json x))
         else Fmt.pr "%a@." Raceguard.Explain.pp x;
         (match (trace, tracer) with
@@ -163,7 +154,7 @@ let explain_cmd =
     Term.(
       ret
         (const run $ test_arg $ from_trace_arg $ window_arg $ json_arg $ seed_arg $ trace_arg
-       $ sample_arg $ metrics_arg $ domains_arg))
+       $ sample_arg $ metrics_arg))
 
 let chaos_cmd =
   let doc =

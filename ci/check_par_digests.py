@@ -11,11 +11,12 @@ Checks, in order:
   1. the chaos report parses, has schema raceguard-chaos/1, and every
      per-cell (sig_digest, behavior_digest) plus the matrix digest is
      byte-identical to the committed sequential pin;
-  2. the bench JSON parses, has schema raceguard-bench/3, and every
-     (workload, config) row's events, reports and sig_digest equal the
-     committed baseline's row (parallel audit == sequential audit; the
-     events come from the domain-local metrics registry, so this also
-     checks that registry under the pool);
+  2. the bench JSON parses, has schema raceguard-bench/3, its rows
+     cover exactly the baseline's (workload, config) keys (none missing,
+     none extra, and never zero rows), and every row's events, reports
+     and sig_digest equal the committed baseline's row (parallel audit
+     == sequential audit; the events come from the domain-local metrics
+     registry, so this also checks that registry under the pool);
   3. the scaling array's legs all carry the same digest (the bench
      binary already exits 2 on mismatch; this re-asserts from the
      artifact), and — only when this runner has >= 4 CPUs — the
@@ -77,20 +78,27 @@ def check_bench(bench_path: str, baseline_path: str) -> list:
             fail(f"{name} schema {doc.get('schema')!r}")
     fields = ("events", "reports", "sig_digest")
     want = {(r["workload"], r["config"]): r for r in base["results"]}
-    checked = 0
-    for r in x["results"]:
-        key = (r["workload"], r["config"])
-        if key not in want:
-            fail(f"row {key} missing from the committed baseline")
+    got = {(r["workload"], r["config"]): r for r in x["results"]}
+    if not got:
+        fail("bench JSON has no result rows")
+    if len(got) != len(x["results"]):
+        fail("bench JSON repeats a (workload, config) row")
+    if got.keys() != want.keys():
+        missing = sorted(want.keys() - got.keys())
+        extra = sorted(got.keys() - want.keys())
+        fail(
+            f"bench rows differ from the committed baseline: "
+            f"{len(missing)} missing {missing[:3]}, {len(extra)} extra {extra[:3]}"
+        )
+    for key, r in got.items():
         for field in fields:
             if r[field] != want[key][field]:
                 fail(
                     f"row {'/'.join(key)} {field} {r[field]} "
                     f"!= baseline {want[key][field]}"
                 )
-        checked += 1
     print(
-        f"bench: {checked} rows' {', '.join(fields)} at domains={x.get('domains')} "
+        f"bench: all {len(got)} rows' {', '.join(fields)} at domains={x.get('domains')} "
         f"identical to bench/baseline.json"
     )
     return x["scaling"]

@@ -400,7 +400,7 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
 type report = {
   rp_seed : int;
   rp_fast_path : bool;
-  rp_domains : int;  (** worker domains the grid actually ran on *)
+  rp_domains : int;  (** worker domains requested, after {!Raceguard_par.Par.resolve} *)
   rp_cells : cell list;
   rp_resilient_violations : int;  (** cells with resilience ON that violate *)
   rp_baseline_violations : int;  (** cells with resilience OFF that violate *)

@@ -23,7 +23,7 @@ type config = {
       (** detector fast-path toggle — guaranteed not to change digests *)
   max_ops : int;
   domains : int;
-      (** worker domains for the cell grid (work-stealing pool,
+      (** worker domains for the cell grid (the domain pool,
           [lib/par/]); 1 = sequential, 0 = auto — guaranteed not to
           change digests either *)
   record_dir : string option;
@@ -82,7 +82,7 @@ val grid : config -> (Faults.Plan.t * Sip.Workload.test_case * bool) array
     plans outermost, then tests, resilient before baseline; the T1–T8
     grid first, then the shard-plan × scenario grid.  Exposed
     so harnesses (the bench scaling suite) can drive {!run_cell} over
-    the pool themselves and read the steal statistics. *)
+    the pool themselves. *)
 
 type report = {
   rp_seed : int;

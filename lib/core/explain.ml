@@ -67,7 +67,6 @@ type t = {
   x_base : Det.Helgrind.config;
   x_knobs : string list;  (** knobs that were attributable *)
   x_seed : int;
-  x_domains : int;
   x_warnings : explained list;
   x_result : Runner.result;
 }
@@ -80,61 +79,22 @@ let test_case_of_string name =
 (** Run [tc] with the base configuration plus one variant per
     applicable knob, all on the same event stream, and attribute every
     base warning.  [base] defaults to the paper's Original
-    configuration; provenance recording is forced on.
-
-    With [domains > 1] each configuration becomes its own cell on the
-    work-stealing pool: the VM is deterministic in (seed, policy,
-    workload) and detectors are pure observers, so a single-config
-    rerun sees byte-for-byte the schedule the side-by-side attachment
-    would, and the per-config location sets — hence the attribution —
-    are identical.  Only the metrics snapshot differs (N runs do N
-    times the VM work); it is the {!Obs.Metrics.merge} of the cells. *)
-let run ?(runner = Runner.default) ?(base = Det.Helgrind.original) ?(domains = 1) tc =
+    configuration; provenance recording is forced on. *)
+let run ?(runner = Runner.default) ?(base = Det.Helgrind.original) tc =
   let base = { base with Det.Helgrind.provenance = true } in
   let applicable = List.filter (fun k -> k.k_applicable base) knobs in
   let helgrind_configs =
     ("base", base) :: List.map (fun k -> (k.k_name, k.k_apply base)) applicable
   in
-  let domains = Raceguard_par.Par.resolve domains in
-  let cells =
-    if domains <= 1 then
-      (* classic side-by-side attachment: one VM run, every config
-         observing the same serialised stream *)
-      let result = Runner.run_test_case { runner with helgrind_configs } tc in
-      List.map (fun (name, _) -> (name, result)) helgrind_configs
-    else
-      (* one single-config cell per configuration; the tracer (a shared
-         mutable ring) rides only with the base cell *)
-      Raceguard_par.Par.map_cells ~domains
-        (fun (name, cfg) ->
-          let tracer = if String.equal name "base" then runner.Runner.tracer else None in
-          ( name,
-            Runner.run_test_case
-              { runner with helgrind_configs = [ (name, cfg) ]; tracer }
-              tc ))
-        (Array.of_list helgrind_configs)
-      |> Array.to_list
-  in
-  let result_of name = List.assoc name cells in
-  let result =
-    let base_result = result_of "base" in
-    if domains <= 1 then base_result
-    else
-      let merged =
-        List.fold_left
-          (fun acc (_, r) -> Obs.Metrics.merge acc r.Runner.metrics)
-          Obs.Metrics.empty cells
-      in
-      { base_result with Runner.metrics = merged }
-  in
+  let result = Runner.run_test_case { runner with helgrind_configs } tc in
   let variant_sigs =
     List.map
       (fun k ->
-        (k.k_name, Classify.signature_set (Runner.locations_of (result_of k.k_name) k.k_name)))
+        (k.k_name, Classify.signature_set (Runner.locations_of result k.k_name)))
       applicable
   in
   let warnings =
-    Runner.locations_of (result_of "base") "base"
+    Runner.locations_of result "base"
     |> List.map (fun ((r : Det.Report.t), n) ->
            let sg = Det.Report.signature r in
            let suppressed =
@@ -152,7 +112,6 @@ let run ?(runner = Runner.default) ?(base = Det.Helgrind.original) ?(domains = 1
     x_base = base;
     x_knobs = List.map (fun k -> k.k_name) applicable;
     x_seed = runner.Runner.seed;
-    x_domains = domains;
     x_warnings = warnings;
     x_result = result;
   }
@@ -160,8 +119,8 @@ let run ?(runner = Runner.default) ?(base = Det.Helgrind.original) ?(domains = 1
 (* --- rendering ----------------------------------------------------- *)
 
 let pp ppf x =
-  Fmt.pf ppf "Explaining %s under %a (seed %d, %d domain(s))@\n" x.x_test
-    Det.Helgrind.pp_config_name x.x_base x.x_seed x.x_domains;
+  Fmt.pf ppf "Explaining %s under %a (seed %d)@\n" x.x_test Det.Helgrind.pp_config_name
+    x.x_base x.x_seed;
   Fmt.pf ppf "Knobs tried: %s@\n" (String.concat ", " x.x_knobs);
   Fmt.pf ppf "%d distinct warning location(s)@\n" (List.length x.x_warnings);
   List.iteri
@@ -182,7 +141,6 @@ let to_json x =
       ("schema", Json.Str "raceguard-explain/1");
       ("test", Json.Str x.x_test);
       ("seed", Json.int x.x_seed);
-      ("domains", Json.int x.x_domains);
       ("base_config", Det.Helgrind.config_to_json x.x_base);
       ("knobs", Json.List (List.map (fun k -> Json.Str k) x.x_knobs));
       ( "warnings",

@@ -33,7 +33,6 @@ type t = {
   x_base : Det.Helgrind.config;
   x_knobs : string list;  (** the knobs that were attributable *)
   x_seed : int;
-  x_domains : int;  (** resolved worker-domain count the rerun used *)
   x_warnings : explained list;
   x_result : Runner.result;
 }
@@ -44,16 +43,11 @@ val test_case_of_string : string -> Sip.Workload.test_case option
 val run :
   ?runner:Runner.config ->
   ?base:Det.Helgrind.config ->
-  ?domains:int ->
   Sip.Workload.test_case ->
   t
 (** [base] defaults to the paper's Original configuration (so hwlc and
     dr are attributable).  Pass [runner] to control seed / policy /
-    tracer.  [domains] (default 1; 0 = auto) runs each configuration
-    as its own cell on the work-stealing pool — the VM is
-    deterministic, so warnings and attribution are identical to the
-    sequential side-by-side run; only the metrics snapshot (merged
-    across cells) reflects the extra VM replays. *)
+    tracer. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human rendering: each warning with its Valgrind-style report, its

@@ -22,7 +22,6 @@ type config = {
   run_fasttrack : bool;
   run_lock_order : bool;
   server : Sip.Proxy.config;
-  trace_events : bool;
   max_ops : int;
   tracer : Obs.Trace.t option;
       (** offered every VM event and every detector decision *)
@@ -47,7 +46,6 @@ let default =
     run_fasttrack = false;
     run_lock_order = false;
     server = { Sip.Proxy.default_config with annotate = true };
-    trace_events = false;
     max_ops = 50_000_000;
     tracer = None;
     faults = None;
@@ -72,7 +70,6 @@ let run_main config main =
       Vm.Engine.seed = config.seed;
       policy = config.policy;
       reuse_memory = true;
-      trace_events = config.trace_events;
       max_ops = config.max_ops;
       tracer = config.tracer;
       faults = config.faults;

@@ -21,7 +21,6 @@ type config = {
   run_fasttrack : bool;  (** epoch-based HB detector alongside (or instead) *)
   run_lock_order : bool;
   server : Sip.Proxy.config;
-  trace_events : bool;
   max_ops : int;
   tracer : Obs.Trace.t option;
       (** installed on the VM and on every Helgrind instance, so one

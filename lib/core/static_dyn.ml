@@ -83,7 +83,7 @@ let cross_check ~(static : Static.result) ~(dynamic : Report.t list) : t =
   }
 
 (** Multi-seed cross-check: replay the program under [run] once per
-    seed (each replay a cell on the work-stealing pool) and compare
+    seed (each replay a cell on the domain pool) and compare
     the static findings against the {e union} of the dynamic
     signatures.  More schedules shrink the static-only bucket — an
     unexecuted path on seed 1 may execute on seed 42.  Set union is

@@ -29,7 +29,7 @@ val cross_check_seeds :
 (** [cross_check_seeds ~domains ~static ~run seeds] replays the
     program once per seed ([run seed] must return that schedule's
     dynamic reports, a pure function of the seed) — each replay a cell
-    on the work-stealing pool — and cross-checks against the union of
+    on the domain pool — and cross-checks against the union of
     the dynamic signatures.  Seeds are de-duplicated and sorted;
     verdicts are identical for any [domains] (1 = sequential,
     0 = auto). *)

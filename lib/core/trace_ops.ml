@@ -7,7 +7,7 @@
       are requested) and returns the sealed trace;
     - {!replay_parallel} drives any subset of the ten registry
       configurations over a decoded trace, optionally fanned across
-      domains with the work-stealing pool — detector instances are
+      domains with the domain pool — detector instances are
       per-cell, so verdicts are identical for any domain count;
     - {!info_json} / {!diff_json} are the machine-readable views the
       CLI prints ([raceguard-trace-info/1], [raceguard-trace-diff/1]);
@@ -131,11 +131,11 @@ let test_case_of_string = Explain.test_case_of_string
 
 (* --- replay --------------------------------------------------------- *)
 
-(** Fan the named configurations over [trace] on the work-stealing
-    pool: one cell per configuration, each with a fresh detector
-    instance.  Sequential ([domains = 1]) and parallel runs produce
-    identical verdicts — the replayed stream is immutable and the
-    detectors share no state. *)
+(** Fan the named configurations over [trace] on the domain pool: one
+    cell per configuration, each with a fresh detector instance.
+    Sequential ([domains = 1]) and parallel runs produce identical
+    verdicts — the replayed stream is immutable and the detectors
+    share no state. *)
 let replay_parallel ?(domains = 1) ?(configs = Det.Offline.configs) trace =
   let domains = Par.resolve domains in
   Par.map_cells ~domains (Det.Offline.replay_config trace) (Array.of_list configs)

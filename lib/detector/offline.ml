@@ -211,5 +211,5 @@ let replay_config trace name =
   verdict_of_sink ~events:(Trace.Reader.length trace) s
 
 (** Sequential replay of several configurations (the parallel version
-    lives in [lib/core], on the work-stealing pool). *)
+    lives in [lib/core], on the domain pool). *)
 let replay_all ?(configs = configs) trace = List.map (replay_config trace) configs

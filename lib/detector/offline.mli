@@ -102,4 +102,4 @@ val replay_config : Trace.Reader.t -> string -> verdict
 
 val replay_all : ?configs:string list -> Trace.Reader.t -> verdict list
 (** Sequential multi-config replay (the parallel fan-out lives in
-    [lib/core], on the work-stealing pool). *)
+    [lib/core], on the domain pool). *)

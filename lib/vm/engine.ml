@@ -42,9 +42,6 @@ let h_thread_ops = Metrics.histogram "vm.ops_per_thread"
 type policy =
   | Round_robin  (** strict FIFO over ready threads *)
   | Random_seeded  (** uniformly random among ready threads (uses seed) *)
-  | Sticky
-      (** keep running the current thread until it blocks or exits;
-          models a coarse-grained interleaving with few switches *)
   | Scripted of int array
       (** replay a decision script: the k-th scheduling decision picks
           ready thread [script.(k) mod n]; past the end of the script
@@ -54,14 +51,12 @@ type policy =
 let pp_policy ppf = function
   | Round_robin -> Fmt.string ppf "round-robin"
   | Random_seeded -> Fmt.string ppf "random"
-  | Sticky -> Fmt.string ppf "sticky"
   | Scripted s -> Fmt.pf ppf "scripted[%d]" (Array.length s)
 
 type config = {
   seed : int;
   policy : policy;
   reuse_memory : bool;
-  trace_events : bool;  (** record the full event trace (offline analysis) *)
   max_ops : int;  (** safety valve against runaway simulations *)
   tracer : Trace.t option;
       (** when set, every emitted event is offered to this sampling
@@ -79,7 +74,6 @@ let default_config =
     seed = 1;
     policy = Random_seeded;
     reuse_memory = true;
-    trace_events = false;
     max_ops = 50_000_000;
     tracer = None;
     faults = None;
@@ -198,7 +192,6 @@ type outcome = {
   deadlock : deadlock option;
   failures : (int * string * exn) list;  (** threads that raised *)
   stats : run_stats;
-  trace : Event.t array;  (** empty unless [trace_events] *)
 }
 
 let stop_of o = match o.deadlock with None -> Clean | Some d -> d.dl_stop
@@ -238,7 +231,6 @@ type t = {
   mutable events : int;  (** published to [vm.events_emitted] at the end of {!run} *)
   mutable switches : int;
   mutable tools : Tool.t list;
-  mutable trace : Event.t Growvec.t;
   mutable benign_ranges : (int * int) list;
   mutable decisions : (int * int) list;
       (** reverse log of (chosen index, arity) for decision points with
@@ -296,7 +288,6 @@ let create ?(config = default_config) () =
     events = 0;
     switches = 0;
     tools = [];
-    trace = Growvec.create ~dummy:(Event.E_thread_exit { tid = -1 });
     benign_ranges = [];
     decisions = [];
     cached_ctx = None;
@@ -339,7 +330,6 @@ let rec dispatch ctx event = function
 
 let emit t event =
   t.events <- t.events + 1;
-  if t.config.trace_events then ignore (Growvec.push t.trace event);
   (match t.config.tracer with
   | None -> ()
   | Some tr ->
@@ -388,10 +378,6 @@ let pick_ready t =
       match t.config.policy with
       | Round_robin -> 0
       | Random_seeded -> Rng.int t.rng n
-      | Sticky ->
-          (* prefer the thread that ran last if it is ready *)
-          let rec find i = if i >= n then 0 else if t.ready.(i) = t.current then i else find (i + 1) in
-          find 0
       | Scripted script ->
           let k = t.decision_count in
           if k < Array.length script then script.(k) mod n else 0
@@ -400,7 +386,7 @@ let pick_ready t =
       t.decision_count <- t.decision_count + 1;
       match t.config.policy with
       | Scripted _ -> t.decisions <- (choice, n) :: t.decisions
-      | Round_robin | Random_seeded | Sticky -> ()
+      | Round_robin | Random_seeded -> ()
     end;
     take_ready_at t choice
   end
@@ -1070,5 +1056,4 @@ let run t main =
         memory_allocs = Memory.total_allocs t.memory;
         memory_live_words = Memory.live_words t.memory;
       };
-    trace = Array.init (Growvec.length t.trace) (fun i -> Growvec.get t.trace i);
   }

@@ -11,9 +11,6 @@
 type policy =
   | Round_robin  (** strict FIFO over ready threads *)
   | Random_seeded  (** uniformly random among ready threads (uses seed) *)
-  | Sticky
-      (** keep running the current thread until it blocks or exits;
-          models a coarse-grained interleaving with few switches *)
   | Scripted of int array
       (** replay a decision script: the k-th nontrivial scheduling
           decision picks ready thread [script.(k) mod n]; past the end
@@ -26,7 +23,6 @@ type config = {
   seed : int;
   policy : policy;
   reuse_memory : bool;  (** allocator recycles freed blocks *)
-  trace_events : bool;  (** record the full event trace in the outcome *)
   max_ops : int;  (** safety valve against runaway simulations *)
   tracer : Raceguard_obs.Trace.t option;
       (** offer every emitted event to this sampling ring tracer
@@ -87,7 +83,6 @@ type outcome = {
       (** threads that raised, as (tid, name, exn); API misuse (bad
           unlock, double free, out-of-bounds access) lands here *)
   stats : run_stats;
-  trace : Event.t array;  (** empty unless [config.trace_events] *)
 }
 
 val stop_of : outcome -> stop

@@ -1,114 +1,16 @@
-(* The work-stealing pool (lib/par/): deque linearizability against a
-   sequential model, no lost or duplicated cells under real concurrent
-   stealing, the map_cells ≡ Array.map contract, exception
-   propagation, --domains 0 resolution — and the determinism pin the
-   whole PR rests on: chaos and bench-style digests are byte-identical
-   for --domains 1/2/4 on seeds 7 and 42. *)
+(* The domain pool (lib/par/): the map_cells ≡ Array.map contract with
+   every cell run exactly once, exception propagation, the worker count
+   (capped by the cells and by the runtime's domain limit), the
+   one-domain path running on the caller in index order, --domains 0
+   resolution — and the determinism pin the pool rests on: chaos and
+   bench-style digests are byte-identical for --domains 1/2/4 on seeds
+   7 and 42. *)
 
 module Par = Raceguard_par.Par
-module Deque = Raceguard_par.Deque
 module R = Raceguard
 module Det = Raceguard_detector
 module Vm = Raceguard_vm
 module Sip = Raceguard_sip
-
-(* --- deque vs sequential model ------------------------------------- *)
-
-(* The owner-side sequence (push/pop bottom) interleaved with top-side
-   steals, all on one domain: every op must agree with a list model
-   where the front is the steal end and the back is the push end. *)
-type op = Push | Pop | Steal
-
-let gen_ops =
-  QCheck2.Gen.(
-    list_size (int_range 1 200)
-      (oneof [ return Push; return Pop; return Steal ]))
-
-let pp_ops ops =
-  String.concat ""
-    (List.map (function Push -> "u" | Pop -> "o" | Steal -> "s") ops)
-
-let qc_deque_model =
-  QCheck2.Test.make ~count:300 ~name:"deque agrees with the list model"
-    ~print:pp_ops gen_ops (fun ops ->
-      let d = Deque.create ~capacity:(List.length ops + 1) in
-      let model = ref [] (* front = steal end, back = push/pop end *) in
-      let next = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | Push ->
-              Deque.push d !next;
-              model := !model @ [ !next ];
-              incr next
-          | Pop -> (
-              let got = Deque.pop d in
-              match (got, List.rev !model) with
-              | Some x, y :: rest_rev ->
-                  if x <> y then ok := false;
-                  model := List.rev rest_rev
-              | None, [] -> ()
-              | _ -> ok := false)
-          | Steal -> (
-              (* single-domain: a steal may never observe Retry *)
-              match (Deque.steal d, !model) with
-              | Deque.Stolen x, y :: rest ->
-                  if x <> y then ok := false;
-                  model := rest
-              | Deque.Empty, [] -> ()
-              | _ -> ok := false))
-        ops;
-      !ok && Deque.size d = List.length !model)
-
-(* --- concurrent steals: nothing lost, nothing duplicated ------------ *)
-
-(* One owner pushes [n] tokens and pops between pushes; [thieves]
-   domains steal concurrently the whole time.  Afterwards the union of
-   everything popped and everything stolen must be exactly {0..n-1},
-   each token once. *)
-let qc_deque_concurrent =
-  QCheck2.Test.make ~count:25 ~name:"concurrent steals lose/duplicate nothing"
-    ~print:QCheck2.Print.(pair int int)
-    QCheck2.Gen.(pair (int_range 50 400) (int_range 1 3))
-    (fun (n, thieves) ->
-      let d = Deque.create ~capacity:n in
-      let stop = Atomic.make false in
-      let stolen = Array.init thieves (fun _ -> ref []) in
-      let domains =
-        Array.init thieves (fun i ->
-            Domain.spawn (fun () ->
-                let mine = stolen.(i) in
-                while not (Atomic.get stop) do
-                  (match Deque.steal d with
-                  | Deque.Stolen x -> mine := x :: !mine
-                  | Deque.Empty | Deque.Retry -> ());
-                  Domain.cpu_relax ()
-                done))
-      in
-      let popped = ref [] in
-      for x = 0 to n - 1 do
-        Deque.push d x;
-        (* pop roughly every third push, mid-stream *)
-        if x mod 3 = 0 then
-          match Deque.pop d with Some y -> popped := y :: !popped | None -> ()
-      done;
-      (* drain what the thieves left behind *)
-      let rec drain () =
-        match Deque.pop d with
-        | Some y ->
-            popped := y :: !popped;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      Atomic.set stop true;
-      Array.iter Domain.join domains;
-      let all =
-        !popped @ List.concat_map (fun r -> !r) (Array.to_list stolen)
-      in
-      List.sort_uniq compare all = List.init n Fun.id
-      && List.length all = n)
 
 (* --- map_cells ≡ Array.map ----------------------------------------- *)
 
@@ -124,23 +26,57 @@ let qc_map_cells_is_map =
         (fun domains -> Par.map_cells ~domains f cells = expect)
         [ 1; 2; 4 ])
 
+(* Cells of uneven cost (a spin proportional to the generated weight),
+   so workers interleave their claims; each cell bumps its own run
+   counter, which must read exactly 1 afterwards. *)
+let spin weight =
+  let acc = ref 0 in
+  for i = 1 to weight * 2000 do
+    acc := !acc + i
+  done;
+  Sys.opaque_identity !acc
+
+let qc_each_cell_once =
+  QCheck2.Test.make ~count:80 ~name:"every cell runs exactly once, uneven costs"
+    ~print:QCheck2.Print.(pair int (list int))
+    QCheck2.Gen.(pair (oneofl [ 1; 2; 3; 4; 8 ]) (list_size (int_range 0 64) (int_range 0 40)))
+    (fun (domains, weights) ->
+      let cells = Array.of_list weights in
+      let runs = Array.map (fun _ -> Atomic.make 0) cells in
+      let value i w = (i * 31) + w in
+      let got =
+        Par.map_cells ~domains
+          (fun (i, w) ->
+            Atomic.incr runs.(i);
+            ignore (spin w);
+            value i w)
+          (Array.mapi (fun i w -> (i, w)) cells)
+      in
+      got = Array.mapi value cells && Array.for_all (fun r -> Atomic.get r = 1) runs)
+
 let exn_propagation () =
   (* all cells still run; the lowest-index failure is re-raised *)
-  let ran = Array.make 8 false in
-  let f i =
-    ran.(i) <- true;
-    if i = 5 || i = 2 then failwith (Printf.sprintf "cell %d" i) else i
-  in
+  let n = 8 in
+  let ran = Array.make n false in
   List.iter
-    (fun domains ->
-      (match Par.map_cells ~domains f (Array.init 8 Fun.id) with
-      | _ -> Alcotest.fail "expected an exception"
-      | exception Failure msg ->
-          Alcotest.(check string) "lowest-index failure wins" "cell 2" msg);
-      Alcotest.(check bool) "every cell still ran" true
-        (Array.for_all Fun.id ran);
-      Array.fill ran 0 8 false)
-    [ 1; 2; 4 ]
+    (fun failing ->
+      let f i =
+        ran.(i) <- true;
+        if List.mem i failing then failwith (Printf.sprintf "cell %d" i) else i
+      in
+      let first = Printf.sprintf "cell %d" (List.fold_left min n failing) in
+      List.iter
+        (fun domains ->
+          (match Par.map_cells ~domains f (Array.init n Fun.id) with
+          | _ -> Alcotest.fail "expected an exception"
+          | exception Failure msg ->
+              Alcotest.(check string)
+                (Printf.sprintf "lowest-index failure wins at %d domains" domains)
+                first msg);
+          Alcotest.(check bool) "every cell still ran" true (Array.for_all Fun.id ran);
+          Array.fill ran 0 n false)
+        [ 1; 2; 4; 8 ])
+    [ [ 5; 2 ]; [ 0; n - 1 ]; [ n - 1 ] ]
 
 let resolve_auto () =
   Alcotest.(check int) "resolve keeps explicit counts" 3 (Par.resolve 3);
@@ -150,11 +86,45 @@ let resolve_auto () =
   Alcotest.(check int) "negative also resolves" r (Par.resolve (-2))
 
 let stats_cover_cells () =
-  let cells = Array.init 16 Fun.id in
-  let _, st = Par.map_cells_stats ~domains:4 (fun x -> x + 1) cells in
-  Alcotest.(check int) "every cell counted" 16 st.Par.st_cells;
-  Alcotest.(check bool) "steals within bounds" true
-    (st.Par.st_steals >= 0 && st.Par.st_steals <= 16)
+  List.iter
+    (fun (domains, n) ->
+      let _, st = Par.map_cells_stats ~domains (fun x -> x + 1) (Array.init n Fun.id) in
+      let case = Printf.sprintf "%d domains, %d cells" domains n in
+      Alcotest.(check int) (case ^ ": every cell counted") n st.Par.st_cells;
+      Alcotest.(check int) (case ^ ": workers") (max 1 (min domains n)) st.Par.st_domains;
+      Alcotest.(check int) (case ^ ": no steals") 0 st.Par.st_steals)
+    [ (4, 16); (1, 16); (8, 3); (2, 1); (4, 0) ]
+
+(* perfbench's per-domain split and the per-domain first-use state
+   (vtable numbering) both rely on this *)
+let one_domain_on_caller () =
+  let caller = Domain.self () in
+  let seen = ref [] in
+  let f i =
+    seen := (i, Domain.self () = caller) :: !seen;
+    i
+  in
+  let _, st = Par.map_cells_stats ~domains:1 f (Array.init 10 Fun.id) in
+  Alcotest.(check (list (pair int bool)))
+    "cells 0..9 in order, on the calling domain"
+    (List.init 10 (fun i -> (i, true)))
+    (List.rev !seen);
+  Alcotest.(check int) "one worker" 1 st.Par.st_domains
+
+(* More workers than the runtime lets live at once (128 in OCaml 5.1):
+   the cells sleep so every spawned worker is still alive when the
+   next spawn is asked for.  Spawning stops at the first refusal and
+   the workers already running finish every cell. *)
+let beyond_domain_limit () =
+  let cells = Array.init 200 Fun.id in
+  let got =
+    Par.map_cells ~domains:200
+      (fun i ->
+        Unix.sleepf 0.05;
+        i * 2)
+      cells
+  in
+  Alcotest.(check (array int)) "≡ Array.map" (Array.map (fun i -> i * 2) cells) got
 
 (* --- determinism pins: chaos and bench digests --------------------- *)
 
@@ -221,12 +191,13 @@ let bench_pin seed () =
 let suite =
   ( "par",
     [
-      QCheck_alcotest.to_alcotest qc_deque_model;
-      QCheck_alcotest.to_alcotest qc_deque_concurrent;
       QCheck_alcotest.to_alcotest qc_map_cells_is_map;
+      QCheck_alcotest.to_alcotest qc_each_cell_once;
       Alcotest.test_case "exception propagation" `Quick exn_propagation;
+      Alcotest.test_case "one domain: caller, index order" `Quick one_domain_on_caller;
       Alcotest.test_case "--domains 0 resolution" `Quick resolve_auto;
       Alcotest.test_case "pool stats cover every cell" `Quick stats_cover_cells;
+      Alcotest.test_case "more domains than the runtime allows" `Quick beyond_domain_limit;
       Alcotest.test_case "chaos digest pin, seed 7" `Quick (chaos_pin 7);
       Alcotest.test_case "chaos digest pin, seed 42" `Quick (chaos_pin 42);
       Alcotest.test_case "bench digest pin, seed 7" `Quick (bench_pin 7);

@@ -682,28 +682,6 @@ let test_frames_stack () =
         (List.map Loc.to_string stack)
   | l -> Alcotest.failf "expected exactly one write, saw %d" (List.length l)
 
-let test_sticky_policy_fewer_switches () =
-  let switches policy =
-    let outcome, _ =
-      run ~policy (fun () ->
-          let a = Api.alloc ~loc 1 in
-          let w () =
-            for _ = 1 to 20 do
-              Api.write ~loc a 1
-            done
-          in
-          let t1 = Api.spawn ~loc ~name:"a" w in
-          let t2 = Api.spawn ~loc ~name:"b" w in
-          Api.join ~loc t1;
-          Api.join ~loc t2)
-    in
-    outcome.stats.scheduler_switches
-  in
-  (* Sticky runs each thread to completion; both policies do the same
-     amount of work, but Sticky should never context-switch more *)
-  Alcotest.(check bool) "sticky <= round-robin switching" true
-    (switches Engine.Sticky <= switches Engine.Round_robin)
-
 let test_memory_no_reuse () =
   let vm =
     Engine.create ~config:{ Engine.default_config with reuse_memory = false } ()
@@ -962,7 +940,6 @@ let suite =
       Alcotest.test_case "atomic rmw indivisible" `Quick test_atomic_rmw_indivisible;
       Alcotest.test_case "atomic cas" `Quick test_atomic_cas;
       Alcotest.test_case "op budget stops livelock" `Quick test_op_budget;
-      Alcotest.test_case "sticky policy" `Quick test_sticky_policy_fewer_switches;
       Alcotest.test_case "memory without reuse" `Quick test_memory_no_reuse;
       Alcotest.test_case "memory LIFO reuse" `Quick test_memory_reuse_lifo;
       Alcotest.test_case "queue blocks when full" `Quick test_queue_blocks_when_full;
