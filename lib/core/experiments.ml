@@ -583,19 +583,10 @@ let median l =
   a.(Array.length a / 2)
 
 let perf ?(seed = default_seed) ?(reps = 3) () =
-  let workload () = Scenarios.handoff_per_request () in
-  ignore workload;
   let run_with tools =
     let samples =
       List.init reps (fun i ->
-          let cfg =
-            {
-              Runner.default with
-              seed = seed + i;
-              helgrind_configs = tools;
-              run_djit = false;
-            }
-          in
+          let cfg = { Runner.default with seed = seed + i; helgrind_configs = tools } in
           let t, _ = time_run (fun () -> Runner.run_test_case cfg Sip.Workload.t2) in
           t)
     in

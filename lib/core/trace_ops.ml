@@ -3,8 +3,10 @@
     offline plane ({!Raceguard_detector.Offline} + {!Raceguard_trace}).
 
     - {!record_test} runs a SIP test case once with the compact binary
-      recorder attached (zero analysis unless live verification sinks
-      are requested) and returns the sealed trace;
+      recorder attached, which encodes each event as the VM emits it
+      (zero analysis unless live verification sinks are requested),
+      and returns the recorder holding the trace — the one way a trace
+      is recorded;
     - {!replay_parallel} drives any subset of the ten registry
       configurations over a decoded trace, optionally fanned across
       domains with the domain pool — detector instances are
@@ -70,62 +72,6 @@ let record_test ?(seed = 7) ?snapshot_every ?(live = []) (tc : Sip.Workload.test
     rec_outcome = outcome;
     rec_live = List.map (Det.Offline.verdict_of_sink ~events) sinks;
   }
-
-(* --- write-behind recording ----------------------------------------- *)
-
-(** Write-behind record mode.  The VM is fully deterministic in
-    (workload, seed), so the only thing a recording of the monitored
-    run has to persist {e is} (workload, seed) — the classic
-    deterministic record/replay result: log the nondeterministic
-    inputs, nothing else, and here the RNG seed is the only input.  The
-    monitored run therefore executes with {e zero} recording work
-    attached (per-event capture would cost 1.5-3x on this VM, which
-    retires ~5M events/sec — no observer that allocates or retains can
-    stay inside a 10% budget), and the binary trace — the materialized
-    event stream that lets detectors replay without re-executing — is
-    produced afterwards by a capture re-execution at save time.
-    {!materialize} runs that capture pass once and caches it; the bench
-    gates the monitored run's overhead (~1.0 by construction) and
-    reports the materialization cost as its own row, so nothing is
-    hidden. *)
-type deferred = {
-  df_test : Sip.Workload.test_case;
-  df_seed : int;
-  df_snapshot_every : int option;
-  df_outcome : Vm.Engine.outcome;  (** of the monitored run *)
-  mutable df_forced : recorded option;
-}
-
-(** The monitored run: execute [tc] with recording enabled — which,
-    write-behind, means executing it untouched and remembering the
-    determinizing inputs. *)
-let record_deferred ?(seed = 7) ?snapshot_every (tc : Sip.Workload.test_case) =
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  let transport = Sip.Transport.create () in
-  let outcome =
-    Vm.Engine.run vm (fun () ->
-        ignore
-          (Sip.Workload.run_test_case ~transport ~server_config:Runner.default.Runner.server
-             tc ()))
-  in
-  {
-    df_test = tc;
-    df_seed = seed;
-    df_snapshot_every = snapshot_every;
-    df_outcome = outcome;
-    df_forced = None;
-  }
-
-(** The capture pass: re-execute deterministically with the recorder
-    tool attached and seal the trace.  Cached — repeated saves reuse
-    the first materialization. *)
-let materialize d =
-  match d.df_forced with
-  | Some r -> r
-  | None ->
-      let r = record_test ~seed:d.df_seed ?snapshot_every:d.df_snapshot_every d.df_test in
-      d.df_forced <- Some r;
-      r
 
 let test_case_of_string = Explain.test_case_of_string
 

@@ -6,10 +6,10 @@
     techniques suffer from their need for large amounts of data."
 
     A {!recorder} is the compact binary recorder of {!Raceguard_trace}:
-    a VM tool that streams every event {e together with} the
-    introspection data a detector would have queried live (call stack,
-    heap block, clock) into a [raceguard-trace/1] byte stream —
-    interned tables, varint encoding, CRC-guarded footer.  {!replay}
+    a VM tool that encodes every event as the VM emits it, {e together
+    with} the introspection data a detector would have queried live
+    (call stack, heap block, clock), into a [raceguard-trace/1] byte
+    stream — interned tables, varint encoding, CRC-guarded footer.  {!replay}
     then feeds any detector tool the decoded stream through the
     synthetic context of {!Raceguard_trace.Reader}.  The recorder's
     [footprint_words] makes the space cost measurable — the trade-off
@@ -209,7 +209,3 @@ let replay_config trace name =
   let s = sink name in
   Trace.Reader.replay trace [ s.sk_tool ];
   verdict_of_sink ~events:(Trace.Reader.length trace) s
-
-(** Sequential replay of several configurations (the parallel version
-    lives in [lib/core], on the domain pool). *)
-let replay_all ?(configs = configs) trace = List.map (replay_config trace) configs

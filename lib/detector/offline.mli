@@ -1,8 +1,9 @@
 (** Post-mortem (offline) analysis — the §2.2 / §4.5 trade-off.
 
-    A {!recorder} streams every event, together with the introspection
-    data a detector would query live (stacks, blocks, clock), into a
-    compact [raceguard-trace/1] binary log ({!Raceguard_trace});
+    A {!recorder} encodes every event as the VM emits it, together with
+    the introspection data a detector would query live (stacks, blocks,
+    clock), into a compact [raceguard-trace/1] binary log
+    ({!Raceguard_trace});
     {!replay} feeds any tool the decoded stream afterwards.  Replaying
     a detector over a recorded trace reproduces its online reports
     byte-for-byte (asserted in the test suite across every registry
@@ -30,7 +31,7 @@ val create_recorder :
     recording self-describing. *)
 
 val tool : recorder -> Vm.Tool.t
-(** Attach to the VM to capture the run. *)
+(** Attach to the VM to record the run. *)
 
 val length : recorder -> int
 (** Events recorded. *)
@@ -99,7 +100,3 @@ val verdict_equal : verdict -> verdict -> bool
 val replay_config : Trace.Reader.t -> string -> verdict
 (** Drive one named configuration over a decoded trace.  Fresh detector
     instance per call, no shared state — safe as a parallel cell. *)
-
-val replay_all : ?configs:string list -> Trace.Reader.t -> verdict list
-(** Sequential multi-config replay (the parallel fan-out lives in
-    [lib/core], on the domain pool). *)

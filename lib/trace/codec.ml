@@ -7,9 +7,12 @@
     [string] through a {!cursor}; decoding past the end raises
     {!Truncated}, which the reader turns into a parse error — a
     truncated download is indistinguishable from a cut-off write, and
-    both must be rejected, not silently half-read. *)
+    both must be rejected, not silently half-read.  A varint too long
+    or too large for a non-negative [int] raises {!Overflow}: read
+    back, it would wrap negative. *)
 
 exception Truncated
+exception Overflow
 
 type cursor = { data : string; mutable pos : int; limit : int }
 
@@ -45,10 +48,16 @@ let write_varint buf n =
   if n < 0 then invalid_arg "Codec.write_varint: negative";
   write_varint_loop buf n
 
+(* [max_int] has [Sys.int_size - 1] bits: its last varint byte sits at
+   [varint_last_shift] and holds the bits left over, so a larger last
+   byte (a continuation bit included) encodes no non-negative [int] *)
+let varint_last_shift = 7 * ((Sys.int_size - 2) / 7)
+let varint_last_max = (1 lsl (Sys.int_size - 1 - varint_last_shift)) - 1
+
 let read_varint c =
   let rec go shift acc =
-    if shift > 62 then raise Truncated;
     let b = read_byte c in
+    if shift = varint_last_shift && b > varint_last_max then raise Overflow;
     let acc = acc lor ((b land 0x7F) lsl shift) in
     if b land 0x80 = 0 then acc else go (shift + 7) acc
   in

@@ -318,6 +318,7 @@ let of_string data =
   | t -> Ok t
   | exception Parse m -> Error (`Msg m)
   | exception Codec.Truncated -> Error (`Msg "truncated trace")
+  | exception Codec.Overflow -> Error (`Msg "varint out of range (above max_int)")
 
 let of_file path =
   match
@@ -337,7 +338,7 @@ let of_file path =
     come from their [E_thread_start] events), [block_of] for the
     recorded access address.  Detectors in this repo query nothing
     else, which is what makes replayed reports byte-identical. *)
-let replay ?on_event t (tools : Vm.Tool.t list) =
+let replay t (tools : Vm.Tool.t list) =
   Metrics.incr m_replay_traces;
   let names : (int, string) Hashtbl.t = Hashtbl.create 16 in
   let current = ref None in
@@ -368,7 +369,6 @@ let replay ?on_event t (tools : Vm.Tool.t list) =
       | Vm.Event.E_thread_start { tid; name; _ } -> Hashtbl.replace names tid name
       | _ -> ());
       current := Some e;
-      (match on_event with Some f -> f e | None -> ());
       List.iter (fun (tool : Vm.Tool.t) -> tool.on_event ctx e.en_event) tools;
       Metrics.incr m_replay_events)
     t.entries;

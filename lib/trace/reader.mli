@@ -34,6 +34,8 @@ type snapshot_mark = {
 type t
 
 val of_string : string -> (t, [ `Msg of string ]) result
+(** Never raises: malformed input of any kind is an [Error]. *)
+
 val of_file : string -> (t, [ `Msg of string ]) result
 
 val version : t -> int
@@ -45,9 +47,8 @@ val length : t -> int
 val snapshots : t -> snapshot_mark list
 val byte_size : t -> int
 
-val replay : ?on_event:(entry -> unit) -> t -> Vm.Tool.t list -> unit
+val replay : t -> Vm.Tool.t list -> unit
 (** Feed every entry to each tool, in order.  The ctx seen by the tools
     answers [stack_of]/[thread_name]/[block_of]/[clock] from the
     recorded data, so a detector replayed here observes exactly what it
-    would have observed live.  [on_event] fires before the tools see
-    each entry. *)
+    would have observed live. *)

@@ -15,6 +15,10 @@
     compact.  Each event record carries the introspection data a
     detector tool would query live (clock, the acting thread's call
     stack and name, the accessed heap block), so replay needs no VM.
+    {!tool} encodes each event as the VM emits it, with what the live
+    {!Vm.Tool.ctx} answers at that event; {!add_entry} is the one
+    encoder, for the tool and for callers that build entries
+    themselves.
 
     Snapshot markers are written every [snapshot_every] events with the
     event index, clock and table sizes — the seek points the time-travel
@@ -74,31 +78,6 @@ type t = {
   mutable name_memo : (string * int) option array;  (** indexed by tid *)
   mutable loc_memo : (Loc.t * int) option;
   mutable block_memo : (Vm.Memory.block * bool * int) option;
-  (* Deferred encoding: the tool hot path only stores references into
-     preallocated parallel arrays (struct-of-arrays, zero allocation
-     per event: the event, the acting thread's frames pointer, the
-     clock) and the interning + varint encode runs at flush time, off
-     the run's critical path.  The structural work is unavoidable — the
-     workload allocates fresh [Loc.t]s and frame cons cells on every
-     call, so interning costs string hashes per event — but paying it
-     after the run keeps the recorder's perturbation of the server
-     under test to a handful of word stores, which is what the <=10%
-     record-overhead budget measures.  Everything captured is immutable
-     at flush time: events, [Loc.t]s and the persistent [frames] cons
-     cells are never mutated; a thread's name is fixed at creation and
-     tids are never reused, so names are captured once per tid.  Heap
-     blocks are not captured at all: the event stream itself carries
-     every alloc and free, so flush replays a shadow block table
-     ([sh_owners]/[sh_blocks]) that answers the [block_of] query —
-     including the block's freed flag — exactly as {!Vm.Memory} would
-     have answered it live at each event (see {!shadow_alloc}). *)
-  mutable p_n : int;  (** captured-but-unencoded events *)
-  mutable p_event : Vm.Event.t array;
-  mutable p_stack : Loc.t list array;
-  mutable p_clock : int array;
-  mutable p_name : string option array;  (** indexed by tid, set once *)
-  sh_owners : (int, int) Hashtbl.t;  (** word -> block base *)
-  sh_blocks : (int, Vm.Memory.block) Hashtbl.t;  (** base -> block *)
   (* metrics are batched: per-event [Metrics] traffic (two domain-local
      lookups per event) is visible against a ~12-byte encode, so the
      counters advance only at snapshot markers and in [contents] *)
@@ -138,13 +117,6 @@ let create ?(snapshot_every = default_snapshot_every) ?(meta = []) () =
     name_memo = Array.make 16 None;
     loc_memo = None;
     block_memo = None;
-    p_n = 0;
-    p_event = Array.make 1024 (Vm.Event.E_thread_exit { tid = -1 });
-    p_stack = Array.make 1024 [];
-    p_clock = Array.make 1024 0;
-    p_name = Array.make 16 None;
-    sh_owners = Hashtbl.create 1024;
-    sh_blocks = Hashtbl.create 256;
     flushed_events = 0;
     flushed_bytes = 0;
   }
@@ -227,8 +199,6 @@ let name_id t ~tid (name : string) =
       Array.unsafe_set t.name_memo tid (Some (name, id));
       id
 
-(* [freed] is the block's freed flag at capture time, not [b.freed]
-   now — see {!pending} *)
 let block_id_slow t (b : Vm.Memory.block) ~freed =
   let lid = loc_id t b.alloc_loc in
   let sid = stack_id_slow t b.alloc_stack in
@@ -248,9 +218,11 @@ let block_id_slow t (b : Vm.Memory.block) ~freed =
       Codec.write_bool t.buf freed;
       id
 
-(* the memo must key on the captured [freed] flag: a [==] hit on a
-   block whose state changed must re-intern (distinct def record) *)
-let block_id t (b : Vm.Memory.block) ~freed =
+(* [freed] is read at the event and keys both the table and the memo:
+   freeing mutates the block record in place, so one record interns
+   once live and once freed (distinct def records) *)
+let block_id t (b : Vm.Memory.block) =
+  let freed = b.freed in
   match t.block_memo with
   | Some (b', freed', id) when b' == b && freed' = freed -> id
   | _ ->
@@ -397,14 +369,17 @@ let maybe_snapshot t =
     flush_metrics t
   end
 
-let encode_entry t ~event ~clock ~stack ~thread_name ~block ~freed =
+(** Record one event together with the introspection data a live
+    detector would query: the acting thread's call stack and name, the
+    accessed heap block (reads/writes), and the clock. *)
+let add_entry t ~event ~clock ~stack ~thread_name ~block =
   maybe_snapshot t;
   let tid = Vm.Event.tid event in
   if tid < 0 then invalid_arg "Writer.add_entry: negative tid";
   pre_intern t event;
   let sid = stack_id t ~tid stack in
   let nid = name_id t ~tid thread_name in
-  let bid = match block with None -> 0 | Some b -> block_id t b ~freed + 1 in
+  let bid = match block with None -> 0 | Some b -> block_id t b + 1 in
   Buffer.add_char t.buf (Char.chr (tag_event + Vm.Event.kind_id event));
   write_payload t event;
   if clock < t.last_clock then invalid_arg "Writer.add_entry: clock went backwards";
@@ -417,126 +392,30 @@ let encode_entry t ~event ~clock ~stack ~thread_name ~block ~freed =
   | _ -> ());
   t.events <- t.events + 1
 
-(* The shadow block table mirrors {!Vm.Memory}'s [block_of] exactly:
-   [owners] maps every word of an allocated range to its block base and
-   is never cleared on free (so accesses to freed blocks still resolve,
-   which is how use-after-free encodes), fresh ranges never overlap,
-   and the allocator reuses a range only whole (size-segregated free
-   lists), so a word's range is static once allocated and a realloc
-   simply replaces the block record at the same base. *)
-let shadow_alloc t ~(event : Vm.Event.t) ~stack =
-  match event with
-  | E_alloc { tid; addr; len; loc } ->
-      let block : Vm.Memory.block =
-        { base = addr; len; alloc_tid = tid; alloc_loc = loc; alloc_stack = stack; freed = false }
-      in
-      Hashtbl.replace t.sh_blocks addr block;
-      for w = addr to addr + len - 1 do
-        Hashtbl.replace t.sh_owners w addr
-      done
-  | E_free { addr; _ } -> (
-      match Hashtbl.find_opt t.sh_blocks addr with
-      | Some b -> b.freed <- true
-      | None -> invalid_arg "Writer.flush: free of a block never allocated")
-  | _ -> ()
-
-let shadow_block_of t addr =
-  match Hashtbl.find_opt t.sh_owners addr with
-  | None -> None
-  | Some base -> Hashtbl.find_opt t.sh_blocks base
-
-(** Encode every captured-but-unencoded event.  Intern order — and so
-    the emitted bytes — is identical to encoding each event as it
-    happened, because flush preserves capture order and the shadow
-    block table is advanced event by event. *)
-let flush t =
-  if t.p_n > 0 then begin
-    for i = 0 to t.p_n - 1 do
-      let event = t.p_event.(i) in
-      let stack = t.p_stack.(i) in
-      shadow_alloc t ~event ~stack;
-      let block =
-        match event with
-        | E_read { addr; _ } | E_write { addr; _ } -> shadow_block_of t addr
-        | _ -> None
-      in
-      let tid = Vm.Event.tid event in
-      let thread_name =
-        match if tid >= 0 && tid < Array.length t.p_name then t.p_name.(tid) else None with
-        | Some n -> n
-        | None -> invalid_arg "Writer.flush: event for a thread never captured"
-      in
-      let freed = match block with Some b -> b.freed | None -> false in
-      encode_entry t ~event ~clock:t.p_clock.(i) ~stack ~thread_name ~block ~freed
-    done;
-    (* drop the references so flushed capture slots don't pin VM data *)
-    Array.fill t.p_event 0 t.p_n (Vm.Event.E_thread_exit { tid = -1 });
-    Array.fill t.p_stack 0 t.p_n [];
-    t.p_n <- 0
-  end
-
-(** Record one event together with the introspection data a live
-    detector would query: the acting thread's call stack and name, the
-    accessed heap block (reads/writes), and the clock.  Encodes
-    eagerly (flushing any deferred captures first, to keep stream
-    order). *)
-let add_entry t ~event ~clock ~stack ~thread_name ~block =
-  flush t;
-  let freed = match block with Some (b : Vm.Memory.block) -> b.freed | None -> false in
-  encode_entry t ~event ~clock ~stack ~thread_name ~block ~freed
-
-let grow_capture t =
-  let n = Array.length t.p_event in
-  let n' = n * 2 in
-  let g dummy a =
-    let a' = Array.make n' dummy in
-    Array.blit a 0 a' 0 n;
-    a'
-  in
-  t.p_event <- g (Vm.Event.E_thread_exit { tid = -1 }) t.p_event;
-  t.p_stack <- g [] t.p_stack;
-  let m = Array.make n' 0 in
-  Array.blit t.p_clock 0 m 0 n;
-  t.p_clock <- m
-
-(** The VM tool: capture every event of a run — zero analysis, zero
-    interning, zero allocation: three word stores into preallocated
-    arrays (a thread's name is captured once, on its first event).
-    Encoding runs lazily at the first
-    {!contents}/{!event_count}/{!byte_size} call. *)
+(* The tool's callback: encode the event now, with what the live ctx
+   answers at it.  Nothing outlives the callback, so the event and the
+   values the ctx built for it die in the minor heap; a recorder that
+   kept events until the run ended would promote every one. *)
 let add_event t (ctx : Vm.Tool.ctx) event =
-  let i = t.p_n in
-  if i >= Array.length t.p_event then grow_capture t;
   let tid = Vm.Event.tid event in
-  if tid >= 0 then begin
-    if tid >= Array.length t.p_name then t.p_name <- grown t.p_name tid;
-    if Array.unsafe_get t.p_name tid == None then
-      Array.unsafe_set t.p_name tid (Some (ctx.thread_name tid))
-  end;
-  Array.unsafe_set t.p_event i event;
-  Array.unsafe_set t.p_stack i (ctx.stack_of tid);
-  Array.unsafe_set t.p_clock i (ctx.clock ());
-  t.p_n <- i + 1
+  let block =
+    match event with
+    | E_read { addr; _ } | E_write { addr; _ } -> ctx.block_of addr
+    | _ -> None
+  in
+  add_entry t ~event ~clock:(ctx.clock ()) ~stack:(ctx.stack_of tid)
+    ~thread_name:(ctx.thread_name tid) ~block
 
 let tool t = Vm.Tool.make ~name:"trace-recorder" ~on_event:(add_event t)
 
-let event_count t =
-  flush t;
-  t.events
-
-let snapshot_count t =
-  flush t;
-  t.snapshots
-
-let byte_size t =
-  flush t;
-  Buffer.length t.buf
+let event_count t = t.events
+let snapshot_count t = t.snapshots
+let byte_size t = Buffer.length t.buf
 
 (** Body + end record + CRC-guarded footer.  Non-destructive: the
     writer stays usable, so in-memory record/replay can snapshot the
     stream at any point. *)
 let contents t =
-  flush t;
   flush_metrics t;
   let tail = Buffer.create 32 in
   Buffer.add_char tail (Char.chr tag_end);

@@ -1,11 +1,12 @@
 (** Streaming encoder for [raceguard-trace/1] binary traces.
 
-    Record mode: attach {!tool} to a VM run and every event is appended
-    to an in-memory stream together with the introspection data a live
-    detector would have queried (clock, acting thread's call stack and
-    name, accessed heap block) — zero analysis at record time.  The
-    interned string/location/stack/block tables keep the encoding
-    compact; periodic snapshot markers give readers seek points.
+    Record mode: attach {!tool} to a VM run and every event is encoded
+    as the VM emits it, into an in-memory stream, together with the
+    introspection data a live detector would have queried (clock,
+    acting thread's call stack and name, accessed heap block) — zero
+    analysis at record time.  The interned string/location/stack/block
+    tables keep the encoding compact; periodic snapshot markers give
+    readers seek points.
     {!contents} seals the stream with an event-count end record and a
     CRC-32-guarded footer. *)
 
@@ -46,14 +47,14 @@ val add_entry :
   thread_name:string ->
   block:Vm.Memory.block option ->
   unit
-(** Append one event with its captured tool-context data.  [clock]
-    must be monotonic.  [block] is only encoded for reads/writes. *)
-
-val add_event : t -> Vm.Tool.ctx -> Vm.Event.t -> unit
-(** {!add_entry} with the context data pulled from a live VM [ctx]. *)
+(** Encode one event with its tool-context data — the one encoder.
+    [clock] must be monotonic.  [block] is only encoded for
+    reads/writes, with its [freed] flag as it reads now.
+    @raise Invalid_argument on a negative tid or a backwards clock. *)
 
 val tool : t -> Vm.Tool.t
-(** The recorder as a VM tool (named ["trace-recorder"]). *)
+(** The recorder as a VM tool (named ["trace-recorder"]): {!add_entry}
+    at every event, with the live ctx's answers. *)
 
 val event_count : t -> int
 val snapshot_count : t -> int

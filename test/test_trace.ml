@@ -7,13 +7,17 @@
      random event streams, including interning-table reuse and snapshot
      markers at aggressive cadences;
    - corruption rejection: truncation anywhere, a flipped body byte
-     (CRC), bad magics, wrong version byte are all decode errors;
+     (CRC), bad magics, wrong version byte are all decode errors, and
+     so are varints above max_int; a mutated body re-sealed with a
+     valid CRC decodes to Ok or Error, never an exception;
    - recording determinism: the same (workload, seed) produces
      byte-identical trace files;
    - the replay fidelity pin: for every SIP test case x seeds 7/42, all
      eight registry detector configurations replayed from the trace (at
      1 and 4 domains) produce verdicts byte-identical to the detectors
      that watched the run live;
+   - a replayed tool sees the heap-block answers a live one saw,
+     across free and reuse;
    - trace diffing: identical traces have no divergence; a mutated
      stream is pinpointed at the exact first divergent event;
    - recorder throughput metrics ride the Obs.Metrics registry. *)
@@ -273,6 +277,88 @@ let test_monotonic_clock_enforced () =
       Writer.add_entry w ~event:(Event.E_thread_exit { tid = 0 }) ~clock:4 ~stack:[]
         ~thread_name:"main" ~block:None)
 
+(* --- out-of-range varints ------------------------------------------------ *)
+
+(* [body] (header through end record) sealed with a valid CRC and the
+   tail magic, so hand-built bytes reach the parser *)
+let seal body =
+  let foot = Buffer.create 8 in
+  Codec.write_u32 foot (Codec.crc32 body 0 (String.length body));
+  Buffer.add_string foot Writer.magic_tail;
+  body ^ Buffer.contents foot
+
+let header ~meta_count =
+  let b = Buffer.create 32 in
+  Buffer.add_string b Writer.magic_head;
+  Buffer.add_char b (Char.chr Writer.version);
+  Codec.write_string b Writer.schema;
+  Buffer.add_string b meta_count;
+  Buffer.contents b
+
+let tag t = String.make 1 (Char.chr t)
+let end_record = tag Writer.tag_end ^ "\000\000"
+
+(* nine varint bytes whose last sets the sign bit: read without a range
+   check, this is -1 *)
+let wrapping_varint = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"
+
+let test_out_of_range_varint_rejected () =
+  let b = Buffer.create 9 in
+  Codec.write_varint b max_int;
+  let max_bytes = Buffer.contents b in
+  Alcotest.(check int) "max_int takes nine bytes" 9 (String.length max_bytes);
+  Alcotest.(check char) "the last is 0x3f" '\x3f' max_bytes.[8];
+  Alcotest.(check int) "max_int round-trips" max_int (Codec.read_varint (Codec.cursor max_bytes));
+  Alcotest.check_raises "a larger last byte overflows" Codec.Overflow (fun () ->
+      ignore (Codec.read_varint (Codec.cursor wrapping_varint)));
+  let expect_error what s =
+    match Reader.of_string s with
+    | Error (`Msg m) -> Alcotest.(check string) what "varint out of range (above max_int)" m
+    | Ok _ -> Alcotest.failf "%s was accepted" what
+  in
+  expect_error "negative meta count" (seal (header ~meta_count:wrapping_varint ^ end_record));
+  expect_error "negative stack length"
+    (seal (header ~meta_count:"\000" ^ tag Writer.tag_kdef ^ wrapping_varint ^ end_record))
+
+(* 1-3 mutations of the bytes between the head magic and the footer,
+   then re-sealed: whatever the parser meets, it answers Ok or Error.
+   Some mutations splice in a nine-byte varint above max_int, half of
+   those right after a byte equal to the stack-definition tag, where a
+   stack length is likely to be read. *)
+let qc_mutated_body_never_raises =
+  let gen_mutation =
+    Gen.(
+      triple nat bool
+        (oneof
+           [
+             map (fun c -> `Set (Char.chr c)) (int_bound 255);
+             map
+               (fun c -> `Splice (String.sub wrapping_varint 0 8 ^ String.make 1 (Char.chr c)))
+               (int_range 0x40 0xff);
+           ]))
+  in
+  let mutate body (at, after_kdef, m) =
+    let n = String.length body - 4 in
+    let anywhere = 4 + (at mod n) in
+    match m with
+    | `Set c -> String.mapi (fun i x -> if i = anywhere then c else x) body
+    | `Splice v ->
+        let at =
+          match
+            List.filter (fun i -> body.[i - 1] = Char.chr Writer.tag_kdef) (List.init n (( + ) 5))
+          with
+          | _ :: _ as after when after_kdef -> List.nth after (at mod List.length after)
+          | _ -> anywhere
+        in
+        String.sub body 0 at ^ v ^ String.sub body at (String.length body - at)
+  in
+  QCheck2.Test.make ~name:"a re-sealed mutated body decodes to Ok or Error" ~count:200
+    Gen.(pair gen_stream (list_size (int_range 1 3) gen_mutation))
+    (fun (stream, mutations) ->
+      let _, bytes = encode ~snapshot_every:7 stream in
+      let body = List.fold_left mutate (String.sub bytes 0 (String.length bytes - 8)) mutations in
+      match Reader.of_string (seal body) with Ok _ | Error _ -> true)
+
 (* --- recording determinism and replay fidelity --------------------------- *)
 
 let t4 = Option.get (R.Trace_ops.test_case_of_string "T4")
@@ -320,18 +406,6 @@ let test_recording_pinned () =
       Alcotest.(check string) (name ^ " trace MD5") md5 (Digest.to_hex (Digest.string bytes)))
     recorded_pins recorded
 
-let test_write_behind_materialize () =
-  (* record mode logs only (workload, seed); materializing must yield the
-     same bytes as an eager capture run, and must cache the result *)
-  let d = R.Trace_ops.record_deferred ~seed:7 t4 in
-  let m1 = R.Trace_ops.materialize d in
-  let m2 = R.Trace_ops.materialize d in
-  Alcotest.(check bool) "materialize is cached" true (m1 == m2);
-  let eager = Det.Offline.contents (R.Trace_ops.record_test ~seed:7 t4).rec_recorder in
-  Alcotest.(check bool)
-    "materialized bytes == eager capture bytes" true
-    (String.equal (Det.Offline.contents m1.rec_recorder) eager)
-
 let test_trace_self_describing () =
   let r = R.Trace_ops.record_test ~seed:7 t4 in
   let t = decode_exn (Det.Offline.contents r.rec_recorder) in
@@ -359,6 +433,59 @@ let test_replay_matches_live () =
             [ 1; 4 ])
         [ 7; 42 ])
     Sip.Workload.all_test_cases
+
+(* What a tool sees of [ctx.block_of] at every read and write, one line
+   per access: address, then base+len, allocating thread, freed flag. *)
+let block_log () =
+  let log = ref [] in
+  let tool =
+    Vm.Tool.make ~name:"block-log" ~on_event:(fun ctx e ->
+        match e with
+        | Event.E_read { addr; _ } | Event.E_write { addr; _ } ->
+            let answer =
+              match ctx.block_of addr with
+              | None -> "none"
+              | Some (b : Vm.Memory.block) ->
+                  Printf.sprintf "%d+%d t%d freed=%b" b.base b.len b.alloc_tid b.freed
+            in
+            log := Printf.sprintf "%d: %s" addr answer :: !log
+        | _ -> ())
+  in
+  (tool, fun () -> List.rev !log)
+
+(* The recorder writes each access's block as the live VM answers it,
+   freed flag included; a replayed tool must get the same answers when
+   a block is freed, read after the free, reused at the same base, and
+   freed again by another thread. *)
+let test_replay_block_answers () =
+  let loc = Loc.v "blocks.c" "main" 1 in
+  let recorder = Det.Offline.create_recorder () in
+  let live, live_log = block_log () in
+  let vm = Vm.Engine.create () in
+  Vm.Engine.add_tool vm (Det.Offline.tool recorder);
+  Vm.Engine.add_tool vm live;
+  let bases = ref [] in
+  let outcome =
+    Vm.Engine.run vm (fun () ->
+        let a = Vm.Api.alloc ~loc 4 in
+        Vm.Api.write ~loc (a + 1) 7;
+        Vm.Api.free ~loc a;
+        ignore (Vm.Api.read ~loc (a + 1));
+        let b = Vm.Api.alloc ~loc 4 in
+        Vm.Api.write ~loc (b + 2) 9;
+        Vm.Api.join ~loc (Vm.Api.spawn ~loc ~name:"freer" (fun () -> Vm.Api.free ~loc b));
+        ignore (Vm.Api.read ~loc (b + 2));
+        bases := [ a; b ])
+  in
+  Alcotest.(check string) "stopped clean" "clean" Vm.Engine.(stop_name (stop_of outcome));
+  (match !bases with
+  | [ a; b ] -> Alcotest.(check int) "the second block reuses the first's base" a b
+  | _ -> Alcotest.fail "program did not finish");
+  Alcotest.(check (list bool)) "live answers: live, freed, reused, freed" [ false; true; false; true ]
+    (List.map (fun l -> String.ends_with ~suffix:"freed=true" l) (live_log ()));
+  let replayed, replayed_log = block_log () in
+  Reader.replay (decode_exn (Det.Offline.contents recorder)) [ replayed ];
+  Alcotest.(check (list string)) "replayed block answers = live" (live_log ()) (replayed_log ())
 
 (* --- diffing ------------------------------------------------------------- *)
 
@@ -440,14 +567,16 @@ let suite =
       QCheck_alcotest.to_alcotest qc_container_roundtrip;
       QCheck_alcotest.to_alcotest qc_truncation_rejected;
       Alcotest.test_case "corrupt containers rejected" `Quick test_corruption_rejected;
+      Alcotest.test_case "varints above max_int rejected" `Quick test_out_of_range_varint_rejected;
+      QCheck_alcotest.to_alcotest qc_mutated_body_never_raises;
       Alcotest.test_case "monotonic clock enforced" `Quick test_monotonic_clock_enforced;
       Alcotest.test_case "recording is deterministic" `Slow test_recording_deterministic;
       Alcotest.test_case "recorded bytes pinned (T1-T8, seed 7)" `Slow test_recording_pinned;
-      Alcotest.test_case "write-behind materialization matches eager capture" `Slow
-        test_write_behind_materialize;
       Alcotest.test_case "trace is self-describing" `Slow test_trace_self_describing;
       Alcotest.test_case "replay byte-identical to live (T1-T8 x 10 configs x 2 seeds)" `Slow
         test_replay_matches_live;
+      Alcotest.test_case "replayed block answers = live across free and reuse" `Quick
+        test_replay_block_answers;
       Alcotest.test_case "diff: identical traces" `Quick test_diff_identical;
       Alcotest.test_case "diff pinpoints first divergent event" `Quick
         test_diff_pinpoints_first_divergence;
