@@ -35,18 +35,26 @@ type class_desc = {
 
 and t = class_desc
 
-(* vtable ids: one per class name, assigned on first use.  The table is
-   domain-local (the multicore pool runs independent cells on several
-   domains): ids are only ever written into VM memory and compared
-   within one cell, so per-domain numbering is invisible to cell
-   behaviour, and a shared Hashtbl would race. *)
-type vtables = { mutable next_vtable : int; vtable_ids : (string, int) Hashtbl.t }
+(* vtable ids: one per class name, numbered from 1 in first-use order
+   within each VM run.  Constructors and destructors write them into
+   object memory, so numbering per run keeps a run's memory values, and
+   the trace bytes that record them, independent of what ran before it
+   on the same domain.  The table is domain-local (the multicore pool
+   runs cells on several domains, and a shared Hashtbl would race) and
+   starts afresh when [Engine.run_id] moves on. *)
+type vtables = { mutable run : int; mutable next_vtable : int; vtable_ids : (string, int) Hashtbl.t }
 
 let vtables_key : vtables Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { next_vtable = 1; vtable_ids = Hashtbl.create 64 })
+  Domain.DLS.new_key (fun () -> { run = -1; next_vtable = 1; vtable_ids = Hashtbl.create 64 })
 
 let vtable_id cls =
   let vt = Domain.DLS.get vtables_key in
+  let run = Raceguard_vm.Engine.run_id () in
+  if vt.run <> run then begin
+    vt.run <- run;
+    vt.next_vtable <- 1;
+    Hashtbl.reset vt.vtable_ids
+  end;
   match Hashtbl.find_opt vt.vtable_ids cls.cls_name with
   | Some id -> id
   | None ->

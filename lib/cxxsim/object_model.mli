@@ -30,7 +30,9 @@ val define :
 (** Define a class (single inheritance via [parent]). *)
 
 val vtable_id : class_desc -> int
-(** Stable per-class vtable identifier (what the vptr slot holds). *)
+(** The class's vtable identifier (what the vptr slot holds): numbered
+    from 1 in first-use order within each VM run, so a run's memory
+    values do not depend on earlier runs. *)
 
 val chain : class_desc -> class_desc list
 (** Base-most first. *)

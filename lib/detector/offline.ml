@@ -148,19 +148,67 @@ let sinks ?(configs = configs) () = List.map sink configs
 
 (* --- verdicts: what a detector concluded, digested ------------------ *)
 
-let digest_strings lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
-
 (** MD5 over the sorted dedup signatures ({!Report.signature_string}) —
     the one signature digest: verdicts, chaos cells and the bench and
     test audits all use it. *)
 let digest_signatures locations =
-  digest_strings
-    (List.sort String.compare (List.map (fun (r, _) -> Report.signature_string r) locations))
+  let sigs = List.sort String.compare (List.map (fun (r, _) -> Report.signature_string r) locations) in
+  Digest.to_hex (Digest.string (String.concat "\n" sigs))
+
+(* The runtime's MD5 (md5_stubs.c), fed incrementally: the code
+   [Digest.string] runs, so streaming changes no digest. *)
+external md5_context_size : unit -> int = "raceguard_md5_context_size" [@@noalloc]
+external md5_init : bytes -> unit = "raceguard_md5_init" [@@noalloc]
+external md5_update : bytes -> bytes -> int -> unit = "raceguard_md5_update" [@@noalloc]
+external md5_final : bytes -> bytes -> unit = "raceguard_md5_final" [@@noalloc]
+
+(* bytes rendered before they are hashed *)
+let chunk = 65536
+
+(* One render buffer and one scratch chunk per domain, reused by every
+   digest: most verdicts render a few occurrences, and fresh chunk-sized
+   buffers per call would load the major heap on each.  The buffer holds
+   at most a chunk plus one occurrence, never the stream. *)
+type stream = { ctx : Bytes.t; buf : Buffer.t; scratch : Bytes.t }
+
+let stream_key =
+  Domain.DLS.new_key (fun () ->
+      { ctx = Bytes.create (md5_context_size ()); buf = Buffer.create (2 * chunk); scratch = Bytes.create chunk })
+
+let newline b = Buffer.add_char b '\n'
 
 (** MD5 over every occurrence rendered with {!Report.to_string}, in
-    chronological order: byte-level equality of the full report stream,
-    not just of its dedup signatures. *)
-let digest_reports occurrences = digest_strings (List.map Report.to_string occurrences)
+    chronological order and joined by ["\n"]: byte-level equality of
+    the full report stream, not just of its dedup signatures.  Each
+    occurrence is rendered into the domain's buffer, which is hashed
+    whenever it holds a chunk. *)
+let digest_reports occurrences =
+  let { ctx; buf; scratch } = Domain.DLS.get stream_key in
+  md5_init ctx;
+  Buffer.clear buf;
+  let flush () =
+    let len = Buffer.length buf in
+    let rec go off =
+      if off < len then begin
+        let n = min chunk (len - off) in
+        Buffer.blit buf off scratch 0 n;
+        md5_update ctx scratch n;
+        go (off + n)
+      end
+    in
+    go 0;
+    Buffer.clear buf
+  in
+  List.iteri
+    (fun i r ->
+      if i > 0 then newline buf;
+      Report.render buf ~eol:newline r;
+      if Buffer.length buf >= chunk then flush ())
+    occurrences;
+  flush ();
+  let digest = Bytes.create 16 in
+  md5_final ctx digest;
+  Digest.to_hex (Bytes.unsafe_to_string digest)
 
 type verdict = {
   v_config : string;

@@ -92,6 +92,10 @@ val digest_signatures : (Report.t * int) list -> string
     test audits. *)
 
 val digest_reports : Report.t list -> string
+(** MD5 over the occurrences rendered with {!Report.to_string} and
+    joined by ["\n"], computed in 64 KiB chunks of one reused buffer:
+    equal to [Digest.string (String.concat "\n" ...)] without ever
+    holding the stream. *)
 
 val verdict_of_sink : events:int -> sink -> verdict
 val verdict_to_json : verdict -> Json.t

@@ -85,8 +85,8 @@ let signature r : signature = (r.kind, take signature_depth r.stack)
    rendering one can cost more than detecting it, so the layout is
    written straight into a [Buffer]: no [Format], and integers digit by
    digit rather than through [Printf].  [eol] ends each line:
-   {!to_string} appends a newline, {!pp} hands the finished line to a
-   formatter. *)
+   {!to_string} and the streamed report digest append a newline, {!pp}
+   hands the finished line to a formatter. *)
 
 let add_int b n =
   if n < 0 then Buffer.add_string b (string_of_int n)

@@ -71,6 +71,12 @@ val signature_string : t -> string
     signature frames as ["func (file:line)"] joined by [";"].  The
     signature digests hash these. *)
 
+val render : Buffer.t -> eol:(Buffer.t -> unit) -> t -> unit
+(** [render b ~eol r] writes the one report layout into [b], calling
+    [eol b] at the end of every line.  {!to_string} and {!pp} are this
+    layout; the report digest renders every occurrence through it into
+    one reused buffer. *)
+
 val to_string : t -> string
 (** Valgrind-style rendering: headline, "at/by" stack, allocation
     footer, previous-state line, each ending in a newline.  Built in a

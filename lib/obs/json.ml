@@ -146,10 +146,16 @@ let parse_string_body c =
         | Some 'f' -> Buffer.add_char b '\012'; c.i <- c.i + 1; go ()
         | Some 'u' ->
             if c.i + 5 > String.length c.s then error c "truncated \\u escape";
-            let hex = String.sub c.s (c.i + 1) 4 in
-            let code =
-              try int_of_string ("0x" ^ hex) with _ -> error c "bad \\u escape"
+            (* exactly four hex digits: [int_of_string] would also take
+               an underscore *)
+            let digit k =
+              match c.s.[c.i + 1 + k] with
+              | '0' .. '9' as d -> Char.code d - 48
+              | 'a' .. 'f' as d -> Char.code d - 87
+              | 'A' .. 'F' as d -> Char.code d - 55
+              | _ -> error c "bad \\u escape"
             in
+            let code = (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3 in
             (* BMP only, encoded as UTF-8; enough for our own output *)
             if code < 0x80 then Buffer.add_char b (Char.chr code)
             else if code < 0x800 then begin
@@ -184,12 +190,23 @@ let parse_number c =
   | Some x -> Num x
   | None -> error c "bad number"
 
-let rec parse_value c =
+(* Nesting deeper than this is an error, not a deeper recursion: the
+   parser recurses once per level, so an unbounded depth would let a
+   hostile file overflow the stack.  The project's own documents nest
+   at most 7 levels (a scenario's step tree adds two per [repeat]). *)
+let max_depth = 512
+
+(* step over the '{' or '[' of a container opened at [depth] *)
+let enter c depth =
+  if depth = max_depth then error c (Printf.sprintf "nesting deeper than %d" max_depth);
+  c.i <- c.i + 1
+
+let rec parse_value depth c =
   skip_ws c;
   match peek c with
   | None -> error c "unexpected end of input"
   | Some '{' ->
-      c.i <- c.i + 1;
+      enter c depth;
       skip_ws c;
       if peek c = Some '}' then begin
         c.i <- c.i + 1;
@@ -202,7 +219,7 @@ let rec parse_value c =
           let k = parse_string_body c in
           skip_ws c;
           expect c ':';
-          let v = parse_value c in
+          let v = parse_value (depth + 1) c in
           skip_ws c;
           match peek c with
           | Some ',' ->
@@ -216,7 +233,7 @@ let rec parse_value c =
         Obj (members [])
       end
   | Some '[' ->
-      c.i <- c.i + 1;
+      enter c depth;
       skip_ws c;
       if peek c = Some ']' then begin
         c.i <- c.i + 1;
@@ -224,7 +241,7 @@ let rec parse_value c =
       end
       else begin
         let rec elements acc =
-          let v = parse_value c in
+          let v = parse_value (depth + 1) c in
           skip_ws c;
           match peek c with
           | Some ',' ->
@@ -247,7 +264,7 @@ let rec parse_value c =
 
 let parse s =
   let c = { s; i = 0 } in
-  match parse_value c with
+  match parse_value 0 c with
   | v ->
       skip_ws c;
       if c.i <> String.length s then Error (Printf.sprintf "trailing garbage at offset %d" c.i)

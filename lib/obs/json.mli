@@ -22,8 +22,10 @@ val to_string : ?indent:int -> t -> string
 
 val parse : string -> (t, string) result
 (** Parse a complete JSON document.  Numbers become [Num] (floats,
-    JavaScript-style); [\uXXXX] escapes are decoded as UTF-8 (BMP
-    only). *)
+    JavaScript-style); [\uXXXX] escapes (exactly four hex digits) are
+    decoded as UTF-8 (BMP only).  Fails closed: any input gives [Ok] or
+    [Error], and objects and arrays nested more than 512 deep are an
+    [Error], so no input can exhaust the stack. *)
 
 (** Accessors, all total: *)
 

@@ -1004,9 +1004,17 @@ and handler t th : (unit, unit) Effect.Deep.handler =
         | _ -> None);
   }
 
+(* Runs started on this domain so far.  [run] takes the next number,
+   so per-run state kept outside [t] (the C++ object model's vtable
+   numbering) can tell when a new run began. *)
+let runs : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+
+let run_id () = !(Domain.DLS.get runs)
+
 (** Run [main] as thread 0 until all threads finish, a deadlock or hang
     is detected, or the op budget is exhausted. *)
 let run t main =
+  incr (Domain.DLS.get runs);
   let main_thread =
     {
       tid = 0;

@@ -133,6 +133,12 @@ val run : t -> (unit -> unit) -> outcome
     never sleep or never stop being ready; its [dl_stuck] lists every
     live thread with its name, state and op count. *)
 
+val run_id : unit -> int
+(** The number of the latest {!run} started on the calling domain; each
+    run takes the next one.  State that must be fresh in every run but
+    cannot live in [t] (the C++ object model numbers vtables from 1 in
+    every run) compares it with the number it last saw. *)
+
 val memory : t -> Memory.t
 
 val decision_log : t -> (int * int) list

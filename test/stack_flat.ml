@@ -22,7 +22,12 @@
    400,000 operations the scheduler runs its hang check and then either
    wakes a due sleeper or jumps the clock, until the slow sleeper has
    woken and the stop raises out of a handler.  Those paths must stay
-   flat too: a non-tail [schedule] on either branch overflows here. *)
+   flat too: a non-tail [schedule] on either branch overflows here.
+
+   Last, the JSON parser, which recurses once per nesting level, must
+   fail closed on this stack: the deepest document it accepts (512
+   nested arrays) parses, and 200,000 unclosed brackets are an [Error],
+   not a [Stack_overflow]. *)
 
 module Vm = Raceguard_vm
 module Engine = Vm.Engine
@@ -113,4 +118,11 @@ let () =
   let o = Engine.run (Engine.create ~config:{ Engine.default_config with seed = 11 } ()) hung in
   if Engine.stop_of o <> Engine.Hang then fail "hung run stopped as %s" (Engine.stop_name (Engine.stop_of o));
   if o.stats.ops_executed < min_hung_ops then
-    fail "hung run: only %d ops, want >= %d" o.stats.ops_executed min_hung_ops
+    fail "hung run: only %d ops, want >= %d" o.stats.ops_executed min_hung_ops;
+  let module Json = Raceguard_obs.Json in
+  if Result.is_error (Json.parse (String.make 512 '[' ^ String.make 512 ']')) then
+    fail "512 nested arrays did not parse";
+  match Json.parse (String.make 200_000 '[') with
+  | Error _ -> ()
+  | Ok _ -> fail "200,000 unclosed brackets parsed"
+  | exception e -> fail "200,000 unclosed brackets raised %s" (Printexc.to_string e)

@@ -179,6 +179,67 @@ let test_json_non_finite () =
     "and parse back" true
     (Json.parse (Json.to_string v) = Ok (Json.List [ Json.Null; Json.Null; Json.Null; Json.Num 1.5 ]))
 
+(* --- the parser fails closed -------------------------------------------- *)
+
+(* Documents the project writes: a scenario step tree (the deepest,
+   7 levels), metrics with histograms, and escapes of every kind. *)
+let project_documents =
+  [
+    Json.to_string ~indent:2 (R.Scenarios.Scenario.to_json R.Scenarios.t10_rebalance);
+    Json.to_string (R.Scenarios.Scenario.to_json R.Scenarios.t9_storm);
+    Json.to_string (Metrics.to_json (snapshot_of [ 1; 50; 100_000 ]));
+    Json.to_string
+      (Json.Obj
+         [ ("s", Json.Str "tab\t quote\" nul\000 \xc3\xa9"); ("n", Json.List [ Json.Num (-1.5e-3); Json.Null ]) ]);
+  ]
+
+(* a document with 1-3 bytes replaced, inserted or deleted, or cut short *)
+let gen_mutated =
+  QCheck2.Gen.(
+    let* doc = oneofl project_documents in
+    let* edits = int_range 1 3 in
+    let rec go s k =
+      if k = 0 || s = "" then return s
+      else
+        let* i = int_bound (String.length s - 1) in
+        let* ch = oneof [ char; oneofl [ '['; '{'; '"'; '\\'; 'u'; '_'; ','; ':'; '0' ] ] in
+        let* s =
+          oneofl
+            [
+              String.mapi (fun j c -> if j = i then ch else c) s;
+              String.sub s 0 i ^ String.make 1 ch ^ String.sub s i (String.length s - i);
+              String.sub s 0 i ^ String.sub s (i + 1) (String.length s - i - 1);
+              String.sub s 0 i;
+            ]
+        in
+        go s (k - 1)
+    in
+    go doc edits)
+
+let qc_parse_fails_closed =
+  QCheck2.Test.make ~name:"parse gives Ok or Error on any bytes" ~count:1000 ~print:String.escaped
+    QCheck2.Gen.(oneof [ string_size (int_bound 64); gen_mutated ])
+    (fun s -> match Json.parse s with Ok _ | Error _ -> true)
+
+let test_json_depth () =
+  let nested n = String.make n '[' ^ String.make n ']' in
+  Alcotest.(check bool) "512 nested arrays parse" true (Result.is_ok (Json.parse (nested 512)));
+  let is_depth_error = function
+    | Error e -> String.starts_with ~prefix:"nesting deeper than 512" e
+    | Ok _ -> false
+  in
+  Alcotest.(check bool) "513 are an Error" true (is_depth_error (Json.parse (nested 513)));
+  Alcotest.(check bool) "so are 200,000 unclosed ones" true
+    (is_depth_error (Json.parse (String.make 200_000 '[')));
+  Alcotest.(check bool) "and objects count too" true
+    (is_depth_error (Json.parse (String.concat "" (List.init 600 (fun _ -> "{\"k\":")))))
+
+let test_json_unicode_escape () =
+  Alcotest.(check bool) "\\u00e9 decodes to UTF-8" true (Json.parse {|"\u00e9\u0041"|} = Ok (Json.Str "\xc3\xa9A"));
+  List.iter
+    (fun doc -> Alcotest.(check bool) (doc ^ " is an Error") true (Result.is_error (Json.parse doc)))
+    [ {|"\u1___"|}; {|"\u_123"|}; {|"\u+123"|}; {|"\u 123"|}; {|"\u12"|}; {|"\u12g4"|} ]
+
 (* --- provenance byte-stability across the fast path --------------------- *)
 
 let provenance_cfg base = { base with Det.Helgrind.provenance = true }
@@ -253,6 +314,9 @@ let suite =
       Alcotest.test_case "sampling is deterministic" `Quick test_trace_sampling_deterministic;
       Alcotest.test_case "metrics JSON parses back" `Quick test_metrics_json_parses;
       Alcotest.test_case "non-finite numbers round-trip as null" `Quick test_json_non_finite;
+      QCheck_alcotest.to_alcotest qc_parse_fails_closed;
+      Alcotest.test_case "nesting depth capped" `Quick test_json_depth;
+      Alcotest.test_case "unicode escapes take exactly four hex digits" `Quick test_json_unicode_escape;
       Alcotest.test_case "provenance stable across fast path" `Slow
         test_provenance_fast_path_stable;
       Alcotest.test_case "explain JSON carries provenance + knobs" `Slow

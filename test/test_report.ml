@@ -1,5 +1,6 @@
 (* The report renderer and the digests built on it: the Buffer
-   renderer against the Format layout it replaced, pinned verdict
+   renderer against the Format layout it replaced, the streamed report
+   digest against the MD5 of the concatenated stream, pinned verdict
    digests, and the Helgrind detail memo's invalidation. *)
 
 module Det = Raceguard_detector
@@ -99,6 +100,67 @@ let qc_pp =
 let qc_signature =
   QCheck2.Test.make ~name:"signature_string is the Format signature" ~count:500 ~print
     gen_report (fun r -> Det.Report.signature_string r = ref_signature r)
+
+(* --- the streamed report digest -------------------------------------- *)
+
+(* What [digest_reports] hashes, built the direct way *)
+let concat_digest rs =
+  Digest.to_hex (Digest.string (String.concat "\n" (List.map Det.Report.to_string rs)))
+
+let rendered_length rs =
+  List.fold_left (fun acc r -> acc + String.length (Det.Report.to_string r) + 1) (-1) rs
+
+(* the digest hashes whenever its buffer holds this many bytes *)
+let chunk = 65536
+
+let qc_stream =
+  QCheck2.Test.make ~name:"streamed digest = MD5 of the concatenated stream" ~count:20
+    ~print:(fun rs ->
+      Fmt.str "%d reports, %d bytes rendered" (List.length rs) (rendered_length rs))
+    QCheck2.Gen.(list_size (int_range 800 1600) gen_report)
+    (fun rs ->
+      (* several chunk boundaries inside every case *)
+      rendered_length rs > 3 * chunk && Det.Offline.digest_reports rs = concat_digest rs)
+
+let report ?(stack = [ Loc.v "a.cc" "f" 1 ]) () =
+  {
+    Det.Report.kind = Race_write;
+    addr = 0x1234;
+    tid = 1;
+    thread_name = "t";
+    stack;
+    detail = "Previous state: shared RO, no locks";
+    block = Some { b_base = 0x1200; b_len = 64; b_alloc_tid = 0; b_alloc_stack = stack };
+    clock = 0;
+    provenance = None;
+  }
+
+let test_stream_fixed () =
+  let check name rs = Alcotest.(check string) name (concat_digest rs) (Det.Offline.digest_reports rs) in
+  Alcotest.(check string) "no occurrences: MD5 of the empty string"
+    "d41d8cd98f00b204e9800998ecf8427e" (Det.Offline.digest_reports []);
+  check "one report" [ report () ];
+  check "two reports" [ report (); report () ];
+  let deep = report ~stack:(List.init 3000 (fun i -> Loc.v "deep/stack.cc" "Frame::f" i)) () in
+  Alcotest.(check bool) "the stack alone renders past a chunk" true
+    (String.length (Det.Report.to_string { deep with block = None; detail = "" }) > chunk);
+  check "one report longer than a chunk" [ deep ];
+  check "around one longer than a chunk" [ report (); deep; report () ]
+
+(* The digest holds one chunk plus one occurrence, never the stream:
+   16 MiB of rendered occurrences must not reach the major heap. *)
+let test_stream_bounded () =
+  let r = report ~stack:(List.init 12 (fun i -> Loc.v "server/registrar.cc" "Registrar::bind" i)) () in
+  let n = (16 * 1024 * 1024 / String.length (Det.Report.to_string r)) + 1 in
+  let rs = List.init n (fun _ -> r) in
+  Alcotest.(check bool) "at least 16 MiB rendered" true (rendered_length rs >= 16 * 1024 * 1024);
+  Gc.minor ();
+  let _, _, major_before = Gc.counters () in
+  let digest = Det.Offline.digest_reports rs in
+  let _, _, major_after = Gc.counters () in
+  let bytes = (major_after -. major_before) *. float_of_int (Sys.word_size / 8) in
+  if bytes >= 1024. *. 1024. then Alcotest.failf "digest added %.0f bytes to the major heap" bytes;
+  Alcotest.(check string) "same digest" (concat_digest rs) digest
 
 (* --- pinned verdict digests ----------------------------------------- *)
 
@@ -221,6 +283,9 @@ let suite =
       QCheck_alcotest.to_alcotest qc_to_string;
       QCheck_alcotest.to_alcotest qc_pp;
       QCheck_alcotest.to_alcotest qc_signature;
+      QCheck_alcotest.to_alcotest qc_stream;
+      Alcotest.test_case "streamed digest: fixed cases" `Quick test_stream_fixed;
+      Alcotest.test_case "streamed digest holds no stream" `Quick test_stream_bounded;
       Alcotest.test_case "seed-7 verdict digests pinned" `Quick test_seed7_digests;
       Alcotest.test_case "detail memo follows lock names (original)" `Quick
         (test_memo_follows_lock_names Det.Helgrind.original);
