@@ -451,41 +451,11 @@ let faults_rows ~blocks ~seed =
    counts and digest must match the baseline exactly and its minor
    words/event may rise at most 5 %; its time relative to the
    detection-off run is printed, not gated.  Two audits run first and
-   exit 2 on failure: a recorder riding along with HWLC+DR must not move
-   HWLC+DR's report digest, and recording T2 twice must give the same
-   bytes, with the ride-along recorder's event count. *)
+   exit 2 on failure: HWLC+DR riding along with the recorder must give
+   the verdict it gives on a plain run, and a plain recording must give
+   the ride-along recording's bytes and event count. *)
 
 let trace_workload_name = "sip-t2-trace"
-
-let plain_run ~seed () =
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  let transport = Sip.Transport.create () in
-  ignore
-    (Vm.Engine.run vm (fun () ->
-         ignore
-           (Sip.Workload.run_test_case ~transport ~server_config:R.Runner.default.server
-              Sip.Workload.t2 ())))
-
-let trace_run ~seed ~record () =
-  let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
-  let recorder =
-    if record then
-      Some
-        (Det.Offline.create_recorder
-           ~meta:[ ("workload", "T2"); ("seed", string_of_int seed) ]
-           ())
-    else None
-  in
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  Vm.Engine.add_tool vm (Det.Helgrind.tool h);
-  (match recorder with Some r -> Vm.Engine.add_tool vm (Det.Offline.tool r) | None -> ());
-  let transport = Sip.Transport.create () in
-  ignore
-    (Vm.Engine.run vm (fun () ->
-         ignore
-           (Sip.Workload.run_test_case ~transport ~server_config:R.Runner.default.server
-              Sip.Workload.t2 ())));
-  (h, recorder)
 
 let trace_configs =
   [
@@ -495,29 +465,32 @@ let trace_configs =
   ]
 
 let trace_rows ~blocks ~seed =
-  (* audit 1: the ride-along recorder is a pure observer — attaching it
-     next to the detector must not move the report digest *)
-  let live record =
-    let h, r = trace_run ~seed ~record () in
-    (Det.Helgrind.location_count h, Det.Offline.digest_signatures (Det.Helgrind.locations h), r)
+  (* audit 1: the recorder is a pure observer — HWLC+DR riding along
+     with it must conclude what it concludes on a plain run *)
+  let detector = "helgrind-hwlc+dr" in
+  let ride = R.Trace_ops.record_test ~seed ~live:[ detector ] Sip.Workload.t2 in
+  let events = Det.Offline.length ride.rec_recorder in
+  let live = List.hd ride.rec_live in
+  let t2 = sip_workload Sip.Workload.t2 in
+  let plain =
+    let s = Det.Offline.sink detector in
+    t2.w_run ~seed [ s.sk_tool ];
+    Det.Offline.verdict_of_sink ~events s
   in
-  let base_reports, base_digest, _ = live false in
-  let rec_reports, rec_digest, recorder = live true in
-  let events = Det.Offline.length (Option.get recorder) in
-  if rec_digest <> base_digest || rec_reports <> base_reports then
-    fail "RECORDER FIDELITY FAILURE: recorder perturbed the run (%d/%s vs %d/%s)" rec_reports
-      rec_digest base_reports base_digest;
-  (* audit 2: recording is deterministic — the same (workload, seed)
-     twice gives byte-identical traces, with the event count the
-     ride-along recorder saw *)
-  let record () = (R.Trace_ops.record_test ~seed Sip.Workload.t2).R.Trace_ops.rec_recorder in
+  if not (Det.Offline.verdict_equal live plain) then
+    fail "RECORDER FIDELITY FAILURE: recorder perturbed the run (%d/%s vs %d/%s)"
+      live.v_locations live.v_report_digest plain.v_locations plain.v_report_digest;
+  (* audit 2: recording is deterministic — a plain recording of the
+     same (workload, seed) gives the ride-along recording's bytes and
+     event count *)
+  let record () = (R.Trace_ops.record_test ~seed Sip.Workload.t2).rec_recorder in
   let first = record () in
   let bytes = Det.Offline.contents first in
-  let again = Det.Offline.contents (record ()) in
-  if (not (String.equal bytes again)) || Det.Offline.length first <> events then
+  let ride_bytes = Det.Offline.contents ride.rec_recorder in
+  if (not (String.equal bytes ride_bytes)) || Det.Offline.length first <> events then
     fail
       "RECORDING DETERMINISM FAILURE: trace diverges (%d bytes vs %d, %d events vs %d)"
-      (String.length bytes) (String.length again) (Det.Offline.length first) events;
+      (String.length bytes) (String.length ride_bytes) (Det.Offline.length first) events;
   let trace =
     match Trace.Reader.of_string bytes with
     | Ok t -> t
@@ -526,7 +499,7 @@ let trace_rows ~blocks ~seed =
   let timings =
     measure ~blocks
       [
-        plain_run ~seed;
+        (fun () -> t2.w_run ~seed []);
         (fun () -> ignore (Det.Offline.contents (record ())));
         (fun () -> ignore (R.Trace_ops.replay_parallel trace));
       ]
@@ -542,7 +515,7 @@ let trace_rows ~blocks ~seed =
          trace_configs
          [
            (events, 0, "-");
-           (events, rec_reports, rec_digest);
+           (events, live.v_locations, live.v_sig_digest);
            (events * List.length Det.Offline.configs, 0, "-");
          ])
       timings

@@ -25,6 +25,7 @@ open Cmdliner
 module M = Raceguard_minicc
 module Det = Raceguard_detector
 module Vm = Raceguard_vm
+module Runner = Raceguard.Runner
 
 let read_file path =
   let ic = open_in_bin path in
@@ -87,6 +88,11 @@ let annotate_cmd =
        ~doc:"Run the automatic source annotation pass and print the result (Figure 4).")
     Term.(ret (const run $ file_arg))
 
+(* One VM run of a compiled program with [tools] attached. *)
+let run_program ~seed tools interp =
+  let config = { Runner.default with seed; helgrind_configs = []; tools } in
+  (fst (Runner.run_main config (fun () -> M.Interp.run_main interp))).outcome
+
 (* --- lint ------------------------------------------------------------- *)
 
 (** One plain hwlc+dr run of the already-checked source, for
@@ -94,10 +100,8 @@ let annotate_cmd =
 let dynamic_reports ~seed ~file ~src =
   let pp = M.Preprocess.with_builtins () in
   let interp, _pretty, _n = M.Interp.compile ~annotate:true ~preprocessor:pp ~file src in
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
   let helgrind = Det.Helgrind.create Det.Helgrind.hwlc_dr in
-  Vm.Engine.add_tool vm (Det.Helgrind.tool helgrind);
-  let (_ : Vm.Engine.outcome) = Vm.Engine.run vm (fun () -> M.Interp.run_main interp) in
+  ignore (run_program ~seed [ Det.Helgrind.tool helgrind ] interp);
   Det.Helgrind.reports helgrind
 
 let lint_cmd =
@@ -240,9 +244,7 @@ let run_cmd =
     let interp, _pretty, n_annotated =
       M.Interp.compile ~annotate:(not no_annotate) ~preprocessor:pp ~file src
     in
-    let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
     let helgrind = Det.Helgrind.create ~suppressions config in
-    Vm.Engine.add_tool vm (Det.Helgrind.tool helgrind);
     if static_hints then begin
       (* compile already checked this source; a fresh parse feeds the
          static pass, whose hint sites are (file, line)s of allocations *)
@@ -252,23 +254,13 @@ let run_cmd =
       Printf.eprintf "static hints: %d thread-local allocation site(s)\n%!"
         (List.length sr.M.Static_race.hint_locs)
     end;
-    let djit_t =
-      if djit then begin
-        let d = Det.Djit.create ~suppressions () in
-        Vm.Engine.add_tool vm (Det.Djit.tool d);
-        Some d
-      end
-      else None
+    let djit_t = if djit then Some (Det.Djit.create ~suppressions ()) else None in
+    let lo_t = if lock_order then Some (Det.Lock_order.create ~suppressions ()) else None in
+    let tools =
+      (Det.Helgrind.tool helgrind :: Option.to_list (Option.map Det.Djit.tool djit_t))
+      @ Option.to_list (Option.map Det.Lock_order.tool lo_t)
     in
-    let lo_t =
-      if lock_order then begin
-        let l = Det.Lock_order.create ~suppressions () in
-        Vm.Engine.add_tool vm (Det.Lock_order.tool l);
-        Some l
-      end
-      else None
-    in
-    let outcome = Vm.Engine.run vm (fun () -> M.Interp.run_main interp) in
+    let outcome = run_program ~seed tools interp in
     List.iter (fun line -> print_endline line) (M.Interp.output interp);
     Printf.printf "== %s: %d ops, %d thread(s), %d delete(s) annotated ==\n" file
       outcome.stats.ops_executed outcome.stats.threads_created n_annotated;

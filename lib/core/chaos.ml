@@ -235,12 +235,6 @@ let run_oracles ~(plan : Faults.Plan.t) ~sharded ~(cr : Sip.Workload.chaos_run_r
              else String.concat ", " cr.cr_shard_audit) };
       ]
 
-(* djb2, as elsewhere in the repo *)
-let hash_name name =
-  let h = ref 5381 in
-  String.iter (fun c -> h := ((!h lsl 5) + !h + Char.code c) land 0x3FFFFFFF) name;
-  !h
-
 let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_case) =
   (* Mix the cell coordinates into the injector seed: cells of the same
      plan must not share one roll stream, or an unlucky prefix starves
@@ -248,7 +242,7 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
      (config.seed, plan, test, resilient) — the determinism contract. *)
   let cell_seed =
     config.seed
-    lxor (hash_name tc.tc_name * 31)
+    lxor (Faults.Injector.hash_name tc.tc_name * 31)
     lxor if resilient then 0x5EED else 0
   in
   let inj = Faults.Injector.create ~seed:cell_seed ~plan in
@@ -295,7 +289,7 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
         [ ("HWLC+DR", { Det.Helgrind.hwlc_dr with fast_path = config.fast_path }) ];
       max_ops = config.max_ops;
       faults = Some inj;
-      recorder;
+      tools = Option.to_list (Option.map Det.Offline.tool recorder);
     }
   in
   let result, value =

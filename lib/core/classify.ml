@@ -18,13 +18,7 @@
 module Det = Raceguard_detector
 module Sip = Raceguard_sip
 
-module Sig_set = Set.Make (struct
-  type t = Det.Report.signature
-
-  let compare (k1, s1) (k2, s2) =
-    let c = compare k1 k2 in
-    if c <> 0 then c else List.compare Raceguard_util.Loc.compare s1 s2
-end)
+module Sig_set = Det.Report.Sig_set
 
 let signature_set locations =
   List.fold_left

@@ -8,9 +8,7 @@
 
 module Det = Raceguard_detector
 
-module Sig_set : Set.S with type elt = Det.Report.signature
-
-val signature_set : (Det.Report.t * int) list -> Sig_set.t
+val signature_set : (Det.Report.t * int) list -> Det.Report.Sig_set.t
 
 type split = {
   hw_lock_fp : int;  (** removed by the HWLC correction *)

@@ -202,12 +202,11 @@ let fig4 ?(seed = default_seed) () =
       M.Interp.compile ~annotate ~file:"g.mcc" figure4_source
     in
     let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
-    let vm =
-      Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } ()
+    let cfg =
+      { Runner.default with seed; helgrind_configs = []; tools = [ Det.Helgrind.tool h ] }
     in
-    Vm.Engine.add_tool vm (Det.Helgrind.tool h);
-    let outcome = Vm.Engine.run vm (fun () -> M.Interp.run_main interp) in
-    assert (outcome.failures = []);
+    let res, _ = Runner.run_main cfg (fun () -> M.Interp.run_main interp) in
+    assert (res.outcome.failures = []);
     (pretty, n_annotated, Det.Helgrind.location_count h)
   in
   let _, _, n_plain = run ~annotate:false in
@@ -323,11 +322,12 @@ let false_negatives ?(seeds = 40) () =
     Runner.location_count res "cfg" > 0
   in
   let djit_detected seed =
+    let d = Det.Djit.create () in
     let cfg =
-      { Runner.default with seed; helgrind_configs = []; run_djit = true }
+      { Runner.default with seed; helgrind_configs = []; tools = [ Det.Djit.tool d ] }
     in
-    let res, _ = Runner.run_main cfg Scenarios.false_negative_schedule in
-    match res.djit with Some d -> Det.Djit.location_count d > 0 | None -> false
+    ignore (Runner.run_main cfg Scenarios.false_negative_schedule);
+    Det.Djit.location_count d > 0
   in
   let count f = List.length (List.filter f (List.init seeds (fun i -> i + 1))) in
   let with_states = count (detected Det.Helgrind.hwlc_dr) in
@@ -534,23 +534,21 @@ let eraser_states_ablation ?(seed = default_seed) () =
 
 let baselines ?(seed = default_seed) () =
   (* run Helgrind, DJIT and the true hybrid tool on the same stream *)
-  let vm_config = { Vm.Engine.default_config with seed } in
-  let vm = Vm.Engine.create ~config:vm_config () in
   let helgrind = Det.Helgrind.create Det.Helgrind.hwlc_dr in
   let djit = Det.Djit.create () in
   let hybrid = Det.Hybrid.create () in
   let racetrack = Det.Racetrack.create () in
-  Vm.Engine.add_tool vm (Det.Helgrind.tool helgrind);
-  Vm.Engine.add_tool vm (Det.Djit.tool djit);
-  Vm.Engine.add_tool vm (Det.Hybrid.tool hybrid);
-  Vm.Engine.add_tool vm (Det.Racetrack.tool racetrack);
-  let transport = Sip.Transport.create () in
-  let _ =
-    Vm.Engine.run vm (fun () ->
-        ignore
-          (Sip.Workload.run_test_case ~transport ~server_config:Runner.default.server
-             Sip.Workload.t2 ()))
+  let tools =
+    [
+      Det.Helgrind.tool helgrind;
+      Det.Djit.tool djit;
+      Det.Hybrid.tool hybrid;
+      Det.Racetrack.tool racetrack;
+    ]
   in
+  ignore
+    (Runner.run_test_case { Runner.default with seed; helgrind_configs = []; tools }
+       Sip.Workload.t2);
   Printf.sprintf
     "§2.2 — lock-set vs happens-before vs hybrids on the same execution (T2)\n\n\
      Helgrind (HWLC+DR) locations:          %3d\n\
@@ -611,22 +609,13 @@ let perf ?(seed = default_seed) ?(reps = 3) () =
   let helgrind_slow =
     run_with [ ("HWLC+DR", { Det.Helgrind.hwlc_dr with fast_path = false }) ]
   in
-  (* hot-path counters from one instrumented run, read from the
-     process-global metrics registry (the single stats path — no more
-     per-instance counter reads or Lockset.stats here) *)
+  (* hot-path counters from one instrumented run: its delta of the
+     process-global metrics registry *)
   let run_metrics =
-    let before = Obs.Metrics.snapshot () in
-    let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
-    let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-    Vm.Engine.add_tool vm (Det.Helgrind.tool h);
-    let transport = Sip.Transport.create () in
-    let _ =
-      Vm.Engine.run vm (fun () ->
-          ignore
-            (Sip.Workload.run_test_case ~transport ~server_config:Runner.default.server
-               Sip.Workload.t2 ()))
-    in
-    Obs.Metrics.diff ~before (Obs.Metrics.snapshot ())
+    (Runner.run_test_case
+       { Runner.default with seed; helgrind_configs = [ ("HWLC+DR", Det.Helgrind.hwlc_dr) ] }
+       Sip.Workload.t2)
+      .metrics
   in
   let m name = Option.value ~default:0 (Obs.Metrics.find_counter run_metrics name) in
   let g name = Option.value ~default:0 (Obs.Metrics.find_gauge run_metrics name) in
@@ -649,16 +638,7 @@ let perf ?(seed = default_seed) ?(reps = 3) () =
   (* offline: record the trace, then replay through the detector *)
   let offline_record_t, (rec_len, rec_words, replay_t, offline_locs) =
     time_run (fun () ->
-        let recorder = Det.Offline.create_recorder () in
-        let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-        Vm.Engine.add_tool vm (Det.Offline.tool recorder);
-        let transport = Sip.Transport.create () in
-        let _ =
-          Vm.Engine.run vm (fun () ->
-              ignore
-                (Sip.Workload.run_test_case ~transport
-                   ~server_config:Runner.default.server Sip.Workload.t2 ()))
-        in
+        let recorder = (Trace_ops.record_test ~seed Sip.Workload.t2).rec_recorder in
         let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
         let replay_t, () = time_run (fun () -> Det.Offline.replay recorder (Det.Helgrind.tool h)) in
         ( Det.Offline.length recorder,
@@ -695,13 +675,12 @@ let perf ?(seed = default_seed) ?(reps = 3) () =
 
 let deadlock ?(seed = default_seed) () =
   (* predictive: inversion without a runtime deadlock *)
+  let lo = Det.Lock_order.create () in
   let cfg =
-    { Runner.default with seed; helgrind_configs = []; run_lock_order = true }
+    { Runner.default with seed; helgrind_configs = []; tools = [ Det.Lock_order.tool lo ] }
   in
-  let res, _ = Runner.run_main cfg (Scenarios.lock_order_inversion ~force_deadlock:false) in
-  let predicted =
-    match res.lock_order with Some l -> Det.Lock_order.locations l | None -> []
-  in
+  ignore (Runner.run_main cfg (Scenarios.lock_order_inversion ~force_deadlock:false));
+  let predicted = Det.Lock_order.locations lo in
   (* runtime: force the interleaving that actually deadlocks *)
   let cfg2 =
     {

@@ -99,7 +99,7 @@ let run ?(runner = Runner.default) ?(base = Det.Helgrind.original) tc =
            let sg = Det.Report.signature r in
            let suppressed =
              List.filter_map
-               (fun (name, sigs) -> if Classify.Sig_set.mem sg sigs then None else Some name)
+               (fun (name, sigs) -> if Det.Report.Sig_set.mem sg sigs then None else Some name)
                variant_sigs
            in
            (match r.provenance with

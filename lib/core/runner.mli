@@ -15,36 +15,40 @@ module Obs = Raceguard_obs
 type config = {
   seed : int;
   policy : Vm.Engine.policy;
+  tools : Vm.Tool.t list;
+      (** attached first, in list order, ahead of the Helgrind
+          instances.  Any observer goes here: a DJIT, FastTrack or
+          lock-order detector, a registry sink, the binary trace
+          recorder.  The caller creates them, keeps the handles and
+          reads them after the run; the result carries nothing of
+          theirs.  Every tool is a pure observer, so schedule, RNG
+          draws and every other tool's reports are unchanged by its
+          presence. *)
   helgrind_configs : (string * Det.Helgrind.config) list;
-      (** named configurations run side by side *)
-  run_djit : bool;
-  run_fasttrack : bool;  (** epoch-based HB detector alongside (or instead) *)
-  run_lock_order : bool;
+      (** named Helgrind configurations run side by side, after
+          [tools], and read back by name through {!locations_of}.
+          Kept beside [tools] because the Figure 5/6 tables and
+          perfbench's sip-detect workload build their configurations
+          and read their pins through it. *)
   server : Sip.Proxy.config;
   max_ops : int;
   tracer : Obs.Trace.t option;
-      (** installed on the VM and on every Helgrind instance, so one
-          ring receives both VM events and detector decisions *)
+      (** installed on the VM and on every [helgrind_configs]
+          instance, so one ring receives both VM events and detector
+          decisions *)
   faults : Raceguard_faults.Injector.t option;
       (** fault injector handed to the engine (spawn-delay and
           lock-delay faults); share the instance wired into the
           transport and server config for one coherent plan *)
-  recorder : Det.Offline.recorder option;
-      (** binary trace recorder attached alongside the detectors: the
-          record mode of the offline plane.  Recording is a pure
-          observer — schedule, RNG draws and detector reports are
-          unchanged by its presence. *)
 }
 
 val default : config
-(** Seed 1, random scheduling, the three Figure-6 configurations
-    (Original / HWLC / HWLC+DR), instrumented server build. *)
+(** Seed 1, random scheduling, no [tools], the three Figure-6
+    configurations (Original / HWLC / HWLC+DR), instrumented server
+    build. *)
 
 type result = {
-  helgrind : (string * Det.Helgrind.t) list;
-  djit : Det.Djit.t option;
-  fasttrack : Det.Fasttrack.t option;
-  lock_order : Det.Lock_order.t option;
+  helgrind : (string * Det.Helgrind.t) list;  (** in [helgrind_configs] order *)
   outcome : Vm.Engine.outcome;
   oracle : Sip.Workload.run_result option;
       (** functional verdict when the run was a SIP test case *)

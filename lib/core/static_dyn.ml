@@ -39,28 +39,14 @@ type t = {
   n_dynamic_only : int;
 }
 
-let rec take n = function
-  | [] -> []
-  | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-
-let sig_of kind stack = (kind, take Report.signature_depth stack)
-
-let sig_compare (k1, s1) (k2, s2) =
-  let c = compare k1 k2 in
-  if c <> 0 then c else List.compare Loc.compare s1 s2
-
-module Sig_set = Set.Make (struct
-  type t = Report.kind * Loc.t list
-
-  let compare = sig_compare
-end)
+module Sig_set = Report.Sig_set
 
 (** Compare the static result with the dynamic reports of one (or
     more) runs of the same program. *)
 let cross_check ~(static : Static.result) ~(dynamic : Report.t list) : t =
   let static_sigs =
     List.fold_left
-      (fun acc (w : Static.warning) -> Sig_set.add (sig_of w.w_kind w.w_stack) acc)
+      (fun acc (w : Static.warning) -> Sig_set.add (Report.signature_of w.w_kind w.w_stack) acc)
       Sig_set.empty static.warnings
   in
   let dynamic_sigs =
@@ -100,7 +86,7 @@ let cross_check_seeds ?(domains = 1) ~(static : Static.result)
 let confirmed_sigs t =
   List.filter_map
     (fun e ->
-      if e.e_verdict = Confirmed then Some (sig_of e.e_kind e.e_stack) else None)
+      if e.e_verdict = Confirmed then Some (e.e_kind, e.e_stack) else None)
     t.entries
 
 let verdict_to_string = function

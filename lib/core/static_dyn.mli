@@ -34,11 +34,7 @@ val cross_check_seeds :
     verdicts are identical for any [domains] (1 = sequential,
     0 = auto). *)
 
-val sig_of : Report.kind -> Loc.t list -> Report.kind * Loc.t list
-(** Truncate a stack to the collector's {!Report.signature_depth} —
-    the equivalence the whole static/dynamic matching runs on. *)
-
-val confirmed_sigs : t -> (Report.kind * Loc.t list) list
+val confirmed_sigs : t -> Report.signature list
 (** Signatures of the [Confirmed] entries, the repair engine's
     work-list. *)
 

@@ -35,7 +35,6 @@ module Par = Raceguard_par.Par
 
 type recorded = {
   rec_recorder : Det.Offline.recorder;
-  rec_outcome : Vm.Engine.outcome;
   rec_live : Det.Offline.verdict list;
       (** live verdicts of the verification sinks, if any were attached *)
 }
@@ -56,22 +55,10 @@ let record_test ?(seed = 7) ?snapshot_every ?(live = []) (tc : Sip.Workload.test
   in
   let recorder = Det.Offline.create_recorder ?snapshot_every ~meta () in
   let sinks = List.map Det.Offline.sink live in
-  let vm = Vm.Engine.create ~config:{ Vm.Engine.default_config with seed } () in
-  Vm.Engine.add_tool vm (Det.Offline.tool recorder);
-  List.iter (fun s -> Vm.Engine.add_tool vm s.Det.Offline.sk_tool) sinks;
-  let transport = Sip.Transport.create () in
-  let outcome =
-    Vm.Engine.run vm (fun () ->
-        ignore
-          (Sip.Workload.run_test_case ~transport ~server_config:Runner.default.Runner.server
-             tc ()))
-  in
+  let tools = Det.Offline.tool recorder :: List.map (fun s -> s.Det.Offline.sk_tool) sinks in
+  ignore (Runner.run_test_case { Runner.default with seed; helgrind_configs = []; tools } tc);
   let events = Det.Offline.length recorder in
-  {
-    rec_recorder = recorder;
-    rec_outcome = outcome;
-    rec_live = List.map (Det.Offline.verdict_of_sink ~events) sinks;
-  }
+  { rec_recorder = recorder; rec_live = List.map (Det.Offline.verdict_of_sink ~events) sinks }
 
 let test_case_of_string = Explain.test_case_of_string
 

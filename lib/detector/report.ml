@@ -77,7 +77,18 @@ let rec take n = function [] -> [] | x :: rest -> if n = 0 then [] else x :: tak
 
 type signature = kind * Loc.t list
 
-let signature r : signature = (r.kind, take signature_depth r.stack)
+let signature_of kind stack : signature = (kind, take signature_depth stack)
+let signature r = signature_of r.kind r.stack
+
+let compare_signature (k1, s1) (k2, s2) =
+  let c = compare k1 k2 in
+  if c <> 0 then c else List.compare Loc.compare s1 s2
+
+module Sig_set = Set.Make (struct
+  type t = signature
+
+  let compare = compare_signature
+end)
 
 (* --- rendering ----------------------------------------------------- *)
 
@@ -255,9 +266,7 @@ let to_json r =
 module Sig_map = Map.Make (struct
   type t = signature
 
-  let compare (k1, s1) (k2, s2) =
-    let c = compare k1 k2 in
-    if c <> 0 then c else List.compare Loc.compare s1 s2
+  let compare = compare_signature
 end)
 
 type collector = {

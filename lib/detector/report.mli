@@ -64,7 +64,19 @@ val signature_depth : int
 
 type signature = kind * Loc.t list
 
+val signature_of : kind -> Loc.t list -> signature
+(** The kind and the top {!signature_depth} frames of a stack: the
+    dedup equivalence, shared by the collector, the static/dynamic
+    cross-check and the repair engine. *)
+
 val signature : t -> signature
+(** [signature_of r.kind r.stack]. *)
+
+val compare_signature : signature -> signature -> int
+(** Kind first, then the frames by {!Loc.compare}: the collector's
+    order, and so the order of every signature set. *)
+
+module Sig_set : Set.S with type elt = signature
 
 val signature_string : t -> string
 (** The dedup signature as one line: the headline, ["@"], then the

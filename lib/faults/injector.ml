@@ -39,8 +39,8 @@ let m_spawn = Metrics.counter "faults.injected.spawn_delay"
 let m_lock = Metrics.counter "faults.injected.lock_delay"
 
 let hash_name name =
-  (* djb2, as elsewhere in the repo; mixes the plan identity into the
-     seed so two plans under the same run seed draw distinct streams. *)
+  (* djb2; mixes the plan identity into the seed so two plans under
+     the same run seed draw distinct streams. *)
   let h = ref 5381 in
   String.iter (fun c -> h := ((!h lsl 5) + !h + Char.code c) land 0x3FFFFFFF) name;
   !h

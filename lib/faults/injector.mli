@@ -20,6 +20,10 @@ type datagram_decision =
   | Delay_by of int
   | Corrupt_with of int  (** payload xor key for deterministic mangling *)
 
+val hash_name : string -> int
+(** djb2 over the bytes of a name, kept to 30 bits: how plan and cell
+    names are mixed into injector seeds. *)
+
 val create : seed:int -> plan:Plan.t -> t
 val plan : t -> Plan.t
 

@@ -36,7 +36,7 @@ type t = {
   t_seeds : int list;
   t_domains : int;
   t_cross : Static_dyn.t;
-  t_confirmed : Verify.sigkey list;
+  t_confirmed : Report.signature list;
   t_patches : patch_result list;
   t_unfixed : (string * string) list;  (** (group description, reason) *)
   t_combined_source : string option;
@@ -65,7 +65,7 @@ let recheck_source ~file ~patched src =
             List.sort compare
               (List.map
                  (fun (w : M.Static_race.warning) ->
-                   Static_dyn.sig_of w.M.Static_race.w_kind w.M.Static_race.w_stack)
+                   Report.signature_of w.M.Static_race.w_kind w.M.Static_race.w_stack)
                  (M.Static_race.analyse p).M.Static_race.warnings)
           in
           if sigs reparsed = sigs patched then Ok ()

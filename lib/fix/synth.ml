@@ -24,10 +24,7 @@ module Static = M.Static_race
 module Token = M.Token
 module Report = Raceguard_detector.Report
 module Loc = Raceguard_util.Loc
-module Static_dyn = Raceguard.Static_dyn
 open M.Ast
-
-type sigkey = Report.kind * Loc.t list
 
 type guard =
   | G_existing of {
@@ -45,8 +42,8 @@ type plan = {
   pl_guard : guard;
   pl_guard_desc : string;
   pl_targets : (string * Token.pos) list;  (** (node, access span) needing a wrap *)
-  pl_fixed_sigs : sigkey list;  (** confirmed signatures this patch repairs *)
-  pl_group_sigs : sigkey list;  (** every signature attributable to the group *)
+  pl_fixed_sigs : Report.signature list;  (** confirmed signatures this patch repairs *)
+  pl_group_sigs : Report.signature list;  (** every signature attributable to the group *)
   pl_edits : string list;
 }
 
@@ -202,7 +199,7 @@ let fresh_field = "__rg_guard"
 
 (** Build one plan per confirmed group, or a reason it stays unfixed.
     [confirmed] are the cross-check's confirmed signatures. *)
-let plan_groups (p : program) (static : Static.result) ~(confirmed : sigkey list) :
+let plan_groups (p : program) (static : Static.result) ~(confirmed : Report.signature list) :
     plan list * (string * string) list =
   let bodies = Rewrite.bodies p in
   let body_names = List.map (fun (n, _, _) -> n) bodies in
@@ -210,7 +207,7 @@ let plan_groups (p : program) (static : Static.result) ~(confirmed : sigkey list
   let confirmed_warnings =
     List.filter
       (fun (w : Static.warning) ->
-        List.mem (Static_dyn.sig_of w.Static.w_kind w.Static.w_stack) confirmed)
+        List.mem (Report.signature_of w.Static.w_kind w.Static.w_stack) confirmed)
       static.Static.warnings
   in
   let groups =
@@ -236,7 +233,7 @@ let plan_groups (p : program) (static : Static.result) ~(confirmed : sigkey list
       let group_sigs =
         List.sort_uniq compare
           (List.map
-             (fun a -> Static_dyn.sig_of a.Static.ac_kind a.Static.ac_stack)
+             (fun a -> Report.signature_of a.Static.ac_kind a.Static.ac_stack)
              accesses)
       in
       let fixed_sigs =
@@ -244,7 +241,7 @@ let plan_groups (p : program) (static : Static.result) ~(confirmed : sigkey list
           (List.filter_map
              (fun (w : Static.warning) ->
                if w.Static.w_site.Static.site_id = site_id && w.Static.w_field = field then
-                 Some (Static_dyn.sig_of w.Static.w_kind w.Static.w_stack)
+                 Some (Report.signature_of w.Static.w_kind w.Static.w_stack)
                else None)
              confirmed_warnings)
       in

@@ -29,9 +29,6 @@ module Det = Raceguard_detector
 module Vm = Raceguard_vm
 module Par = Raceguard_par.Par
 module Report = Det.Report
-module Loc = Raceguard_util.Loc
-
-type sigkey = Report.kind * Loc.t list
 
 type stage = { sg_name : string; sg_ok : bool; sg_detail : string }
 
@@ -39,9 +36,9 @@ type stage = { sg_name : string; sg_ok : bool; sg_detail : string }
     yields, ready for byte- and signature-level comparison. *)
 type seed_run = {
   sr_seed : int;
-  sr_race_rendered : (sigkey * string) list;  (** sorted [Report.pp] renderings *)
-  sr_race_sigs : sigkey list;
-  sr_lo_sigs : sigkey list;  (** lock-order report signatures *)
+  sr_race_rendered : (Report.signature * string) list;  (** sorted [Report.pp] renderings *)
+  sr_race_sigs : Report.signature list;
+  sr_lo_sigs : Report.signature list;  (** lock-order report signatures *)
   sr_reports : Report.t list;  (** the raw race reports, for cross-checking *)
   sr_output : string list;
   sr_deadlock : bool;
@@ -82,7 +79,7 @@ let static_sigs (r : M.Static_race.result) =
   List.sort_uniq compare
     (List.map
        (fun (w : M.Static_race.warning) ->
-         Raceguard.Static_dyn.sig_of w.M.Static_race.w_kind w.M.Static_race.w_stack)
+         Report.signature_of w.M.Static_race.w_kind w.M.Static_race.w_stack)
        r.M.Static_race.warnings)
 
 (* --- stage 1: static ------------------------------------------------ *)
@@ -220,7 +217,7 @@ let stage_behaviour ~orig_runs ~patched_runs =
 
 (** Run all four stages for one patch. *)
 let verify ~orig_prog ~patched_prog ~orig_static ~orig_runs ~seeds ~domains
-    ~(fixed : sigkey list) ~(group : sigkey list) : stage list * bool =
+    ~(fixed : Report.signature list) ~(group : Report.signature list) : stage list * bool =
   let patched_static = M.Static_race.analyse patched_prog in
   let patched_runs = run_seeds ~domains patched_prog seeds in
   let stages =

@@ -127,6 +127,21 @@ let literal c word v =
   end
   else error c ("expected " ^ word)
 
+(* the four hex digits after the [u] at [c.i], which is left past
+   them; exactly four: [int_of_string] would also take an underscore *)
+let hex4 c =
+  if c.i + 5 > String.length c.s then error c "truncated \\u escape";
+  let digit k =
+    match c.s.[c.i + 1 + k] with
+    | '0' .. '9' as d -> Char.code d - 48
+    | 'a' .. 'f' as d -> Char.code d - 87
+    | 'A' .. 'F' as d -> Char.code d - 55
+    | _ -> error c "bad \\u escape"
+  in
+  let code = (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3 in
+  c.i <- c.i + 5;
+  code
+
 let parse_string_body c =
   let b = Buffer.create 16 in
   let rec go () =
@@ -145,29 +160,23 @@ let parse_string_body c =
         | Some 'b' -> Buffer.add_char b '\b'; c.i <- c.i + 1; go ()
         | Some 'f' -> Buffer.add_char b '\012'; c.i <- c.i + 1; go ()
         | Some 'u' ->
-            if c.i + 5 > String.length c.s then error c "truncated \\u escape";
-            (* exactly four hex digits: [int_of_string] would also take
-               an underscore *)
-            let digit k =
-              match c.s.[c.i + 1 + k] with
-              | '0' .. '9' as d -> Char.code d - 48
-              | 'a' .. 'f' as d -> Char.code d - 87
-              | 'A' .. 'F' as d -> Char.code d - 55
-              | _ -> error c "bad \\u escape"
+            let code = hex4 c in
+            (* RFC 8259 §7: a character outside the BMP is escaped as a
+               high surrogate followed by a low one; any other
+               surrogate escape is not a character *)
+            let code =
+              if code land 0xFC00 = 0xDC00 then error c "lone low surrogate"
+              else if code land 0xFC00 <> 0xD800 then code
+              else if c.i + 1 < String.length c.s && c.s.[c.i] = '\\' && c.s.[c.i + 1] = 'u'
+              then begin
+                c.i <- c.i + 1;
+                let low = hex4 c in
+                if low land 0xFC00 <> 0xDC00 then error c "lone high surrogate";
+                0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+              end
+              else error c "lone high surrogate"
             in
-            let code = (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3 in
-            (* BMP only, encoded as UTF-8; enough for our own output *)
-            if code < 0x80 then Buffer.add_char b (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-            end;
-            c.i <- c.i + 5;
+            Buffer.add_utf_8_uchar b (Uchar.of_int code);
             go ()
         | _ -> error c "bad escape")
     | Some ch ->
@@ -178,17 +187,32 @@ let parse_string_body c =
   go ();
   Buffer.contents b
 
+(* RFC 8259 §6: an optional minus; 0, or digits not starting with 0;
+   an optional fraction, a point and at least one digit; an optional
+   exponent, e or E, an optional sign and at least one digit.  So no
+   leading plus, no bare or trailing point and no leading zero. *)
 let parse_number c =
   let start = c.i in
-  let number_char ch =
-    match ch with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+  let digits () =
+    let from = c.i in
+    while match peek c with Some '0' .. '9' -> true | _ -> false do
+      c.i <- c.i + 1
+    done;
+    if c.i = from then error c "bad number"
   in
-  while (match peek c with Some ch -> number_char ch | None -> false) do
-    c.i <- c.i + 1
-  done;
-  match float_of_string_opt (String.sub c.s start (c.i - start)) with
-  | Some x -> Num x
-  | None -> error c "bad number"
+  if peek c = Some '-' then c.i <- c.i + 1;
+  if peek c = Some '0' then c.i <- c.i + 1 else digits ();
+  if peek c = Some '.' then begin
+    c.i <- c.i + 1;
+    digits ()
+  end;
+  (match peek c with
+  | Some ('e' | 'E') ->
+      c.i <- c.i + 1;
+      (match peek c with Some ('+' | '-') -> c.i <- c.i + 1 | _ -> ());
+      digits ()
+  | _ -> ());
+  Num (float_of_string (String.sub c.s start (c.i - start)))
 
 (* Nesting deeper than this is an error, not a deeper recursion: the
    parser recurses once per level, so an unbounded depth would let a

@@ -21,9 +21,12 @@ val to_string : ?indent:int -> t -> string
     always parses back. *)
 
 val parse : string -> (t, string) result
-(** Parse a complete JSON document.  Numbers become [Num] (floats,
-    JavaScript-style); [\uXXXX] escapes (exactly four hex digits) are
-    decoded as UTF-8 (BMP only).  Fails closed: any input gives [Ok] or
+(** Parse a complete JSON document, strictly per RFC 8259.  Numbers
+    follow its grammar ([+1], [.5], [1.] and [01] are errors) and
+    become [Num] (floats, JavaScript-style); [\uXXXX] escapes (exactly
+    four hex digits) are decoded as UTF-8, an escaped surrogate pair as
+    one 4-byte character, and any other surrogate escape is an
+    [Error].  Fails closed: any input gives [Ok] or
     [Error], and objects and arrays nested more than 512 deep are an
     [Error], so no input can exhaust the stack. *)
 

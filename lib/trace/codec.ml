@@ -97,20 +97,21 @@ let read_u32_at data pos =
 
 (* --- CRC-32 --------------------------------------------------------- *)
 
+(* Built when the module loads, not lazily: domains that seal
+   recordings at the same moment would force a [lazy] concurrently,
+   which raises [CamlinternalLazy.Undefined]. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 (** CRC-32 of [data.[pos .. pos+len-1]] as a non-negative int. *)
 let crc32 ?(crc = 0) data pos len =
-  let table = Lazy.force crc_table in
   let c = ref (crc lxor 0xFFFFFFFF) in
   for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code data.[i]) land 0xFF) lxor (!c lsr 8)
+    c := crc_table.((!c lxor Char.code data.[i]) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF land 0xFFFFFFFF

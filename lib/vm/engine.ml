@@ -56,7 +56,6 @@ let pp_policy ppf = function
 type config = {
   seed : int;
   policy : policy;
-  reuse_memory : bool;
   max_ops : int;  (** safety valve against runaway simulations *)
   tracer : Trace.t option;
       (** when set, every emitted event is offered to this sampling
@@ -73,7 +72,6 @@ let default_config =
   {
     seed = 1;
     policy = Random_seeded;
-    reuse_memory = true;
     max_ops = 50_000_000;
     tracer = None;
     faults = None;
@@ -268,7 +266,7 @@ let create ?(config = default_config) () =
   {
     config;
     rng = Rng.create ~seed:config.seed;
-    memory = Memory.create ~reuse:config.reuse_memory ();
+    memory = Memory.create ();
     threads = Growvec.create ~dummy:dummy_thread;
     mutexes =
       Growvec.create ~dummy:{ m_id = -1; m_name = ""; m_owner = None; m_waiters = Queue.create () };

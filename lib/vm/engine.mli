@@ -22,7 +22,6 @@ val pp_policy : Format.formatter -> policy -> unit
 type config = {
   seed : int;
   policy : policy;
-  reuse_memory : bool;  (** allocator recycles freed blocks *)
   max_ops : int;  (** safety valve against runaway simulations *)
   tracer : Raceguard_obs.Trace.t option;
       (** offer every emitted event to this sampling ring tracer

@@ -6,11 +6,9 @@
     "Address 0x... is N bytes inside a block of size M alloc'd by
     thread T" footer (Figure 9 of the paper).
 
-    The allocator can run in two modes:
-    - [reuse = false]: bump allocation, freed addresses are never
-      handed out again (fresh addresses, like a debugging allocator);
-    - [reuse = true]: freed blocks go to size-segregated free lists and
-      are reused LIFO, like a production malloc. *)
+    Freed blocks go to size-segregated free lists and are reused LIFO,
+    like a production malloc; a size with no freed block is bump
+    allocated past the break. *)
 
 module Loc = Raceguard_util.Loc
 module Growvec = Raceguard_util.Growvec
@@ -33,12 +31,11 @@ type t = {
   mutable brk : int;
   blocks : (int, block) Hashtbl.t;  (** base -> block *)
   free_lists : (int, int list ref) Hashtbl.t;  (** len -> bases *)
-  reuse : bool;
   mutable live_words : int;
   mutable total_allocs : int;
 }
 
-let create ?(reuse = true) () =
+let create () =
   {
     pages = Growvec.create ~dummy:[||];
     owners = Growvec.create ~dummy:[||];
@@ -46,7 +43,6 @@ let create ?(reuse = true) () =
     (* address 0 is reserved as the null pointer *)
     blocks = Hashtbl.create 1024;
     free_lists = Hashtbl.create 64;
-    reuse;
     live_words = 0;
     total_allocs = 0;
   }
@@ -94,13 +90,11 @@ let alloc t ~tid ~loc ~stack ~len =
   t.total_allocs <- t.total_allocs + 1;
   t.live_words <- t.live_words + len;
   let base =
-    if t.reuse then
-      match Hashtbl.find_opt t.free_lists len with
-      | Some ({ contents = base :: rest } as cell) ->
-          cell := rest;
-          base
-      | _ -> fresh_range t len
-    else fresh_range t len
+    match Hashtbl.find_opt t.free_lists len with
+    | Some ({ contents = base :: rest } as cell) ->
+        cell := rest;
+        base
+    | _ -> fresh_range t len
   in
   let block = { base; len; alloc_tid = tid; alloc_loc = loc; alloc_stack = stack; freed = false } in
   Hashtbl.replace t.blocks base block;
@@ -117,17 +111,15 @@ let free t ~addr =
   | Some b ->
       b.freed <- true;
       t.live_words <- t.live_words - b.len;
-      if t.reuse then begin
-        let cell =
-          match Hashtbl.find_opt t.free_lists b.len with
-          | Some c -> c
-          | None ->
-              let c = ref [] in
-              Hashtbl.replace t.free_lists b.len c;
-              c
-        in
-        cell := addr :: !cell
-      end;
+      let cell =
+        match Hashtbl.find_opt t.free_lists b.len with
+        | Some c -> c
+        | None ->
+            let c = ref [] in
+            Hashtbl.replace t.free_lists b.len c;
+            c
+      in
+      cell := addr :: !cell;
       b.len
 
 let live_words t = t.live_words

@@ -1,10 +1,11 @@
 (** Word-addressed simulated memory with an allocator.
 
     Addresses are word indices; address 0 is the null pointer and never
-    allocated.  Every allocation is recorded as a {!block} carrying the
-    allocating thread and call stack, so race reports can print the
-    Valgrind-style "Address ... is N words inside a block of size M
-    alloc'd by thread T" footer (Figure 9). *)
+    allocated.  Freed blocks are recycled LIFO from size-segregated
+    free lists, like a production malloc.  Every allocation is recorded
+    as a {!block} carrying the allocating thread and call stack, so
+    race reports can print the Valgrind-style "Address ... is N words
+    inside a block of size M alloc'd by thread T" footer (Figure 9). *)
 
 module Loc = Raceguard_util.Loc
 
@@ -19,10 +20,7 @@ type block = {
 
 type t
 
-val create : ?reuse:bool -> unit -> t
-(** [reuse] (default true): freed blocks are recycled LIFO from
-    size-segregated free lists, like a production malloc; with [false]
-    every allocation gets fresh addresses. *)
+val create : unit -> t
 
 val null : int
 

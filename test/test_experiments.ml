@@ -190,6 +190,42 @@ let test_runs_deterministic () =
   in
   Alcotest.(check (list (pair string int))) "same seed, same counts" (counts ()) (counts ())
 
+(* the run path: a Helgrind attached in [tools] and one built from
+   [helgrind_configs] watch the same stream and conclude the same *)
+let test_tool_equals_config () =
+  let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
+  let cfg =
+    {
+      R.Runner.default with
+      seed = 7;
+      tools = [ Det.Helgrind.tool h ];
+      helgrind_configs = [ ("HWLC+DR", Det.Helgrind.hwlc_dr) ];
+    }
+  in
+  let res = R.Runner.run_test_case cfg Sip.Workload.t2 in
+  let configured = List.assoc "HWLC+DR" res.helgrind in
+  Alcotest.(check string) "signature digest"
+    (Det.Offline.digest_signatures (R.Runner.locations_of res "HWLC+DR"))
+    (Det.Offline.digest_signatures (Det.Helgrind.locations h));
+  Alcotest.(check string) "report digest"
+    (Det.Offline.digest_reports (Det.Helgrind.reports configured))
+    (Det.Offline.digest_reports (Det.Helgrind.reports h))
+
+(* §2.2 at seed 7: the counts EXPERIMENTS.md and the T2 rows of
+   bench/baseline.json give *)
+let test_baselines_pinned () =
+  let out = R.Experiments.baselines ~seed:7 () in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) line true
+        (List.mem line (String.split_on_char '\n' out)))
+    [
+      "Helgrind (HWLC+DR) locations:           27";
+      "DJIT (vector clocks, first-only):       12";
+      "hybrid (lock-set gated by HB):          10";
+      "RaceTrack-style adaptive [16]:          10";
+    ]
+
 (* experiment registry renders without exceptions (smoke over them all
    is done by the bench harness; here we keep the cheap ones) *)
 let test_render_smoke () =
@@ -220,5 +256,7 @@ let suite =
       Alcotest.test_case "ablation: states" `Slow test_states_ablation;
       Alcotest.test_case "ablation: segments" `Slow test_segments_ablation;
       Alcotest.test_case "determinism" `Quick test_runs_deterministic;
+      Alcotest.test_case "runner: tool = config" `Quick test_tool_equals_config;
+      Alcotest.test_case "baselines: seed-7 counts" `Quick test_baselines_pinned;
       Alcotest.test_case "render smoke" `Quick test_render_smoke;
     ] )

@@ -321,17 +321,9 @@ let test_sip_equivalence () =
     (fun (tc : Sip.Workload.test_case) ->
       List.iter
         (fun seed ->
-          let cfg =
-            {
-              R.Runner.default with
-              seed;
-              helgrind_configs = [];
-              run_djit = true;
-              run_fasttrack = true;
-            }
-          in
-          let res = R.Runner.run_test_case cfg tc in
-          let d = Option.get res.djit and f = Option.get res.fasttrack in
+          let d = Det.Djit.create () and f = Det.Fasttrack.create () in
+          let tools = [ Det.Djit.tool d; Det.Fasttrack.tool f ] in
+          ignore (R.Runner.run_test_case { R.Runner.default with seed; helgrind_configs = []; tools } tc);
           Alcotest.(check string)
             (Fmt.str "%s seed %d: signature digest" tc.tc_name seed)
             (Det.Offline.digest_signatures (Det.Djit.locations d))

@@ -240,6 +240,26 @@ let test_json_unicode_escape () =
     (fun doc -> Alcotest.(check bool) (doc ^ " is an Error") true (Result.is_error (Json.parse doc)))
     [ {|"\u1___"|}; {|"\u_123"|}; {|"\u+123"|}; {|"\u 123"|}; {|"\u12"|}; {|"\u12g4"|} ]
 
+(* RFC 8259 §6: the number grammar, not whatever [float_of_string] takes *)
+let test_json_number_grammar () =
+  List.iter
+    (fun doc -> Alcotest.(check bool) (doc ^ " is an Error") true (Result.is_error (Json.parse doc)))
+    [ "+1"; ".5"; "1."; "01"; "-"; "1e"; "1e+"; "--1" ];
+  List.iter
+    (fun (doc, x) ->
+      match Json.parse doc with
+      | Ok (Json.Num y) -> Alcotest.(check (float 0.)) doc x y
+      | _ -> Alcotest.failf "%s does not parse as a number" doc)
+    [ ("0", 0.); ("-0", -0.); ("10", 10.); ("1.5", 1.5); ("-12.5E+2", -1250.); ("1e-3", 1e-3) ]
+
+(* RFC 8259 §7: a surrogate pair is one character; a lone surrogate is none *)
+let test_json_surrogates () =
+  List.iter
+    (fun doc -> Alcotest.(check bool) (doc ^ " is an Error") true (Result.is_error (Json.parse doc)))
+    [ {|"\ud800"|}; {|"\udc00"|}; {|"\ud800A"|}; {|"\ud800\u0041"|} ];
+  Alcotest.(check bool) "a pair decodes to one 4-byte UTF-8 sequence" true
+    (Json.parse {|"\ud83d\ude00"|} = Ok (Json.Str "\xf0\x9f\x98\x80"))
+
 (* --- provenance byte-stability across the fast path --------------------- *)
 
 let provenance_cfg base = { base with Det.Helgrind.provenance = true }
@@ -317,6 +337,8 @@ let suite =
       QCheck_alcotest.to_alcotest qc_parse_fails_closed;
       Alcotest.test_case "nesting depth capped" `Quick test_json_depth;
       Alcotest.test_case "unicode escapes take exactly four hex digits" `Quick test_json_unicode_escape;
+      Alcotest.test_case "numbers follow the RFC 8259 grammar" `Quick test_json_number_grammar;
+      Alcotest.test_case "surrogate escapes pair or fail" `Quick test_json_surrogates;
       Alcotest.test_case "provenance stable across fast path" `Slow
         test_provenance_fast_path_stable;
       Alcotest.test_case "explain JSON carries provenance + knobs" `Slow

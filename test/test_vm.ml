@@ -682,22 +682,6 @@ let test_frames_stack () =
         (List.map Loc.to_string stack)
   | l -> Alcotest.failf "expected exactly one write, saw %d" (List.length l)
 
-let test_memory_no_reuse () =
-  let vm =
-    Engine.create ~config:{ Engine.default_config with reuse_memory = false } ()
-  in
-  let addrs = ref (0, 0) in
-  let outcome =
-    Engine.run vm (fun () ->
-        let a = Api.alloc ~loc 4 in
-        Api.free ~loc a;
-        let b = Api.alloc ~loc 4 in
-        addrs := (a, b))
-  in
-  assert (outcome.failures = []);
-  let a, b = !addrs in
-  Alcotest.(check bool) "fresh addresses without reuse" true (a <> b)
-
 let test_memory_reuse_lifo () =
   let addrs = ref (0, 0) in
   let outcome, _ =
@@ -940,7 +924,6 @@ let suite =
       Alcotest.test_case "atomic rmw indivisible" `Quick test_atomic_rmw_indivisible;
       Alcotest.test_case "atomic cas" `Quick test_atomic_cas;
       Alcotest.test_case "op budget stops livelock" `Quick test_op_budget;
-      Alcotest.test_case "memory without reuse" `Quick test_memory_no_reuse;
       Alcotest.test_case "memory LIFO reuse" `Quick test_memory_reuse_lifo;
       Alcotest.test_case "queue blocks when full" `Quick test_queue_blocks_when_full;
       Alcotest.test_case "lost signal semantics" `Quick test_signal_with_no_waiter_is_lost;
