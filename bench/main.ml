@@ -229,7 +229,7 @@ let subjects =
 
 let sink_of subject = if subject = "no-tool" then None else Some (Det.Offline.sink subject)
 let tools_of = Option.fold ~none:[] ~some:(fun s -> [ s.Det.Offline.sk_tool ])
-let locations_of = Option.fold ~none:[] ~some:(fun s -> s.Det.Offline.sk_locations ())
+let locations_of = Option.fold ~none:[] ~some:(fun s -> Det.Report.locations s.Det.Offline.sk_collector)
 
 let subject_config subject =
   match sink_of subject with
@@ -473,7 +473,7 @@ let trace_rows ~blocks ~seed =
   let live = List.hd ride.rec_live in
   let t2 = sip_workload Sip.Workload.t2 in
   let plain =
-    let s = Det.Offline.sink detector in
+    let s = Det.Offline.sink ~digest:true detector in
     t2.w_run ~seed [ s.sk_tool ];
     Det.Offline.verdict_of_sink ~events s
   in

@@ -96,13 +96,14 @@ let run_program ~seed tools interp =
 (* --- lint ------------------------------------------------------------- *)
 
 (** One plain hwlc+dr run of the already-checked source, for
-    [--cross-check]. *)
+    [--cross-check]: the first occurrence of each location, because
+    the cross-check reads only signatures. *)
 let dynamic_reports ~seed ~file ~src =
   let pp = M.Preprocess.with_builtins () in
   let interp, _pretty, _n = M.Interp.compile ~annotate:true ~preprocessor:pp ~file src in
   let helgrind = Det.Helgrind.create Det.Helgrind.hwlc_dr in
   ignore (run_program ~seed [ Det.Helgrind.tool helgrind ] interp);
-  Det.Helgrind.reports helgrind
+  List.map fst (Det.Helgrind.locations helgrind)
 
 let lint_cmd =
   let json =

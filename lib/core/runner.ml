@@ -19,6 +19,8 @@ type config = {
   tools : Vm.Tool.t list;  (** attached first, in order; the caller keeps the handles *)
   helgrind_configs : (string * Det.Helgrind.config) list;
       (** configurations run side by side on the same event stream *)
+  on_report : (string -> Det.Report.t -> unit) option;
+      (** handed each [helgrind_configs] occurrence with its name *)
   server : Sip.Proxy.config;
   max_ops : int;
   tracer : Obs.Trace.t option;
@@ -38,6 +40,7 @@ let default =
         ("HWLC", Det.Helgrind.hwlc);
         ("HWLC+DR", Det.Helgrind.hwlc_dr);
       ];
+    on_report = None;
     server = { Sip.Proxy.default_config with annotate = true };
     max_ops = 50_000_000;
     tracer = None;
@@ -66,7 +69,9 @@ let run_main config main =
   let vm = Vm.Engine.create ~config:vm_config () in
   List.iter (Vm.Engine.add_tool vm) config.tools;
   let helgrind =
-    List.map (fun (name, hc) -> (name, Det.Helgrind.create hc)) config.helgrind_configs
+    List.map
+      (fun (name, hc) -> (name, Det.Helgrind.create ?on_report:(Option.map (fun f -> f name) config.on_report) hc))
+      config.helgrind_configs
   in
   List.iter
     (fun (_, h) ->

@@ -30,6 +30,11 @@ type config = {
           Kept beside [tools] because the Figure 5/6 tables and
           perfbench's sip-detect workload build their configurations
           and read their pins through it. *)
+  on_report : (string -> Det.Report.t -> unit) option;
+      (** handed every occurrence a [helgrind_configs] instance keeps,
+          with that configuration's name, as it is added (the
+          detector's [?on_report]); the instances themselves keep only
+          their locations *)
   server : Sip.Proxy.config;
   max_ops : int;
   tracer : Obs.Trace.t option;
@@ -44,8 +49,8 @@ type config = {
 
 val default : config
 (** Seed 1, random scheduling, no [tools], the three Figure-6
-    configurations (Original / HWLC / HWLC+DR), instrumented server
-    build. *)
+    configurations (Original / HWLC / HWLC+DR) and no [on_report],
+    instrumented server build. *)
 
 type result = {
   helgrind : (string * Det.Helgrind.t) list;  (** in [helgrind_configs] order *)

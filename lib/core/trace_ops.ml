@@ -54,7 +54,7 @@ let record_test ?(seed = 7) ?snapshot_every ?(live = []) (tc : Sip.Workload.test
     ]
   in
   let recorder = Det.Offline.create_recorder ?snapshot_every ~meta () in
-  let sinks = List.map Det.Offline.sink live in
+  let sinks = List.map (Det.Offline.sink ~digest:true) live in
   let tools = Det.Offline.tool recorder :: List.map (fun s -> s.Det.Offline.sk_tool) sinks in
   ignore (Runner.run_test_case { Runner.default with seed; helgrind_configs = []; tools } tc);
   let events = Det.Offline.length recorder in

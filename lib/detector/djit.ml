@@ -51,7 +51,7 @@ type t = {
   collector : Report.collector;
 }
 
-let create ?(config = default_config) ?(suppressions = []) () =
+let create ?(config = default_config) ?on_report ?suppressions () =
   {
     config;
     clocks =
@@ -64,10 +64,9 @@ let create ?(config = default_config) ?(suppressions = []) () =
           }
         ();
     shadow = [||];
-    collector = Report.collector ~suppressions ();
+    collector = Report.collector ?on_report ?suppressions ();
   }
 
-let reports t = Report.occurrences t.collector
 let locations t = Report.locations t.collector
 let location_count t = Report.location_count t.collector
 let collector t = t.collector

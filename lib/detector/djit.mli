@@ -22,13 +22,17 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?suppressions:Suppression.t list -> unit -> t
+val create :
+  ?config:config ->
+  ?on_report:(Report.t -> unit) ->
+  ?suppressions:Suppression.t list ->
+  unit ->
+  t
 val tool : t -> Raceguard_vm.Tool.t
 
 val on_event : t -> Raceguard_vm.Tool.ctx -> Raceguard_vm.Event.t -> unit
 (** Feed one event directly (composition / offline replay). *)
 
-val reports : t -> Report.t list
 val locations : t -> (Report.t * int) list
 val location_count : t -> int
 val collector : t -> Report.collector

@@ -107,7 +107,7 @@ type t = {
   mutable demotions : int;
 }
 
-let create ?(config = default_config) ?(suppressions = []) () =
+let create ?(config = default_config) ?on_report ?suppressions () =
   {
     config;
     clocks =
@@ -120,7 +120,7 @@ let create ?(config = default_config) ?(suppressions = []) () =
           }
         ();
     shadow = [||];
-    collector = Report.collector ~suppressions ();
+    collector = Report.collector ?on_report ?suppressions ();
     accesses_checked = 0;
     epoch_hits = 0;
     promotions = 0;
@@ -139,7 +139,6 @@ let config_to_json c =
       ("demote_check", J.int c.demote_check);
     ]
 
-let reports t = Report.occurrences t.collector
 let locations t = Report.locations t.collector
 let location_count t = Report.location_count t.collector
 let collector t = t.collector

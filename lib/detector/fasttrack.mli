@@ -25,7 +25,12 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?suppressions:Suppression.t list -> unit -> t
+val create :
+  ?config:config ->
+  ?on_report:(Report.t -> unit) ->
+  ?suppressions:Suppression.t list ->
+  unit ->
+  t
 val tool : t -> Raceguard_vm.Tool.t
 
 val on_event : t -> Raceguard_vm.Tool.ctx -> Raceguard_vm.Event.t -> unit
@@ -39,7 +44,6 @@ val unordered_now : t -> tid:int -> addr:int -> write:bool -> bool
 
 val config_to_json : config -> Raceguard_obs.Json.t
 
-val reports : t -> Report.t list
 val locations : t -> (Report.t * int) list
 val location_count : t -> int
 val collector : t -> Report.collector

@@ -212,7 +212,7 @@ type t = {
           the composition hook used by the {!Hybrid} detector *)
 }
 
-let create ?(suppressions = []) config =
+let create ?on_report ?suppressions config =
   {
     config;
     shadow = [||];
@@ -220,7 +220,7 @@ let create ?(suppressions = []) config =
     segments = Segments.create ();
     lock_names = Hashtbl.create 64;
     details = Details.create 64;
-    collector = Report.collector ~suppressions ();
+    collector = Report.collector ?on_report ?suppressions ();
     hints = Hashtbl.create 8;
     benign = [];
     accesses_checked = 0;
@@ -235,7 +235,6 @@ let set_static_hints t locs =
   List.iter (fun (file, line) -> Hashtbl.replace t.hints (file, line) ()) locs
 let set_tracer t tr = t.tracer <- Some tr
 
-let reports t = Report.occurrences t.collector
 let locations t = Report.locations t.collector
 let location_count t = Report.location_count t.collector
 let collector t = t.collector

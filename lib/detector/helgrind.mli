@@ -79,7 +79,10 @@ val config_to_json : config -> Raceguard_obs.Json.t
 
 type t
 
-val create : ?suppressions:Suppression.t list -> config -> t
+val create : ?on_report:(Report.t -> unit) -> ?suppressions:Suppression.t list -> config -> t
+(** [on_report] sees every kept warning occurrence as it is found
+    ({!Report.collector}); the detector itself keeps only the
+    locations. *)
 
 val tool : t -> Raceguard_vm.Tool.t
 (** The VM tool to attach with {!Raceguard_vm.Engine.add_tool}. *)
@@ -105,9 +108,6 @@ val set_static_hints : t -> (string * int) list -> unit
     word only ever touched by one thread between allocations). *)
 
 (** {1 Results} *)
-
-val reports : t -> Report.t list
-(** Every occurrence, chronologically. *)
 
 val locations : t -> (Report.t * int) list
 (** Distinct locations (deduplicated by call-stack signature — the

@@ -23,8 +23,8 @@ module Vm = Raceguard_vm
 
 type t = { lockset : Helgrind.t; hb : Fasttrack.t }
 
-let create ?(suppressions = []) () =
-  let lockset = Helgrind.create ~suppressions Helgrind.hwlc_dr in
+let create ?on_report ?suppressions () =
+  let lockset = Helgrind.create ?on_report ?suppressions Helgrind.hwlc_dr in
   (* every race is reported, so no cell is ever retired from the gate *)
   let hb =
     Fasttrack.create
@@ -48,7 +48,6 @@ let on_event t ctx e =
 
 let tool t = Vm.Tool.make ~name:"hybrid" ~on_event:(on_event t)
 
-let reports t = Helgrind.reports t.lockset
 let locations t = Helgrind.locations t.lockset
 let location_count t = Helgrind.location_count t.lockset
 let collector t = Helgrind.collector t.lockset

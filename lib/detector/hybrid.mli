@@ -10,11 +10,12 @@
 
 type t
 
-val create : ?suppressions:Suppression.t list -> unit -> t
+val create : ?on_report:(Report.t -> unit) -> ?suppressions:Suppression.t list -> unit -> t
+(** [on_report] sees every warning the gate admits, as it is found. *)
+
 val tool : t -> Raceguard_vm.Tool.t
 val on_event : t -> Raceguard_vm.Tool.ctx -> Raceguard_vm.Event.t -> unit
 
-val reports : t -> Report.t list
 val locations : t -> (Report.t * int) list
 val location_count : t -> int
 val collector : t -> Report.collector

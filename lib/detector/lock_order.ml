@@ -35,7 +35,6 @@ let create ?(suppressions = []) () =
     reported_pairs = [];
   }
 
-let reports t = Report.occurrences t.collector
 let locations t = Report.locations t.collector
 let location_count t = Report.location_count t.collector
 let collector t = t.collector

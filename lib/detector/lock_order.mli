@@ -11,7 +11,6 @@ type t
 val create : ?suppressions:Suppression.t list -> unit -> t
 val tool : t -> Raceguard_vm.Tool.t
 
-val reports : t -> Report.t list
 val locations : t -> (Report.t * int) list
 (** One report per unordered lock pair (deduplicated). *)
 

@@ -54,28 +54,70 @@ let decode r =
 (** Feed the recorded trace through a tool, post mortem. *)
 let replay r (tool : Vm.Tool.t) = Trace.Reader.replay (decode r) [ tool ]
 
+(* --- the report digest ------------------------------------------------ *)
+
+(* The runtime's MD5 (md5_stubs.c), fed incrementally: the code
+   [Digest.string] runs, so streaming changes no digest. *)
+external md5_context_size : unit -> int = "raceguard_md5_context_size" [@@noalloc]
+external md5_init : bytes -> unit = "raceguard_md5_init" [@@noalloc]
+external md5_update : bytes -> bytes -> int -> unit = "raceguard_md5_update" [@@noalloc]
+external md5_final : bytes -> bytes -> unit = "raceguard_md5_final" [@@noalloc]
+
+(* the most bytes hashed by one [md5_update] *)
+let chunk = 65536
+
+(* One render buffer and one scratch chunk per domain, shared by every
+   digest on it: a digest hashes each occurrence as soon as it is
+   rendered, so the buffer holds one occurrence, never the stream. *)
+type render = { buf : Buffer.t; scratch : Bytes.t }
+
+let render_key = Domain.DLS.new_key (fun () -> { buf = Buffer.create 1024; scratch = Bytes.create chunk })
+let newline b = Buffer.add_char b '\n'
+
+module Report_digest = struct
+  type t = { ctx : Bytes.t; mutable count : int }
+
+  let create () =
+    let ctx = Bytes.create (md5_context_size ()) in
+    md5_init ctx;
+    { ctx; count = 0 }
+
+  let add d r =
+    let { buf; scratch } = Domain.DLS.get render_key in
+    Buffer.clear buf;
+    if d.count > 0 then newline buf;
+    Report.render buf ~eol:newline r;
+    let len = Buffer.length buf in
+    let rec feed off =
+      if off < len then begin
+        let n = min chunk (len - off) in
+        Buffer.blit buf off scratch 0 n;
+        md5_update d.ctx scratch n;
+        feed (off + n)
+      end
+    in
+    feed 0;
+    d.count <- d.count + 1
+
+  (* finalises a copy, so the digest can still be read and fed *)
+  let to_hex d =
+    let digest = Bytes.create 16 in
+    md5_final (Bytes.copy d.ctx) digest;
+    Digest.to_hex (Bytes.unsafe_to_string digest)
+end
+
 (* --- the detector sink registry ------------------------------------- *)
 
 (** One detector instance behind a uniform face: the replay plane can
-    drive any of them and read back counts, dedup signatures and
-    rendered occurrences without knowing which algorithm it is. *)
+    drive any of them and read back counts, dedup signatures and the
+    report digest without knowing which algorithm it is. *)
 type sink = {
   sk_name : string;
   sk_config : Json.t;  (** full configuration, echoed into JSON outputs *)
   sk_tool : Vm.Tool.t;
-  sk_occurrences : unit -> Report.t list;
-  sk_locations : unit -> (Report.t * int) list;
+  sk_collector : Report.collector;
+  sk_digest : Report_digest.t option;
 }
-
-let sink_of_helgrind name cfg =
-  let h = Helgrind.create cfg in
-  {
-    sk_name = name;
-    sk_config = Helgrind.config_to_json cfg;
-    sk_tool = Helgrind.tool h;
-    sk_occurrences = (fun () -> Helgrind.reports h);
-    sk_locations = (fun () -> Helgrind.locations h);
-  }
 
 let other_config detector = Json.Obj [ ("detector", Json.Str detector) ]
 
@@ -100,51 +142,33 @@ let configs =
     "hybrid-epoch";
   ]
 
-let sink = function
-  | "helgrind-original" -> sink_of_helgrind "helgrind-original" Helgrind.original
-  | "helgrind-hwlc" -> sink_of_helgrind "helgrind-hwlc" Helgrind.hwlc
-  | "helgrind-hwlc+dr" -> sink_of_helgrind "helgrind-hwlc+dr" Helgrind.hwlc_dr
-  | "helgrind-hwlc+dr+hb" -> sink_of_helgrind "helgrind-hwlc+dr+hb" Helgrind.hwlc_dr_hb
-  | "eraser-pure" -> sink_of_helgrind "eraser-pure" Helgrind.pure_eraser
+let sink ?(digest = false) name =
+  let sk_digest = if digest then Some (Report_digest.create ()) else None in
+  let on_report = Option.map Report_digest.add sk_digest in
+  let make sk_config sk_tool sk_collector = { sk_name = name; sk_config; sk_tool; sk_collector; sk_digest } in
+  let helgrind cfg =
+    let h = Helgrind.create ?on_report cfg in
+    make (Helgrind.config_to_json cfg) (Helgrind.tool h) (Helgrind.collector h)
+  in
+  match name with
+  | "helgrind-original" -> helgrind Helgrind.original
+  | "helgrind-hwlc" -> helgrind Helgrind.hwlc
+  | "helgrind-hwlc+dr" -> helgrind Helgrind.hwlc_dr
+  | "helgrind-hwlc+dr+hb" -> helgrind Helgrind.hwlc_dr_hb
+  | "eraser-pure" -> helgrind Helgrind.pure_eraser
   | "djit" ->
-      let d = Djit.create () in
-      {
-        sk_name = "djit";
-        sk_config = other_config "djit";
-        sk_tool = Djit.tool d;
-        sk_occurrences = (fun () -> Djit.reports d);
-        sk_locations = (fun () -> Djit.locations d);
-      }
+      let d = Djit.create ?on_report () in
+      make (other_config "djit") (Djit.tool d) (Djit.collector d)
   | "fasttrack" ->
-      let f = Fasttrack.create () in
-      {
-        sk_name = "fasttrack";
-        sk_config = Fasttrack.config_to_json Fasttrack.default_config;
-        sk_tool = Fasttrack.tool f;
-        sk_occurrences = (fun () -> Fasttrack.reports f);
-        sk_locations = (fun () -> Fasttrack.locations f);
-      }
+      let f = Fasttrack.create ?on_report () in
+      make (Fasttrack.config_to_json Fasttrack.default_config) (Fasttrack.tool f) (Fasttrack.collector f)
   | "racetrack" ->
-      let r = Racetrack.create () in
-      {
-        sk_name = "racetrack";
-        sk_config = other_config "racetrack";
-        sk_tool = Racetrack.tool r;
-        sk_occurrences = (fun () -> Racetrack.reports r);
-        sk_locations = (fun () -> Racetrack.locations r);
-      }
-  | ("hybrid" | "hybrid-epoch") as name ->
-      let h = Hybrid.create () in
-      {
-        sk_name = name;
-        sk_config = other_config name;
-        sk_tool = Hybrid.tool h;
-        sk_occurrences = (fun () -> Hybrid.reports h);
-        sk_locations = (fun () -> Hybrid.locations h);
-      }
-  | name -> invalid_arg ("Offline.sink: unknown config " ^ name)
-
-let sinks ?(configs = configs) () = List.map sink configs
+      let r = Racetrack.create ?on_report () in
+      make (other_config "racetrack") (Racetrack.tool r) (Racetrack.collector r)
+  | "hybrid" | "hybrid-epoch" ->
+      let h = Hybrid.create ?on_report () in
+      make (other_config name) (Hybrid.tool h) (Hybrid.collector h)
+  | _ -> invalid_arg ("Offline.sink: unknown config " ^ name)
 
 (* --- verdicts: what a detector concluded, digested ------------------ *)
 
@@ -154,61 +178,6 @@ let sinks ?(configs = configs) () = List.map sink configs
 let digest_signatures locations =
   let sigs = List.sort String.compare (List.map (fun (r, _) -> Report.signature_string r) locations) in
   Digest.to_hex (Digest.string (String.concat "\n" sigs))
-
-(* The runtime's MD5 (md5_stubs.c), fed incrementally: the code
-   [Digest.string] runs, so streaming changes no digest. *)
-external md5_context_size : unit -> int = "raceguard_md5_context_size" [@@noalloc]
-external md5_init : bytes -> unit = "raceguard_md5_init" [@@noalloc]
-external md5_update : bytes -> bytes -> int -> unit = "raceguard_md5_update" [@@noalloc]
-external md5_final : bytes -> bytes -> unit = "raceguard_md5_final" [@@noalloc]
-
-(* bytes rendered before they are hashed *)
-let chunk = 65536
-
-(* One render buffer and one scratch chunk per domain, reused by every
-   digest: most verdicts render a few occurrences, and fresh chunk-sized
-   buffers per call would load the major heap on each.  The buffer holds
-   at most a chunk plus one occurrence, never the stream. *)
-type stream = { ctx : Bytes.t; buf : Buffer.t; scratch : Bytes.t }
-
-let stream_key =
-  Domain.DLS.new_key (fun () ->
-      { ctx = Bytes.create (md5_context_size ()); buf = Buffer.create (2 * chunk); scratch = Bytes.create chunk })
-
-let newline b = Buffer.add_char b '\n'
-
-(** MD5 over every occurrence rendered with {!Report.to_string}, in
-    chronological order and joined by ["\n"]: byte-level equality of
-    the full report stream, not just of its dedup signatures.  Each
-    occurrence is rendered into the domain's buffer, which is hashed
-    whenever it holds a chunk. *)
-let digest_reports occurrences =
-  let { ctx; buf; scratch } = Domain.DLS.get stream_key in
-  md5_init ctx;
-  Buffer.clear buf;
-  let flush () =
-    let len = Buffer.length buf in
-    let rec go off =
-      if off < len then begin
-        let n = min chunk (len - off) in
-        Buffer.blit buf off scratch 0 n;
-        md5_update ctx scratch n;
-        go (off + n)
-      end
-    in
-    go 0;
-    Buffer.clear buf
-  in
-  List.iteri
-    (fun i r ->
-      if i > 0 then newline buf;
-      Report.render buf ~eol:newline r;
-      if Buffer.length buf >= chunk then flush ())
-    occurrences;
-  flush ();
-  let digest = Bytes.create 16 in
-  md5_final ctx digest;
-  Digest.to_hex (Bytes.unsafe_to_string digest)
 
 type verdict = {
   v_config : string;
@@ -220,17 +189,18 @@ type verdict = {
 }
 
 let verdict_of_sink ~events s =
-  (* each accessor rebuilds its list (a reversal, a map traversal and
-     sort), so read each once *)
-  let occurrences = s.sk_occurrences () and locations = s.sk_locations () in
-  {
-    v_config = s.sk_name;
-    v_events = events;
-    v_occurrences = List.length occurrences;
-    v_locations = List.length locations;
-    v_sig_digest = digest_signatures locations;
-    v_report_digest = digest_reports occurrences;
-  }
+  match s.sk_digest with
+  | None -> invalid_arg ("Offline.verdict_of_sink: " ^ s.sk_name ^ " was made without ~digest")
+  | Some d ->
+      let locations = Report.locations s.sk_collector in
+      {
+        v_config = s.sk_name;
+        v_events = events;
+        v_occurrences = Report.occurrence_count s.sk_collector;
+        v_locations = List.length locations;
+        v_sig_digest = digest_signatures locations;
+        v_report_digest = Report_digest.to_hex d;
+      }
 
 let verdict_to_json v =
   Json.Obj
@@ -254,6 +224,6 @@ let verdict_equal a b =
     sense the parallel runner needs: a fresh detector instance per
     call, no shared state — one cell of the replay fan-out. *)
 let replay_config trace name =
-  let s = sink name in
+  let s = sink ~digest:true name in
   Trace.Reader.replay trace [ s.sk_tool ];
   verdict_of_sink ~events:(Trace.Reader.length trace) s

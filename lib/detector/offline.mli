@@ -48,14 +48,35 @@ val to_file : recorder -> string -> unit
 val replay : recorder -> Vm.Tool.t -> unit
 (** Feed the recorded trace through a tool, post mortem. *)
 
+(** {1 The report digest} *)
+
+(** MD5 over every occurrence rendered with {!Report.to_string}, in the
+    order they are added and joined by ["\n"]: byte-level equality of
+    the full report stream, not just of its dedup signatures.  Each
+    occurrence is rendered into one buffer per domain and hashed at
+    once, so the digest holds an MD5 context and a count, never the
+    stream.  It equals [Digest.string (String.concat "\n" ...)] over
+    the same occurrences. *)
+module Report_digest : sig
+  type t
+
+  val create : unit -> t
+
+  val add : t -> Report.t -> unit
+  (** Hash one more occurrence; a detector's [?on_report]. *)
+
+  val to_hex : t -> string
+  (** The digest so far; [add] may go on after it. *)
+end
+
 (** {1 The detector sink registry} *)
 
 type sink = {
   sk_name : string;
   sk_config : Json.t;  (** full configuration, echoed into JSON outputs *)
   sk_tool : Vm.Tool.t;
-  sk_occurrences : unit -> Report.t list;
-  sk_locations : unit -> (Report.t * int) list;
+  sk_collector : Report.collector;  (** counts and locations *)
+  sk_digest : Report_digest.t option;  (** the report digest, if made with [~digest] *)
 }
 
 val configs : string list
@@ -67,11 +88,12 @@ val configs : string list
     ["hybrid-epoch"] are one detector under two names, kept because
     the trace-replay benchmark replays all ten. *)
 
-val sink : string -> sink
-(** A fresh detector instance for a registry name.
+val sink : ?digest:bool -> string -> sink
+(** A fresh detector instance for a registry name.  [digest] (default
+    [false]) attaches a {!Report_digest} through the detector's
+    [?on_report], which {!verdict_of_sink} needs; without it the sink
+    renders nothing and keeps only its locations.
     @raise Invalid_argument on an unknown name. *)
-
-val sinks : ?configs:string list -> unit -> sink list
 
 (** {1 Verdicts} *)
 
@@ -82,8 +104,8 @@ type verdict = {
   v_locations : int;  (** deduplicated — the Figure-6 metric *)
   v_sig_digest : string;  (** MD5 over the sorted dedup signatures *)
   v_report_digest : string;
-      (** MD5 over every occurrence rendered with {!Report.to_string},
-          chronologically — byte-level equality of the report stream *)
+      (** the {!Report_digest} of every occurrence, chronologically —
+          byte-level equality of the report stream *)
 }
 
 val digest_signatures : (Report.t * int) list -> string
@@ -91,13 +113,10 @@ val digest_signatures : (Report.t * int) list -> string
     the signature digest of verdicts, chaos cells, bench rows and the
     test audits. *)
 
-val digest_reports : Report.t list -> string
-(** MD5 over the occurrences rendered with {!Report.to_string} and
-    joined by ["\n"], computed in 64 KiB chunks of one reused buffer:
-    equal to [Digest.string (String.concat "\n" ...)] without ever
-    holding the stream. *)
-
 val verdict_of_sink : events:int -> sink -> verdict
+(** The sink's counts, signature digest and report digest.
+    @raise Invalid_argument on a sink made without [~digest]. *)
+
 val verdict_to_json : verdict -> Json.t
 val verdict_equal : verdict -> verdict -> bool
 

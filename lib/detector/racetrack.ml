@@ -44,18 +44,17 @@ type t = {
   mutable benign : (int * int) list;
 }
 
-let create ?(config = default_config) ?(suppressions = []) () =
+let create ?(config = default_config) ?on_report ?suppressions () =
   {
     config;
     clocks = Hb_clocks.create ~config:config.hb ();
     shadow = [||];
     locks = [||];
     lock_names = Hashtbl.create 64;
-    collector = Report.collector ~suppressions ();
+    collector = Report.collector ?on_report ?suppressions ();
     benign = [];
   }
 
-let reports t = Report.occurrences t.collector
 let locations t = Report.locations t.collector
 let location_count t = Report.location_count t.collector
 let collector t = t.collector

@@ -3,8 +3,9 @@
     Valgrind de-duplicates errors by their call-stack signature; the
     paper counts "reported possible data race {e locations}" (Figure 6),
     i.e. distinct signatures, not individual dynamic occurrences.  The
-    collector keeps both: every occurrence, and the deduplicated
-    location list with occurrence counts. *)
+    collector keeps only the deduplicated locations (first occurrence
+    and count) and hands each occurrence, as it is added, to an
+    optional [on_report] hook. *)
 
 module Loc = Raceguard_util.Loc
 
@@ -263,44 +264,75 @@ let to_json r =
 
 (* --- collector ------------------------------------------------------ *)
 
-module Sig_map = Map.Make (struct
-  type t = signature
+let kind_index = function Race_write -> 0 | Race_read -> 1 | Lock_order -> 2
 
-  let compare = compare_signature
+(* The location index, keyed on the occurrence itself: two occurrences
+   are one location when their signatures are equal, decided without
+   building either signature.  The hash mixes the kind with the line
+   numbers of the signature frames, so no string is hashed per
+   warning; equal signatures have equal lines, and the rare line
+   collisions are settled by [equal]. *)
+module Index = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal a b =
+    let rec frames i s1 s2 =
+      i = signature_depth
+      ||
+      match (s1, s2) with
+      | [], [] -> true
+      | (l1 : Loc.t) :: r1, l2 :: r2 -> (l1 == l2 || Loc.equal l1 l2) && frames (i + 1) r1 r2
+      | _ -> false
+    in
+    a.kind == b.kind && frames 0 a.stack b.stack
+
+  let hash r =
+    let rec go h i = function
+      | (l : Loc.t) :: rest when i < signature_depth -> go ((h * 65599) + l.line) (i + 1) rest
+      | _ -> h
+    in
+    let h = go (kind_index r.kind) 0 r.stack in
+    (h lxor (h lsr 17)) land max_int
 end)
 
+type location = { first : t; mutable n : int }
+
 type collector = {
-  mutable all : t list;  (** reverse chronological *)
-  mutable by_sig : (t * int) Sig_map.t;  (** first occurrence, count *)
+  index : location Index.t;
+  mutable count : int;
   mutable suppressed : int;
-  mutable suppressions : Suppression.t list;
+  suppressions : Suppression.t list;
+  on_report : t -> unit;
 }
 
-let collector ?(suppressions = []) () =
-  { all = []; by_sig = Sig_map.empty; suppressed = 0; suppressions }
+let collector ?(on_report = ignore) ?(suppressions = []) () =
+  { index = Index.create 16; count = 0; suppressed = 0; suppressions; on_report }
+
+let is_suppressed c r =
+  match c.suppressions with
+  | [] -> false
+  | ss -> List.exists (fun s -> Suppression.matches s ~kind:(kind_to_string r.kind) ~stack:r.stack) ss
 
 let add c r =
-  if List.exists (fun s -> Suppression.matches s ~kind:(kind_to_string r.kind) ~stack:r.stack) c.suppressions
-  then c.suppressed <- c.suppressed + 1
+  if is_suppressed c r then c.suppressed <- c.suppressed + 1
   else begin
-    c.all <- r :: c.all;
-    let s = signature r in
-    c.by_sig <-
-      Sig_map.update s
-        (function None -> Some (r, 1) | Some (first, n) -> Some (first, n + 1))
-        c.by_sig
+    c.count <- c.count + 1;
+    (match Index.find c.index r with
+    | l -> l.n <- l.n + 1
+    | exception Not_found -> Index.add c.index r { first = r; n = 1 });
+    c.on_report r
   end
 
-(** All occurrences, in chronological order. *)
-let occurrences c = List.rev c.all
+(* by first occurrence; equal clocks fall back to the signature order *)
+let by_clock (a, _) (b, _) =
+  let c = Int.compare a.clock b.clock in
+  if c <> 0 then c else compare_signature (signature a) (signature b)
 
 (** Distinct reported locations (the Figure 6 metric), with occurrence
     counts, ordered by first occurrence. *)
 let locations c =
-  Sig_map.bindings c.by_sig
-  |> List.map (fun (_, (r, n)) -> (r, n))
-  |> List.sort (fun (a, _) (b, _) -> compare a.clock b.clock)
+  Index.fold (fun _ l acc -> (l.first, l.n) :: acc) c.index [] |> List.sort by_clock
 
-let location_count c = Sig_map.cardinal c.by_sig
-let occurrence_count c = List.length c.all
+let location_count c = Index.length c.index
+let occurrence_count c = c.count
 let suppressed_count c = c.suppressed

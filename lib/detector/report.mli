@@ -2,8 +2,9 @@
 
     Valgrind de-duplicates errors by call-stack signature; the paper
     counts "reported possible data race {e locations}" (Figure 6), i.e.
-    distinct signatures.  The collector keeps both every occurrence and
-    the deduplicated location list. *)
+    distinct signatures.  The collector keeps only the deduplicated
+    location list; a consumer that needs every occurrence takes each
+    one as it is added, through [on_report]. *)
 
 module Loc = Raceguard_util.Loc
 
@@ -112,15 +113,21 @@ val to_json : t -> Raceguard_obs.Json.t
 (** {1 Collector} *)
 
 type collector
+(** The occurrence count, the suppressed count and a hashed index of
+    the distinct locations (first occurrence and count).  It holds no
+    other occurrence. *)
 
-val collector : ?suppressions:Suppression.t list -> unit -> collector
+val collector :
+  ?on_report:(t -> unit) -> ?suppressions:Suppression.t list -> unit -> collector
+(** [on_report] sees every kept occurrence once, when it is added, in
+    the order of {!add}; suppressed occurrences never reach it. *)
 
 val add : collector -> t -> unit
 (** Record an occurrence (dropped if a suppression matches). *)
 
-val occurrences : collector -> t list
 val locations : collector -> (t * int) list
-(** Distinct locations with occurrence counts, by first occurrence. *)
+(** Distinct locations with occurrence counts, by the clock of their
+    first occurrence, equal clocks in {!compare_signature} order. *)
 
 val location_count : collector -> int
 val occurrence_count : collector -> int

@@ -7,7 +7,7 @@ open Ast
 
 exception Error of string * Token.pos
 
-type t = { mutable toks : Token.t list }
+type t = { mutable toks : Token.t list; mutable depth : int }
 
 let peek p = match p.toks with [] -> assert false | tok :: _ -> tok
 let kind p = (peek p).Token.kind
@@ -24,6 +24,22 @@ let expect p k =
          ( Printf.sprintf "expected %s, found %s" (Token.describe k)
              (Token.describe tok.Token.kind),
            tok.Token.pos ))
+
+(* The parser, and every pass over the tree after it, recurses once per
+   level of the tree.  Parentheses, argument lists, unary operators,
+   binary operators, field and method selections, blocks and [else if]
+   links each count one level of one shared depth, and past [max_depth]
+   the parse fails with [Error] instead of overflowing the stack.  A
+   chain such as [a + b + c] counts one level per operator: it parses
+   in a loop, but its tree is as deep as it is long. *)
+let max_depth = 256
+
+let enter p =
+  if p.depth >= max_depth then
+    raise (Error (Printf.sprintf "nesting deeper than %d" max_depth, pos p));
+  p.depth <- p.depth + 1
+
+let leave p = p.depth <- p.depth - 1
 
 let expect_ident p =
   match kind p with
@@ -52,54 +68,63 @@ let binop_of_kind = function
 
 let rec parse_expr p = parse_binary p 0
 
+(* [levels]: the operators consumed so far, each a level of the
+   left-deep tree being built *)
 and parse_binary p min_prec =
   let lhs = parse_unary p in
-  let rec loop lhs =
+  let rec loop lhs levels =
     match binop_of_kind (kind p) with
     | Some (op, prec) when prec >= min_prec ->
         let opos = pos p in
         advance p;
+        enter p;
         let rhs = parse_binary p (prec + 1) in
-        loop { e = Binop (op, lhs, rhs); epos = opos }
-    | _ -> lhs
+        loop { e = Binop (op, lhs, rhs); epos = opos } (levels + 1)
+    | _ ->
+        p.depth <- p.depth - levels;
+        lhs
   in
-  loop lhs
+  loop lhs 0
 
 and parse_unary p =
   match kind p with
-  | Token.BANG ->
+  | (Token.BANG | Token.MINUS) as k ->
       let upos = pos p in
       advance p;
-      { e = Unop (Not, parse_unary p); epos = upos }
-  | Token.MINUS ->
-      let upos = pos p in
-      advance p;
-      { e = Unop (Neg, parse_unary p); epos = upos }
+      enter p;
+      let e = parse_unary p in
+      leave p;
+      { e = Unop ((if k = Token.BANG then Not else Neg), e); epos = upos }
   | _ -> parse_postfix p
 
 and parse_postfix p =
   let prim = parse_primary p in
-  let rec loop e =
+  let rec loop e levels =
     match kind p with
     | Token.DOT -> (
         advance p;
+        enter p;
         let fpos = pos p in
         let name = expect_ident p in
         match kind p with
         | Token.LPAREN ->
             let args = parse_args p in
-            loop { e = Method_call (e, name, args); epos = fpos }
-        | _ -> loop { e = Field (e, name); epos = fpos })
-    | _ -> e
+            loop { e = Method_call (e, name, args); epos = fpos } (levels + 1)
+        | _ -> loop { e = Field (e, name); epos = fpos } (levels + 1))
+    | _ ->
+        p.depth <- p.depth - levels;
+        e
   in
-  loop prim
+  loop prim 0
 
 and parse_args p =
   expect p Token.LPAREN;
+  enter p;
   let rec go acc =
     match kind p with
     | Token.RPAREN ->
         advance p;
+        leave p;
         List.rev acc
     | _ -> (
         let e = parse_expr p in
@@ -109,6 +134,7 @@ and parse_args p =
             go (e :: acc)
         | Token.RPAREN ->
             advance p;
+            leave p;
             List.rev (e :: acc)
         | k -> raise (Error ("expected ',' or ')', found " ^ Token.describe k, pos p)))
   in
@@ -149,7 +175,9 @@ and parse_primary p =
       | _ -> { e = Var name; epos = tpos })
   | Token.LPAREN ->
       advance p;
+      enter p;
       let e = parse_expr p in
+      leave p;
       expect p Token.RPAREN;
       e
   | k -> raise (Error ("expected expression, found " ^ Token.describe k, tpos))
@@ -175,7 +203,13 @@ let rec parse_stmt p =
       let else_ =
         if kind p = Token.KW_else then begin
           advance p;
-          if kind p = Token.KW_if then [ parse_stmt p ] else parse_block p
+          if kind p = Token.KW_if then begin
+            enter p;
+            let s = parse_stmt p in
+            leave p;
+            [ s ]
+          end
+          else parse_block p
         end
         else []
       in
@@ -230,10 +264,12 @@ let rec parse_stmt p =
 
 and parse_block p =
   expect p Token.LBRACE;
+  enter p;
   let rec go acc =
     match kind p with
     | Token.RBRACE ->
         advance p;
+        leave p;
         List.rev acc
     | Token.EOF -> raise (Error ("unexpected end of input in block", pos p))
     | _ -> go (parse_stmt p :: acc)
@@ -341,7 +377,7 @@ let parse_class p =
   }
 
 let parse_program ~file toks =
-  let p = { toks } in
+  let p = { toks; depth = 0 } in
   let rec go acc =
     match kind p with
     | Token.EOF -> List.rev acc

@@ -4,6 +4,12 @@
 
 exception Error of string * Token.pos
 
+val max_depth : int
+(** The nesting cap, 256.  Parentheses, argument lists, unary and
+    binary operators, field and method selections, blocks and
+    [else if] links each count one level of one depth, and a program
+    nested deeper raises {!Error} instead of overflowing the stack. *)
+
 val parse_program : file:string -> Token.t list -> Ast.program
 (** Parse a token stream (ending in EOF). *)
 

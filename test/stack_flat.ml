@@ -24,10 +24,16 @@
    woken and the stop raises out of a handler.  Those paths must stay
    flat too: a non-tail [schedule] on either branch overflows here.
 
-   Last, the JSON parser, which recurses once per nesting level, must
-   fail closed on this stack: the deepest document it accepts (512
+   Last, the two parsers that recurse once per nesting level must fail
+   closed on this stack.  The deepest JSON document accepted (512
    nested arrays) parses, and 200,000 unclosed brackets are an [Error],
-   not a [Stack_overflow]. *)
+   not a [Stack_overflow].  A MiniC++ program nested exactly
+   [Parser.max_depth] levels deep parses and passes [Check.check_all]
+   (nested calls are the costliest level), while one level more and
+   200,000 parentheses are a [Parser.Error].  Each kind of level is
+   pinned: calls, parentheses, blocks, and the flat chains whose trees
+   are as deep as they are long (binary operators, field selections,
+   unary operators, else-if links). *)
 
 module Vm = Raceguard_vm
 module Engine = Vm.Engine
@@ -122,7 +128,38 @@ let () =
   let module Json = Raceguard_obs.Json in
   if Result.is_error (Json.parse (String.make 512 '[' ^ String.make 512 ']')) then
     fail "512 nested arrays did not parse";
-  match Json.parse (String.make 200_000 '[') with
+  (match Json.parse (String.make 200_000 '[') with
   | Error _ -> ()
   | Ok _ -> fail "200,000 unclosed brackets parsed"
-  | exception e -> fail "200,000 unclosed brackets raised %s" (Printexc.to_string e)
+  | exception e -> fail "200,000 unclosed brackets raised %s" (Printexc.to_string e));
+  let module P = Raceguard_minicc.Parser in
+  let rep n s = String.concat "" (List.init n (fun _ -> s)) in
+  (* [levels] deep: main's body block, then [levels - 1] nested levels *)
+  let programs levels =
+    let n = levels - 1 in
+    [
+      ("calls", "fn f(x) { return x; } fn main() { return " ^ rep n "f(" ^ "1" ^ rep n ")" ^ "; }");
+      ("parentheses", "fn main() { return " ^ rep n "(" ^ "1" ^ rep n ")" ^ "; }");
+      ("blocks", "fn main() { " ^ rep n "{ " ^ rep n "} " ^ "}");
+      ("binary chain", "fn main() { return 1" ^ rep n " + 1" ^ "; }");
+      ("field chain", "class N { var next; } fn main() { var p = new N(); return p" ^ rep n ".next" ^ "; }");
+      ("unary minuses", "fn main() { return " ^ rep n "- " ^ "1; }");
+      (* [n] ifs: [n - 1] else-if links, then the last if's block *)
+      ("else-if chain", "fn main() { if (1) { }" ^ rep (n - 1) " else if (1) { }" ^ " }");
+    ]
+  in
+  List.iter
+    (fun (shape, src) ->
+      match Raceguard_minicc.Check.check_all (P.parse_string ~file:"deep.mcc" src) with
+      | [] -> ()
+      | (m, _) :: _ -> fail "%s %d deep: %s" shape P.max_depth m
+      | exception e -> fail "%s %d deep raised %s" shape P.max_depth (Printexc.to_string e))
+    (programs P.max_depth);
+  List.iter
+    (fun (shape, src) ->
+      match P.parse_string ~file:"deep.mcc" src with
+      | exception P.Error _ -> ()
+      | exception e -> fail "%s raised %s" shape (Printexc.to_string e)
+      | _ -> fail "%s parsed" shape)
+    (("200,000 parentheses", "fn main() { return " ^ String.make 200_000 '(' ^ "1; }")
+    :: List.map (fun (shape, src) -> (Printf.sprintf "%s %d deep" shape (P.max_depth + 1), src)) (programs (P.max_depth + 1)))

@@ -191,25 +191,33 @@ let test_runs_deterministic () =
   Alcotest.(check (list (pair string int))) "same seed, same counts" (counts ()) (counts ())
 
 (* the run path: a Helgrind attached in [tools] and one built from
-   [helgrind_configs] watch the same stream and conclude the same *)
+   [helgrind_configs] watch the same stream and conclude the same, down
+   to every occurrence's bytes and their order *)
 let test_tool_equals_config () =
-  let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
+  let tool_digest = Det.Offline.Report_digest.create () in
+  let config_digest = Det.Offline.Report_digest.create () in
+  let h = Det.Helgrind.create ~on_report:(Det.Offline.Report_digest.add tool_digest) Det.Helgrind.hwlc_dr in
   let cfg =
     {
       R.Runner.default with
       seed = 7;
       tools = [ Det.Helgrind.tool h ];
       helgrind_configs = [ ("HWLC+DR", Det.Helgrind.hwlc_dr) ];
+      on_report = Some (fun name r -> if name = "HWLC+DR" then Det.Offline.Report_digest.add config_digest r);
     }
   in
   let res = R.Runner.run_test_case cfg Sip.Workload.t2 in
-  let configured = List.assoc "HWLC+DR" res.helgrind in
   Alcotest.(check string) "signature digest"
     (Det.Offline.digest_signatures (R.Runner.locations_of res "HWLC+DR"))
     (Det.Offline.digest_signatures (Det.Helgrind.locations h));
+  let occurrences = Det.Report.occurrence_count (Det.Helgrind.collector h) in
+  Alcotest.(check bool) "the run reports" true (occurrences > 0);
+  Alcotest.(check int) "occurrences"
+    (Det.Report.occurrence_count (Det.Helgrind.collector (List.assoc "HWLC+DR" res.helgrind)))
+    occurrences;
   Alcotest.(check string) "report digest"
-    (Det.Offline.digest_reports (Det.Helgrind.reports configured))
-    (Det.Offline.digest_reports (Det.Helgrind.reports h))
+    (Det.Offline.Report_digest.to_hex config_digest)
+    (Det.Offline.Report_digest.to_hex tool_digest)
 
 (* §2.2 at seed 7: the counts EXPERIMENTS.md and the T2 rows of
    bench/baseline.json give *)

@@ -79,14 +79,15 @@ let read_file path =
    full plus the fast-path hit counter *)
 let run_mcc ~seed cfg file =
   let interp, _pretty, _n = M.Interp.compile ~annotate:true ~file (read_file file) in
-  let h = Det.Helgrind.create cfg in
+  let reports = ref [] in
+  let h = Det.Helgrind.create ~on_report:(fun r -> reports := r :: !reports) cfg in
   let vm = Engine.create ~config:{ Engine.default_config with seed } () in
   Engine.add_tool vm (Det.Helgrind.tool h);
   let outcome = Engine.run vm (fun () -> M.Interp.run_main interp) in
   (match outcome.failures with
   | [] -> ()
   | (_, name, e) :: _ -> Alcotest.failf "thread %s raised %s" name (Printexc.to_string e));
-  ( List.map (Fmt.str "%a" Det.Report.pp) (Det.Helgrind.reports h),
+  ( List.rev_map (Fmt.str "%a" Det.Report.pp) !reports,
     Det.Helgrind.fast_path_hits h )
 
 let test_mcc_fast_path_identical file () =
@@ -107,7 +108,8 @@ let test_mcc_fast_path_identical file () =
 (* --- fast-path fidelity on the SIP test cases --------------------------- *)
 
 let run_sip ~seed cfg tc =
-  let h = Det.Helgrind.create cfg in
+  let reports = ref [] in
+  let h = Det.Helgrind.create ~on_report:(fun r -> reports := r :: !reports) cfg in
   let vm = Engine.create ~config:{ Engine.default_config with seed } () in
   Engine.add_tool vm (Det.Helgrind.tool h);
   let transport = Sip.Transport.create () in
@@ -119,7 +121,7 @@ let run_sip ~seed cfg tc =
   (match outcome.failures with
   | [] -> ()
   | (_, name, e) :: _ -> Alcotest.failf "thread %s raised %s" name (Printexc.to_string e));
-  List.map (Fmt.str "%a" Det.Report.pp) (Det.Helgrind.reports h)
+  List.rev_map (Fmt.str "%a" Det.Report.pp) !reports
 
 let test_sip_fast_path_identical () =
   List.iter

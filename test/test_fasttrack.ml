@@ -19,27 +19,31 @@ module Loc = Raceguard_util.Loc
 
 let loc = Loc.v "ft.c" "main" 1
 
-let run_djit ?(seed = 1) ?(config = Det.Djit.default_config) program =
+let run_djit ?(seed = 1) ?(config = Det.Djit.default_config) ?on_report program =
   let vm = Engine.create ~config:{ Engine.default_config with seed } () in
-  let d = Det.Djit.create ~config () in
+  let d = Det.Djit.create ~config ?on_report () in
   Engine.add_tool vm (Det.Djit.tool d);
   let _ = Engine.run vm program in
   d
 
-let run_ft ?(seed = 1) ?(config = Det.Fasttrack.default_config) program =
+let run_ft ?(seed = 1) ?(config = Det.Fasttrack.default_config) ?on_report program =
   let vm = Engine.create ~config:{ Engine.default_config with seed } () in
-  let f = Det.Fasttrack.create ~config () in
+  let f = Det.Fasttrack.create ~config ?on_report () in
   Engine.add_tool vm (Det.Fasttrack.tool f);
   let _ = Engine.run vm program in
   f
 
-let djit_digests d =
-  ( Det.Offline.digest_signatures (Det.Djit.locations d),
-    Det.Offline.digest_reports (Det.Djit.reports d) )
+(* signature and report digests of one run, the report digest fed as
+   each occurrence is found *)
+let djit_digests ?seed ?config program =
+  let dg = Det.Offline.Report_digest.create () in
+  let d = run_djit ?seed ?config ~on_report:(Det.Offline.Report_digest.add dg) program in
+  (Det.Offline.digest_signatures (Det.Djit.locations d), Det.Offline.Report_digest.to_hex dg)
 
-let ft_digests f =
-  ( Det.Offline.digest_signatures (Det.Fasttrack.locations f),
-    Det.Offline.digest_reports (Det.Fasttrack.reports f) )
+let ft_digests ?seed ?config program =
+  let dg = Det.Offline.Report_digest.create () in
+  let f = run_ft ?seed ?config ~on_report:(Det.Offline.Report_digest.add dg) program in
+  (Det.Offline.digest_signatures (Det.Fasttrack.locations f), Det.Offline.Report_digest.to_hex dg)
 
 (* --- the equivalence law on random schedules ----------------------------- *)
 
@@ -57,10 +61,7 @@ let qc_equivalence =
               List.for_all
                 (fun first_only ->
                   let dj =
-                    djit_digests
-                      (run_djit ~seed
-                         ~config:{ Det.Djit.default_config with first_only }
-                         program)
+                    djit_digests ~seed ~config:{ Det.Djit.default_config with first_only } program
                   in
                   (* demote_check 0 = classic FastTrack (never demote),
                      1 = demote at every opportunity, 32 = the default
@@ -68,9 +69,7 @@ let qc_equivalence =
                      reports *)
                   List.for_all
                     (fun demote_check ->
-                      dj
-                      = ft_digests
-                          (run_ft ~seed ~config:(ft_config ~first_only ~demote_check) program))
+                      dj = ft_digests ~seed ~config:(ft_config ~first_only ~demote_check) program)
                     [ 0; 1; 32 ])
                 [ true; false ])
             [ true; false ])
@@ -153,11 +152,10 @@ let shared_write_race () =
 let test_shared_write_race_matches_djit () =
   List.iter
     (fun seed ->
-      let dj = djit_digests (run_djit ~seed shared_write_race) in
-      let f = run_ft ~seed shared_write_race in
       Alcotest.(check (pair string string))
         (Fmt.str "seed %d: digests match djit" seed)
-        dj (ft_digests f))
+        (djit_digests ~seed shared_write_race)
+        (ft_digests ~seed shared_write_race))
     [ 1; 2; 3; 7; 42 ]
 
 (* demotion and re-promotion: the churn scenario promotes every word
@@ -307,11 +305,9 @@ let test_alloc_recycling_matches_djit () =
   in
   List.iter
     (fun seed ->
-      let dj = djit_digests (run_djit ~seed program) in
-      let ft = ft_digests (run_ft ~seed program) in
       Alcotest.(check (pair string string))
         (Fmt.str "seed %d: digests match djit" seed)
-        dj ft)
+        (djit_digests ~seed program) (ft_digests ~seed program))
     [ 1; 7; 42 ]
 
 (* --- live SIP pins: fasttrack ≡ djit on one shared event stream ----------- *)
@@ -321,7 +317,9 @@ let test_sip_equivalence () =
     (fun (tc : Sip.Workload.test_case) ->
       List.iter
         (fun seed ->
-          let d = Det.Djit.create () and f = Det.Fasttrack.create () in
+          let dd = Det.Offline.Report_digest.create () and fd = Det.Offline.Report_digest.create () in
+          let d = Det.Djit.create ~on_report:(Det.Offline.Report_digest.add dd) ()
+          and f = Det.Fasttrack.create ~on_report:(Det.Offline.Report_digest.add fd) () in
           let tools = [ Det.Djit.tool d; Det.Fasttrack.tool f ] in
           ignore (R.Runner.run_test_case { R.Runner.default with seed; helgrind_configs = []; tools } tc);
           Alcotest.(check string)
@@ -330,8 +328,8 @@ let test_sip_equivalence () =
             (Det.Offline.digest_signatures (Det.Fasttrack.locations f));
           Alcotest.(check string)
             (Fmt.str "%s seed %d: report digest" tc.tc_name seed)
-            (Det.Offline.digest_reports (Det.Djit.reports d))
-            (Det.Offline.digest_reports (Det.Fasttrack.reports f)))
+            (Det.Offline.Report_digest.to_hex dd)
+            (Det.Offline.Report_digest.to_hex fd))
         [ 7; 42 ])
     Sip.Workload.all_test_cases
 

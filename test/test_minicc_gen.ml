@@ -7,7 +7,9 @@
    - the interpreter runs them without runtime errors, deadlocks or
      VM misuse;
    - the annotation pass never changes program output;
-   - execution is deterministic per seed. *)
+   - execution is deterministic per seed;
+   - the front end fails closed: example programs with 1-3 bytes
+     edited parse and check, or raise the lexer's or parser's [Error]. *)
 
 module M = Raceguard_minicc
 module Vm = Raceguard_vm
@@ -299,14 +301,14 @@ let qc_class_checker_accepts =
   QCheck2.Test.make ~name:"generated class programs: checker accepts" ~count:100
     gen_class_program (fun p -> M.Check.check_all p = [])
 
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
 let test_examples_ast_roundtrip () =
-  let read_file path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
   Array.iter
     (fun file ->
       let path = "../examples/programs/" ^ file in
@@ -318,6 +320,48 @@ let test_examples_ast_roundtrip () =
       let annotated, _ = M.Annotate.annotate p in
       Alcotest.(check bool) (file ^ " annotated round-trips") true (ast_roundtrips annotated))
     (Sys.readdir "../examples/programs")
+
+(* --- the front end fails closed ---------------------------------------- *)
+
+let example_sources =
+  lazy
+    (Sys.readdir "../examples/programs" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mcc")
+    |> List.sort compare
+    |> List.map (fun f -> read_file ("../examples/programs/" ^ f)))
+
+(* an example program with 1-3 bytes replaced, inserted or deleted, or
+   cut short *)
+let gen_mutated_example =
+  let* () = return () in
+  let* src = oneofl (Lazy.force example_sources) in
+  let* edits = int_range 1 3 in
+  let rec go s k =
+    if k = 0 || s = "" then return s
+    else
+      let* i = int_bound (String.length s - 1) in
+      let* ch = oneof [ char; oneofl [ '('; ')'; '{'; '}'; ';'; '"'; '/'; '*'; '.'; '-'; '!'; '~' ] ] in
+      let* s =
+        oneofl
+          [
+            String.mapi (fun j c -> if j = i then ch else c) s;
+            String.sub s 0 i ^ String.make 1 ch ^ String.sub s i (String.length s - i);
+            String.sub s 0 i ^ String.sub s (i + 1) (String.length s - i - 1);
+            String.sub s 0 i;
+          ]
+      in
+      go s (k - 1)
+  in
+  go src edits
+
+let qc_front_end_fails_closed =
+  QCheck2.Test.make ~name:"mutated examples: parse and check raise only their errors" ~count:2000
+    ~print:String.escaped gen_mutated_example (fun src ->
+      match M.Parser.parse_string ~file:"mutated.mcc" src with
+      | p ->
+          ignore (M.Check.check_all p);
+          true
+      | exception (M.Parser.Error _ | M.Lexer.Error _) -> true)
 
 let qc_checker_accepts =
   QCheck2.Test.make ~name:"generated programs: checker accepts" ~count:150 gen_program
@@ -354,6 +398,7 @@ let suite =
       QCheck_alcotest.to_alcotest qc_class_checker_accepts;
       Alcotest.test_case "example programs: parse o pretty = id on the AST" `Quick
         test_examples_ast_roundtrip;
+      QCheck_alcotest.to_alcotest qc_front_end_fails_closed;
       QCheck_alcotest.to_alcotest qc_checker_accepts;
       QCheck_alcotest.to_alcotest qc_runs_clean;
       QCheck_alcotest.to_alcotest qc_annotation_preserves_output;

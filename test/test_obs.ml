@@ -265,7 +265,8 @@ let test_json_surrogates () =
 let provenance_cfg base = { base with Det.Helgrind.provenance = true }
 
 let run_sip ~seed cfg tc =
-  let h = Det.Helgrind.create cfg in
+  let reports = ref [] in
+  let h = Det.Helgrind.create ~on_report:(fun r -> reports := r :: !reports) cfg in
   let vm = Engine.create ~config:{ Engine.default_config with seed } () in
   Engine.add_tool vm (Det.Helgrind.tool h);
   let transport = Sip.Transport.create () in
@@ -282,7 +283,7 @@ let run_sip ~seed cfg tc =
       match r.provenance with
       | None -> Alcotest.fail "provenance missing with config.provenance = true"
       | Some p -> Fmt.str "%a@\n%a" Det.Report.pp r Det.Report.pp_provenance p)
-    (Det.Helgrind.reports h)
+    (List.rev !reports)
 
 let test_provenance_fast_path_stable () =
   List.iter

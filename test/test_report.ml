@@ -1,6 +1,7 @@
 (* The report renderer and the digests built on it: the Buffer
    renderer against the Format layout it replaced, the streamed report
-   digest against the MD5 of the concatenated stream, pinned verdict
+   digest against the MD5 of the concatenated stream, the collector's
+   location index against the signature map it replaced, pinned verdict
    digests, and the Helgrind detail memo's invalidation. *)
 
 module Det = Raceguard_detector
@@ -103,14 +104,20 @@ let qc_signature =
 
 (* --- the streamed report digest -------------------------------------- *)
 
-(* What [digest_reports] hashes, built the direct way *)
+(* The report digest of [rs], added in order *)
+let stream_digest rs =
+  let d = Det.Offline.Report_digest.create () in
+  List.iter (Det.Offline.Report_digest.add d) rs;
+  Det.Offline.Report_digest.to_hex d
+
+(* What the report digest hashes, built the direct way *)
 let concat_digest rs =
   Digest.to_hex (Digest.string (String.concat "\n" (List.map Det.Report.to_string rs)))
 
 let rendered_length rs =
   List.fold_left (fun acc r -> acc + String.length (Det.Report.to_string r) + 1) (-1) rs
 
-(* the digest hashes whenever its buffer holds this many bytes *)
+(* the digest hashes at most this many bytes per update *)
 let chunk = 65536
 
 let qc_stream =
@@ -119,8 +126,8 @@ let qc_stream =
       Fmt.str "%d reports, %d bytes rendered" (List.length rs) (rendered_length rs))
     QCheck2.Gen.(list_size (int_range 800 1600) gen_report)
     (fun rs ->
-      (* several chunk boundaries inside every case *)
-      rendered_length rs > 3 * chunk && Det.Offline.digest_reports rs = concat_digest rs)
+      (* every case longer than three chunks *)
+      rendered_length rs > 3 * chunk && stream_digest rs = concat_digest rs)
 
 let report ?(stack = [ Loc.v "a.cc" "f" 1 ]) () =
   {
@@ -136,9 +143,9 @@ let report ?(stack = [ Loc.v "a.cc" "f" 1 ]) () =
   }
 
 let test_stream_fixed () =
-  let check name rs = Alcotest.(check string) name (concat_digest rs) (Det.Offline.digest_reports rs) in
+  let check name rs = Alcotest.(check string) name (concat_digest rs) (stream_digest rs) in
   Alcotest.(check string) "no occurrences: MD5 of the empty string"
-    "d41d8cd98f00b204e9800998ecf8427e" (Det.Offline.digest_reports []);
+    "d41d8cd98f00b204e9800998ecf8427e" (stream_digest []);
   check "one report" [ report () ];
   check "two reports" [ report (); report () ];
   let deep = report ~stack:(List.init 3000 (fun i -> Loc.v "deep/stack.cc" "Frame::f" i)) () in
@@ -147,8 +154,8 @@ let test_stream_fixed () =
   check "one report longer than a chunk" [ deep ];
   check "around one longer than a chunk" [ report (); deep; report () ]
 
-(* The digest holds one chunk plus one occurrence, never the stream:
-   16 MiB of rendered occurrences must not reach the major heap. *)
+(* The digest holds one occurrence, never the stream: 16 MiB of
+   rendered occurrences must not reach the major heap. *)
 let test_stream_bounded () =
   let r = report ~stack:(List.init 12 (fun i -> Loc.v "server/registrar.cc" "Registrar::bind" i)) () in
   let n = (16 * 1024 * 1024 / String.length (Det.Report.to_string r)) + 1 in
@@ -156,11 +163,139 @@ let test_stream_bounded () =
   Alcotest.(check bool) "at least 16 MiB rendered" true (rendered_length rs >= 16 * 1024 * 1024);
   Gc.minor ();
   let _, _, major_before = Gc.counters () in
-  let digest = Det.Offline.digest_reports rs in
+  let digest = stream_digest rs in
   let _, _, major_after = Gc.counters () in
   let bytes = (major_after -. major_before) *. float_of_int (Sys.word_size / 8) in
   if bytes >= 1024. *. 1024. then Alcotest.failf "digest added %.0f bytes to the major heap" bytes;
   Alcotest.(check string) "same digest" (concat_digest rs) digest
+
+(* --- the collector's location index ----------------------------------- *)
+
+(* The collector before the hashed index, kept as the oracle: a map
+   from signature to (first occurrence, count), its bindings stably
+   sorted by the first occurrence's clock. *)
+module Sig_map = Map.Make (struct
+  type t = Det.Report.signature
+
+  let compare = Det.Report.compare_signature
+end)
+
+let model_locations rs =
+  List.fold_left
+    (fun m r ->
+      Sig_map.update (Det.Report.signature r)
+        (function None -> Some (r, 1) | Some (first, n) -> Some (first, n + 1))
+        m)
+    Sig_map.empty rs
+  |> Sig_map.bindings |> List.map snd
+  |> List.stable_sort (fun ((a : Det.Report.t), _) (b, _) -> compare a.clock b.clock)
+
+(* Frames from small pools, built afresh each time so that equal frames
+   are rarely the same block.  Two files share every line number, so
+   hashes collide; frame 4 (the last of the signature) takes one of two
+   values, so stacks that differ only there are two locations; frames
+   below it never matter. *)
+let gen_frame i =
+  QCheck2.Gen.(
+    if i < Det.Report.signature_depth - 1 then
+      map2 (fun file line -> Loc.v file "f" line) (oneofl [ "a.cc"; "b.cc" ]) (int_range 1 2)
+    else if i = Det.Report.signature_depth - 1 then map (fun func -> Loc.v "a.cc" func 4) (oneofl [ "g"; "h" ])
+    else map (fun line -> Loc.v "deep.cc" "below" line) nat)
+
+let gen_adds =
+  QCheck2.Gen.(
+    let* n = int_bound 80 in
+    let* adds =
+      list_repeat n
+        (let* kind = oneofl [ Det.Report.Race_write; Race_read; Lock_order ] in
+         let* depth = int_bound (Det.Report.signature_depth + 2) in
+         let* stack = flatten_l (List.init depth gen_frame) in
+         let* clock = int_bound 6 in
+         return (kind, stack, clock))
+    in
+    return
+      (List.mapi
+         (fun addr (kind, stack, clock) -> { (report ~stack ()) with kind; addr; clock; block = None })
+         adds))
+
+let collect rs =
+  let c = Det.Report.collector () in
+  List.iter (Det.Report.add c) rs;
+  c
+
+let same_locations a b = List.equal (fun (r, n) (r', n') -> r == r' && n = n') a b
+
+let qc_locations_model =
+  QCheck2.Test.make ~name:"locations: the signature map, stably sorted by clock" ~count:500
+    ~print:(fun rs -> Fmt.str "%a" Fmt.(list ~sep:cut string) (List.map Det.Report.signature_string rs))
+    gen_adds (fun rs ->
+      let c = collect rs and model = model_locations rs in
+      same_locations (Det.Report.locations c) model
+      && Det.Report.location_count c = List.length model
+      && Det.Report.occurrence_count c = List.length rs)
+
+let test_locations_fixed () =
+  let stack4 func below = [ Loc.v "a.cc" "f" 1; Loc.v "a.cc" "f" 2; Loc.v "b.cc" "f" 1; Loc.v "a.cc" func 4 ] @ below in
+  let at ?(kind = Det.Report.Race_write) ~clock stack = { (report ~stack ()) with kind; clock; addr = clock } in
+  let count rs = Det.Report.location_count (collect rs) in
+  Alcotest.(check int) "frame 4 differs: two locations" 2
+    (count [ at ~clock:0 (stack4 "g" []); at ~clock:1 (stack4 "h" []) ]);
+  Alcotest.(check int) "frame 5 differs: one location" 1
+    (count [ at ~clock:0 (stack4 "g" [ Loc.v "x.cc" "y" 5 ]); at ~clock:1 (stack4 "g" [ Loc.v "z.cc" "y" 9 ]) ]);
+  Alcotest.(check int) "kind differs: two locations" 2
+    (count [ at ~clock:0 (stack4 "g" []); at ~kind:Race_read ~clock:1 (stack4 "g" []) ]);
+  Alcotest.(check int) "a prefix is another location" 2
+    (count [ at ~clock:0 (stack4 "g" []); at ~clock:1 (List.tl (stack4 "g" [])) ]);
+  (* by first clock, equal clocks in signature order whatever the
+     order of adds; a later add with an earlier clock moves nothing *)
+  let tie =
+    [
+      at ~clock:3 (stack4 "h" []);
+      at ~clock:3 (stack4 "g" []);
+      at ~clock:1 (stack4 "g" [ Loc.unknown ]);
+      at ~kind:Race_read ~clock:2 (stack4 "g" []);
+    ]
+  in
+  Alcotest.(check (list (triple int string int)))
+    "first clock, then signature"
+    [ (2, "g", 1); (3, "g", 2); (3, "h", 1) ]
+    (List.map
+       (fun ((r : Det.Report.t), n) -> (r.clock, (List.nth r.stack 3).Loc.func, n))
+       (Det.Report.locations (collect tie)));
+  Alcotest.(check bool) "as the model orders them" true
+    (same_locations (Det.Report.locations (collect tie)) (model_locations tie))
+
+(* 100,000 occurrences of one location, each built afresh: the collector
+   keeps the first and a count, so the live heap barely grows *)
+let test_collector_holds_no_occurrences () =
+  let c = Det.Report.collector () in
+  let n = 100_000 in
+  let fresh i =
+    {
+      (report ~stack:[ Loc.v "a.cc" "f" 1; Loc.v "a.cc" "main" 2 ] ()) with
+      addr = i;
+      clock = i;
+      detail = string_of_int i;
+    }
+  in
+  Gc.full_major ();
+  let before = (Gc.stat ()).live_words in
+  for i = 1 to n do
+    Det.Report.add c (fresh i)
+  done;
+  Gc.full_major ();
+  let grown = ((Gc.stat ()).live_words - before) * (Sys.word_size / 8) in
+  Alcotest.(check int) "every occurrence counted" n (Det.Report.occurrence_count c);
+  Alcotest.(check int) "one location" 1 (Det.Report.location_count c);
+  if grown >= 1024 * 1024 then Alcotest.failf "the live heap grew by %d bytes" grown
+
+let test_verdict_needs_digest () =
+  Alcotest.(check string) "a digest sink with no occurrences: MD5 of the empty string"
+    "d41d8cd98f00b204e9800998ecf8427e"
+    (Det.Offline.verdict_of_sink ~events:0 (Det.Offline.sink ~digest:true "eraser-pure")).v_report_digest;
+  match Det.Offline.verdict_of_sink ~events:0 (Det.Offline.sink "eraser-pure") with
+  | _ -> Alcotest.fail "a verdict of a sink made without ~digest"
+  | exception Invalid_argument _ -> ()
 
 (* --- pinned verdict digests ----------------------------------------- *)
 
@@ -260,7 +395,8 @@ let race addr =
   locked 1 @ locked 2 @ [ E_write { tid = 2; addr; value = 0; atomic = false; loc } ]
 
 let test_memo_follows_lock_names config () =
-  let h = Det.Helgrind.create config in
+  let details = ref [] in
+  let h = Det.Helgrind.create ~on_report:(fun r -> details := r.detail :: !details) config in
   let tool = Det.Helgrind.tool h in
   List.iter (tool.on_event ctx)
     ([
@@ -275,7 +411,7 @@ let test_memo_follows_lock_names config () =
     "the warning after the rename shows the new name"
     [ "Previous state: shared modified, {lock#11}";
       "Previous state: shared modified, {\"reg_lock\"}" ]
-    (List.map (fun (r : Det.Report.t) -> r.detail) (Det.Helgrind.reports h))
+    (List.rev !details)
 
 let suite =
   ( "report",
@@ -286,6 +422,10 @@ let suite =
       QCheck_alcotest.to_alcotest qc_stream;
       Alcotest.test_case "streamed digest: fixed cases" `Quick test_stream_fixed;
       Alcotest.test_case "streamed digest holds no stream" `Quick test_stream_bounded;
+      QCheck_alcotest.to_alcotest qc_locations_model;
+      Alcotest.test_case "locations: frames, kinds and clock ties" `Quick test_locations_fixed;
+      Alcotest.test_case "collector holds no occurrences" `Quick test_collector_holds_no_occurrences;
+      Alcotest.test_case "verdict needs a digest sink" `Quick test_verdict_needs_digest;
       Alcotest.test_case "seed-7 verdict digests pinned" `Quick test_seed7_digests;
       Alcotest.test_case "detail memo follows lock names (original)" `Quick
         (test_memo_follows_lock_names Det.Helgrind.original);

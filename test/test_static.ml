@@ -100,7 +100,8 @@ let test_suppressions_roundtrip () =
 let run_mcc ?(hints = []) ~seed file =
   let path = "../examples/programs/" ^ file in
   let interp, _pretty, _n = M.Interp.compile ~annotate:true ~file:path (read_file path) in
-  let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
+  let reports = ref [] in
+  let h = Det.Helgrind.create ~on_report:(fun r -> reports := r :: !reports) Det.Helgrind.hwlc_dr in
   if hints <> [] then Det.Helgrind.set_static_hints h hints;
   let vm = Engine.create ~config:{ Engine.default_config with seed } () in
   Engine.add_tool vm (Det.Helgrind.tool h);
@@ -108,7 +109,7 @@ let run_mcc ?(hints = []) ~seed file =
   (match outcome.failures with
   | [] -> ()
   | (_, name, e) :: _ -> Alcotest.failf "thread %s raised %s" name (Printexc.to_string e));
-  ( List.map (Fmt.str "%a" Det.Report.pp) (Det.Helgrind.reports h),
+  ( List.rev_map (Fmt.str "%a" Det.Report.pp) !reports,
     Det.Helgrind.fast_path_hits h )
 
 let all_examples () =
@@ -171,12 +172,13 @@ let test_hints_raise_hit_rate () =
   Alcotest.(check int) "one hint site" 1 (List.length r.S.hint_locs);
   let run hints =
     let interp, _, _ = M.Interp.compile ~annotate:true ~file:"hinty.mcc" hinty_source in
-    let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
+    let reports = ref [] in
+    let h = Det.Helgrind.create ~on_report:(fun r -> reports := r :: !reports) Det.Helgrind.hwlc_dr in
     if hints <> [] then Det.Helgrind.set_static_hints h hints;
     let vm = Engine.create ~config:{ Engine.default_config with seed = 3 } () in
     Engine.add_tool vm (Det.Helgrind.tool h);
     ignore (Engine.run vm (fun () -> M.Interp.run_main interp));
-    ( List.map (Fmt.str "%a" Det.Report.pp) (Det.Helgrind.reports h),
+    ( List.rev_map (Fmt.str "%a" Det.Report.pp) !reports,
       Det.Helgrind.fast_path_hits h,
       Det.Helgrind.accesses_checked h )
   in
@@ -195,11 +197,12 @@ let test_cross_check_racy_counter () =
   let static = analyse_file "racy_counter.mcc" in
   let path = "../examples/programs/racy_counter.mcc" in
   let interp, _, _ = M.Interp.compile ~annotate:true ~file:path (read_file path) in
-  let h = Det.Helgrind.create Det.Helgrind.hwlc_dr in
+  let reports = ref [] in
+  let h = Det.Helgrind.create ~on_report:(fun r -> reports := r :: !reports) Det.Helgrind.hwlc_dr in
   let vm = Engine.create ~config:{ Engine.default_config with seed = 1 } () in
   Engine.add_tool vm (Det.Helgrind.tool h);
   ignore (Engine.run vm (fun () -> M.Interp.run_main interp));
-  let cc = R.Static_dyn.cross_check ~static ~dynamic:(Det.Helgrind.reports h) in
+  let cc = R.Static_dyn.cross_check ~static ~dynamic:(List.rev !reports) in
   Alcotest.(check bool) "some findings confirmed" true (cc.R.Static_dyn.n_confirmed > 0);
   Alcotest.(check int) "every static finding is dynamically witnessed" 0
     cc.R.Static_dyn.n_static_only
