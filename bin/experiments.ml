@@ -55,10 +55,11 @@ let run_cmd =
 
 let explain_cmd =
   let doc =
-    "Explain every warning of a test case: shadow-state history plus the config knobs (hwlc, \
-     dr, segments, hb) that would suppress it.  With --from-trace, the explanation is \
-     derived by time travel through a recorded trace instead: each provenance transition is \
-     resolved to its exact trace offset and the surrounding schedule slice is printed."
+    "Explain every warning of a test case under the Original configuration: shadow-state \
+     history plus the config knobs (hwlc, dr, hb) that would suppress it.  With --from-trace, \
+     the explanation is derived by time travel through a recorded trace under HWLC+DR instead: \
+     each provenance transition is resolved to its exact trace offset and the surrounding \
+     schedule slice is printed."
   in
   let test_arg =
     Arg.(

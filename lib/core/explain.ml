@@ -2,11 +2,11 @@
 
     The paper's evaluation (Figures 5/6) classifies warnings {e in
     aggregate} by differencing whole configurations; this module does
-    the same per warning.  The base configuration (with provenance
-    recording on) and one variant per applicable knob — hwlc, dr,
-    segments, hb — observe the {e same} VM event stream side by side
-    (the runner already supports that), and a warning is "suppressed by
-    knob K" iff its dedup signature is absent from the base+K variant's
+    the same per warning.  The paper's Original configuration (with
+    provenance recording on) and one variant per knob — hwlc, dr, hb —
+    observe the {e same} VM event stream side by side (the runner
+    already supports that), and a warning is "suppressed by knob K"
+    iff its dedup signature is absent from the base+K variant's
     locations.  Because every variant sees the identical schedule, the
     attribution is exact, not statistical.
 
@@ -19,41 +19,19 @@ module Sip = Raceguard_sip
 module Obs = Raceguard_obs
 module Json = Obs.Json
 
-type knob = {
-  k_name : string;
-  k_doc : string;
-  k_applicable : Det.Helgrind.config -> bool;
-      (** a knob already enabled in the base cannot be attributed *)
-  k_apply : Det.Helgrind.config -> Det.Helgrind.config;
-}
+type knob = { k_name : string; k_apply : Det.Helgrind.config -> Det.Helgrind.config }
 
 let knobs =
   [
+    (* corrected hardware bus-lock model (read-write bus lock) *)
     {
       k_name = "hwlc";
-      k_doc = "corrected hardware bus-lock model (read-write bus lock)";
-      k_applicable = (fun c -> c.Det.Helgrind.bus_model = Det.Helgrind.Locked_mutex);
-      k_apply =
-        (fun c -> { c with Det.Helgrind.bus_model = Det.Helgrind.Rw_lock; track_rwlocks = true });
+      k_apply = (fun c -> { c with Det.Helgrind.bus_model = Det.Helgrind.Rw_lock });
     };
-    {
-      k_name = "dr";
-      k_doc = "destructor annotations (VALGRIND_HG_DESTRUCT)";
-      k_applicable = (fun c -> not c.Det.Helgrind.destructor_annotations);
-      k_apply = (fun c -> { c with Det.Helgrind.destructor_annotations = true });
-    };
-    {
-      k_name = "segments";
-      k_doc = "thread-segment refinement (VisualThreads, Figure 2)";
-      k_applicable = (fun c -> not c.Det.Helgrind.thread_segments);
-      k_apply = (fun c -> { c with Det.Helgrind.thread_segments = true });
-    };
-    {
-      k_name = "hb";
-      k_doc = "happens-before annotations (the \xc2\xa75 extension)";
-      k_applicable = (fun c -> not c.Det.Helgrind.hb_annotations);
-      k_apply = (fun c -> { c with Det.Helgrind.hb_annotations = true });
-    };
+    (* destructor annotations (VALGRIND_HG_DESTRUCT) *)
+    { k_name = "dr"; k_apply = (fun c -> { c with Det.Helgrind.destructor_annotations = true }) };
+    (* happens-before annotations (the §5 extension) *)
+    { k_name = "hb"; k_apply = (fun c -> { c with Det.Helgrind.hb_annotations = true }) };
   ]
 
 type explained = {
@@ -65,7 +43,7 @@ type explained = {
 type t = {
   x_test : string;
   x_base : Det.Helgrind.config;
-  x_knobs : string list;  (** knobs that were attributable *)
+  x_knobs : string list;  (** knobs tried *)
   x_seed : int;
   x_warnings : explained list;
   x_result : Runner.result;
@@ -76,22 +54,18 @@ let test_case_of_string name =
     (fun (tc : Sip.Workload.test_case) -> String.lowercase_ascii tc.tc_name = String.lowercase_ascii name)
     Sip.Workload.all_test_cases
 
-(** Run [tc] with the base configuration plus one variant per
-    applicable knob, all on the same event stream, and attribute every
-    base warning.  [base] defaults to the paper's Original
-    configuration; provenance recording is forced on. *)
-let run ?(runner = Runner.default) ?(base = Det.Helgrind.original) tc =
-  let base = { base with Det.Helgrind.provenance = true } in
-  let applicable = List.filter (fun k -> k.k_applicable base) knobs in
-  let helgrind_configs =
-    ("base", base) :: List.map (fun k -> (k.k_name, k.k_apply base)) applicable
-  in
+(** Run [tc] with the Original configuration (provenance recording
+    on) plus one variant per knob, all on the same event stream, and
+    attribute every base warning. *)
+let run ?(runner = Runner.default) tc =
+  let base = { Det.Helgrind.original with provenance = true } in
+  let helgrind_configs = ("base", base) :: List.map (fun k -> (k.k_name, k.k_apply base)) knobs in
   let result = Runner.run_test_case { runner with helgrind_configs } tc in
   let variant_sigs =
     List.map
       (fun k ->
         (k.k_name, Classify.signature_set (Runner.locations_of result k.k_name)))
-      applicable
+      knobs
   in
   let warnings =
     Runner.locations_of result "base"
@@ -110,7 +84,7 @@ let run ?(runner = Runner.default) ?(base = Det.Helgrind.original) tc =
   {
     x_test = tc.Sip.Workload.tc_name;
     x_base = base;
-    x_knobs = List.map (fun k -> k.k_name) applicable;
+    x_knobs = List.map (fun k -> k.k_name) knobs;
     x_seed = runner.Runner.seed;
     x_warnings = warnings;
     x_result = result;

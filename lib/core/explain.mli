@@ -1,25 +1,20 @@
 (** Warning provenance: per-warning knob attribution (the [--explain]
     mode).
 
-    Runs the base Helgrind configuration (provenance recording forced
-    on) plus one variant per applicable knob — hwlc / dr / segments /
-    hb — on the {e same} VM event stream, then marks each base warning
-    with the knobs whose variant no longer reports its signature.
-    Exact, not statistical: every variant sees the identical
-    schedule. *)
+    Runs the paper's Original Helgrind configuration (provenance
+    recording on) plus one variant per knob — hwlc / dr / hb — on the
+    {e same} VM event stream, then marks each base warning with the
+    knobs whose variant no longer reports its signature.  Exact, not
+    statistical: every variant sees the identical schedule. *)
 
 module Det = Raceguard_detector
 module Sip = Raceguard_sip
 
-type knob = {
-  k_name : string;
-  k_doc : string;
-  k_applicable : Det.Helgrind.config -> bool;
-  k_apply : Det.Helgrind.config -> Det.Helgrind.config;
-}
+type knob = { k_name : string; k_apply : Det.Helgrind.config -> Det.Helgrind.config }
 
 val knobs : knob list
-(** hwlc, dr, segments, hb. *)
+(** hwlc, dr, hb: each turns on one setting the Original base has
+    off. *)
 
 type explained = {
   e_report : Det.Report.t;
@@ -31,7 +26,7 @@ type explained = {
 type t = {
   x_test : string;
   x_base : Det.Helgrind.config;
-  x_knobs : string list;  (** the knobs that were attributable *)
+  x_knobs : string list;  (** the knobs tried *)
   x_seed : int;
   x_warnings : explained list;
   x_result : Runner.result;
@@ -40,14 +35,8 @@ type t = {
 val test_case_of_string : string -> Sip.Workload.test_case option
 (** Case-insensitive lookup among T1–T8. *)
 
-val run :
-  ?runner:Runner.config ->
-  ?base:Det.Helgrind.config ->
-  Sip.Workload.test_case ->
-  t
-(** [base] defaults to the paper's Original configuration (so hwlc and
-    dr are attributable).  Pass [runner] to control seed / policy /
-    tracer. *)
+val run : ?runner:Runner.config -> Sip.Workload.test_case -> t
+(** Pass [runner] to control seed / policy / tracer. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human rendering: each warning with its Valgrind-style report, its

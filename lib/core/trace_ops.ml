@@ -302,12 +302,12 @@ let slice entries ~window i =
   let lo = max 0 (i - window) and hi = min (n - 1) (i + window) in
   Array.to_list (Array.sub entries lo (hi - lo + 1))
 
-(** Replay a provenance-recording lock-set detector over the trace and
-    resolve every warning's transition history to trace entries.  The
+(** Replay HWLC+DR, recording provenance, over the trace and resolve
+    every warning's transition history to trace entries.  The
     analysis runs on the recorded stream only — time travel without
     re-executing the program. *)
-let explain_from_trace ?(base = Det.Helgrind.hwlc_dr) ?(window = 4) trace =
-  let config = { base with Det.Helgrind.provenance = true } in
+let explain_from_trace ?(window = 4) trace =
+  let config = { Det.Helgrind.hwlc_dr with provenance = true } in
   let h = Det.Helgrind.create config in
   Trace.Reader.replay trace [ Det.Helgrind.tool h ];
   let entries = Trace.Reader.entries trace in

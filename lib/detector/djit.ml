@@ -11,26 +11,12 @@
       that a different schedule would expose (its false negatives are
       the lock-set's strength);
     - "it detects only the first apparent data race" per location:
-      [first_only] reproduces this (default true);
-    - §2.2 criticises detectors that assume signal/wait imposes a
-      strong order; [sync_on_cond]/[sync_on_sem] let you toggle whether
-      condition-variable and semaphore edges are honoured, so the
-      effect of that (unsound) assumption is measurable. *)
+      [first_only] reproduces this (default true). *)
 
 module Loc = Raceguard_util.Loc
 module Vm = Raceguard_vm
 module Vc = Vector_clock
 open Vm.Event
-
-type config = {
-  sync_on_cond : bool;
-  sync_on_sem : bool;
-  sync_on_annotations : bool;  (** honour HAPPENS_BEFORE/AFTER requests *)
-  first_only : bool;
-}
-
-let default_config =
-  { sync_on_cond = true; sync_on_sem = true; sync_on_annotations = true; first_only = true }
 
 type last_access = { a_tid : int; a_clk : int; a_loc : Loc.t }
 
@@ -41,7 +27,7 @@ type cell = {
 }
 
 type t = {
-  config : config;
+  first_only : bool;
   clocks : Hb_clocks.t;  (** shared happens-before machinery *)
   mutable shadow : cell array;
       (** dense, indexed by word address — the VM allocator hands out
@@ -51,18 +37,10 @@ type t = {
   collector : Report.collector;
 }
 
-let create ?(config = default_config) ?on_report ?suppressions () =
+let create ?(first_only = true) ?on_report ?suppressions () =
   {
-    config;
-    clocks =
-      Hb_clocks.create
-        ~config:
-          {
-            Hb_clocks.sync_on_cond = config.sync_on_cond;
-            sync_on_sem = config.sync_on_sem;
-            sync_on_annotations = config.sync_on_annotations;
-          }
-        ();
+    first_only;
+    clocks = Hb_clocks.create ();
     shadow = [||];
     collector = Report.collector ?on_report ?suppressions ();
   }
@@ -85,32 +63,10 @@ let reset_cell c =
   c.reads <- [];
   c.dead <- false
 
-let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~(prev : last_access) =
-  let block =
-    match ctx.block_of addr with
-    | Some (b : Vm.Memory.block) ->
-        Some
-          {
-            Report.b_base = b.base;
-            b_len = b.len;
-            b_alloc_tid = b.alloc_tid;
-            b_alloc_stack = b.alloc_stack;
-          }
-    | None -> None
-  in
+let report t ctx ~kind ~tid ~addr ~loc ~(prev : last_access) =
   Report.add t.collector
-    {
-      Report.kind;
-      addr;
-      tid;
-      thread_name = ctx.thread_name tid;
-      stack = loc :: ctx.stack_of tid;
-      detail =
-        Fmt.str "Conflicts with unordered access by thread %d at %a" prev.a_tid Loc.pp prev.a_loc;
-      block;
-      clock = ctx.clock ();
-      provenance = None;
-    }
+    (Report.of_access ctx ~kind ~tid ~addr ~loc
+       (Report.unordered_detail ~prev_tid:prev.a_tid ~prev_loc:prev.a_loc))
 
 let check_read t ctx ~tid ~addr ~loc =
   let c = cell t addr in
@@ -119,7 +75,7 @@ let check_read t ctx ~tid ~addr ~loc =
     (match c.last_write with
     | Some w when w.a_tid <> tid && not (Vc.ordered_before ~tid:w.a_tid ~clk:w.a_clk me) ->
         report t ctx ~kind:Report.Race_read ~tid ~addr ~loc ~prev:w;
-        if t.config.first_only then c.dead <- true
+        if t.first_only then c.dead <- true
     | _ -> ());
     if not c.dead then
       c.reads <-
@@ -140,7 +96,7 @@ let check_write t ctx ~tid ~addr ~loc =
      with
     | Some prev ->
         report t ctx ~kind:Report.Race_write ~tid ~addr ~loc ~prev;
-        if t.config.first_only then c.dead <- true
+        if t.first_only then c.dead <- true
     | None -> ());
     if not c.dead then begin
       c.last_write <- Some { a_tid = tid; a_clk = Vc.get me tid; a_loc = loc };

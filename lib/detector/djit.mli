@@ -7,31 +7,18 @@
     the same run, with none of its locking-discipline false positives —
     and with schedule-dependent misses instead. *)
 
-type config = {
-  sync_on_cond : bool;
-      (** treat condition signal→wait as ordering; §2.2 criticises
-          detectors for assuming this holds on all SMP systems *)
-  sync_on_sem : bool;  (** treat semaphore post→wait as ordering *)
-  sync_on_annotations : bool;  (** honour HAPPENS_BEFORE/AFTER requests *)
-  first_only : bool;
-      (** stop checking a location after its first report ("it detects
-          only the first apparent data race") *)
-}
-
-val default_config : config
-
 type t
 
 val create :
-  ?config:config ->
+  ?first_only:bool ->
   ?on_report:(Report.t -> unit) ->
   ?suppressions:Suppression.t list ->
   unit ->
   t
-val tool : t -> Raceguard_vm.Tool.t
+(** [first_only] (default [true]) stops checking a location after its
+    first report ("it detects only the first apparent data race"). *)
 
-val on_event : t -> Raceguard_vm.Tool.ctx -> Raceguard_vm.Event.t -> unit
-(** Feed one event directly (composition / offline replay). *)
+val tool : t -> Raceguard_vm.Tool.t
 
 val locations : t -> (Report.t * int) list
 val location_count : t -> int

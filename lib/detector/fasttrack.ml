@@ -48,27 +48,6 @@ let m_epoch_hits = Metrics.counter "detector.fasttrack.epoch_hits"
 let m_promotions = Metrics.counter "detector.fasttrack.read_promotions"
 let m_demotions = Metrics.counter "detector.fasttrack.read_demotions"
 
-type config = {
-  sync_on_cond : bool;
-  sync_on_sem : bool;
-  sync_on_annotations : bool;
-  first_only : bool;  (** stop checking a location after its first report *)
-  demote_check : int;
-      (** attempt read-shared → epoch demotion every [demote_check]-th
-          access to a shared cell (power of two; 0 = never, classic
-          FastTrack).  Demotion is report-preserving; the knob only
-          moves the representation-maintenance cost. *)
-}
-
-let default_config =
-  {
-    sync_on_cond = true;
-    sync_on_sem = true;
-    sync_on_annotations = true;
-    first_only = true;
-    demote_check = 32;
-  }
-
 (* read vector of a promoted (read-shared) cell: per-tid last-read
    clock/site plus a per-cell recency sequence.  Equivalent to DJIT's
    "one read per tid since the last write" list — the list is exactly
@@ -97,52 +76,35 @@ type cell = {
 }
 
 type t = {
-  config : config;
+  first_only : bool;  (** stop checking a location after its first report *)
+  demote_check : int;
+      (** attempt read-shared → epoch demotion every [demote_check]-th
+          access to a shared cell (power of two; 0 = never, classic
+          FastTrack).  Demotion is report-preserving; the setting only
+          moves the representation-maintenance cost. *)
   clocks : Hb_clocks.t;
   mutable shadow : cell array;  (** dense, indexed by word address *)
   collector : Report.collector;
-  mutable accesses_checked : int;
   mutable epoch_hits : int;
   mutable promotions : int;
   mutable demotions : int;
 }
 
-let create ?(config = default_config) ?on_report ?suppressions () =
+let create ?(first_only = true) ?(demote_check = 32) ?on_report () =
   {
-    config;
-    clocks =
-      Hb_clocks.create
-        ~config:
-          {
-            Hb_clocks.sync_on_cond = config.sync_on_cond;
-            sync_on_sem = config.sync_on_sem;
-            sync_on_annotations = config.sync_on_annotations;
-          }
-        ();
+    first_only;
+    demote_check;
+    clocks = Hb_clocks.create ();
     shadow = [||];
-    collector = Report.collector ?on_report ?suppressions ();
-    accesses_checked = 0;
+    collector = Report.collector ?on_report ();
     epoch_hits = 0;
     promotions = 0;
     demotions = 0;
   }
 
-let config_to_json c =
-  let module J = Raceguard_obs.Json in
-  J.Obj
-    [
-      ("detector", J.Str "fasttrack");
-      ("sync_on_cond", J.Bool c.sync_on_cond);
-      ("sync_on_sem", J.Bool c.sync_on_sem);
-      ("sync_on_annotations", J.Bool c.sync_on_annotations);
-      ("first_only", J.Bool c.first_only);
-      ("demote_check", J.int c.demote_check);
-    ]
-
 let locations t = Report.locations t.collector
 let location_count t = Report.location_count t.collector
 let collector t = t.collector
-let accesses_checked t = t.accesses_checked
 let epoch_hits t = t.epoch_hits
 let read_promotions t = t.promotions
 let read_demotions t = t.demotions
@@ -174,35 +136,9 @@ let reset_cell c =
   c.dead <- false;
   c.n_acc <- 0
 
-(* identical rendering to {!Djit.report}: same kind, same stack, same
-   detail string — the equivalence pins compare report digests
-   byte-for-byte *)
-let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~prev_tid ~prev_loc =
-  let block =
-    match ctx.block_of addr with
-    | Some (b : Vm.Memory.block) ->
-        Some
-          {
-            Report.b_base = b.base;
-            b_len = b.len;
-            b_alloc_tid = b.alloc_tid;
-            b_alloc_stack = b.alloc_stack;
-          }
-    | None -> None
-  in
+let report t ctx ~kind ~tid ~addr ~loc ~prev_tid ~prev_loc =
   Report.add t.collector
-    {
-      Report.kind;
-      addr;
-      tid;
-      thread_name = ctx.thread_name tid;
-      stack = loc :: ctx.stack_of tid;
-      detail =
-        Fmt.str "Conflicts with unordered access by thread %d at %a" prev_tid Loc.pp prev_loc;
-      block;
-      clock = ctx.clock ();
-      provenance = None;
-    }
+    (Report.of_access ctx ~kind ~tid ~addr ~loc (Report.unordered_detail ~prev_tid ~prev_loc))
 
 let grow_shared s tid =
   if tid >= Array.length s.s_clk then begin
@@ -245,7 +181,6 @@ let find_racing_read s ~tid me =
 (* ------------------------------------------------------------------ *)
 
 let check_read t ctx ~tid ~addr ~loc =
-  t.accesses_checked <- t.accesses_checked + 1;
   Metrics.incr m_accesses;
   let c = cell t addr in
   if not c.dead then begin
@@ -270,7 +205,7 @@ let check_read t ctx ~tid ~addr ~loc =
         then begin
           report t ctx ~kind:Report.Race_read ~tid ~addr ~loc ~prev_tid:(Epoch.tid c.we)
             ~prev_loc:c.w_loc;
-          if t.config.first_only then c.dead <- true
+          if t.first_only then c.dead <- true
         end
         else c.r_clean <- true;
         if not c.dead then
@@ -310,7 +245,7 @@ let check_read t ctx ~tid ~addr ~loc =
         then begin
           report t ctx ~kind:Report.Race_read ~tid ~addr ~loc ~prev_tid:(Epoch.tid c.we)
             ~prev_loc:c.w_loc;
-          if t.config.first_only then c.dead <- true
+          if t.first_only then c.dead <- true
         end;
         if not c.dead then begin
           record_shared s ~tid ~clk:(Vc.get me tid) ~loc;
@@ -318,8 +253,8 @@ let check_read t ctx ~tid ~addr ~loc =
              hot cell, check whether this read dominates the vector —
              if so the single epoch carries the same information *)
           if
-            t.config.demote_check > 0
-            && c.n_acc land (t.config.demote_check - 1) = 0
+            t.demote_check > 0
+            && c.n_acc land (t.demote_check - 1) = 0
             && all_reads_ordered s me
           then begin
             c.shared <- None;
@@ -333,7 +268,6 @@ let check_read t ctx ~tid ~addr ~loc =
   end
 
 let check_write t ctx ~tid ~addr ~loc =
-  t.accesses_checked <- t.accesses_checked + 1;
   Metrics.incr m_accesses;
   let c = cell t addr in
   if not c.dead then begin
@@ -362,7 +296,7 @@ let check_write t ctx ~tid ~addr ~loc =
        then begin
          report t ctx ~kind:Report.Race_write ~tid ~addr ~loc ~prev_tid:(Epoch.tid c.we)
            ~prev_loc:c.w_loc;
-         if t.config.first_only then c.dead <- true
+         if t.first_only then c.dead <- true
        end
        else
          match c.shared with
@@ -374,14 +308,14 @@ let check_write t ctx ~tid ~addr ~loc =
              then begin
                report t ctx ~kind:Report.Race_write ~tid ~addr ~loc
                  ~prev_tid:(Epoch.tid c.re) ~prev_loc:c.r_loc;
-               if t.config.first_only then c.dead <- true
+               if t.first_only then c.dead <- true
              end
          | Some s ->
              let u = find_racing_read s ~tid me in
              if u >= 0 then begin
                report t ctx ~kind:Report.Race_write ~tid ~addr ~loc ~prev_tid:u
                  ~prev_loc:s.s_loc.(u);
-               if t.config.first_only then c.dead <- true
+               if t.first_only then c.dead <- true
              end);
       if not c.dead then begin
         c.we <- cur;

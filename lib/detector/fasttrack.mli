@@ -10,27 +10,15 @@
     demoted back once a read dominates the vector again (DESIGN.md §14
     argues why both moves preserve reports). *)
 
-type config = {
-  sync_on_cond : bool;  (** treat condition signal→wait as ordering *)
-  sync_on_sem : bool;  (** treat semaphore post→wait as ordering *)
-  sync_on_annotations : bool;  (** honour HAPPENS_BEFORE/AFTER requests *)
-  first_only : bool;  (** stop checking a location after its first report *)
-  demote_check : int;
-      (** attempt read-shared → epoch demotion every [demote_check]-th
-          access to a shared cell (power of two; 0 = never, i.e.
-          classic FastTrack).  Report-preserving either way. *)
-}
-
-val default_config : config
-
 type t
 
-val create :
-  ?config:config ->
-  ?on_report:(Report.t -> unit) ->
-  ?suppressions:Suppression.t list ->
-  unit ->
-  t
+val create : ?first_only:bool -> ?demote_check:int -> ?on_report:(Report.t -> unit) -> unit -> t
+(** [first_only] (default [true]) stops checking a location after its
+    first report.  [demote_check] (default 32) attempts read-shared →
+    epoch demotion every [demote_check]-th access to a shared cell
+    (power of two; 0 = never, i.e. classic FastTrack).
+    Report-preserving either way. *)
+
 val tool : t -> Raceguard_vm.Tool.t
 
 val on_event : t -> Raceguard_vm.Tool.ctx -> Raceguard_vm.Event.t -> unit
@@ -42,8 +30,6 @@ val unordered_now : t -> tid:int -> addr:int -> write:bool -> bool
     [write] makes previous reads conflict too.  Cells retired by
     [first_only] answer [false]. *)
 
-val config_to_json : config -> Raceguard_obs.Json.t
-
 val locations : t -> (Report.t * int) list
 val location_count : t -> int
 val collector : t -> Report.collector
@@ -51,7 +37,6 @@ val collector : t -> Report.collector
 (** {2 Representation instrumentation} (per-instance; the process-wide
     [detector.fasttrack.*] metrics aggregate the same counts) *)
 
-val accesses_checked : t -> int
 val epoch_hits : t -> int
 (** Accesses fully decided in the epoch representation — the fast-path
     hit count the bench gate pins. *)

@@ -1,21 +1,17 @@
 (** Shared happens-before clock maintenance.
 
-    Both vector-clock-based detectors ({!Djit}, {!Racetrack}) need the
-    same bookkeeping: a clock per thread, advanced and joined along
-    create/join edges, lock release→acquire edges, and (configurably)
-    condition-variable, semaphore and annotation edges.  This module
-    owns that state; detectors keep only their shadow memory. *)
+    The three vector-clock-based detectors ({!Djit}, {!Fasttrack},
+    {!Racetrack}) need the same bookkeeping: a clock per thread,
+    advanced and joined along create/join edges, lock release→acquire
+    edges, and condition-variable, semaphore and annotation edges.
+    This module owns that state; detectors keep only their shadow
+    memory. *)
 
 module Vm = Raceguard_vm
 module Vc = Vector_clock
 open Vm.Event
 
-type config = { sync_on_cond : bool; sync_on_sem : bool; sync_on_annotations : bool }
-
-let default_config = { sync_on_cond = true; sync_on_sem = true; sync_on_annotations = true }
-
 type t = {
-  config : config;
   mutable threads : Vc.t option array;
       (** dense by tid — [thread_vc] runs once per memory access in
           every vector-clock detector, so this lookup must be an array
@@ -28,9 +24,8 @@ type t = {
   exited : (int, Vc.t) Hashtbl.t;
 }
 
-let create ?(config = default_config) () =
+let create () =
   {
-    config;
     threads = [||];
     mutexes = Hashtbl.create 64;
     rwlocks = Hashtbl.create 16;
@@ -116,20 +111,14 @@ let on_event t (e : Vm.Event.t) =
       | Mutex m -> release_edge t tid (vc_of t.mutexes m)
       | Rwlock rw -> release_edge t tid (vc_of t.rwlocks rw)
       | Cond _ | Sem _ -> ())
-  | E_cond_signal { tid; cv; _ } ->
-      if t.config.sync_on_cond then release_edge t tid (vc_of t.conds cv)
-  | E_cond_wait_post { tid; cv; _ } ->
-      if t.config.sync_on_cond then acquire_edge t tid (vc_of t.conds cv)
-  | E_sem_post { tid; sem; _ } ->
-      if t.config.sync_on_sem then release_edge t tid (vc_of t.sems sem)
-  | E_sem_wait_post { tid; sem; _ } ->
-      if t.config.sync_on_sem then acquire_edge t tid (vc_of t.sems sem)
+  | E_cond_signal { tid; cv; _ } -> release_edge t tid (vc_of t.conds cv)
+  | E_cond_wait_post { tid; cv; _ } -> acquire_edge t tid (vc_of t.conds cv)
+  | E_sem_post { tid; sem; _ } -> release_edge t tid (vc_of t.sems sem)
+  | E_sem_wait_post { tid; sem; _ } -> acquire_edge t tid (vc_of t.sems sem)
   | E_client { tid; req; _ } -> (
       match req with
-      | Vm.Eff.Happens_before { tag } ->
-          if t.config.sync_on_annotations then release_edge t tid (vc_of t.annotations tag)
-      | Vm.Eff.Happens_after { tag } ->
-          if t.config.sync_on_annotations then acquire_edge t tid (vc_of t.annotations tag)
+      | Vm.Eff.Happens_before { tag } -> release_edge t tid (vc_of t.annotations tag)
+      | Vm.Eff.Happens_after { tag } -> acquire_edge t tid (vc_of t.annotations tag)
       | Vm.Eff.Destruct _ | Vm.Eff.Benign_race _ -> ())
   | E_spawn _ | E_cond_wait_pre _ | E_read _ | E_write _ | E_alloc _ | E_free _
   | E_sync_create _ ->

@@ -1,21 +1,12 @@
 (** Shared happens-before clock maintenance for the vector-clock-based
-    detectors ({!Djit}, {!Racetrack}): one clock per thread, advanced
-    and joined along create/join, lock release→acquire, and
-    (configurably) condition-variable, semaphore and annotation
-    edges. *)
-
-type config = {
-  sync_on_cond : bool;
-  sync_on_sem : bool;
-  sync_on_annotations : bool;
-}
-
-val default_config : config
-(** All edge sources on. *)
+    detectors ({!Djit}, {!Fasttrack}, {!Racetrack}): one clock per
+    thread, advanced and joined along create/join, lock
+    release→acquire, condition-variable signal→wait, semaphore
+    post→wait and HAPPENS_BEFORE→HAPPENS_AFTER annotation edges. *)
 
 type t
 
-val create : ?config:config -> unit -> t
+val create : unit -> t
 
 val on_event : t -> Raceguard_vm.Event.t -> unit
 (** Absorb one event's effect on the clocks (memory events are

@@ -141,12 +141,10 @@ let release t uid =
       t.held_write <- Int_list.remove_one uid t.held_write;
       t.ctx <- recompute t.held_any t.held_write
 
-(** The effective (any, write) lock-sets of one access.  [bus_rw] is
-    the paper's HWLC model: every read implicitly holds the bus lock
-    in read mode, so the any-set always contains it; under the
-    original model only [atomic] accesses do. *)
-let effective t ~bus_rw ~atomic =
+(** The effective (any, write) lock-sets of one access under the
+    paper's HWLC model: every read implicitly holds the bus lock in
+    read mode, so the any-set always contains it; only [atomic]
+    accesses hold it in write mode. *)
+let effective t ~atomic =
   let c = t.ctx in
-  let any = if bus_rw || atomic then c.any_bus else c.any_set in
-  let write = if atomic then c.write_bus else c.write_set in
-  (any, write)
+  (c.any_bus, if atomic then c.write_bus else c.write_set)

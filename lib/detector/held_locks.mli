@@ -29,6 +29,7 @@ val acquire : t -> int -> Raceguard_vm.Eff.mode -> unit
 val release : t -> int -> unit
 (** Drop one acquisition of [uid] (both modes). *)
 
-val effective : t -> bus_rw:bool -> atomic:bool -> Lockset.t * Lockset.t
-(** The interned (any-mode, write-mode) lock-sets of one access,
-    including the virtual bus lock per the configured model. *)
+val effective : t -> atomic:bool -> Lockset.t * Lockset.t
+(** The interned (any-mode, write-mode) lock-sets of one access under
+    the HWLC bus model: the any-set always holds the virtual bus lock,
+    the write-set only for an [atomic] access. *)

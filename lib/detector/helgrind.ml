@@ -14,7 +14,10 @@
       writes that race with them.  Supporting it required read-write
       lock-sets (reads check locks held in {e any} mode, writes check
       locks held in {e write} mode), which also gives POSIX rw-lock
-      support ([track_rwlocks]) "for free", as the paper notes.
+      support "for free", as the paper notes: under [Rw_lock] rw-lock
+      events are tracked, under [Locked_mutex] they are ignored, as
+      the original Helgrind did.  Reads with an empty candidate set in
+      the Shared-Modified state are reported.
 
     - {b DR} ([destructor_annotations]): honour the
       [VALGRIND_HG_DESTRUCT] client request emitted by annotated
@@ -62,10 +65,7 @@ type config = {
   bus_model : bus_model;
   destructor_annotations : bool;
   thread_segments : bool;
-  track_rwlocks : bool;
-      (** understand POSIX rw-lock events; the original Helgrind did not *)
   eraser_states : bool;  (** Figure 1 state machine (vs. pure Eraser) *)
-  report_reads : bool;  (** also report reads with empty lock-set *)
   hb_annotations : bool;
       (** honour HAPPENS_BEFORE/AFTER client requests: the paper's §5
           future work ("higher level constructs for synchronization
@@ -88,15 +88,13 @@ let original =
     bus_model = Locked_mutex;
     destructor_annotations = false;
     thread_segments = true;
-    track_rwlocks = false;
     eraser_states = true;
-    report_reads = true;
     hb_annotations = false;
     fast_path = true;
     provenance = false;
   }
 
-let hwlc = { original with bus_model = Rw_lock; track_rwlocks = true }
+let hwlc = { original with bus_model = Rw_lock }
 let hwlc_dr = { hwlc with destructor_annotations = true }
 
 (** The §5 extension on top of the paper's final configuration. *)
@@ -129,9 +127,7 @@ let config_to_json c =
         J.Str (match c.bus_model with Locked_mutex -> "locked_mutex" | Rw_lock -> "rw_lock") );
       ("destructor_annotations", J.Bool c.destructor_annotations);
       ("thread_segments", J.Bool c.thread_segments);
-      ("track_rwlocks", J.Bool c.track_rwlocks);
       ("eraser_states", J.Bool c.eraser_states);
-      ("report_reads", J.Bool c.report_reads);
       ("hb_annotations", J.Bool c.hb_annotations);
       ("fast_path", J.Bool c.fast_path);
       ("provenance", J.Bool c.provenance);
@@ -334,19 +330,6 @@ let detail t prev_state =
       d
 
 let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~prev_state ~cell:c =
-  let block =
-    match ctx.block_of addr with
-    | Some (b : Vm.Memory.block) ->
-        Some
-          {
-            Report.b_base = b.base;
-            b_len = b.len;
-            b_alloc_tid = b.alloc_tid;
-            b_alloc_stack = b.alloc_stack;
-          }
-    | None -> None
-  in
-  let stack = loc :: ctx.stack_of tid in
   Metrics.incr m_warnings;
   (match t.tracer with
   | None -> ()
@@ -365,17 +348,7 @@ let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~prev_state ~cell:c =
     else None
   in
   Report.add t.collector
-    {
-      Report.kind;
-      addr;
-      tid;
-      thread_name = ctx.thread_name tid;
-      stack;
-      detail = detail t prev_state;
-      block;
-      clock = ctx.clock ();
-      provenance;
-    }
+    (Report.of_access ctx ~kind ~tid ~addr ~loc ?provenance (detail t prev_state))
 
 (* Fast-path soundness: the stamp records the interned effective sets
    the last (slow-path) access to this word applied, so when the stamp
@@ -504,7 +477,7 @@ let check_access t ctx ~access ~tid ~addr ~atomic ~loc =
                | Read ->
                    let ls' = Lockset.inter ls any_set in
                    if ls' != ls then set_st (Shared_mod ls');
-                   if t.config.report_reads then warn Report.Race_read ls'
+                   warn Report.Race_read ls'
                | Write ->
                    let ls' = Lockset.inter ls write_set in
                    if ls' != ls then set_st (Shared_mod ls');
@@ -558,15 +531,18 @@ let on_event t (ctx : Vm.Tool.ctx) (e : Vm.Event.t) =
   | E_acquire { tid; lock; mode; _ } -> (
       match lock with
       | Mutex m -> Held_locks.acquire (thread_locks t tid) (Lock_id.of_mutex m) Vm.Eff.Write_mode
-      | Rwlock rw ->
-          if t.config.track_rwlocks then
-            Held_locks.acquire (thread_locks t tid) (Lock_id.of_rwlock rw) mode
+      | Rwlock rw -> (
+          match t.config.bus_model with
+          | Rw_lock -> Held_locks.acquire (thread_locks t tid) (Lock_id.of_rwlock rw) mode
+          | Locked_mutex -> ())
       | Cond _ | Sem _ -> ())
   | E_release { tid; lock; _ } -> (
       match lock with
       | Mutex m -> Held_locks.release (thread_locks t tid) (Lock_id.of_mutex m)
-      | Rwlock rw ->
-          if t.config.track_rwlocks then Held_locks.release (thread_locks t tid) (Lock_id.of_rwlock rw)
+      | Rwlock rw -> (
+          match t.config.bus_model with
+          | Rw_lock -> Held_locks.release (thread_locks t tid) (Lock_id.of_rwlock rw)
+          | Locked_mutex -> ())
       | Cond _ | Sem _ -> ())
   | E_cond_signal _ | E_cond_wait_pre _ | E_cond_wait_post _ | E_sem_post _ | E_sem_wait_post _
     ->

@@ -14,11 +14,14 @@ type bus_model =
       (** the original Helgrind behaviour: a virtual mutex held only
           around [LOCK]-prefixed instructions — plain reads of
           atomically-updated words empty the candidate set (the
-          Figure 8 false positives) *)
+          Figure 8 false positives).  POSIX rw-lock events are
+          ignored, as in the original ("an extension for read-write
+          locks ... is not implemented in Helgrind", §2.3.2). *)
   | Rw_lock
       (** the paper's correction: every read implicitly holds the bus
           lock in read mode, [LOCK]-prefixed writes hold it in write
-          mode *)
+          mode.  The read-write lock-sets this needs also track POSIX
+          rw-locks. *)
 
 type config = {
   bus_model : bus_model;
@@ -27,16 +30,9 @@ type config = {
           improvement): the announced range becomes exclusively owned
           by the deleting thread's segment *)
   thread_segments : bool;  (** the VisualThreads refinement (Figure 2) *)
-  track_rwlocks : bool;
-      (** understand POSIX rw-lock events; the original Helgrind did
-          not ("an extension for read-write locks ... is not
-          implemented in Helgrind", §2.3.2) *)
   eraser_states : bool;
       (** the Figure-1 state machine; [false] runs the naive textbook
           Eraser (candidate set refined from the very first access) *)
-  report_reads : bool;
-      (** also report reads with an empty candidate set in the
-          Shared-Modified state *)
   hb_annotations : bool;
       (** honour [ANNOTATE_HAPPENS_BEFORE]/[_AFTER] client requests —
           the §5 future-work extension for higher-level

@@ -10,9 +10,9 @@
     This implementation composes two real engines on one event stream:
     a {!Helgrind} instance (HWLC+DR) performs the lock-set analysis,
     and each of its candidate warnings is admitted only if a
-    {!Fasttrack} instance (condition-variable and semaphore edges on)
-    confirms the access is {e concurrent} with a previous conflicting
-    access.  FastTrack's epochs answer that question exactly as DJIT's
+    {!Fasttrack} instance (which honours condition-variable and
+    semaphore edges) confirms the access is {e concurrent} with a
+    previous conflicting access.  FastTrack's epochs answer that question exactly as DJIT's
     vector clocks do (DESIGN.md §14).  Lock-discipline violations whose
     accesses happened to be ordered on this execution are therefore
     suppressed — precision up, at the price of the happens-before
@@ -23,15 +23,10 @@ module Vm = Raceguard_vm
 
 type t = { lockset : Helgrind.t; hb : Fasttrack.t }
 
-let create ?on_report ?suppressions () =
-  let lockset = Helgrind.create ?on_report ?suppressions Helgrind.hwlc_dr in
+let create ?on_report () =
+  let lockset = Helgrind.create ?on_report Helgrind.hwlc_dr in
   (* every race is reported, so no cell is ever retired from the gate *)
-  let hb =
-    Fasttrack.create
-      ~config:
-        { Fasttrack.default_config with sync_on_cond = true; sync_on_sem = true; first_only = false }
-      ()
-  in
+  let hb = Fasttrack.create ~first_only:false () in
   (* the gate: a lock-set warning survives only when the access is
      genuinely unordered with a previous conflicting access *)
   Helgrind.set_warning_filter lockset (fun ~tid ~addr ~kind ->
@@ -48,6 +43,5 @@ let on_event t ctx e =
 
 let tool t = Vm.Tool.make ~name:"hybrid" ~on_event:(on_event t)
 
-let locations t = Helgrind.locations t.lockset
 let location_count t = Helgrind.location_count t.lockset
 let collector t = Helgrind.collector t.lockset

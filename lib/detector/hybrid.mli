@@ -3,19 +3,16 @@
 
     A {!Helgrind} instance (HWLC+DR) performs the lock-set analysis;
     each of its candidate warnings is admitted only if a {!Fasttrack}
-    instance on the same event stream (condition-variable and
-    semaphore edges on, every race kept) confirms the access is
-    concurrent with a previous conflicting access.  Precision up; the
-    happens-before family's schedule-dependence is the price. *)
+    instance on the same event stream (every race kept) confirms the
+    access is concurrent with a previous conflicting access.
+    Precision up; the happens-before family's schedule-dependence is
+    the price. *)
 
 type t
 
-val create : ?on_report:(Report.t -> unit) -> ?suppressions:Suppression.t list -> unit -> t
+val create : ?on_report:(Report.t -> unit) -> unit -> t
 (** [on_report] sees every warning the gate admits, as it is found. *)
 
 val tool : t -> Raceguard_vm.Tool.t
-val on_event : t -> Raceguard_vm.Tool.ctx -> Raceguard_vm.Event.t -> unit
-
-val locations : t -> (Report.t * int) list
 val location_count : t -> int
 val collector : t -> Report.collector

@@ -14,8 +14,6 @@ let bus : t = 0
 let of_mutex m : t = (2 * m) + 1
 let of_rwlock r : t = (2 * r) + 2
 
-let is_bus (t : t) = t = 0
-
 let pp ~name_of ppf (t : t) =
   if t = 0 then Fmt.string ppf "<bus-lock>" else Fmt.string ppf (name_of t)
 

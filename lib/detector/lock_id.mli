@@ -7,7 +7,6 @@ type t = int
 val bus : t
 val of_mutex : int -> t
 val of_rwlock : int -> t
-val is_bus : t -> bool
 val pp : name_of:(t -> string) -> Format.formatter -> t -> unit
 
 val of_sync_ref : Raceguard_vm.Event.sync_ref -> t option

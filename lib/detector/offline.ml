@@ -161,7 +161,7 @@ let sink ?(digest = false) name =
       make (other_config "djit") (Djit.tool d) (Djit.collector d)
   | "fasttrack" ->
       let f = Fasttrack.create ?on_report () in
-      make (Fasttrack.config_to_json Fasttrack.default_config) (Fasttrack.tool f) (Fasttrack.collector f)
+      make (other_config "fasttrack") (Fasttrack.tool f) (Fasttrack.collector f)
   | "racetrack" ->
       let r = Racetrack.create ?on_report () in
       make (other_config "racetrack") (Racetrack.tool r) (Racetrack.collector r)

@@ -9,9 +9,9 @@
     the location is effectively exclusive and the candidate lock-set
     stays at ⊤, so initialisation, read-sharing {e and ownership
     transfer through any synchronisation} (including the queue handoffs
-    of §4.2.3 — via lock edges and, configurably, cond/sem edges) are
-    accepted without annotations.  Only while the threadset is
-    genuinely concurrent does lock-set refinement and checking run.
+    of §4.2.3) are accepted without annotations.  Only while the
+    threadset is genuinely concurrent does lock-set refinement and
+    checking run.
 
     The trade-off mirrors the paper's §2.2 discussion: RaceTrack
     removes the lock-set algorithm's residual false positives at the
@@ -20,22 +20,12 @@
 module Vm = Raceguard_vm
 open Vm.Event
 
-type config = {
-  hb : Hb_clocks.config;
-  bus_model : Helgrind.bus_model;  (** same semantics as in {!Helgrind} *)
-  report_reads : bool;
-}
-
-let default_config =
-  { hb = Hb_clocks.default_config; bus_model = Helgrind.Rw_lock; report_reads = true }
-
 type cell = {
   mutable lockset : Lockset.t;
   mutable threadset : (int * int) list;  (** (tid, clock) stamps *)
 }
 
 type t = {
-  config : config;
   clocks : Hb_clocks.t;
   mutable shadow : cell array;  (** indexed by word address *)
   mutable locks : Held_locks.t array;  (** indexed by tid *)
@@ -44,14 +34,13 @@ type t = {
   mutable benign : (int * int) list;
 }
 
-let create ?(config = default_config) ?on_report ?suppressions () =
+let create ?on_report () =
   {
-    config;
-    clocks = Hb_clocks.create ~config:config.hb ();
+    clocks = Hb_clocks.create ();
     shadow = [||];
     locks = [||];
     lock_names = Hashtbl.create 64;
-    collector = Report.collector ?on_report ?suppressions ();
+    collector = Report.collector ?on_report ();
     benign = [];
   }
 
@@ -77,40 +66,18 @@ let reset_cell c =
 
 let is_benign t addr = List.exists (fun (b, l) -> addr >= b && addr < b + l) t.benign
 
-let effective_sets t tid ~atomic =
-  Held_locks.effective (thread_locks t tid)
-    ~bus_rw:(t.config.bus_model = Helgrind.Rw_lock)
-    ~atomic
-
 let name_of t uid =
   match Hashtbl.find_opt t.lock_names uid with
   | Some n -> Printf.sprintf "%S" n
   | None -> Printf.sprintf "lock#%d" uid
 
-let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc (c : cell) =
-  let block =
-    match ctx.block_of addr with
-    | Some (b : Vm.Memory.block) ->
-        Some
-          { Report.b_base = b.base; b_len = b.len; b_alloc_tid = b.alloc_tid; b_alloc_stack = b.alloc_stack }
-    | None -> None
-  in
+let report t ctx ~kind ~tid ~addr ~loc (c : cell) =
   Report.add t.collector
-    {
-      Report.kind;
-      addr;
-      tid;
-      thread_name = ctx.thread_name tid;
-      stack = loc :: ctx.stack_of tid;
-      detail =
-        Fmt.str "Threadset of %d concurrent thread(s); candidate set %a"
+    (Report.of_access ctx ~kind ~tid ~addr ~loc
+       (Fmt.str "Threadset of %d concurrent thread(s); candidate set %a"
           (List.length c.threadset)
           (Lockset.pp ~name_of:(name_of t))
-          c.lockset;
-      block;
-      clock = ctx.clock ();
-      provenance = None;
-    }
+          c.lockset))
 
 type access = Read | Write
 
@@ -133,7 +100,7 @@ let check_access t ctx ~access ~tid ~addr ~atomic ~loc =
     (* effectively exclusive again: adaptive reset *)
     c.lockset <- Lockset.top
   else begin
-    let any_set, write_set = effective_sets t tid ~atomic in
+    let any_set, write_set = Held_locks.effective (thread_locks t tid) ~atomic in
     let ls =
       match access with
       | Read -> Lockset.inter c.lockset any_set
@@ -143,7 +110,7 @@ let check_access t ctx ~access ~tid ~addr ~atomic ~loc =
     if Lockset.is_empty ls && not (is_benign t addr) then
       match access with
       | Write -> report t ctx ~kind:Report.Race_write ~tid ~addr ~loc c
-      | Read -> if t.config.report_reads then report t ctx ~kind:Report.Race_read ~tid ~addr ~loc c
+      | Read -> report t ctx ~kind:Report.Race_read ~tid ~addr ~loc c
   end
 
 let acquire t tid uid mode = Held_locks.acquire (thread_locks t tid) uid mode

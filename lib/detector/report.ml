@@ -68,6 +68,38 @@ type t = {
   provenance : provenance option;
 }
 
+(* --- construction --------------------------------------------------- *)
+
+(** The report of an access by [tid] at [loc] to [addr], as the VM sees
+    it at the moment of the warning. *)
+let of_access (ctx : Raceguard_vm.Tool.ctx) ~kind ~tid ~addr ~loc ?provenance detail =
+  let block =
+    match ctx.block_of addr with
+    | Some (b : Raceguard_vm.Memory.block) ->
+        Some
+          {
+            b_base = b.base;
+            b_len = b.len;
+            b_alloc_tid = b.alloc_tid;
+            b_alloc_stack = b.alloc_stack;
+          }
+    | None -> None
+  in
+  {
+    kind;
+    addr;
+    tid;
+    thread_name = ctx.thread_name tid;
+    stack = loc :: ctx.stack_of tid;
+    detail;
+    block;
+    clock = ctx.clock ();
+    provenance;
+  }
+
+let unordered_detail ~prev_tid ~prev_loc =
+  Fmt.str "Conflicts with unordered access by thread %d at %a" prev_tid Loc.pp prev_loc
+
 (* --- signatures ---------------------------------------------------- *)
 
 (** Number of stack frames participating in the dedup signature

@@ -59,6 +59,26 @@ type t = {
   provenance : provenance option;
 }
 
+val of_access :
+  Raceguard_vm.Tool.ctx ->
+  kind:kind ->
+  tid:int ->
+  addr:int ->
+  loc:Loc.t ->
+  ?provenance:provenance ->
+  string ->
+  t
+(** [of_access ctx ~kind ~tid ~addr ~loc detail] is the race report of
+    an access by [tid] at [loc] to [addr], read from the VM during the
+    event: the stack [loc :: ctx.stack_of tid], the thread's name, the
+    heap block holding [addr] (the allocation footer), the virtual
+    clock, and the given [detail] and [provenance]. *)
+
+val unordered_detail : prev_tid:int -> prev_loc:Loc.t -> string
+(** ["Conflicts with unordered access by thread %d at %a"]: the detail
+    line of the happens-before detectors ({!Djit}, {!Fasttrack}), one
+    renderer so that their reports stay byte-identical. *)
+
 val signature_depth : int
 (** Stack frames participating in the dedup signature (Valgrind uses
     the top 4). *)

@@ -19,36 +19,35 @@ module Loc = Raceguard_util.Loc
 
 let loc = Loc.v "ft.c" "main" 1
 
-let run_djit ?(seed = 1) ?(config = Det.Djit.default_config) ?on_report program =
+let run_djit ?(seed = 1) ?first_only ?on_report program =
   let vm = Engine.create ~config:{ Engine.default_config with seed } () in
-  let d = Det.Djit.create ~config ?on_report () in
+  let d = Det.Djit.create ?first_only ?on_report () in
   Engine.add_tool vm (Det.Djit.tool d);
   let _ = Engine.run vm program in
   d
 
-let run_ft ?(seed = 1) ?(config = Det.Fasttrack.default_config) ?on_report program =
+let run_ft ?(seed = 1) ?first_only ?demote_check ?on_report program =
   let vm = Engine.create ~config:{ Engine.default_config with seed } () in
-  let f = Det.Fasttrack.create ~config ?on_report () in
+  let f = Det.Fasttrack.create ?first_only ?demote_check ?on_report () in
   Engine.add_tool vm (Det.Fasttrack.tool f);
   let _ = Engine.run vm program in
   f
 
 (* signature and report digests of one run, the report digest fed as
    each occurrence is found *)
-let djit_digests ?seed ?config program =
+let djit_digests ?seed ?first_only program =
   let dg = Det.Offline.Report_digest.create () in
-  let d = run_djit ?seed ?config ~on_report:(Det.Offline.Report_digest.add dg) program in
+  let d = run_djit ?seed ?first_only ~on_report:(Det.Offline.Report_digest.add dg) program in
   (Det.Offline.digest_signatures (Det.Djit.locations d), Det.Offline.Report_digest.to_hex dg)
 
-let ft_digests ?seed ?config program =
+let ft_digests ?seed ?first_only ?demote_check program =
   let dg = Det.Offline.Report_digest.create () in
-  let f = run_ft ?seed ?config ~on_report:(Det.Offline.Report_digest.add dg) program in
+  let f =
+    run_ft ?seed ?first_only ?demote_check ~on_report:(Det.Offline.Report_digest.add dg) program
+  in
   (Det.Offline.digest_signatures (Det.Fasttrack.locations f), Det.Offline.Report_digest.to_hex dg)
 
 (* --- the equivalence law on random schedules ----------------------------- *)
-
-let ft_config ~first_only ~demote_check =
-  { Det.Fasttrack.default_config with first_only; demote_check }
 
 let qc_equivalence =
   QCheck2.Test.make ~name:"fasttrack ≡ djit (digests, random schedules)" ~count:50
@@ -60,16 +59,14 @@ let qc_equivalence =
               let program = Test_properties.build p ~discipline in
               List.for_all
                 (fun first_only ->
-                  let dj =
-                    djit_digests ~seed ~config:{ Det.Djit.default_config with first_only } program
-                  in
+                  let dj = djit_digests ~seed ~first_only program in
                   (* demote_check 0 = classic FastTrack (never demote),
                      1 = demote at every opportunity, 32 = the default
                      cadence — all three must be invisible in the
                      reports *)
                   List.for_all
                     (fun demote_check ->
-                      dj = ft_digests ~seed ~config:(ft_config ~first_only ~demote_check) program)
+                      dj = ft_digests ~seed ~first_only ~demote_check program)
                     [ 0; 1; 32 ])
                 [ true; false ])
             [ true; false ])
@@ -163,7 +160,7 @@ let test_shared_write_race_matches_djit () =
 let test_demotion_and_repromotion () =
   let words = 4 and rounds = 2 in
   let program () = R.Scenarios.read_shared_churn ~threads:3 ~rounds ~iters:30 ~words () in
-  let f = run_ft ~config:(ft_config ~first_only:true ~demote_check:1) program in
+  let f = run_ft ~demote_check:1 program in
   Alcotest.(check int) "race-free" 0 (Det.Fasttrack.location_count f);
   Alcotest.(check bool)
     (Fmt.str "every word demoted at least once (%d)" (Det.Fasttrack.read_demotions f))

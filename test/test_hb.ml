@@ -180,9 +180,9 @@ let qc_vc_join_is_lub =
 
 (* --- DJIT --------------------------------------------------------------- *)
 
-let run_djit ?(seed = 1) ?config f =
+let run_djit ?(seed = 1) ?first_only f =
   let vm = Engine.create ~config:{ Engine.default_config with seed } () in
-  let d = Det.Djit.create ?config () in
+  let d = Det.Djit.create ?first_only () in
   Engine.add_tool vm (Det.Djit.tool d);
   let outcome = Engine.run vm f in
   assert (outcome.failures = []);
@@ -244,31 +244,10 @@ let test_djit_semaphore_orders () =
   in
   Alcotest.(check int) "semaphore edge orders the accesses" 0 (Det.Djit.location_count d)
 
-let test_djit_sem_edges_off () =
-  (* with semaphore edges disabled (the paper's §2.2 criticism) the
-     same program is reported *)
-  let d =
-    run_djit
-      ~config:{ Det.Djit.default_config with sync_on_sem = false }
-      (fun () ->
-        let a = Api.alloc ~loc 1 in
-        let s = Api.Sem.create ~loc ~init:0 "s" in
-        let t =
-          Api.spawn ~loc ~name:"producer" (fun () ->
-              Api.write ~loc:wloc a 1;
-              Api.Sem.post ~loc:wloc s)
-        in
-        Api.Sem.wait ~loc s;
-        Api.write ~loc a 2;
-        Api.join ~loc t)
-  in
-  Alcotest.(check bool) "without sem edges the handoff is reported" true
-    (Det.Djit.location_count d > 0)
-
 let test_djit_first_only () =
   let with_first_only flag =
     let d =
-      run_djit ~config:{ Det.Djit.default_config with first_only = flag } (fun () ->
+      run_djit ~first_only:flag (fun () ->
           let a = Api.alloc ~loc 1 in
           let w l () =
             Api.write ~loc:l a 1;
@@ -402,9 +381,9 @@ let test_hybrid_never_exceeds_lockset () =
 
 (* --- RaceTrack-style adaptive detector ([16]) ------------------------------- *)
 
-let run_racetrack ?(seed = 1) ?config f =
+let run_racetrack ?(seed = 1) f =
   let vm = Engine.create ~config:{ Engine.default_config with seed } () in
-  let r = Det.Racetrack.create ?config () in
+  let r = Det.Racetrack.create () in
   Engine.add_tool vm (Det.Racetrack.tool r);
   let outcome = Engine.run vm f in
   assert (outcome.failures = []);
@@ -470,13 +449,7 @@ let test_racetrack_refcount_bus_model () =
     Api.join ~loc t2
   in
   Alcotest.(check int) "refcount accepted under rw-lock bus model" 0
-    (Det.Racetrack.location_count (run_racetrack refcount));
-  Alcotest.(check bool) "reported under the original bus model" true
-    (Det.Racetrack.location_count
-       (run_racetrack
-          ~config:{ Det.Racetrack.default_config with bus_model = Det.Helgrind.Locked_mutex }
-          refcount)
-    > 0)
+    (Det.Racetrack.location_count (run_racetrack refcount))
 
 (* --- §5 extension: HAPPENS_BEFORE/AFTER annotations ------------------------ *)
 
@@ -549,27 +522,23 @@ let test_hb_does_not_mask_real_races () =
   Alcotest.(check bool) "unrelated race still reported" true detected
 
 let test_djit_honours_annotations () =
-  let program () =
+  let program ~annotated () =
     let loc = Loc.v "hbd.c" "main" 1 in
     let a = Api.alloc ~loc 1 in
     let t =
       Api.spawn ~loc ~name:"w" (fun () ->
           Api.write ~loc:(Loc.v "hbd.c" "w" 2) a 1;
-          Api.annotate_happens_before ~tag:a)
+          if annotated then Api.annotate_happens_before ~tag:a)
     in
     Api.sleep 20;
-    Api.annotate_happens_after ~tag:a;
+    if annotated then Api.annotate_happens_after ~tag:a;
     Api.write ~loc a 2;
     Api.join ~loc t
   in
-  let run config =
-    let d = run_djit ~seed:2 ~config program in
-    Det.Djit.location_count d
-  in
   Alcotest.(check int) "annotations order the accesses" 0
-    (run Det.Djit.default_config);
-  Alcotest.(check bool) "ignoring annotations reports" true
-    (run { Det.Djit.default_config with sync_on_annotations = false } > 0)
+    (Det.Djit.location_count (run_djit ~seed:2 (program ~annotated:true)));
+  Alcotest.(check bool) "without them the same accesses are reported" true
+    (Det.Djit.location_count (run_djit ~seed:2 (program ~annotated:false)) > 0)
 
 (* --- offline replay -------------------------------------------------------- *)
 
@@ -612,7 +581,6 @@ let suite =
       Alcotest.test_case "djit: mutex orders" `Quick test_djit_mutex_orders;
       Alcotest.test_case "djit: join orders" `Quick test_djit_join_orders;
       Alcotest.test_case "djit: semaphore orders" `Quick test_djit_semaphore_orders;
-      Alcotest.test_case "djit: sem edges off" `Quick test_djit_sem_edges_off;
       Alcotest.test_case "djit: first-only" `Quick test_djit_first_only;
       Alcotest.test_case "lock order: inversion" `Quick test_lock_order_inversion_flagged;
       Alcotest.test_case "lock order: consistent" `Quick test_lock_order_consistent_silent;

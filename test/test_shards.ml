@@ -2,7 +2,8 @@
    hash-collision regression (the legacy blindness and the interned
    fix), qcheck properties of the shard router and online rebalance,
    timer-wheel expiry under injected delay faults, the scenario DSL
-   round-trip, and the T9/T10 chaos-cell pins (asymmetry, domain and
+   round-trip and its fail-closed reading of mutated documents, and the
+   T9/T10 chaos-cell pins (asymmetry, domain and
    fast-path invariance). *)
 
 module Vm = Raceguard_vm
@@ -343,6 +344,45 @@ let test_shipped_scenarios_roundtrip () =
       | Error e -> Alcotest.failf "%s: %s" sc.Scenario.sc_name e)
     Raceguard.Scenarios.sip_scenarios
 
+(* A scenario document is read from disk, so any bytes must give [Ok] or
+   [Error], never an exception: 1–3 byte edits (replace, insert, delete,
+   truncate) of the exported T9/T10 documents, biased towards JSON
+   punctuation. *)
+let exported_documents =
+  lazy
+    (List.map
+       (fun sc -> Raceguard_obs.Json.to_string ~indent:2 (Scenario.to_json sc))
+       Raceguard.Scenarios.sip_scenarios)
+
+let gen_mutated_document =
+  QCheck2.Gen.(
+    let* doc = oneofl (Lazy.force exported_documents) in
+    let* edits = 1 -- 3 in
+    let rec go s k =
+      if k = 0 || s = "" then return s
+      else
+        let* i = int_bound (String.length s - 1) in
+        let* ch =
+          oneof [ char; oneofl [ '"'; ':'; ','; '{'; '}'; '['; ']'; '-'; '.'; 'e'; '0'; '\\' ] ]
+        in
+        let* s =
+          oneofl
+            [
+              String.mapi (fun j c -> if j = i then ch else c) s;
+              String.sub s 0 i ^ String.make 1 ch ^ String.sub s i (String.length s - i);
+              String.sub s 0 i ^ String.sub s (i + 1) (String.length s - i - 1);
+              String.sub s 0 i;
+            ]
+        in
+        go s (k - 1)
+    in
+    go doc edits)
+
+let qc_scenario_fails_closed =
+  QCheck2.Test.make ~name:"scenario DSL: mutated T9/T10 documents give Ok or Error" ~count:1000
+    ~print:String.escaped gen_mutated_document (fun doc ->
+      match Scenario.of_string doc with Ok _ | Error _ -> true)
+
 (* --- T9/T10 chaos cells --------------------------------------------- *)
 
 let scenario_config ?(fast_path = true) ?(domains = 1) () =
@@ -413,6 +453,7 @@ let suite =
       QCheck_alcotest.to_alcotest qc_scenario_roundtrip;
       Alcotest.test_case "shipped scenarios round-trip through JSON" `Quick
         test_shipped_scenarios_roundtrip;
+      QCheck_alcotest.to_alcotest qc_scenario_fails_closed;
       Alcotest.test_case "chaos T9/T10: resilient clean, legacy violates" `Slow
         test_scenario_chaos_asymmetry;
       Alcotest.test_case "chaos T9/T10: digests invariant under domains" `Slow
