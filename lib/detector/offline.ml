@@ -72,21 +72,29 @@ let chunk = 65536
 type render = { buf : Buffer.t; scratch : Bytes.t }
 
 let render_key = Domain.DLS.new_key (fun () -> { buf = Buffer.create 1024; scratch = Bytes.create chunk })
-let newline b = Buffer.add_char b '\n'
 
 module Report_digest = struct
-  type t = { ctx : Bytes.t; mutable count : int }
+  type t = { ctx : Bytes.t; mutable count : int; mutable attribution : int }
 
   let create () =
     let ctx = Bytes.create (md5_context_size ()) in
     md5_init ctx;
-    { ctx; count = 0 }
+    { ctx; count = 0; attribution = 0 }
+
+  (* The layout leaves out who reported and when, so those fields of
+     each occurrence fold into a running 63-bit hash instead: no
+     rendering, no MD5. *)
+  let mix h x =
+    let h = (h lxor x) * 0x100000001b3 in
+    h lxor (h lsr 29)
+
+  let attribute h (r : Report.t) = mix (mix (mix h r.tid) (Hashtbl.hash r.thread_name)) r.clock
 
   let add d r =
     let { buf; scratch } = Domain.DLS.get render_key in
     Buffer.clear buf;
-    if d.count > 0 then newline buf;
-    Report.render buf ~eol:newline r;
+    if d.count > 0 then Buffer.add_char buf '\n';
+    Report.render buf r;
     let len = Buffer.length buf in
     let rec feed off =
       if off < len then begin
@@ -97,13 +105,16 @@ module Report_digest = struct
       end
     in
     feed 0;
-    d.count <- d.count + 1
+    d.count <- d.count + 1;
+    d.attribution <- attribute d.attribution r
 
   (* finalises a copy, so the digest can still be read and fed *)
   let to_hex d =
     let digest = Bytes.create 16 in
     md5_final (Bytes.copy d.ctx) digest;
     Digest.to_hex (Bytes.unsafe_to_string digest)
+
+  let attribution d = d.attribution
 end
 
 (* --- the detector sink registry ------------------------------------- *)
@@ -186,6 +197,7 @@ type verdict = {
   v_locations : int;  (** deduplicated — the Figure-6 metric *)
   v_sig_digest : string;
   v_report_digest : string;
+  v_attribution : int;
 }
 
 let verdict_of_sink ~events s =
@@ -200,6 +212,7 @@ let verdict_of_sink ~events s =
         v_locations = List.length locations;
         v_sig_digest = digest_signatures locations;
         v_report_digest = Report_digest.to_hex d;
+        v_attribution = Report_digest.attribution d;
       }
 
 let verdict_to_json v =
@@ -211,6 +224,7 @@ let verdict_to_json v =
       ("locations", Json.int v.v_locations);
       ("sig_digest", Json.Str v.v_sig_digest);
       ("report_digest", Json.Str v.v_report_digest);
+      ("attribution", Json.Str (Printf.sprintf "%016x" v.v_attribution));
     ]
 
 let verdict_equal a b =
@@ -219,6 +233,7 @@ let verdict_equal a b =
   && a.v_locations = b.v_locations
   && a.v_sig_digest = b.v_sig_digest
   && a.v_report_digest = b.v_report_digest
+  && a.v_attribution = b.v_attribution
 
 (** Drive one named configuration over a decoded trace.  Pure in the
     sense the parallel runner needs: a fresh detector instance per

@@ -67,6 +67,11 @@ module Report_digest : sig
 
   val to_hex : t -> string
   (** The digest so far; [add] may go on after it. *)
+
+  val attribution : t -> int
+  (** A running 63-bit hash of the [tid], [thread_name] and [clock] of
+      every occurrence so far, in order: what the rendered layout
+      leaves out. *)
 end
 
 (** {1 The detector sink registry} *)
@@ -106,6 +111,9 @@ type verdict = {
   v_report_digest : string;
       (** the {!Report_digest} of every occurrence, chronologically —
           byte-level equality of the report stream *)
+  v_attribution : int;
+      (** {!Report_digest.attribution}: who reported each occurrence
+          and when (JSON ["attribution"], 16 hex digits) *)
 }
 
 val digest_signatures : (Report.t * int) list -> string
@@ -119,6 +127,7 @@ val verdict_of_sink : events:int -> sink -> verdict
 
 val verdict_to_json : verdict -> Json.t
 val verdict_equal : verdict -> verdict -> bool
+(** Every field equal, the attribution included. *)
 
 val replay_config : Trace.Reader.t -> string -> verdict
 (** Drive one named configuration over a decoded trace.  Fresh detector

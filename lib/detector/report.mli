@@ -104,11 +104,14 @@ val signature_string : t -> string
     signature frames as ["func (file:line)"] joined by [";"].  The
     signature digests hash these. *)
 
-val render : Buffer.t -> eol:(Buffer.t -> unit) -> t -> unit
-(** [render b ~eol r] writes the one report layout into [b], calling
-    [eol b] at the end of every line.  {!to_string} and {!pp} are this
-    layout; the report digest renders every occurrence through it into
-    one reused buffer. *)
+val render : ?eol:(Buffer.t -> unit) -> Buffer.t -> t -> unit
+(** [render b r] writes the one report layout into [b], each line
+    ended by a newline; with [eol], by a call of [eol b] instead.
+    {!to_string} and {!pp} are this layout; the report digest renders
+    every occurrence through it into one reused buffer.  Without [eol],
+    the lines of a stack's tail and of a block's allocation stack come
+    from a per-domain cache keyed on the list itself ([==]), so a list
+    shared between occurrences is rendered once. *)
 
 val to_string : t -> string
 (** Valgrind-style rendering: headline, "at/by" stack, allocation

@@ -1047,11 +1047,35 @@ module Scenario = struct
     | Some (Json.Str s) -> Ok s
     | _ -> Error (Printf.sprintf "missing string field %S" name)
 
-  let int_field ?default name j =
+  (* Every integer field has a range, and a number outside it, or not
+     integral, is refused with the field and the value: nothing read
+     from disk reaches a sleep, a loop or the registrar's [Array.init]
+     unchecked. *)
+  let max_ticks = 1_000_000
+  let max_repeat = 1_000
+  let max_shard_count = 256
+  let max_agent_steps = 100_000
+
+  let int_field ?default ~lo ~hi name j =
     match (Json.member name j, default) with
-    | Some (Json.Num f), _ -> Ok (int_of_float f)
+    | Some (Json.Num f), _ ->
+        if Float.is_integer f && f >= float_of_int lo && f <= float_of_int hi then Ok (int_of_float f)
+        else Error (Printf.sprintf "field %S: %g is not an integer in %d..%d" name f lo hi)
     | (None | Some Json.Null), Some d -> Ok d
     | _ -> Error (Printf.sprintf "missing int field %S" name)
+
+  let ticks_field ?default name j = int_field ?default ~lo:0 ~hi:max_ticks name j
+
+  (* the steps an agent runs: repeat counts multiplied through the
+     nesting, saturated just above the bound so that nothing overflows *)
+  let rec expanded steps =
+    List.fold_left (fun acc step -> min (max_agent_steps + 1) (acc + step_weight step)) 0 steps
+
+  and step_weight = function
+    | Repeat { count; body } ->
+        let b = expanded body in
+        if b > 0 && count > max_agent_steps / b then max_agent_steps + 1 else count * b
+    | Register _ | Unregister _ | Options _ | Call _ | Sleep _ -> 1
 
   let rec step_of_json j =
     let* op = str_field "op" j in
@@ -1059,7 +1083,7 @@ module Scenario = struct
     | "register" ->
         let* user = str_field "user" j in
         let* domain = str_field "domain" j in
-        let* expires = int_field ~default:100_000 "expires" j in
+        let* expires = ticks_field ~default:100_000 "expires" j in
         Ok (Register { user; domain; expires })
     | "unregister" ->
         let* user = str_field "user" j in
@@ -1072,13 +1096,13 @@ module Scenario = struct
         let* caller = str_field "caller" j in
         let* callee = str_field "callee" j in
         let* domain = str_field "domain" j in
-        let* talk = int_field ~default:6 "talk" j in
+        let* talk = ticks_field ~default:6 "talk" j in
         Ok (Call { caller; callee; domain; talk })
     | "sleep" ->
-        let* ticks = int_field "ticks" j in
+        let* ticks = ticks_field "ticks" j in
         Ok (Sleep ticks)
     | "repeat" ->
-        let* count = int_field "count" j in
+        let* count = int_field ~lo:0 ~hi:max_repeat "count" j in
         let* body = steps_of_json j in
         Ok (Repeat { count; body })
     | op -> Error (Printf.sprintf "unknown op %S" op)
@@ -1105,9 +1129,9 @@ module Scenario = struct
         match Json.member "sharding" j with
         | None | Some Json.Null -> Ok None
         | Some sp ->
-            let* initial = int_field "initial" sp in
-            let* grow_at = int_field ~default:0 "grow_at" sp in
-            let* max_shards = int_field ~default:initial "max_shards" sp in
+            let* initial = int_field ~lo:1 ~hi:max_shard_count "initial" sp in
+            let* grow_at = int_field ~default:0 ~lo:0 ~hi:max_ticks "grow_at" sp in
+            let* max_shards = int_field ~default:initial ~lo:initial ~hi:max_shard_count "max_shards" sp in
             Ok (Some { sp_initial = initial; sp_grow_at = grow_at; sp_max_shards = max_shards })
       in
       let* agents =
@@ -1118,7 +1142,10 @@ module Scenario = struct
                 let* acc = acc in
                 let* name = str_field "name" a in
                 let* steps = steps_of_json a in
-                Ok ({ ag_name = name; ag_steps = steps } :: acc))
+                let n = expanded steps in
+                if n > max_agent_steps then
+                  Error (Printf.sprintf "agent %S: more than %d steps when its repeats are expanded" name max_agent_steps)
+                else Ok ({ ag_name = name; ag_steps = steps } :: acc))
               (Ok []) l
             |> Result.map List.rev
         | _ -> Error "missing \"agents\" list"

@@ -203,6 +203,14 @@ module Scenario : sig
   (** Compile onto the hardened chaos drivers (one thread per agent). *)
 
   val to_json : t -> Raceguard_obs.Json.t
+
   val of_json : Raceguard_obs.Json.t -> (t, string) result
+  (** Fails closed: an [Error] naming the field, and the value where
+      there is one, unless every integer field is integral and in its
+      range — [expires], [talk], [ticks] and [grow_at] 0–1,000,000,
+      [count] 0–1,000, [initial] 1–256, [max_shards] [initial]–256 —
+      and no agent runs more than 100,000 steps once its repeat counts
+      are multiplied through the nesting. *)
+
   val of_string : string -> (t, string) result
 end

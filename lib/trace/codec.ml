@@ -25,13 +25,13 @@ let cursor ?(pos = 0) ?limit data =
 let remaining c = c.limit - c.pos
 let at_end c = c.pos >= c.limit
 
+(* [cursor] keeps [limit] within [data], so a read below [limit] needs
+   no second bounds check *)
 let read_byte c =
-  if c.pos >= c.limit then raise Truncated;
-  let b = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  b
-
-let peek_byte c = if c.pos >= c.limit then raise Truncated else Char.code c.data.[c.pos]
+  let pos = c.pos in
+  if pos >= c.limit then raise Truncated;
+  c.pos <- pos + 1;
+  Char.code (String.unsafe_get c.data pos)
 
 (* --- varints ------------------------------------------------------- *)
 
@@ -54,14 +54,15 @@ let write_varint buf n =
 let varint_last_shift = 7 * ((Sys.int_size - 2) / 7)
 let varint_last_max = (1 lsl (Sys.int_size - 1 - varint_last_shift)) - 1
 
-let read_varint c =
-  let rec go shift acc =
-    let b = read_byte c in
-    if shift = varint_last_shift && b > varint_last_max then raise Overflow;
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* top-level, so that a read allocates no closure; it runs ~10 times
+   per decoded event *)
+let rec read_varint_loop c shift acc =
+  let b = read_byte c in
+  if shift = varint_last_shift && b > varint_last_max then raise Overflow;
+  let acc = acc lor ((b land 0x7F) lsl shift) in
+  if b land 0x80 = 0 then acc else read_varint_loop c (shift + 7) acc
+
+let read_varint c = read_varint_loop c 0 0
 
 (* zigzag: signed ints of small magnitude stay small *)
 let write_zigzag buf n = write_varint buf ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
@@ -85,11 +86,6 @@ let read_string c =
 
 (* --- fixed-width ---------------------------------------------------- *)
 
-let write_u32 buf n =
-  for i = 0 to 3 do
-    Buffer.add_char buf (Char.chr ((n lsr (8 * i)) land 0xFF))
-  done
-
 let read_u32_at data pos =
   if pos < 0 || pos + 4 > String.length data then raise Truncated;
   let b i = Char.code data.[pos + i] in
@@ -97,21 +93,60 @@ let read_u32_at data pos =
 
 (* --- CRC-32 --------------------------------------------------------- *)
 
-(* Built when the module loads, not lazily: domains that seal
-   recordings at the same moment would force a [lazy] concurrently,
-   which raises [CamlinternalLazy.Undefined]. *)
+(* Slicing-by-8: table [k] (entries [256k .. 256k+255]) advances the
+   CRC of one byte by [k] more zero bytes, so eight bytes fold in with
+   eight independent lookups instead of eight dependent ones.  Built
+   when the module loads, not lazily: domains that seal recordings at
+   the same moment would force a [lazy] concurrently, which raises
+   [CamlinternalLazy.Undefined]. *)
 let crc_table =
-  Array.init 256 (fun n ->
-      let c = ref n in
-      for _ = 0 to 7 do
-        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-      done;
-      !c)
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let c = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (c lsr 8) lxor t.(c land 0xFF)
+    done
+  done;
+  t
 
 (** CRC-32 of [data.[pos .. pos+len-1]] as a non-negative int. *)
-let crc32 ?(crc = 0) data pos len =
-  let c = ref (crc lxor 0xFFFFFFFF) in
-  for i = pos to pos + len - 1 do
-    c := crc_table.((!c lxor Char.code data.[i]) land 0xFF) lxor (!c lsr 8)
+let crc32_bytes ?(crc = 0) data pos len =
+  if pos < 0 || len < 0 || pos > Bytes.length data - len then invalid_arg "Codec.crc32: bad bounds";
+  (* the bounds were checked once above, so every read below is in
+     them; [c] stays within 32 bits, so every table index is in the table *)
+  let t = crc_table in
+  let c = ref (crc lxor 0xFFFFFFFF land 0xFFFFFFFF) and i = ref pos and stop = pos + len in
+  while stop - !i >= 8 do
+    let p = !i in
+    let x =
+      !c
+      lxor (Char.code (Bytes.unsafe_get data p)
+           lor (Char.code (Bytes.unsafe_get data (p + 1)) lsl 8)
+           lor (Char.code (Bytes.unsafe_get data (p + 2)) lsl 16)
+           lor (Char.code (Bytes.unsafe_get data (p + 3)) lsl 24))
+    in
+    c :=
+      Array.unsafe_get t (0x700 + (x land 0xFF))
+      lxor Array.unsafe_get t (0x600 + ((x lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (0x500 + ((x lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (0x400 + (x lsr 24))
+      lxor Array.unsafe_get t (0x300 + Char.code (Bytes.unsafe_get data (p + 4)))
+      lxor Array.unsafe_get t (0x200 + Char.code (Bytes.unsafe_get data (p + 5)))
+      lxor Array.unsafe_get t (0x100 + Char.code (Bytes.unsafe_get data (p + 6)))
+      lxor Array.unsafe_get t (Char.code (Bytes.unsafe_get data (p + 7)));
+    i := p + 8
+  done;
+  for p = !i to stop - 1 do
+    c := Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get data p)) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+(** The same over a string; [crc] continues an earlier CRC. *)
+let crc32 ?crc data pos len = crc32_bytes ?crc (Bytes.unsafe_of_string data) pos len

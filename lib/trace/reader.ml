@@ -60,7 +60,7 @@ exception Parse of string
 
 let fail fmt = Fmt.kstr (fun m -> raise (Parse m)) fmt
 
-(* growable append-only table for interned definitions *)
+(* growable append-only table: interned definitions, decoded entries *)
 module Tbl = struct
   type 'a t = { what : string; dummy : 'a; mutable a : 'a array; mutable n : int }
 
@@ -72,11 +72,12 @@ module Tbl = struct
       Array.blit t.a 0 b 0 t.n;
       t.a <- b
     end;
-    t.a.(t.n) <- x;
+    Array.unsafe_set t.a t.n x;
     t.n <- t.n + 1
 
-  let get t i = if i < 0 || i >= t.n then fail "dangling %s id %d" t.what i else t.a.(i)
+  let get t i = if i < 0 || i >= t.n then fail "dangling %s id %d" t.what i else Array.unsafe_get t.a i
   let length t = t.n
+  let to_array t = Array.sub t.a 0 t.n
 end
 
 let read_sync c =
@@ -93,94 +94,110 @@ type decoder = {
   strings : string Tbl.t;
   locs : Loc.t Tbl.t;
   stacks : Loc.t list Tbl.t;
-  blocks : Vm.Memory.block Tbl.t;
+  blocks : Vm.Memory.block option Tbl.t;
+      (** each [Some b] built once, at its definition, and shared by
+          every entry that names the block *)
 }
+
+(* Payload fields, read by direct calls: a decoded event allocates only
+   itself. *)
+let num d = Codec.read_varint d.c
+let loc d = Tbl.get d.locs (Codec.read_varint d.c)
+let str d = Tbl.get d.strings (Codec.read_varint d.c)
 
 let read_payload d kind : Vm.Event.t =
   let c = d.c in
-  let v () = Codec.read_varint c in
-  let z () = Codec.read_zigzag c in
-  let b () = Codec.read_bool c in
-  let l () = Tbl.get d.locs (v ()) in
-  let s () = Tbl.get d.strings (v ()) in
   match kind with
   | 0 ->
-      let tid = v () in
-      let name = s () in
-      let parent = match v () with 0 -> None | p -> Some (p - 1) in
+      let tid = num d in
+      let name = str d in
+      let parent = match num d with 0 -> None | p -> Some (p - 1) in
       Vm.Event.E_thread_start { tid; name; parent }
-  | 1 -> E_thread_exit { tid = v () }
+  | 1 -> E_thread_exit { tid = num d }
   | 2 ->
-      let parent = v () in
-      let child = v () in
-      E_spawn { parent; child; loc = l () }
+      let parent = num d in
+      let child = num d in
+      E_spawn { parent; child; loc = loc d }
   | 3 ->
-      let joiner = v () in
-      let joined = v () in
-      E_join { joiner; joined; loc = l () }
+      let joiner = num d in
+      let joined = num d in
+      E_join { joiner; joined; loc = loc d }
   | 4 | 5 ->
-      let tid = v () in
-      let addr = v () in
-      let value = z () in
-      let atomic = b () in
-      let loc = l () in
+      let tid = num d in
+      let addr = num d in
+      let value = Codec.read_zigzag c in
+      let atomic = Codec.read_bool c in
+      let loc = loc d in
       if kind = 4 then E_read { tid; addr; value; atomic; loc }
       else E_write { tid; addr; value; atomic; loc }
   | 6 | 7 ->
-      let tid = v () in
-      let addr = v () in
-      let len = v () in
-      let loc = l () in
+      let tid = num d in
+      let addr = num d in
+      let len = num d in
+      let loc = loc d in
       if kind = 6 then E_alloc { tid; addr; len; loc } else E_free { tid; addr; len; loc }
   | 8 ->
-      let tid = v () in
+      let tid = num d in
       let sync = read_sync c in
-      let name = s () in
-      E_sync_create { tid; sync; name; loc = l () }
+      let name = str d in
+      E_sync_create { tid; sync; name; loc = loc d }
   | 9 ->
-      let tid = v () in
+      let tid = num d in
       let lock = read_sync c in
-      let mode = if b () then Vm.Eff.Write_mode else Vm.Eff.Read_mode in
-      E_acquire { tid; lock; mode; loc = l () }
+      let mode = if Codec.read_bool c then Vm.Eff.Write_mode else Vm.Eff.Read_mode in
+      E_acquire { tid; lock; mode; loc = loc d }
   | 10 ->
-      let tid = v () in
+      let tid = num d in
       let lock = read_sync c in
-      E_release { tid; lock; loc = l () }
+      E_release { tid; lock; loc = loc d }
   | 11 ->
-      let tid = v () in
-      let cv = v () in
-      let broadcast = b () in
-      E_cond_signal { tid; cv; broadcast; loc = l () }
+      let tid = num d in
+      let cv = num d in
+      let broadcast = Codec.read_bool c in
+      E_cond_signal { tid; cv; broadcast; loc = loc d }
   | 12 | 13 ->
-      let tid = v () in
-      let cv = v () in
-      let m = v () in
-      let loc = l () in
+      let tid = num d in
+      let cv = num d in
+      let m = num d in
+      let loc = loc d in
       if kind = 12 then E_cond_wait_pre { tid; cv; m; loc }
       else E_cond_wait_post { tid; cv; m; loc }
   | 14 | 15 ->
-      let tid = v () in
-      let sem = v () in
-      let loc = l () in
+      let tid = num d in
+      let sem = num d in
+      let loc = loc d in
       if kind = 14 then E_sem_post { tid; sem; loc } else E_sem_wait_post { tid; sem; loc }
   | 16 ->
-      let tid = v () in
+      let tid = num d in
       let req =
         match Codec.read_byte c with
         | 0 ->
-            let addr = v () in
-            let len = v () in
+            let addr = num d in
+            let len = num d in
             Vm.Eff.Destruct { addr; len }
         | 1 ->
-            let addr = v () in
-            let len = v () in
+            let addr = num d in
+            let len = num d in
             Vm.Eff.Benign_race { addr; len }
-        | 2 -> Vm.Eff.Happens_before { tag = z () }
-        | 3 -> Vm.Eff.Happens_after { tag = z () }
+        | 2 -> Vm.Eff.Happens_before { tag = Codec.read_zigzag c }
+        | 3 -> Vm.Eff.Happens_after { tag = Codec.read_zigzag c }
         | n -> fail "unknown client-request subtag %d" n
       in
-      E_client { tid; req; loc = l () }
+      E_client { tid; req; loc = loc d }
   | _ -> fail "unknown event kind %d" kind
+
+(* The answers of an empty context: the replay driver's entry before
+   the first event and after the last, and the decoder's array filler. *)
+let no_entry =
+  {
+    en_index = -1;
+    en_offset = -1;
+    en_event = Vm.Event.E_thread_exit { tid = -1 };
+    en_clock = 0;
+    en_stack = [];
+    en_thread = "?";
+    en_block = None;
+  }
 
 let decode data =
   let len = String.length data in
@@ -211,28 +228,35 @@ let decode data =
       strings = Tbl.create "string" "";
       locs = Tbl.create "loc" Loc.unknown;
       stacks = Tbl.create "stack" [];
-      blocks =
-        Tbl.create "block"
-          {
-            Vm.Memory.base = 0;
-            len = 0;
-            alloc_tid = 0;
-            alloc_loc = Loc.unknown;
-            alloc_stack = [];
-            freed = false;
-          };
+      blocks = Tbl.create "block" None;
     }
   in
-  let entries = ref [] in
-  let n_entries = ref 0 in
+  let entries = Tbl.create "entry" no_entry in
   let snapshots = ref [] in
+  let n_snapshots = ref 0 in
   let last_clock = ref 0 in
   let finished = ref false in
   while not !finished do
     if Codec.at_end c then fail "missing end record";
     let offset = c.Codec.pos in
     let tag = Codec.read_byte c in
-    if tag = Writer.tag_sdef then Tbl.add d.strings (Codec.read_string c)
+    if tag >= Writer.tag_event && tag < Writer.tag_event + Vm.Event.kind_count then begin
+      let en_event = read_payload d (tag - Writer.tag_event) in
+      let en_clock = !last_clock + Codec.read_varint c in
+      last_clock := en_clock;
+      let en_stack = Tbl.get d.stacks (Codec.read_varint c) in
+      let en_thread = Tbl.get d.strings (Codec.read_varint c) in
+      let en_block =
+        match en_event with
+        | E_read _ | E_write _ -> (
+            match Codec.read_varint c with 0 -> None | b -> Tbl.get d.blocks (b - 1))
+        | _ -> None
+      in
+      Tbl.add entries
+        { en_index = Tbl.length entries; en_offset = offset; en_event; en_clock; en_stack;
+          en_thread; en_block }
+    end
+    else if tag = Writer.tag_sdef then Tbl.add d.strings (Codec.read_string c)
     else if tag = Writer.tag_ldef then begin
       let file = Tbl.get d.strings (Codec.read_varint c) in
       let func = Tbl.get d.strings (Codec.read_varint c) in
@@ -251,7 +275,7 @@ let decode data =
       let alloc_loc = Tbl.get d.locs (Codec.read_varint c) in
       let alloc_stack = Tbl.get d.stacks (Codec.read_varint c) in
       let freed = Codec.read_bool c in
-      Tbl.add d.blocks { Vm.Memory.base; len = blen; alloc_tid; alloc_loc; alloc_stack; freed }
+      Tbl.add d.blocks (Some { Vm.Memory.base; len = blen; alloc_tid; alloc_loc; alloc_stack; freed })
     end
     else if tag = Writer.tag_snap then begin
       let sn_index = Codec.read_varint c in
@@ -260,9 +284,9 @@ let decode data =
       let sn_locs = Codec.read_varint c in
       let sn_stacks = Codec.read_varint c in
       let sn_blocks = Codec.read_varint c in
-      if sn_index <> !n_entries then
+      if sn_index <> Tbl.length entries then
         fail "snapshot marker claims %d events at offset %d, decoded %d" sn_index offset
-          !n_entries;
+          (Tbl.length entries);
       if
         sn_strings > Tbl.length d.strings
         || sn_locs > Tbl.length d.locs
@@ -271,36 +295,18 @@ let decode data =
       then fail "snapshot marker at offset %d claims undefined table entries" offset;
       snapshots :=
         { sn_offset = offset; sn_index; sn_clock; sn_strings; sn_locs; sn_stacks; sn_blocks }
-        :: !snapshots
+        :: !snapshots;
+      incr n_snapshots
     end
     else if tag = Writer.tag_end then begin
       let claimed_events = Codec.read_varint c in
       let claimed_snaps = Codec.read_varint c in
-      if claimed_events <> !n_entries then
-        fail "end record claims %d events, decoded %d" claimed_events !n_entries;
-      if claimed_snaps <> List.length !snapshots then
-        fail "end record claims %d snapshots, decoded %d" claimed_snaps
-          (List.length !snapshots);
+      if claimed_events <> Tbl.length entries then
+        fail "end record claims %d events, decoded %d" claimed_events (Tbl.length entries);
+      if claimed_snaps <> !n_snapshots then
+        fail "end record claims %d snapshots, decoded %d" claimed_snaps !n_snapshots;
       if not (Codec.at_end c) then fail "%d trailing bytes after end record" (Codec.remaining c);
       finished := true
-    end
-    else if tag >= Writer.tag_event && tag < Writer.tag_event + Vm.Event.kind_count then begin
-      let en_event = read_payload d (tag - Writer.tag_event) in
-      let en_clock = !last_clock + Codec.read_varint c in
-      last_clock := en_clock;
-      let en_stack = Tbl.get d.stacks (Codec.read_varint c) in
-      let en_thread = Tbl.get d.strings (Codec.read_varint c) in
-      let en_block =
-        match en_event with
-        | E_read _ | E_write _ -> (
-            match Codec.read_varint c with 0 -> None | b -> Some (Tbl.get d.blocks (b - 1)))
-        | _ -> None
-      in
-      entries :=
-        { en_index = !n_entries; en_offset = offset; en_event; en_clock; en_stack; en_thread;
-          en_block }
-        :: !entries;
-      incr n_entries
     end
     else fail "unknown record tag 0x%02x at offset %d" tag offset
   done;
@@ -308,7 +314,7 @@ let decode data =
     version;
     schema;
     meta;
-    entries = Array.of_list (List.rev !entries);
+    entries = Tbl.to_array entries;
     snapshots = List.rev !snapshots;
     byte_size = len;
   }
@@ -332,44 +338,51 @@ let of_file path =
 
 (* --- replay --------------------------------------------------------- *)
 
+let rec feed ctx ev = function
+  | [] -> ()
+  | (tool : Vm.Tool.t) :: rest ->
+      tool.on_event ctx ev;
+      feed ctx ev rest
+
 (** Drive [tools] over the trace.  The synthesised ctx answers from the
     current entry's recorded data: [stack_of]/[thread_name] for the
     acting thread (thread names of other, previously started threads
     come from their [E_thread_start] events), [block_of] for the
     recorded access address.  Detectors in this repo query nothing
-    else, which is what makes replayed reports byte-identical. *)
+    else, which is what makes replayed reports byte-identical.  Outside
+    the loop the current entry is [no_entry], whose tid no thread has,
+    so the ctx answers as for no event. *)
 let replay t (tools : Vm.Tool.t list) =
   Metrics.incr m_replay_traces;
   let names : (int, string) Hashtbl.t = Hashtbl.create 16 in
-  let current = ref None in
+  let current = ref no_entry in
   let ctx : Vm.Tool.ctx =
     {
       stack_of =
         (fun tid ->
-          match !current with
-          | Some e when Vm.Event.tid e.en_event = tid -> e.en_stack
-          | _ -> []);
+          let e = !current in
+          if Vm.Event.tid e.en_event = tid then e.en_stack else []);
       thread_name =
         (fun tid ->
-          match !current with
-          | Some e when Vm.Event.tid e.en_event = tid -> e.en_thread
-          | _ -> ( match Hashtbl.find_opt names tid with Some n -> n | None -> "?"));
+          let e = !current in
+          if Vm.Event.tid e.en_event = tid then e.en_thread
+          else match Hashtbl.find_opt names tid with Some n -> n | None -> "?");
       block_of =
         (fun addr ->
-          match !current with
-          | Some { en_block = Some b; _ } when addr >= b.base && addr < b.base + b.len ->
-              Some b
+          match (!current).en_block with
+          | Some b as block when addr >= b.base && addr < b.base + b.len -> block
           | _ -> None);
-      clock = (fun () -> match !current with Some e -> e.en_clock | None -> 0);
+      clock = (fun () -> (!current).en_clock);
     }
   in
-  Array.iter
-    (fun e ->
-      (match e.en_event with
-      | Vm.Event.E_thread_start { tid; name; _ } -> Hashtbl.replace names tid name
-      | _ -> ());
-      current := Some e;
-      List.iter (fun (tool : Vm.Tool.t) -> tool.on_event ctx e.en_event) tools;
-      Metrics.incr m_replay_events)
-    t.entries;
-  current := None
+  let entries = t.entries in
+  for i = 0 to Array.length entries - 1 do
+    let e = Array.unsafe_get entries i in
+    (match e.en_event with
+    | Vm.Event.E_thread_start { tid; name; _ } -> Hashtbl.replace names tid name
+    | _ -> ());
+    current := e;
+    feed ctx e.en_event tools
+  done;
+  current := no_entry;
+  Metrics.add m_replay_events (Array.length entries)

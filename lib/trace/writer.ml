@@ -52,12 +52,60 @@ let m_bytes = Metrics.counter "trace.record.bytes"
 let m_snapshots = Metrics.counter "trace.record.snapshots"
 let g_events_per_kb = Metrics.gauge "trace.record.events_per_kb"
 
+(* The intern tables hash no string on a lookup: a location hashes its
+   line and string lengths ({!Loc.hash}), a stack the hashes of its
+   frames, a block its integer fields.  Keys are equal exactly when they
+   are structurally equal, so an id, and with it every byte, depends
+   only on the order of first use. *)
+module Loc_tbl = Hashtbl.Make (Loc)
+
+(* two stacks are one when their frames are equal locations, which is
+   when their lists of location ids would be equal *)
+module Stack_tbl = Hashtbl.Make (struct
+  type t = Loc.t list
+
+  let rec equal a b =
+    a == b
+    || match (a, b) with l1 :: r1, l2 :: r2 -> Loc.equal l1 l2 && equal r1 r2 | _ -> false
+
+  let hash s =
+    let rec go h = function [] -> h | l :: rest -> go ((h * 65599) + Loc.hash l) rest in
+    go 0 s land max_int
+end)
+
+(* A block as interned: its fields, the ids of its allocation site and
+   stack, and [freed] as read at the event.  Lookups fill the writer's
+   one probe record; a miss stores a copy, and stored keys never
+   change. *)
+type block_key = {
+  mutable k_base : int;
+  mutable k_len : int;
+  mutable k_tid : int;
+  mutable k_lid : int;
+  mutable k_sid : int;
+  mutable k_freed : bool;
+}
+
+module Block_tbl = Hashtbl.Make (struct
+  type t = block_key
+
+  let equal a b =
+    a.k_base = b.k_base && a.k_len = b.k_len && a.k_tid = b.k_tid && a.k_lid = b.k_lid
+    && a.k_sid = b.k_sid && a.k_freed = b.k_freed
+
+  let hash k =
+    let h = (((((k.k_base * 65599) + k.k_len) * 65599) + k.k_lid) * 65599) + k.k_sid in
+    let h = (h * 4) + (k.k_tid * 2) + Bool.to_int k.k_freed in
+    (h lxor (h lsr 17)) land max_int
+end)
+
 type t = {
   buf : Buffer.t;
   strings : (string, int) Hashtbl.t;
-  locs : (Loc.t, int) Hashtbl.t;
-  stacks : (int list, int) Hashtbl.t;
-  blocks : (int * int * int * int * int * bool, int) Hashtbl.t;
+  locs : int Loc_tbl.t;
+  stacks : int Stack_tbl.t;
+  blocks : int Block_tbl.t;
+  probe : block_key;
   snapshot_every : int;
   mutable n_strings : int;
   mutable n_locs : int;
@@ -66,18 +114,24 @@ type t = {
   mutable events : int;
   mutable snapshots : int;
   mutable last_clock : int;
-  (* Physical-equality memos over the structural intern tables.  The VM
-     hands tools the SAME cons cells / records between events — a
-     thread's [frames] list only changes on call/return, its name never,
-     a heap block record only on free — so a [==] probe replaces the
-     structural hash (string hashing per loc, list allocation per stack)
-     that would otherwise run on every event and dominate record cost.
-     Soundness: all memoized values are immutable except a block's
-     [freed] field, which the block memo re-checks on every hit. *)
-  mutable stack_memo : (Loc.t list * int) option array;  (** indexed by tid *)
-  mutable name_memo : (string * int) option array;  (** indexed by tid *)
-  mutable loc_memo : (Loc.t * int) option;
-  mutable block_memo : (Vm.Memory.block * bool * int) option;
+  (* Physical-equality memos over the intern tables.  The VM hands
+     tools the SAME cons cells / records between events — a thread's
+     [frames] list only changes on call/return, its name never, a heap
+     block record only on free — so a [==] probe replaces the table
+     lookup that would otherwise run on every event.  Each memo is a
+     key and an id in plain fields (per-thread ones in two arrays
+     indexed by tid); an id of -1 marks an empty memo.  Soundness: all
+     memoized values are immutable except a block's [freed] field,
+     which the block memo re-checks on every hit. *)
+  mutable stack_keys : Loc.t list array;
+  mutable stack_ids : int array;
+  mutable name_keys : string array;
+  mutable name_ids : int array;
+  mutable loc_key : Loc.t;
+  mutable loc_memo : int;
+  mutable block_key : Vm.Memory.block;
+  mutable block_freed : bool;
+  mutable block_memo : int;
   (* metrics are batched: per-event [Metrics] traffic (two domain-local
      lookups per event) is visible against a ~12-byte encode, so the
      counters advance only at snapshot markers and in [contents] *)
@@ -86,6 +140,9 @@ type t = {
 }
 
 let default_snapshot_every = 4096
+
+let no_block =
+  { Vm.Memory.base = 0; len = 0; alloc_tid = 0; alloc_loc = Loc.unknown; alloc_stack = []; freed = false }
 
 let create ?(snapshot_every = default_snapshot_every) ?(meta = []) () =
   if snapshot_every <= 0 then invalid_arg "Writer.create: snapshot_every must be positive";
@@ -102,9 +159,10 @@ let create ?(snapshot_every = default_snapshot_every) ?(meta = []) () =
   {
     buf;
     strings = Hashtbl.create 64;
-    locs = Hashtbl.create 256;
-    stacks = Hashtbl.create 256;
-    blocks = Hashtbl.create 64;
+    locs = Loc_tbl.create 256;
+    stacks = Stack_tbl.create 256;
+    blocks = Block_tbl.create 64;
+    probe = { k_base = 0; k_len = 0; k_tid = 0; k_lid = 0; k_sid = 0; k_freed = false };
     snapshot_every;
     n_strings = 0;
     n_locs = 0;
@@ -113,29 +171,35 @@ let create ?(snapshot_every = default_snapshot_every) ?(meta = []) () =
     events = 0;
     snapshots = 0;
     last_clock = 0;
-    stack_memo = Array.make 16 None;
-    name_memo = Array.make 16 None;
-    loc_memo = None;
-    block_memo = None;
+    stack_keys = Array.make 16 [];
+    stack_ids = Array.make 16 (-1);
+    name_keys = Array.make 16 "";
+    name_ids = Array.make 16 (-1);
+    loc_key = Loc.unknown;
+    loc_memo = -1;
+    block_key = no_block;
+    block_freed = false;
+    block_memo = -1;
     flushed_events = 0;
     flushed_bytes = 0;
   }
 
-let grown a tid =
+(* [a] grown to hold index [tid], new slots [fill] *)
+let grown a tid fill =
   let n = ref (Array.length a) in
   while tid >= !n do
     n := !n * 2
   done;
-  let a' = Array.make !n None in
+  let a' = Array.make !n fill in
   Array.blit a 0 a' 0 (Array.length a);
   a'
 
 (* --- interning: write the def record on first use ------------------- *)
 
 let string_id t s =
-  match Hashtbl.find_opt t.strings s with
-  | Some id -> id
-  | None ->
+  match Hashtbl.find t.strings s with
+  | id -> id
+  | exception Not_found ->
       let id = t.n_strings in
       t.n_strings <- id + 1;
       Hashtbl.add t.strings s id;
@@ -144,14 +208,14 @@ let string_id t s =
       id
 
 let loc_id_slow t (loc : Loc.t) =
-  match Hashtbl.find_opt t.locs loc with
-  | Some id -> id
-  | None ->
+  match Loc_tbl.find t.locs loc with
+  | id -> id
+  | exception Not_found ->
       let file = string_id t (Loc.file loc) in
       let func = string_id t (Loc.func loc) in
       let id = t.n_locs in
       t.n_locs <- id + 1;
-      Hashtbl.add t.locs loc id;
+      Loc_tbl.add t.locs loc id;
       Buffer.add_char t.buf (Char.chr tag_ldef);
       Codec.write_varint t.buf file;
       Codec.write_varint t.buf func;
@@ -159,56 +223,87 @@ let loc_id_slow t (loc : Loc.t) =
       id
 
 let loc_id t (loc : Loc.t) =
-  match t.loc_memo with
-  | Some (l, id) when l == loc -> id
-  | _ ->
-      let id = loc_id_slow t loc in
-      t.loc_memo <- Some (loc, id);
-      id
+  if t.loc_memo >= 0 && t.loc_key == loc then t.loc_memo
+  else begin
+    let id = loc_id_slow t loc in
+    t.loc_key <- loc;
+    t.loc_memo <- id;
+    id
+  end
 
+let rec intern_frames t = function
+  | [] -> ()
+  | l :: rest ->
+      ignore (loc_id t l);
+      intern_frames t rest
+
+let rec write_frames t = function
+  | [] -> ()
+  | l :: rest ->
+      Codec.write_varint t.buf (loc_id t l);
+      write_frames t rest
+
+(* a new stack interns its frames first, in order, so their defs
+   precede the stack's *)
 let stack_id_slow t (stack : Loc.t list) =
-  let ids = List.map (loc_id t) stack in
-  match Hashtbl.find_opt t.stacks ids with
-  | Some id -> id
-  | None ->
+  match Stack_tbl.find t.stacks stack with
+  | id -> id
+  | exception Not_found ->
+      intern_frames t stack;
       let id = t.n_stacks in
       t.n_stacks <- id + 1;
-      Hashtbl.add t.stacks ids id;
+      Stack_tbl.add t.stacks stack id;
       Buffer.add_char t.buf (Char.chr tag_kdef);
-      Codec.write_varint t.buf (List.length ids);
-      List.iter (Codec.write_varint t.buf) ids;
+      Codec.write_varint t.buf (List.length stack);
+      write_frames t stack;
       id
 
 (* a thread's frames only change on call/return, so consecutive events
    of one thread nearly always hit the [==] probe *)
 let stack_id t ~tid (stack : Loc.t list) =
-  if tid >= Array.length t.stack_memo then t.stack_memo <- grown t.stack_memo tid;
-  match Array.unsafe_get t.stack_memo tid with
-  | Some (s, id) when s == stack -> id
-  | _ ->
-      let id = stack_id_slow t stack in
-      Array.unsafe_set t.stack_memo tid (Some (stack, id));
-      id
+  if tid >= Array.length t.stack_ids then begin
+    t.stack_keys <- grown t.stack_keys tid [];
+    t.stack_ids <- grown t.stack_ids tid (-1)
+  end;
+  let id = Array.unsafe_get t.stack_ids tid in
+  if id >= 0 && Array.unsafe_get t.stack_keys tid == stack then id
+  else begin
+    let id = stack_id_slow t stack in
+    Array.unsafe_set t.stack_keys tid stack;
+    Array.unsafe_set t.stack_ids tid id;
+    id
+  end
 
 let name_id t ~tid (name : string) =
-  if tid >= Array.length t.name_memo then t.name_memo <- grown t.name_memo tid;
-  match Array.unsafe_get t.name_memo tid with
-  | Some (n, id) when n == name -> id
-  | _ ->
-      let id = string_id t name in
-      Array.unsafe_set t.name_memo tid (Some (name, id));
-      id
+  if tid >= Array.length t.name_ids then begin
+    t.name_keys <- grown t.name_keys tid "";
+    t.name_ids <- grown t.name_ids tid (-1)
+  end;
+  let id = Array.unsafe_get t.name_ids tid in
+  if id >= 0 && Array.unsafe_get t.name_keys tid == name then id
+  else begin
+    let id = string_id t name in
+    Array.unsafe_set t.name_keys tid name;
+    Array.unsafe_set t.name_ids tid id;
+    id
+  end
 
 let block_id_slow t (b : Vm.Memory.block) ~freed =
   let lid = loc_id t b.alloc_loc in
   let sid = stack_id_slow t b.alloc_stack in
-  let key = (b.base, b.len, b.alloc_tid, lid, sid, freed) in
-  match Hashtbl.find_opt t.blocks key with
-  | Some id -> id
-  | None ->
+  let k = t.probe in
+  k.k_base <- b.base;
+  k.k_len <- b.len;
+  k.k_tid <- b.alloc_tid;
+  k.k_lid <- lid;
+  k.k_sid <- sid;
+  k.k_freed <- freed;
+  match Block_tbl.find t.blocks k with
+  | id -> id
+  | exception Not_found ->
       let id = t.n_blocks in
       t.n_blocks <- id + 1;
-      Hashtbl.add t.blocks key id;
+      Block_tbl.add t.blocks { k with k_base = b.base } id;
       Buffer.add_char t.buf (Char.chr tag_bdef);
       Codec.write_varint t.buf b.base;
       Codec.write_varint t.buf b.len;
@@ -223,113 +318,111 @@ let block_id_slow t (b : Vm.Memory.block) ~freed =
    once live and once freed (distinct def records) *)
 let block_id t (b : Vm.Memory.block) =
   let freed = b.freed in
-  match t.block_memo with
-  | Some (b', freed', id) when b' == b && freed' = freed -> id
-  | _ ->
-      let id = block_id_slow t b ~freed in
-      t.block_memo <- Some (b, freed, id);
-      id
+  if t.block_memo >= 0 && t.block_key == b && t.block_freed = freed then t.block_memo
+  else begin
+    let id = block_id_slow t b ~freed in
+    t.block_key <- b;
+    t.block_freed <- freed;
+    t.block_memo <- id;
+    id
+  end
 
 (* --- event payloads ------------------------------------------------- *)
 
 let write_sync buf (s : Vm.Event.sync_ref) =
-  let kind, id =
-    match s with
-    | Vm.Event.Mutex i -> (0, i)
-    | Vm.Event.Rwlock i -> (1, i)
-    | Vm.Event.Cond i -> (2, i)
-    | Vm.Event.Sem i -> (3, i)
-  in
-  Codec.write_varint buf ((id lsl 2) lor kind)
+  Codec.write_varint buf
+    (match s with
+    | Vm.Event.Mutex i -> i lsl 2
+    | Vm.Event.Rwlock i -> (i lsl 2) lor 1
+    | Vm.Event.Cond i -> (i lsl 2) lor 2
+    | Vm.Event.Sem i -> (i lsl 2) lor 3)
 
-let write_payload t (ev : Vm.Event.t) =
-  let buf = t.buf in
-  let v = Codec.write_varint buf in
-  let z = Codec.write_zigzag buf in
-  let b = Codec.write_bool buf in
-  let l loc = v (loc_id t loc) in
+(* [name] and [loc] are the ids of the event's name string and source
+   location, interned before the tag (-1 where the event has none) *)
+let write_payload buf (ev : Vm.Event.t) ~name ~loc =
+  let v = Codec.write_varint in
   match ev with
-  | E_thread_start { tid; name; parent } ->
-      v tid;
-      v (string_id t name);
-      v (match parent with None -> 0 | Some p -> p + 1)
-  | E_thread_exit { tid } -> v tid
-  | E_spawn { parent; child; loc } ->
-      v parent;
-      v child;
-      l loc
-  | E_join { joiner; joined; loc } ->
-      v joiner;
-      v joined;
-      l loc
-  | E_read { tid; addr; value; atomic; loc } | E_write { tid; addr; value; atomic; loc } ->
-      v tid;
-      v addr;
-      z value;
-      b atomic;
-      l loc
-  | E_alloc { tid; addr; len; loc } | E_free { tid; addr; len; loc } ->
-      v tid;
-      v addr;
-      v len;
-      l loc
-  | E_sync_create { tid; sync; name; loc } ->
-      v tid;
+  | E_thread_start { tid; parent; _ } ->
+      v buf tid;
+      v buf name;
+      v buf (match parent with None -> 0 | Some p -> p + 1)
+  | E_thread_exit { tid } -> v buf tid
+  | E_spawn { parent; child; _ } ->
+      v buf parent;
+      v buf child;
+      v buf loc
+  | E_join { joiner; joined; _ } ->
+      v buf joiner;
+      v buf joined;
+      v buf loc
+  | E_read { tid; addr; value; atomic; _ } | E_write { tid; addr; value; atomic; _ } ->
+      v buf tid;
+      v buf addr;
+      Codec.write_zigzag buf value;
+      Codec.write_bool buf atomic;
+      v buf loc
+  | E_alloc { tid; addr; len; _ } | E_free { tid; addr; len; _ } ->
+      v buf tid;
+      v buf addr;
+      v buf len;
+      v buf loc
+  | E_sync_create { tid; sync; _ } ->
+      v buf tid;
       write_sync buf sync;
-      v (string_id t name);
-      l loc
-  | E_acquire { tid; lock; mode; loc } ->
-      v tid;
+      v buf name;
+      v buf loc
+  | E_acquire { tid; lock; mode; _ } ->
+      v buf tid;
       write_sync buf lock;
-      b (mode = Vm.Eff.Write_mode);
-      l loc
-  | E_release { tid; lock; loc } ->
-      v tid;
+      Codec.write_bool buf (mode = Vm.Eff.Write_mode);
+      v buf loc
+  | E_release { tid; lock; _ } ->
+      v buf tid;
       write_sync buf lock;
-      l loc
-  | E_cond_signal { tid; cv; broadcast; loc } ->
-      v tid;
-      v cv;
-      b broadcast;
-      l loc
-  | E_cond_wait_pre { tid; cv; m; loc } | E_cond_wait_post { tid; cv; m; loc } ->
-      v tid;
-      v cv;
-      v m;
-      l loc
-  | E_sem_post { tid; sem; loc } | E_sem_wait_post { tid; sem; loc } ->
-      v tid;
-      v sem;
-      l loc
-  | E_client { tid; req; loc } ->
-      v tid;
+      v buf loc
+  | E_cond_signal { tid; cv; broadcast; _ } ->
+      v buf tid;
+      v buf cv;
+      Codec.write_bool buf broadcast;
+      v buf loc
+  | E_cond_wait_pre { tid; cv; m; _ } | E_cond_wait_post { tid; cv; m; _ } ->
+      v buf tid;
+      v buf cv;
+      v buf m;
+      v buf loc
+  | E_sem_post { tid; sem; _ } | E_sem_wait_post { tid; sem; _ } ->
+      v buf tid;
+      v buf sem;
+      v buf loc
+  | E_client { tid; req; _ } ->
+      v buf tid;
       (match req with
       | Vm.Eff.Destruct { addr; len } ->
           Buffer.add_char buf '\000';
-          v addr;
-          v len
+          v buf addr;
+          v buf len
       | Vm.Eff.Benign_race { addr; len } ->
           Buffer.add_char buf '\001';
-          v addr;
-          v len
+          v buf addr;
+          v buf len
       | Vm.Eff.Happens_before { tag } ->
           Buffer.add_char buf '\002';
-          z tag
+          Codec.write_zigzag buf tag
       | Vm.Eff.Happens_after { tag } ->
           Buffer.add_char buf '\003';
-          z tag);
-      l loc
+          Codec.write_zigzag buf tag);
+      v buf loc
 
 (* Definition records must never appear inside an event record, so
    everything a payload will reference is interned (and its defs
-   emitted) before the event tag is written; [write_payload] then only
-   sees table hits. *)
-let pre_intern t (ev : Vm.Event.t) =
-  (match ev with
-  | E_thread_start { name; _ } | E_sync_create { name; _ } -> ignore (string_id t name)
-  | _ -> ());
+   emitted) before the event tag is written, names first, then the
+   location. *)
+let name_of_event t (ev : Vm.Event.t) =
+  match ev with E_thread_start { name; _ } | E_sync_create { name; _ } -> string_id t name | _ -> -1
+
+let loc_of_event t (ev : Vm.Event.t) =
   match ev with
-  | E_thread_start _ | E_thread_exit _ -> ()
+  | E_thread_start _ | E_thread_exit _ -> -1
   | E_spawn { loc; _ }
   | E_join { loc; _ }
   | E_read { loc; _ }
@@ -345,7 +438,7 @@ let pre_intern t (ev : Vm.Event.t) =
   | E_sem_post { loc; _ }
   | E_sem_wait_post { loc; _ }
   | E_client { loc; _ } ->
-      ignore (loc_id t loc)
+      loc_id t loc
 
 let flush_metrics t =
   let bytes = Buffer.length t.buf in
@@ -376,12 +469,13 @@ let add_entry t ~event ~clock ~stack ~thread_name ~block =
   maybe_snapshot t;
   let tid = Vm.Event.tid event in
   if tid < 0 then invalid_arg "Writer.add_entry: negative tid";
-  pre_intern t event;
+  let name = name_of_event t event in
+  let loc = loc_of_event t event in
   let sid = stack_id t ~tid stack in
   let nid = name_id t ~tid thread_name in
   let bid = match block with None -> 0 | Some b -> block_id t b + 1 in
   Buffer.add_char t.buf (Char.chr (tag_event + Vm.Event.kind_id event));
-  write_payload t event;
+  write_payload t.buf event ~name ~loc;
   if clock < t.last_clock then invalid_arg "Writer.add_entry: clock went backwards";
   Codec.write_varint t.buf (clock - t.last_clock);
   t.last_clock <- clock;
@@ -421,12 +515,15 @@ let contents t =
   Buffer.add_char tail (Char.chr tag_end);
   Codec.write_varint tail t.events;
   Codec.write_varint tail t.snapshots;
-  let body = Buffer.contents t.buf ^ Buffer.contents tail in
-  let crc = Codec.crc32 body 0 (String.length body) in
-  let foot = Buffer.create 8 in
-  Codec.write_u32 foot crc;
-  Buffer.add_string foot magic_tail;
-  body ^ Buffer.contents foot
+  (* the body is copied once, into the sealed result *)
+  let head = Buffer.length t.buf in
+  let body = head + Buffer.length tail in
+  let out = Bytes.create (body + 8) in
+  Buffer.blit t.buf 0 out 0 head;
+  Buffer.blit tail 0 out head (Buffer.length tail);
+  Bytes.set_int32_le out body (Int32.of_int (Codec.crc32_bytes out 0 body));
+  Bytes.blit_string magic_tail 0 out (body + 4) 4;
+  Bytes.unsafe_to_string out
 
 let to_file t path =
   let oc = open_out_bin path in

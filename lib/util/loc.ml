@@ -7,8 +7,6 @@
 
 type t = { file : string; func : string; line : int }
 
-let make ~file ~func ~line = { file; func; line }
-
 let v file func line = { file; func; line }
 
 let unknown = { file = "<unknown>"; func = "<unknown>"; line = 0 }
@@ -24,22 +22,16 @@ let compare a b =
     let c = compare a.line b.line in
     if c <> 0 then c else String.compare a.func b.func
 
-let equal a b = compare a b = 0
+(* [==] first: the VM hands tools the same record between events *)
+let equal a b = a == b || (a.line = b.line && String.equal a.func b.func && String.equal a.file b.file)
 
-let hash t = Hashtbl.hash (t.file, t.func, t.line)
+(* The line and the two string lengths, mixed without allocating: no
+   string is hashed.  Locations that differ only in their text collide
+   here and are told apart by [equal]. *)
+let hash t =
+  let h = (((t.line * 65599) + String.length t.file) * 65599) + String.length t.func in
+  (h lxor (h lsr 17)) land max_int
 
 let pp ppf t = Fmt.pf ppf "%s (%s:%d)" t.func t.file t.line
 
 let to_string t = Fmt.str "%a" pp t
-
-module Set = Set.Make (struct
-  type nonrec t = t
-
-  let compare = compare
-end)
-
-module Map = Map.Make (struct
-  type nonrec t = t
-
-  let compare = compare
-end)

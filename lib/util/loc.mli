@@ -6,8 +6,6 @@
 
 type t = { file : string; func : string; line : int }
 
-val make : file:string -> func:string -> line:int -> t
-
 val v : string -> string -> int -> t
 (** [v file func line]. *)
 
@@ -19,12 +17,13 @@ val line : t -> int
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
+(** Structural, [==] tried first. *)
+
 val hash : t -> int
+(** Mixes the line and the lengths of [file] and [func]; hashes no
+    string and allocates nothing.  [equal] locations hash alike. *)
 
 val pp : Format.formatter -> t -> unit
 (** Renders as ["func (file:line)"]. *)
 
 val to_string : t -> string
-
-module Set : Set.S with type elt = t
-module Map : Map.S with type key = t

@@ -1,8 +1,10 @@
 (* The report renderer and the digests built on it: the Buffer
    renderer against the Format layout it replaced, the streamed report
-   digest against the MD5 of the concatenated stream, the collector's
-   location index against the signature map it replaced, pinned verdict
-   digests, and the Helgrind detail memo's invalidation. *)
+   digest against the MD5 of the concatenated stream, also over stacks
+   shared, copied and colliding in the renderer's segment cache, the
+   attribution hash that verdicts compare, the collector's location
+   index against the signature map it replaced, pinned verdict digests,
+   and the Helgrind detail memo's invalidation. *)
 
 module Det = Raceguard_detector
 module Loc = Raceguard_util.Loc
@@ -168,6 +170,81 @@ let test_stream_bounded () =
   let bytes = (major_after -. major_before) *. float_of_int (Sys.word_size / 8) in
   if bytes >= 1024. *. 1024. then Alcotest.failf "digest added %.0f bytes to the major heap" bytes;
   Alcotest.(check string) "same digest" (concat_digest rs) digest
+
+(* --- the segment cache ------------------------------------------------- *)
+
+(* Frames on two lines, each line under four texts of equal lengths, so
+   stacks of the same lines but other files or functions share a cache
+   slot and collide on it. *)
+let line_frames =
+  Array.init 8 (fun i ->
+      Loc.v (if i land 1 = 0 then "a.cc" else "b.cc") (if i land 2 = 0 then "f" else "g") (1 + (i lsr 2)))
+
+(* a fresh copy: equal to [stack], sharing none of it *)
+let copy stack = List.map (fun (l : Loc.t) -> Loc.v (l.file ^ "") (l.func ^ "") l.line) stack
+
+(* Occurrences whose stack tails and allocation stacks come from a small
+   pool of lists: the same list ([==]), an equal copy, or another list
+   in the pool, which often has the same first frame or the same lines.
+   Pool lists run empty to twice [signature_depth], and a list can be a
+   tail in one occurrence and an allocation stack in another. *)
+let gen_shared_occurrences =
+  QCheck2.Gen.(
+    let frame = map (Array.get line_frames) (int_bound 7) in
+    let* pool = map Array.of_list (list_size (1 -- 6) (list_size (int_bound (2 * Det.Report.signature_depth)) frame)) in
+    let pick = let* i = int_bound (Array.length pool - 1) in oneof [ return pool.(i); return (copy pool.(i)) ] in
+    list_size (0 -- 120)
+      (let* kind = oneofl [ Det.Report.Race_write; Race_read; Lock_order ] in
+       let* addr = small_nat in
+       let* stack = oneof [ return []; map2 (fun loc tail -> loc :: tail) frame pick ] in
+       let* detail = oneofl [ ""; "Previous state: shared RO, no locks" ] in
+       let* block =
+         opt
+           (let* b_alloc_stack = pick in
+            return { Det.Report.b_base = 0; b_len = 8; b_alloc_tid = 0; b_alloc_stack })
+       in
+       return { Det.Report.kind; addr; tid = 1; thread_name = "t"; stack; detail; block; clock = 0; provenance = None }))
+
+let qc_segment_cache =
+  QCheck2.Test.make ~name:"digest with shared, copied and colliding stacks = MD5 of the stream" ~count:300
+    ~print:(fun rs -> String.concat "\n" (List.map print rs))
+    gen_shared_occurrences (fun rs ->
+      (* the Format oracle renders without the cache *)
+      let oracle = Digest.to_hex (Digest.string (String.concat "\n" (List.map (Fmt.str "%a" ref_pp) rs))) in
+      stream_digest rs = oracle && concat_digest rs = oracle)
+
+(* --- who reported and when ------------------------------------------------ *)
+
+(* The layout leaves out tid, thread name and clock; the attribution
+   hash carries them, so a verdict tells the occurrences apart where the
+   report digest cannot. *)
+let test_attribution () =
+  let rs = List.init 5 (fun i -> { (report ()) with tid = i; thread_name = "w" ^ string_of_int i; clock = 10 * i }) in
+  let verdict rs =
+    let d = Det.Offline.Report_digest.create () in
+    List.iter (Det.Offline.Report_digest.add d) rs;
+    {
+      Det.Offline.v_config = "eraser-pure";
+      v_events = 50;
+      v_occurrences = List.length rs;
+      v_locations = 1;
+      v_sig_digest = "-";
+      v_report_digest = Det.Offline.Report_digest.to_hex d;
+      v_attribution = Det.Offline.Report_digest.attribution d;
+    }
+  in
+  let base = verdict rs in
+  Alcotest.(check bool) "a verdict equals itself" true (Det.Offline.verdict_equal base (verdict rs));
+  let differs what rs' =
+    let v = verdict rs' in
+    Alcotest.(check string) (what ^ ": same report digest") base.v_report_digest v.v_report_digest;
+    Alcotest.(check bool) (what ^ ": verdicts differ") false (Det.Offline.verdict_equal base v)
+  in
+  let edit what f = differs what (List.mapi (fun i r -> if i = 2 then f r else r) rs) in
+  edit "another tid" (fun r -> { r with tid = 9 });
+  edit "another thread name" (fun r -> { r with thread_name = "other" });
+  edit "another clock" (fun r -> { r with clock = r.clock + 1 });
+  differs "two occurrences swapped" (match rs with a :: b :: rest -> b :: a :: rest | _ -> rs)
 
 (* --- the collector's location index ----------------------------------- *)
 
@@ -422,6 +499,8 @@ let suite =
       QCheck_alcotest.to_alcotest qc_stream;
       Alcotest.test_case "streamed digest: fixed cases" `Quick test_stream_fixed;
       Alcotest.test_case "streamed digest holds no stream" `Quick test_stream_bounded;
+      QCheck_alcotest.to_alcotest qc_segment_cache;
+      Alcotest.test_case "verdicts compare who reported and when" `Quick test_attribution;
       QCheck_alcotest.to_alcotest qc_locations_model;
       Alcotest.test_case "locations: frames, kinds and clock ties" `Quick test_locations_fixed;
       Alcotest.test_case "collector holds no occurrences" `Quick test_collector_holds_no_occurrences;

@@ -383,6 +383,53 @@ let qc_scenario_fails_closed =
     ~print:String.escaped gen_mutated_document (fun doc ->
       match Scenario.of_string doc with Ok _ | Error _ -> true)
 
+(* Numbers read from disk fail closed: each must be integral and in its
+   field's range, and an agent's repeats may not multiply past the step
+   bound.  Each refused document is pinned beside an accepted neighbour,
+   so the check cannot pass by refusing everything. *)
+let scenario_document ?(sharding = "null") steps =
+  Printf.sprintf
+    {|{"schema": "raceguard-scenario/1", "name": "X", "description": "d", "sharding": %s,
+       "agents": [{"name": "a", "steps": [%s]}]}|}
+    sharding steps
+
+let test_scenario_numbers_fail_closed () =
+  let options = {|{"op": "options", "domain": "example.com"}|} in
+  let repeat count body = Printf.sprintf {|{"op": "repeat", "count": %s, "steps": [%s]}|} count body in
+  let sleep ticks = Printf.sprintf {|{"op": "sleep", "ticks": %s}|} ticks in
+  let sharding initial = Printf.sprintf {|{"initial": %s, "grow_at": 4, "max_shards": 8}|} initial in
+  let accepted what doc =
+    match Scenario.of_string doc with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s refused: %s" what e
+  in
+  let refused what ~names doc =
+    match Scenario.of_string doc with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e ->
+        let mentions sub =
+          let n = String.length sub in
+          let rec at i = i + n <= String.length e && (String.sub e i n = sub || at (i + 1)) in
+          at 0
+        in
+        List.iter
+          (fun sub -> if not (mentions sub) then Alcotest.failf "%s: %S does not name %s" what e sub)
+          names
+  in
+  accepted "count 1000" (scenario_document (repeat "1000" options));
+  refused "count 1e18" ~names:[ {|"count"|}; "1e+18" ] (scenario_document (repeat "1e18" options));
+  refused "count -3" ~names:[ {|"count"|}; "-3" ] (scenario_document (repeat "-3" options));
+  accepted "ticks 2" (scenario_document (sleep "2"));
+  refused "ticks 2.7" ~names:[ {|"ticks"|}; "2.7" ] (scenario_document (sleep "2.7"));
+  accepted "100,000 steps" (scenario_document (repeat "100" (repeat "1000" options)));
+  refused "a nested-repeat bomb" ~names:[ {|agent "a"|} ]
+    (scenario_document (repeat "1000" (repeat "1000" (repeat "1000" options))));
+  accepted "initial 2" (scenario_document ~sharding:(sharding "2") options);
+  refused "initial 1e9" ~names:[ {|"initial"|}; "1e+09" ] (scenario_document ~sharding:(sharding "1e9") options);
+  refused "initial 0" ~names:[ {|"initial"|} ] (scenario_document ~sharding:(sharding "0") options);
+  refused "max_shards below initial" ~names:[ {|"max_shards"|} ]
+    (scenario_document ~sharding:{|{"initial": 4, "max_shards": 2}|} options)
+
 (* --- T9/T10 chaos cells --------------------------------------------- *)
 
 let scenario_config ?(fast_path = true) ?(domains = 1) () =
@@ -454,6 +501,8 @@ let suite =
       Alcotest.test_case "shipped scenarios round-trip through JSON" `Quick
         test_shipped_scenarios_roundtrip;
       QCheck_alcotest.to_alcotest qc_scenario_fails_closed;
+      Alcotest.test_case "scenario DSL: numbers out of range are refused" `Quick
+        test_scenario_numbers_fail_closed;
       Alcotest.test_case "chaos T9/T10: resilient clean, legacy violates" `Slow
         test_scenario_chaos_asymmetry;
       Alcotest.test_case "chaos T9/T10: digests invariant under domains" `Slow

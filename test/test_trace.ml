@@ -2,10 +2,12 @@
    driver):
 
    - codec properties: varint/zigzag/string round-trips, incremental
-     CRC-32 equals whole-buffer CRC-32;
+     CRC-32 equals whole-buffer CRC-32, the sliced CRC-32 kernel equals
+     the byte-at-a-time loop;
    - qcheck container round-trip: decode (encode entries) = entries for
-     random event streams, including interning-table reuse and snapshot
-     markers at aggressive cadences;
+     random event streams, including interning-table reuse, locations
+     that collide on [Loc.hash] and snapshot markers at aggressive
+     cadences;
    - corruption rejection: truncation anywhere, a flipped body byte
      (CRC), bad magics, wrong version byte are all decode errors, and
      so are varints above max_int; a mutated body re-sealed with a
@@ -68,6 +70,40 @@ let qc_string_roundtrip =
       let c = Codec.cursor (Buffer.contents b) in
       Codec.read_string c = s && Codec.at_end c)
 
+(* byte at a time, the textbook loop: the oracle of the sliced kernel *)
+let ref_crc32 ?(crc = 0) s pos len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+(* offsets and lengths 0-15 reach every alignment of the eight-byte
+   step and every length of the byte-wise tail; longer strings run the
+   step several times *)
+let qc_crc_kernel =
+  QCheck2.Test.make ~name:"CRC-32 kernel = byte-at-a-time CRC-32" ~count:1000
+    ~print:(fun (s, pos, len, crc) -> Printf.sprintf "%S pos %d len %d crc %x" s pos len crc)
+    Gen.(
+      let* s = string_size (0 -- 64) in
+      let n = String.length s in
+      let* pos = int_bound (min 15 n) in
+      let* len = oneof [ int_bound (min 15 (n - pos)); return (n - pos) ] in
+      let* crc = oneof [ return 0; int_bound 0xFFFFFFFF ] in
+      return (s, pos, len, crc))
+    (fun (s, pos, len, crc) -> Codec.crc32 ~crc s pos len = ref_crc32 ~crc s pos len)
+
+let test_crc_check_value () =
+  Alcotest.(check int) "CRC-32 of \"123456789\"" 0xCBF43926 (Codec.crc32 "123456789" 0 9)
+
 let qc_crc_incremental =
   QCheck2.Test.make ~name:"incremental CRC-32 = whole-buffer CRC-32" ~count:200
     Gen.(pair (string_size (int_bound 128)) (string_size (int_bound 128)))
@@ -81,6 +117,9 @@ let qc_crc_incremental =
 
 (* --- random entry streams ----------------------------------------------- *)
 
+(* The last three collide on [Loc.hash] with the first two (same line,
+   same lengths, other text), so the intern tables must tell them apart
+   by [Loc.equal]. *)
 let locs =
   [|
     Loc.v "a.cpp" "f" 1;
@@ -88,6 +127,9 @@ let locs =
     Loc.v "b.cpp" "h" 3;
     Loc.v "c.cpp" "i" 44;
     Loc.unknown;
+    Loc.v "b.cpp" "g" 1;
+    Loc.v "a.cpp" "h" 1;
+    Loc.v "x.cpp" "g" 2;
   |]
 
 let names = [| "main"; "worker"; "logger"; "reaper" |]
@@ -108,17 +150,12 @@ let gen_sync =
 
 let gen_block tid =
   Gen.(
-    map3
-      (fun base len freed ->
-        {
-          Vm.Memory.base;
-          len = len + 1;
-          alloc_tid = tid;
-          alloc_loc = locs.(0);
-          alloc_stack = [ locs.(0); locs.(1) ];
-          freed;
-        })
-      (int_bound 1000) (int_bound 16) bool)
+    let* base = int_bound 1000 in
+    let* len = int_bound 16 in
+    let* alloc_loc = gen_loc in
+    let* alloc_stack = gen_stack in
+    let* freed = bool in
+    return { Vm.Memory.base; len = len + 1; alloc_tid = tid; alloc_loc; alloc_stack; freed })
 
 (* one random event plus the block a read/write would resolve to; the
    writer only encodes blocks for reads/writes, so other kinds carry
@@ -221,6 +258,41 @@ let qc_container_roundtrip =
       && List.length (Reader.snapshots t) = Writer.snapshot_count w
       && List.for_all2 entry_matches (Array.to_list (Reader.entries t)) stream)
 
+(* Colliding locations, in stacks and blocks too, intern to distinct
+   ids: each decodes back to itself, and the trace defines each once. *)
+let test_hash_collisions_interned () =
+  let collide a b =
+    Alcotest.(check bool)
+      (Fmt.str "%a and %a collide" Loc.pp a Loc.pp b)
+      true
+      (Loc.hash a = Loc.hash b && not (Loc.equal a b))
+  in
+  collide locs.(0) locs.(5);
+  collide locs.(0) locs.(6);
+  collide locs.(1) locs.(7);
+  let block alloc_loc alloc_stack =
+    Some { Vm.Memory.base = 8; len = 4; alloc_tid = 0; alloc_loc; alloc_stack; freed = false }
+  in
+  let stream =
+    List.mapi
+      (fun i (loc, stack, blk) ->
+        (Event.E_read { tid = 0; addr = 9; value = i; atomic = false; loc }, i + 1, stack, "main", blk))
+      [
+        (locs.(0), [ locs.(0); locs.(1) ], block locs.(0) [ locs.(1) ]);
+        (locs.(5), [ locs.(5); locs.(7) ], block locs.(5) [ locs.(7) ]);
+        (locs.(6), [ locs.(6); locs.(1) ], block locs.(6) [ locs.(1) ]);
+        (Loc.v "a.cpp" "f" 1, [ locs.(0); locs.(1) ], block locs.(0) [ locs.(1) ]);
+      ]
+  in
+  let _, bytes = encode stream in
+  let t = decode_exn bytes in
+  Alcotest.(check bool) "every entry decodes to itself" true
+    (List.for_all2 entry_matches (Array.to_list (Reader.entries t)) stream);
+  let stacks = List.sort_uniq compare (List.map (fun (e : Reader.entry) -> e.en_stack) (Array.to_list (Reader.entries t))) in
+  Alcotest.(check int) "three distinct stacks" 3 (List.length stacks);
+  Alcotest.(check bool) "the repeat shares the first entry's stack" true
+    ((Reader.entries t).(0).en_stack == (Reader.entries t).(3).en_stack)
+
 let qc_truncation_rejected =
   QCheck2.Test.make ~name:"every truncation is rejected" ~count:40 gen_stream
     (fun stream ->
@@ -283,7 +355,7 @@ let test_monotonic_clock_enforced () =
    tail magic, so hand-built bytes reach the parser *)
 let seal body =
   let foot = Buffer.create 8 in
-  Codec.write_u32 foot (Codec.crc32 body 0 (String.length body));
+  Buffer.add_int32_le foot (Int32.of_int (Codec.crc32 body 0 (String.length body)));
   Buffer.add_string foot Writer.magic_tail;
   body ^ Buffer.contents foot
 
@@ -571,7 +643,10 @@ let suite =
       QCheck_alcotest.to_alcotest qc_zigzag_roundtrip;
       QCheck_alcotest.to_alcotest qc_string_roundtrip;
       QCheck_alcotest.to_alcotest qc_crc_incremental;
+      QCheck_alcotest.to_alcotest qc_crc_kernel;
+      Alcotest.test_case "CRC-32 check value" `Quick test_crc_check_value;
       QCheck_alcotest.to_alcotest qc_container_roundtrip;
+      Alcotest.test_case "Loc.hash collisions intern to distinct ids" `Quick test_hash_collisions_interned;
       QCheck_alcotest.to_alcotest qc_truncation_rejected;
       Alcotest.test_case "corrupt containers rejected" `Quick test_corruption_rejected;
       Alcotest.test_case "varints above max_int rejected" `Quick test_out_of_range_varint_rejected;
