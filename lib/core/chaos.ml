@@ -144,7 +144,6 @@ type cell = {
   cl_thread_failures : int;
   cl_stop : Vm.Engine.stop;  (** why the cell's run stopped *)
   cl_ops : int;  (** VM operations the run executed *)
-  cl_wall : float;
   cl_sharded : bool;  (** scenario cell against a sharded registrar *)
   cl_shard_count : int;  (** final shard count (1 when unsharded) *)
   cl_resizes : int;
@@ -379,7 +378,6 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
     cl_thread_failures = List.length result.Runner.outcome.Vm.Engine.failures;
     cl_stop = Vm.Engine.stop_of result.Runner.outcome;
     cl_ops = result.Runner.outcome.Vm.Engine.stats.ops_executed;
-    cl_wall = result.Runner.wall_seconds;
     cl_sharded = sharded;
     cl_shard_count = cr.cr_shard_count;
     cl_resizes = cr.cr_resizes;

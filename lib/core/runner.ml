@@ -51,7 +51,6 @@ type result = {
   helgrind : (string * Det.Helgrind.t) list;
   outcome : Vm.Engine.outcome;
   oracle : Sip.Workload.run_result option;
-  wall_seconds : float;
   metrics : Obs.Metrics.snapshot;  (** this run's delta of the global registry *)
 }
 
@@ -79,12 +78,10 @@ let run_main config main =
       Vm.Engine.add_tool vm (Det.Helgrind.tool h))
     helgrind;
   let before = Obs.Metrics.snapshot () in
-  let t0 = Unix.gettimeofday () in
   let value = ref None in
   let outcome = Vm.Engine.run vm (fun () -> value := Some (main ())) in
-  let wall = Unix.gettimeofday () -. t0 in
   let metrics = Obs.Metrics.diff ~before (Obs.Metrics.snapshot ()) in
-  ({ helgrind; outcome; oracle = None; wall_seconds = wall; metrics }, !value)
+  ({ helgrind; outcome; oracle = None; metrics }, !value)
 
 (** Run one of the eight SIP test cases. *)
 let run_test_case config tc =

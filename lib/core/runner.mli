@@ -57,7 +57,6 @@ type result = {
   outcome : Vm.Engine.outcome;
   oracle : Sip.Workload.run_result option;
       (** functional verdict when the run was a SIP test case *)
-  wall_seconds : float;
   metrics : Obs.Metrics.snapshot;
       (** this run's delta of the process-global metrics registry
           (VM counters, detector fast-path hits, lockset memo stats) *)

@@ -41,8 +41,9 @@ module Vc = Vector_clock
 module Metrics = Raceguard_obs.Metrics
 open Vm.Event
 
-(* Process-global instruments (aggregate across instances; the
-   per-instance counters below feed the bench's per-row hit rates). *)
+(* Process-global instruments (state domain-local), the only epoch-hit,
+   promotion and demotion counts: the bench and the tests read one
+   detector's by diffing snapshots around its run. *)
 let m_accesses = Metrics.counter "detector.fasttrack.accesses_checked"
 let m_epoch_hits = Metrics.counter "detector.fasttrack.epoch_hits"
 let m_promotions = Metrics.counter "detector.fasttrack.read_promotions"
@@ -85,9 +86,6 @@ type t = {
   clocks : Hb_clocks.t;
   mutable shadow : cell array;  (** dense, indexed by word address *)
   collector : Report.collector;
-  mutable epoch_hits : int;
-  mutable promotions : int;
-  mutable demotions : int;
 }
 
 let create ?(first_only = true) ?(demote_check = 32) ?on_report () =
@@ -97,17 +95,11 @@ let create ?(first_only = true) ?(demote_check = 32) ?on_report () =
     clocks = Hb_clocks.create ();
     shadow = [||];
     collector = Report.collector ?on_report ();
-    epoch_hits = 0;
-    promotions = 0;
-    demotions = 0;
   }
 
 let locations t = Report.locations t.collector
 let location_count t = Report.location_count t.collector
 let collector t = t.collector
-let epoch_hits t = t.epoch_hits
-let read_promotions t = t.promotions
-let read_demotions t = t.demotions
 
 let thread_vc t tid = Hb_clocks.thread_vc t.clocks tid
 
@@ -194,7 +186,6 @@ let check_read t ctx ~tid ~addr ~loc =
            since), and re-recording the read is idempotent up to the
            site, which a later racing write must render freshly *)
         c.r_loc <- loc;
-        t.epoch_hits <- t.epoch_hits + 1;
         Metrics.incr m_epoch_hits
     | None ->
         (* write-race check is one epoch compare *)
@@ -215,7 +206,6 @@ let check_read t ctx ~tid ~addr ~loc =
                still one epoch *)
             c.re <- cur;
             c.r_loc <- loc;
-            t.epoch_hits <- t.epoch_hits + 1;
             Metrics.incr m_epoch_hits
           end
           else begin
@@ -234,7 +224,6 @@ let check_read t ctx ~tid ~addr ~loc =
             c.shared <- Some s;
             c.re <- Epoch.none;
             c.r_clean <- false;
-            t.promotions <- t.promotions + 1;
             Metrics.incr m_promotions
           end
     | Some s ->
@@ -261,7 +250,6 @@ let check_read t ctx ~tid ~addr ~loc =
             c.re <- cur;
             c.r_loc <- loc;
             c.r_clean <- false;
-            t.demotions <- t.demotions + 1;
             Metrics.incr m_demotions
           end
         end
@@ -282,7 +270,6 @@ let check_write t ctx ~tid ~addr ~loc =
       c.w_loc <- loc;
       c.re <- Epoch.none;
       c.r_clean <- false;
-      t.epoch_hits <- t.epoch_hits + 1;
       Metrics.incr m_epoch_hits
     end
     else begin
@@ -324,7 +311,6 @@ let check_write t ctx ~tid ~addr ~loc =
         c.r_clean <- false;
         c.shared <- None;
         if not slow_scan then begin
-          t.epoch_hits <- t.epoch_hits + 1;
           Metrics.incr m_epoch_hits
         end
       end

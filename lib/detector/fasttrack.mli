@@ -33,16 +33,3 @@ val unordered_now : t -> tid:int -> addr:int -> write:bool -> bool
 val locations : t -> (Report.t * int) list
 val location_count : t -> int
 val collector : t -> Report.collector
-
-(** {2 Representation instrumentation} (per-instance; the process-wide
-    [detector.fasttrack.*] metrics aggregate the same counts) *)
-
-val epoch_hits : t -> int
-(** Accesses fully decided in the epoch representation — the fast-path
-    hit count the bench gate pins. *)
-
-val read_promotions : t -> int
-(** Cells promoted epoch → read vector (concurrent readers). *)
-
-val read_demotions : t -> int
-(** Cells demoted read vector → epoch (a read dominated the vector). *)

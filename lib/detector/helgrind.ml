@@ -49,9 +49,9 @@ module Metrics = Raceguard_obs.Metrics
 module Trace = Raceguard_obs.Trace
 open Vm.Event
 
-(* Process-global instruments (one registration per process); the
-   per-instance [accesses_checked]/[fast_hits] counters below remain
-   for per-detector introspection, these aggregate across instances. *)
+(* Process-global instruments (one registration per process, state
+   domain-local).  They are the only access and fast-path counts: a
+   caller reads one detector's by diffing snapshots around its run. *)
 let m_accesses = Metrics.counter "detector.helgrind.accesses_checked"
 let m_fast_hits = Metrics.counter "detector.helgrind.fast_path_hits"
 let m_transitions = Metrics.counter "detector.helgrind.state_transitions"
@@ -198,8 +198,6 @@ type t = {
       (** (file, line) of allocation sites statically proven
           thread-local; filled by {!set_static_hints} *)
   mutable benign : (int * int) list;
-  mutable accesses_checked : int;
-  mutable fast_hits : int;
   mutable tracer : Trace.t option;
       (** when set, state transitions / warnings / fast-path skips are
           offered to the (sampling) ring tracer *)
@@ -219,8 +217,6 @@ let create ?on_report ?suppressions config =
     collector = Report.collector ?on_report ?suppressions ();
     hints = Hashtbl.create 8;
     benign = [];
-    accesses_checked = 0;
-    fast_hits = 0;
     tracer = None;
     warning_filter = None;
   }
@@ -234,8 +230,6 @@ let set_tracer t tr = t.tracer <- Some tr
 let locations t = Report.locations t.collector
 let location_count t = Report.location_count t.collector
 let collector t = t.collector
-let accesses_checked t = t.accesses_checked
-let fast_path_hits t = t.fast_hits
 
 let name_of t uid =
   match Hashtbl.find_opt t.lock_names uid with
@@ -363,7 +357,6 @@ let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~prev_state ~cell:c =
    stamp deliberately ignores both — under contention, threads holding
    the same lock share the same interned sets and all hit. *)
 let check_access t ctx ~access ~tid ~addr ~atomic ~loc =
-  t.accesses_checked <- t.accesses_checked + 1;
   Metrics.incr m_accesses;
   let c = cell t addr in
   match c.st with
@@ -377,7 +370,6 @@ let check_access t ctx ~access ~tid ~addr ~atomic ~loc =
          covers segment advances — the rewrite would only refresh
          [o_seg], which no second thread can ever read (kept precise
          under [provenance], where the seg advance is recorded). *)
-      t.fast_hits <- t.fast_hits + 1;
       Metrics.incr m_fast_hits;
       (match t.tracer with
       | None -> ()
@@ -402,7 +394,6 @@ let check_access t ctx ~access ~tid ~addr ~atomic ~loc =
         | _ -> false
       in
       if fast then begin
-        t.fast_hits <- t.fast_hits + 1;
         Metrics.incr m_fast_hits;
         match t.tracer with
         | None -> ()

@@ -111,7 +111,3 @@ val locations : t -> (Report.t * int) list
 
 val location_count : t -> int
 val collector : t -> Report.collector
-val accesses_checked : t -> int
-
-val fast_path_hits : t -> int
-(** Accesses answered by the shadow fast path (0 when disabled). *)

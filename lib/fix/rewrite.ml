@@ -17,131 +17,16 @@ let pos_eq (a : pos) (b : pos) =
   a.Token.file = b.Token.file && a.Token.line = b.Token.line && a.Token.col = b.Token.col
 
 (* ------------------------------------------------------------------ *)
-(* Traversal                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let rec iter_expr f e =
-  f e;
-  match e.e with
-  | Int _ | Str _ | Null | Var _ | This | New _ -> ()
-  | Field (o, _) -> iter_expr f o
-  | Binop (_, a, b) ->
-      iter_expr f a;
-      iter_expr f b
-  | Unop (_, a) -> iter_expr f a
-  | Call (_, args) | Spawn (_, args) -> List.iter (iter_expr f) args
-  | Method_call (o, _, args) ->
-      iter_expr f o;
-      List.iter (iter_expr f) args
-  | Deletor a -> iter_expr f a
-
-(** Bottom-up expression map: [f] sees each node after its children
-    were rewritten. *)
-let rec map_expr f e =
-  let e' =
-    match e.e with
-    | Int _ | Str _ | Null | Var _ | This | New _ -> e
-    | Field (o, n) -> { e with e = Field (map_expr f o, n) }
-    | Binop (op, a, b) -> { e with e = Binop (op, map_expr f a, map_expr f b) }
-    | Unop (op, a) -> { e with e = Unop (op, map_expr f a) }
-    | Call (n, args) -> { e with e = Call (n, List.map (map_expr f) args) }
-    | Spawn (n, args) -> { e with e = Spawn (n, List.map (map_expr f) args) }
-    | Method_call (o, m, args) ->
-        { e with e = Method_call (map_expr f o, m, List.map (map_expr f) args) }
-    | Deletor a -> { e with e = Deletor (map_expr f a) }
-  in
-  f e'
-
-let rec map_stmt fe (s : stmt) : stmt =
-  let me = map_expr fe in
-  let ms = List.map (map_stmt fe) in
-  let s' =
-    match s.s with
-    | Var_decl (n, e) -> Var_decl (n, me e)
-    | Assign (Lvar n, e) -> Assign (Lvar n, me e)
-    | Assign (Lfield (o, f, p), e) -> Assign (Lfield (me o, f, p), me e)
-    | Expr e -> Expr (me e)
-    | If (c, a, b) -> If (me c, ms a, ms b)
-    | While (c, b) -> While (me c, ms b)
-    | Return None -> Return None
-    | Return (Some e) -> Return (Some (me e))
-    | Delete e -> Delete (me e)
-    | Lock (m, b) -> Lock (me m, ms b)
-    | Block b -> Block (ms b)
-  in
-  { s with s = s' }
-
-let rec iter_stmt_exprs f (s : stmt) =
-  let ie = iter_expr f in
-  match s.s with
-  | Var_decl (_, e) | Assign (Lvar _, e) | Expr e | Return (Some e) | Delete e -> ie e
-  | Assign (Lfield (o, _, _), e) ->
-      ie o;
-      ie e
-  | If (c, a, b) ->
-      ie c;
-      List.iter (iter_stmt_exprs f) a;
-      List.iter (iter_stmt_exprs f) b
-  | While (c, b) | Lock (c, b) ->
-      ie c;
-      List.iter (iter_stmt_exprs f) b
-  | Return None -> ()
-  | Block b -> List.iter (iter_stmt_exprs f) b
-
-(* ------------------------------------------------------------------ *)
 (* Bodies, addressed the way access stacks attribute functions         *)
 (* ------------------------------------------------------------------ *)
 
-(** Every rewritable body as [(node name, params, body)] — free
-    functions as [f], methods as [C::m], destructors as [C::~C],
-    matching [Static_race]'s frame attribution. *)
-let bodies (p : program) : (string * string list * stmt list) list =
-  List.concat_map
-    (function
-      | Dfn f -> [ (f.fn_name, f.fn_params, f.fn_body) ]
-      | Dclass c ->
-          List.map
-            (fun m -> (c.cls_name ^ "::" ^ m.fn_name, m.fn_params, m.fn_body))
-            c.cls_methods
-          @
-          (match c.cls_dtor with
-          | None -> []
-          | Some b -> [ (c.cls_name ^ "::~" ^ c.cls_name, [], b) ]))
-    p.decls
-
-(** Rewrite the body of one named node; returns [None] when no body by
+(** Rewrite the body of one named node ([f], [C::m] or [C::~C], see
+    {!Raceguard_minicc.Ast.node_name}); returns [None] when no body by
     that name exists. *)
 let map_body (p : program) ~node (f : stmt list -> stmt list) : program option =
-  let found = ref false in
-  let decls =
-    List.map
-      (function
-        | Dfn fn when fn.fn_name = node ->
-            found := true;
-            Dfn { fn with fn_body = f fn.fn_body }
-        | Dfn fn -> Dfn fn
-        | Dclass c ->
-            let cls_methods =
-              List.map
-                (fun m ->
-                  if c.cls_name ^ "::" ^ m.fn_name = node then begin
-                    found := true;
-                    { m with fn_body = f m.fn_body }
-                  end
-                  else m)
-                c.cls_methods
-            in
-            let cls_dtor =
-              match c.cls_dtor with
-              | Some b when c.cls_name ^ "::~" ^ c.cls_name = node ->
-                  found := true;
-                  Some (f b)
-              | d -> d
-            in
-            Dclass { c with cls_methods; cls_dtor })
-      p.decls
-  in
-  if !found then Some { p with decls } else None
+  if List.exists (fun (n, _, _) -> node_name n = node) (bodies p) then
+    Some (map_bodies (fun n body -> if node_name n = node then f body else body) p)
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* Position containment                                                *)
@@ -155,25 +40,13 @@ let expr_mentions target e =
 (** Does the statement's own code (not a nested statement) evaluate the
     target position?  [Assign] to a field also owns the field span. *)
 let own_hit target s =
-  let hit = ref false in
-  let ck e = if expr_mentions target e then hit := true in
-  (match s.s with
-  | Var_decl (_, e) | Assign (Lvar _, e) | Expr e | Return (Some e) | Delete e -> ck e
-  | Assign (Lfield (o, _, p), e) ->
-      if pos_eq p target then hit := true;
-      ck o;
-      ck e
-  | If (c, _, _) | While (c, _) | Lock (c, _) -> ck c
-  | Return None | Block _ -> ());
-  !hit
+  (match s.s with Assign (Lfield (_, _, p), _) -> pos_eq p target | _ -> false)
+  || List.exists (expr_mentions target) (own_exprs s)
 
-let rec stmt_mentions target s =
-  own_hit target s
-  ||
-  match s.s with
-  | If (_, a, b) -> List.exists (stmt_mentions target) (a @ b)
-  | While (_, b) | Lock (_, b) | Block b -> List.exists (stmt_mentions target) b
-  | _ -> false
+let stmt_mentions target s =
+  let hit = ref false in
+  iter_stmt (fun s -> if own_hit target s then hit := true) s;
+  !hit
 
 (* ------------------------------------------------------------------ *)
 (* Lock-scope wrapping                                                 *)
@@ -250,26 +123,8 @@ let add_args (p : program) ~callee ~(arg_for : string -> pos -> expr option) :
             e)
     | _ -> e
   in
-  let map_fn node f = { f with fn_body = List.map (map_stmt (rewrite node)) f.fn_body } in
-  let decls =
-    List.map
-      (function
-        | Dfn f -> Dfn (map_fn f.fn_name f)
-        | Dclass c ->
-            Dclass
-              {
-                c with
-                cls_methods =
-                  List.map (fun m -> map_fn (c.cls_name ^ "::" ^ m.fn_name) m) c.cls_methods;
-                cls_dtor =
-                  Option.map
-                    (List.map
-                       (map_stmt (rewrite (c.cls_name ^ "::~" ^ c.cls_name))))
-                    c.cls_dtor;
-              })
-      p.decls
-  in
-  match !err with Some m -> Error m | None -> Ok { p with decls }
+  let p = map_bodies (fun node -> List.map (map_stmt (map_expr (rewrite (node_name node))) Fun.id)) p in
+  match !err with Some m -> Error m | None -> Ok p
 
 (* ------------------------------------------------------------------ *)
 (* Fresh guard members                                                 *)
@@ -347,20 +202,13 @@ let insert_guard_inits (p : program) ~cls ~field ~name : (program * int, string)
      before we can name it (nested statements are visited on their
      own) *)
   let unnameable_new s =
+    let is_new e = match e.e with New c -> c = cls | _ -> false in
     let bad = ref false in
-    let ck e =
-      iter_expr (fun e -> match e.e with New c when c = cls -> bad := true | _ -> ()) e
-    in
+    let ck e = iter_expr (fun e -> if is_new e then bad := true) e in
     (match s.s with
-    | Var_decl (_, { e = New c; _ }) when c = cls -> ()
-    | Assign (Lvar _, { e = New c; _ }) when c = cls -> ()
-    | Assign (Lfield (o, _, _), { e = New c; _ }) when c = cls -> ck o
-    | Var_decl (_, e) | Assign (Lvar _, e) | Expr e | Return (Some e) | Delete e -> ck e
-    | Assign (Lfield (o, _, _), e) ->
-        ck o;
-        ck e
-    | If (c, _, _) | While (c, _) | Lock (c, _) -> ck c
-    | Return None | Block _ -> ());
+    | (Var_decl (_, rhs) | Assign (Lvar _, rhs)) when is_new rhs -> ()
+    | Assign (Lfield (o, _, _), rhs) when is_new rhs -> ck o
+    | _ -> List.iter ck (own_exprs s));
     !bad
   in
   let rec go_stmts stmts =
@@ -392,21 +240,8 @@ let insert_guard_inits (p : program) ~cls ~field ~name : (program * int, string)
     | Block b -> { s with s = Block (go_stmts b) }
     | _ -> s
   in
-  let map_fn f = { f with fn_body = go_stmts f.fn_body } in
-  let decls =
-    List.map
-      (function
-        | Dfn f -> Dfn (map_fn f)
-        | Dclass c ->
-            Dclass
-              {
-                c with
-                cls_methods = List.map map_fn c.cls_methods;
-                cls_dtor = Option.map go_stmts c.cls_dtor;
-              })
-      p.decls
-  in
-  match !err with Some m -> Error m | None -> Ok ({ p with decls }, !inserts)
+  let p = map_bodies (fun _ -> go_stmts) p in
+  match !err with Some m -> Error m | None -> Ok (p, !inserts)
 
 (* ------------------------------------------------------------------ *)
 (* Static lock-nesting edges                                           *)
@@ -525,19 +360,12 @@ let lock_nest_edges (p : program) : (string * string) list =
         let _, held = walk_expr depth calls (bnd, held) o in
         let held = fold_args held args in
         List.iter
-          (fun c ->
-            match List.find_opt (fun f -> f.fn_name = m) c.cls_methods with
-            | Some f when depth < max_depth && not (List.mem (c.cls_name ^ "::" ^ m) calls)
-              ->
-                let cbnd = callee_bindings bnd f.fn_params args in
-                let _ =
-                  walk_stmts (depth + 1)
-                    ((c.cls_name ^ "::" ^ m) :: calls)
-                    (cbnd, held) f.fn_body
-                in
-                ()
-            | _ -> ())
-          (classes p);
+          (fun (c, f) ->
+            let name = method_frame c.cls_name m in
+            if depth < max_depth && not (List.mem name calls) then
+              let cbnd = callee_bindings bnd f.fn_params args in
+              ignore (walk_stmts (depth + 1) (name :: calls) (cbnd, held) f.fn_body))
+          (definitions_of p m);
         (bnd, held)
   and callee_bindings bnd params args =
     let keys = List.map (key_of bnd) args in

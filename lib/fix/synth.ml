@@ -55,6 +55,9 @@ module SMap = Map.Make (String)
 
 type binding = Bound of int | Poisoned
 
+(* every body under its frame name, the name access stacks carry *)
+let named_bodies p = List.map (fun (n, params, body) -> (node_name n, params, body)) (bodies p)
+
 (** Where is each statically-known lock nameable?  Returns, per node
     (keyed like access-stack functions), the variables bound to each
     lock site — seeded from [var x = mutex("...")] declarations matched
@@ -63,7 +66,7 @@ type binding = Bound of int | Poisoned
     different locks is poisoned.  Also returns each lock's creation
     name and the call-site relation used for threading. *)
 let resolve (p : program) (static : Static.result) =
-  let bodies = Rewrite.bodies p in
+  let bodies = named_bodies p in
   let lock_sites =
     List.filter (fun s -> s.Static.site_desc = "mutex" || s.Static.site_desc = "rwlock")
       static.Static.sites
@@ -115,16 +118,7 @@ let resolve (p : program) (static : Static.result) =
               site
         | _ -> ()
       in
-      let rec go s =
-        seed_stmt s;
-        match s.s with
-        | If (_, a, b) ->
-            List.iter go a;
-            List.iter go b
-        | While (_, b) | Lock (_, b) | Block b -> List.iter go b
-        | _ -> ()
-      in
-      List.iter go body)
+      List.iter (iter_stmt seed_stmt) body)
     bodies;
   (* propagation through call/spawn argument positions *)
   let params_of = Hashtbl.create 16 in
@@ -154,7 +148,7 @@ let resolve (p : program) (static : Static.result) =
           | Some _ -> ()
         in
         List.iter
-          (Rewrite.iter_stmt_exprs (fun e ->
+          (iter_stmt_exprs (fun e ->
                match e.e with
                | Call (n, args) when Hashtbl.mem params_of n ->
                    add_call_site n node;
@@ -164,13 +158,11 @@ let resolve (p : program) (static : Static.result) =
                    prop_call n args
                | Method_call (_, m, args) ->
                    List.iter
-                     (fun c ->
-                       let mn = c.cls_name ^ "::" ^ m in
-                       if Hashtbl.mem params_of mn then begin
-                         add_call_site mn node;
-                         prop_call mn args
-                       end)
-                     (classes p)
+                     (fun (c, _) ->
+                       let mn = method_frame c.cls_name m in
+                       add_call_site mn node;
+                       prop_call mn args)
+                     (definitions_of p m)
                | _ -> ()))
           body)
       bodies
@@ -201,7 +193,7 @@ let fresh_field = "__rg_guard"
     [confirmed] are the cross-check's confirmed signatures. *)
 let plan_groups (p : program) (static : Static.result) ~(confirmed : Report.signature list) :
     plan list * (string * string) list =
-  let bodies = Rewrite.bodies p in
+  let bodies = named_bodies p in
   let body_names = List.map (fun (n, _, _) -> n) bodies in
   let binding_of, lock_names, call_sites = resolve p static in
   let confirmed_warnings =
@@ -328,7 +320,7 @@ let plan_groups (p : program) (static : Static.result) ~(confirmed : Report.sign
                             if n = fn then begin
                               if List.mem fresh_param params then used := true;
                               List.iter
-                                (Rewrite.iter_stmt_exprs (fun e ->
+                                (iter_stmt_exprs (fun e ->
                                      match e.e with
                                      | Var x when x = fresh_param -> used := true
                                      | _ -> ()))

@@ -17,86 +17,24 @@
 
 open Ast
 
-type stats = { mutable annotated_deletes : int }
-
-let rec map_expr st (e : expr) =
-  let d =
-    match e.e with
-    | (Int _ | Str _ | Null | Var _ | This) as d -> d
-    | Field (o, f) -> Field (map_expr st o, f)
-    | Binop (op, a, b) -> Binop (op, map_expr st a, map_expr st b)
-    | Unop (op, a) -> Unop (op, map_expr st a)
-    | Call (name, args) -> Call (name, List.map (map_expr st) args)
-    | Method_call (o, m, args) -> Method_call (map_expr st o, m, List.map (map_expr st) args)
-    | New c -> New c
-    | Spawn (f, args) -> Spawn (f, List.map (map_expr st) args)
-    | Deletor inner -> Deletor (map_expr st inner)
-  in
-  { e with e = d }
-
-let rec map_stmt st (s : stmt) =
-  let d =
-    match s.s with
-    | Var_decl (n, e) -> Var_decl (n, map_expr st e)
-    | Assign (Lvar n, e) -> Assign (Lvar n, map_expr st e)
-    | Assign (Lfield (o, f, p), e) -> Assign (Lfield (map_expr st o, f, p), map_expr st e)
-    | Expr e -> Expr (map_expr st e)
-    | If (c, a, b) -> If (map_expr st c, List.map (map_stmt st) a, List.map (map_stmt st) b)
-    | While (c, b) -> While (map_expr st c, List.map (map_stmt st) b)
-    | Return e -> Return (Option.map (map_expr st) e)
-    | Delete e -> (
-        let e = map_expr st e in
-        match e.e with
-        | Deletor _ -> Delete e  (* already annotated: idempotent *)
-        | _ ->
-            st.annotated_deletes <- st.annotated_deletes + 1;
-            Delete { e with e = Deletor e })
-    | Lock (m, b) -> Lock (map_expr st m, List.map (map_stmt st) b)
-    | Block b -> Block (List.map (map_stmt st) b)
-  in
-  { s with s = d }
-
-let map_fn st f = { f with fn_body = List.map (map_stmt st) f.fn_body }
-
 (** Annotate a whole program.  Returns the rewritten program and the
     number of delete expressions annotated. *)
 let annotate (p : program) =
-  let st = { annotated_deletes = 0 } in
-  let decls =
-    List.map
-      (function
-        | Dfn f -> Dfn (map_fn st f)
-        | Dclass c ->
-            Dclass
-              {
-                c with
-                cls_methods = List.map (map_fn st) c.cls_methods;
-                cls_dtor = Option.map (List.map (map_stmt st)) c.cls_dtor;
-              })
-      p.decls
+  let n = ref 0 in
+  let wrap s =
+    match s.s with
+    | Delete { e = Deletor _; _ } -> s  (* already annotated: idempotent *)
+    | Delete e ->
+        incr n;
+        { s with s = Delete { e with e = Deletor e } }
+    | _ -> s
   in
-  ({ p with decls }, st.annotated_deletes)
+  let p = map_bodies (fun _ -> List.map (map_stmt Fun.id wrap)) p in
+  (p, !n)
 
 (** Count deletes that are not yet annotated (for build diagnostics). *)
 let unannotated_deletes (p : program) =
-  let count = ref 0 in
-  let st = { annotated_deletes = 0 } in
-  let rec walk_stmt (s : stmt) =
-    match s.s with
-    | Delete { e = Deletor _; _ } -> ()
-    | Delete _ -> incr count
-    | If (_, a, b) ->
-        List.iter walk_stmt a;
-        List.iter walk_stmt b
-    | While (_, b) | Lock (_, b) | Block b -> List.iter walk_stmt b
-    | Var_decl _ | Assign _ | Expr _ | Return _ -> ()
-  in
-  ignore st;
-  List.iter
-    (function
-      | Dfn f -> List.iter walk_stmt f.fn_body
-      | Dclass c ->
-          List.iter (fun m -> List.iter walk_stmt m.fn_body) c.cls_methods;
-          Option.iter (List.iter walk_stmt) c.cls_dtor)
-    p.decls;
-  !count
+  let n = ref 0 in
+  let count s = match s.s with Delete { e = Deletor _; _ } -> () | Delete _ -> incr n | _ -> () in
+  List.iter (fun (_, _, body) -> List.iter (iter_stmt count) body) (bodies p);
+  !n

@@ -18,15 +18,7 @@
 
 open Ast
 
-type node =
-  | Func of string
-  | Method of string * string  (** class, method *)
-  | Dtor of string  (** class *)
-
-let node_name = function
-  | Func f -> f
-  | Method (c, m) -> c ^ "::" ^ m
-  | Dtor c -> c ^ "::~" ^ c
+type node = Ast.node = Func of string | Method of string * string | Dtor of string
 
 let compare_node a b = compare a b
 
@@ -53,37 +45,9 @@ type t = {
 let unbalanced_lock_builtins =
   [ "mutex_lock"; "mutex_unlock"; "rdlock"; "wrlock"; "rw_unlock" ]
 
-let body_of p = function
-  | Func f -> ( match find_function p f with Some f -> f.fn_body | None -> [])
-  | Method (c, m) -> (
-      match find_class p c with
-      | Some c -> (
-          match List.find_opt (fun f -> f.fn_name = m) c.cls_methods with
-          | Some f -> f.fn_body
-          | None -> [])
-      | None -> [])
-  | Dtor c -> (
-      match find_class p c with
-      | Some c -> Option.value ~default:[] c.cls_dtor
-      | None -> [])
-
 let build (p : program) =
-  let classes = classes p in
-  let methods_named m =
-    List.filter_map
-      (fun c -> if List.exists (fun f -> f.fn_name = m) c.cls_methods then Some (Method (c.cls_name, m)) else None)
-      classes
-  in
-  let dtors = List.filter_map (fun c -> if c.cls_dtor <> None then Some (Dtor c.cls_name) else None) classes in
-  let nodes =
-    List.concat_map
-      (function
-        | Dfn f -> [ Func f.fn_name ]
-        | Dclass c ->
-            List.map (fun m -> Method (c.cls_name, m.fn_name)) c.cls_methods
-            @ if c.cls_dtor <> None then [ Dtor c.cls_name ] else [])
-      p.decls
-  in
+  let bodies = bodies p in
+  let dtors = List.filter_map (fun c -> Option.map (fun _ -> Dtor c.cls_name) c.cls_dtor) (classes p) in
   let edges = ref Node_map.empty in
   let unbalanced = ref Node_set.empty in
   let spawn_targets = ref [] in
@@ -93,60 +57,28 @@ let build (p : program) =
         (function None -> Some (Node_set.singleton dst) | Some s -> Some (Node_set.add dst s))
         !edges
   in
-  let rec walk_expr src (e : expr) =
+  (* post-order, so a spawn target is recorded after its arguments' *)
+  let expr src (e : expr) =
     match e.e with
-    | Int _ | Str _ | Null | Var _ | This -> ()
-    | Field (o, _) -> walk_expr src o
-    | Binop (_, a, b) ->
-        walk_expr src a;
-        walk_expr src b
-    | Unop (_, a) -> walk_expr src a
-    | Call (name, args) ->
-        List.iter (walk_expr src) args;
+    | Call (name, _) ->
         if List.mem name unbalanced_lock_builtins then unbalanced := Node_set.add src !unbalanced;
         if find_function p name <> None then add_edge src (Func name)
-    | Method_call (o, m, args) ->
-        walk_expr src o;
-        List.iter (walk_expr src) args;
-        List.iter (add_edge src) (methods_named m)
-    | New _ -> ()
-    | Spawn (f, args) ->
-        List.iter (walk_expr src) args;
-        if find_function p f <> None then begin
-          add_edge src (Func f);
-          if not (List.mem (Func f) !spawn_targets) then spawn_targets := Func f :: !spawn_targets
-        end
-    | Deletor inner ->
-        walk_expr src inner;
-        List.iter (add_edge src) dtors
-  and walk_stmt src (s : stmt) =
-    match s.s with
-    | Var_decl (_, e) | Expr e | Return (Some e) -> walk_expr src e
-    | Assign (Lvar _, e) -> walk_expr src e
-    | Assign (Lfield (o, _, _), e) ->
-        walk_expr src o;
-        walk_expr src e
-    | If (c, a, b) ->
-        walk_expr src c;
-        List.iter (walk_stmt src) a;
-        List.iter (walk_stmt src) b
-    | While (c, b) ->
-        walk_expr src c;
-        List.iter (walk_stmt src) b
-    | Return None -> ()
-    | Delete e ->
-        walk_expr src e;
-        List.iter (add_edge src) dtors
-    | Lock (m, b) ->
-        walk_expr src m;
-        List.iter (walk_stmt src) b
-    | Block b -> List.iter (walk_stmt src) b
+    | Method_call (_, m, _) ->
+        List.iter (fun (c, _) -> add_edge src (Method (c.cls_name, m))) (definitions_of p m)
+    | Spawn (f, _) when find_function p f <> None ->
+        add_edge src (Func f);
+        if not (List.mem (Func f) !spawn_targets) then spawn_targets := Func f :: !spawn_targets
+    | _ -> ()
   in
-  List.iter (fun n -> List.iter (walk_stmt n) (body_of p n)) nodes;
+  let stmt src (s : stmt) =
+    List.iter (iter_expr (expr src)) (own_exprs s);
+    match s.s with Delete _ -> List.iter (add_edge src) dtors | _ -> ()
+  in
+  List.iter (fun (n, _, body) -> List.iter (iter_stmt (stmt n)) body) bodies;
   let roots =
     (if find_function p "main" <> None then [ Func "main" ] else []) @ List.rev !spawn_targets
   in
-  { nodes; edges = !edges; roots; unbalanced_locks = !unbalanced }
+  { nodes = List.map (fun (n, _, _) -> n) bodies; edges = !edges; roots; unbalanced_locks = !unbalanced }
 
 let nodes t = t.nodes
 let roots t = t.roots

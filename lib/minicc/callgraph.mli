@@ -5,13 +5,9 @@
     method) and [delete] conservatively (every destructor).  Roots are
     [main] plus every [Spawn] target — the places a thread can start. *)
 
-type node =
-  | Func of string
-  | Method of string * string  (** class, method *)
-  | Dtor of string  (** class *)
-
-val node_name : node -> string
-(** The interpreter's frame-attribution name: [f], [C::m] or [C::~C]. *)
+type node = Ast.node = Func of string | Method of string * string | Dtor of string
+(** A body: a free function, a method (class, method) or a destructor
+    (class); {!Ast.node_name} gives its frame name. *)
 
 val compare_node : node -> node -> int
 

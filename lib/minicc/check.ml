@@ -52,7 +52,7 @@ let builtins =
     ("atomic_inc", 1);
     ("atomic_dec", 1);
     ("hg_destruct", 2);
-    ("ca_deletor_single", 1);
+    (deletor_frame, 1);
     ("random", 1);
   ]
 
@@ -77,39 +77,25 @@ let check_all (p : program) : (string * Token.pos) list =
         err f.fn_pos "function %s shadows a builtin" f.fn_name;
       Hashtbl.replace fseen f.fn_name ())
     functions;
-  (* hierarchy — a cycle or missing parent is reported once, then the
-     chain walk stops (it cannot make progress) *)
-  let rec ancestors c acc =
-    match c.cls_parent with
-    | None -> ()
-    | Some pname -> (
-        if List.mem pname acc then err c.cls_pos "inheritance cycle through %s" pname
-        else
-          match find_class p pname with
-          | None -> err c.cls_pos "unknown parent class %s" pname
-          | Some parent -> ancestors parent (pname :: acc))
-  in
-  List.iter (fun c -> ancestors c [ c.cls_name ]) classes;
+  (* hierarchy: a cycle or a missing parent is reported where the chain
+     stops, once per class below it *)
+  List.iter
+    (fun c ->
+      let top = List.hd (chain p c) in
+      match top.cls_parent with
+      | None -> ()
+      | Some pn when find_class p pn = None -> err top.cls_pos "unknown parent class %s" pn
+      | Some pn -> err top.cls_pos "inheritance cycle through %s" pn)
+    classes;
   (* field duplication along the chain *)
   List.iter
     (fun c ->
-      let rec chain visited c =
-        match c.cls_parent with
-        | None -> [ c ]
-        | Some pn -> (
-            if List.mem pn visited then [ c ]  (* cycle: already reported above *)
-            else
-              match find_class p pn with
-              | Some par -> chain (pn :: visited) par @ [ c ]
-              | None -> [ c ])
-      in
-      let fields = List.concat_map (fun c -> c.cls_fields) (chain [ c.cls_name ] c) in
       let tbl = Hashtbl.create 8 in
       List.iter
         (fun f ->
           if Hashtbl.mem tbl f then err c.cls_pos "field %s duplicated in hierarchy of %s" f c.cls_name;
           Hashtbl.replace tbl f ())
-        fields)
+        (List.concat_map (fun c -> c.cls_fields) (chain p c)))
     classes;
   let all_fields =
     List.concat_map (fun c -> c.cls_fields) classes |> List.sort_uniq compare
@@ -145,11 +131,7 @@ let check_all (p : program) : (string * Token.pos) list =
     | Method_call (obj, m, args) ->
         expr env ~in_method obj;
         List.iter (expr env ~in_method) args;
-        let candidates =
-          List.concat_map (fun c -> c.cls_methods) classes
-          |> List.filter (fun f -> f.fn_name = m)
-        in
-        if candidates = [] then err e.epos "no class defines method %s" m
+        if definitions_of p m = [] then err e.epos "no class defines method %s" m
     | New cls -> if find_class p cls = None then err e.epos "unknown class %s" cls
     | Spawn (fn, args) -> (
         List.iter (expr env ~in_method) args;
@@ -203,12 +185,11 @@ let check_all (p : program) : (string * Token.pos) list =
             stmts env ~in_method body;
             stmts env ~in_method rest)
   in
-  List.iter (fun f -> stmts f.fn_params ~in_method:false f.fn_body) functions;
+  (* every free function, then each class's methods and destructor *)
+  let fns, members = List.partition (function Func _, _, _ -> true | _ -> false) (bodies p) in
   List.iter
-    (fun c ->
-      List.iter (fun m -> stmts m.fn_params ~in_method:true m.fn_body) c.cls_methods;
-      match c.cls_dtor with None -> () | Some body -> stmts [] ~in_method:true body)
-    classes;
+    (fun (n, params, body) -> stmts params ~in_method:(match n with Func _ -> false | _ -> true) body)
+    (fns @ members);
   (match find_function p "main" with
   | None ->
       err { Token.file = p.source_file; line = 1; col = 1 } "program has no main function"

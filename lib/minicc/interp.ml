@@ -10,7 +10,6 @@
     debug-built C++. *)
 
 open Ast
-module Loc = Raceguard_util.Loc
 module Api = Raceguard_vm.Api
 
 exception Runtime_error of string * Token.pos
@@ -49,15 +48,7 @@ let vtable_id t name =
 let class_of_vtable t id =
   if id < 1 || id > Array.length t.class_list then None else Some t.class_list.(id - 1)
 
-let rec chain t c =
-  match c.cls_parent with
-  | None -> [ c ]
-  | Some p -> (
-      match find_class t.program p with
-      | Some parent -> chain t parent @ [ c ]
-      | None -> [ c ])
-
-let all_fields t c = List.concat_map (fun c -> c.cls_fields) (chain t c)
+let all_fields t c = List.concat_map (fun c -> c.cls_fields) (chain t.program c)
 let obj_size t c = 1 + List.length (all_fields t c)
 
 let field_offset t c f pos =
@@ -66,20 +57,6 @@ let field_offset t c f pos =
     | x :: rest -> if x = f then i else go (i + 1) rest
   in
   go 1 (all_fields t c)
-
-(* resolve a method starting from the dynamic class, walking towards
-   the root — virtual dispatch *)
-let resolve_method t c m pos =
-  let rec go = function
-    | [] -> fail pos "class %s has no method %s" c.cls_name m
-    | cls :: rest -> (
-        match List.find_opt (fun f -> f.fn_name = m) cls.cls_methods with
-        | Some f -> f
-        | None -> go rest)
-  in
-  go (List.rev (chain t c))
-
-let loc_of ~func (pos : Token.pos) = Loc.v pos.file func pos.line
 
 (* dynamic class of a live object: read its vptr *)
 let dynamic_class t ~func addr pos =
@@ -125,9 +102,13 @@ let rec eval t fr (e : expr) : value =
       let addr = as_int e.epos (eval t fr o) in
       if addr = 0 then fail e.epos "null dereference calling method %s" m;
       let c = dynamic_class t ~func:fr.func addr e.epos in
-      let f = resolve_method t c m e.epos in
+      let f =
+        match dispatch t.program c m with
+        | Some f -> f
+        | None -> fail e.epos "class %s has no method %s" c.cls_name m
+      in
       let vargs = List.map (eval t fr) args in
-      call_function t ~name:(c.cls_name ^ "::" ^ m) ~this:(Some addr) f vargs e.epos
+      call_function t ~name:(method_frame c.cls_name m) ~this:(Some addr) f vargs e.epos
   | New cls_name -> (
       match find_class t.program cls_name with
       | None -> fail e.epos "unknown class %s" cls_name
@@ -136,10 +117,9 @@ let rec eval t fr (e : expr) : value =
           (* each constructor level installs its own vtable pointer *)
           List.iter
             (fun level ->
-              Api.write
-                ~loc:(loc_of ~func:(level.cls_name ^ "::" ^ level.cls_name) e.epos)
-                addr (vtable_id t level.cls_name))
-            (chain t c);
+              Api.write ~loc:(loc_of ~func:(ctor_frame level.cls_name) e.epos) addr
+                (vtable_id t level.cls_name))
+            (chain t.program c);
           Vint addr)
   | Spawn (fname, args) -> (
       match find_function t.program fname with
@@ -154,7 +134,7 @@ let rec eval t fr (e : expr) : value =
       (* Figure 4: announce the destruction, then hand the pointer on *)
       let addr = as_int e.epos (eval t fr inner) in
       if addr <> 0 then begin
-        let c = dynamic_class t ~func:"ca_deletor_single" addr e.epos in
+        let c = dynamic_class t ~func:deletor_frame addr e.epos in
         Api.hg_destruct ~addr ~len:(obj_size t c)
       end;
       Vint addr
@@ -284,12 +264,6 @@ and eval_call t fr name args pos =
       let a, len = int2 () in
       Api.hg_destruct ~addr:a ~len;
       Vint 0
-  | "ca_deletor_single" -> (
-      (* callable form of the deletor helper (the annotator normally
-         produces the Deletor node, but handwritten code may call it) *)
-      match args with
-      | [ inner ] -> eval t fr { e = Deletor inner; epos = pos }
-      | _ -> fail pos "arity")
   | _ -> (
       match find_function t.program name with
       | Some f -> call_function t ~name ~this:None f (vargs ()) pos
@@ -339,14 +313,14 @@ and exec_stmt t fr (s : stmt) =
            own vtable pointer then runs its body *)
         List.iter
           (fun level ->
-            let dtor_name = level.cls_name ^ "::~" ^ level.cls_name in
+            let dtor_name = dtor_frame level.cls_name in
             Api.write ~loc:(loc_of ~func:dtor_name s.spos) addr (vtable_id t level.cls_name);
             match level.cls_dtor with
             | None -> ()
             | Some body ->
                 let dfr = { vars = Hashtbl.create 4; this = Some addr; func = dtor_name } in
                 (try exec_stmts t dfr body with Return_of _ -> ()))
-          (List.rev (chain t c));
+          (List.rev (chain t.program c));
         Api.free ~loc:(loc s.spos) addr
       end
   | Lock (m, body) ->

@@ -169,9 +169,12 @@ and parse_primary p =
   | Token.IDENT name -> (
       advance p;
       match kind p with
-      | Token.LPAREN ->
-          let args = parse_args p in
-          { e = Call (name, args); epos = tpos }
+      | Token.LPAREN -> (
+          (* the deletor is a builtin of the language, so annotated
+             source parses back to the tree it was printed from *)
+          match parse_args p with
+          | [ x ] when name = deletor_frame -> { e = Deletor x; epos = tpos }
+          | args -> { e = Call (name, args); epos = tpos })
       | _ -> { e = Var name; epos = tpos })
   | Token.LPAREN ->
       advance p;

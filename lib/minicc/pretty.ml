@@ -53,7 +53,7 @@ let rec expr ?(prec = 0) buf (e : expr) =
   | Spawn (f, args) ->
       Buffer.add_string buf "spawn ";
       call buf f args
-  | Deletor inner -> call buf "ca_deletor_single" [ inner ]
+  | Deletor inner -> call buf deletor_frame [ inner ]
 
 and call buf name args =
   Buffer.add_string buf name;

@@ -195,8 +195,6 @@ type frame = {
   fr_ret : Vset.t ref;
 }
 
-let loc_of ~func (pos : Token.pos) = Loc.v pos.Token.file func pos.Token.line
-
 let render_iset s = String.concat "," (List.map string_of_int (ISet.elements s))
 let render_stack st = String.concat ";" (List.map Loc.to_string st)
 
@@ -234,26 +232,6 @@ let add_access ctx fr st ~kind ~vobj ~field ~loc ~pos ~atomic =
               ctx.accs <- a :: ctx.accs)
       | _ -> ())
     vobj
-
-(* the class chain, root first — mirrors [Interp.chain] *)
-let rec chain ctx c =
-  match c.cls_parent with
-  | None -> [ c ]
-  | Some pn -> (
-      match find_class ctx.program pn with
-      | Some parent -> chain ctx parent @ [ c ]
-      | None -> [ c ])
-
-(* virtual dispatch from a dynamic class, like [Interp.resolve_method] *)
-let resolve_method ctx c m =
-  let rec go = function
-    | [] -> None
-    | cls :: rest -> (
-        match List.find_opt (fun f -> f.fn_name = m) cls.cls_methods with
-        | Some f -> Some f
-        | None -> go rest)
-  in
-  go (List.rev (chain ctx c))
 
 let singleton_of v pick =
   match Vset.elements (Vset.filter (fun x -> pick x <> None) v) with
@@ -305,11 +283,7 @@ let rec eval ctx fr st (e : expr) : st * Vset.t =
             (obj_sites vo) []
         in
         if Vset.mem Unknown vo || known = [] then
-          List.filter_map
-            (fun c ->
-              if List.exists (fun f -> f.fn_name = m) c.cls_methods then Some c.cls_name
-              else None)
-            (classes ctx.program)
+          List.map (fun (c, _) -> c.cls_name) (definitions_of ctx.program m)
         else known
       in
       let this_ = Vset.filter (function Obj _ | Unknown -> true | _ -> false) vo in
@@ -318,11 +292,11 @@ let rec eval ctx fr st (e : expr) : st * Vset.t =
           match find_class ctx.program cname with
           | None -> (acc_st, acc_v)
           | Some c -> (
-              match resolve_method ctx c m with
+              match dispatch ctx.program c m with
               | None -> (acc_st, acc_v)
               | Some f ->
                   let st', v =
-                    inline_call ctx fr st ~name:(cname ^ "::" ^ m)
+                    inline_call ctx fr st ~name:(method_frame cname m)
                       ~node:(Callgraph.Method (cname, m)) ~this:this_ f vargs
                   in
                   (join_st acc_st st', Vset.union acc_v v)))
@@ -341,9 +315,9 @@ let rec eval ctx fr st (e : expr) : st * Vset.t =
           List.iter
             (fun level ->
               add_access ctx fr st ~kind:Awrite ~vobj:vo ~field:"<vptr>"
-                ~loc:(loc_of ~func:(level.cls_name ^ "::" ^ level.cls_name) e.epos)
+                ~loc:(loc_of ~func:(ctor_frame level.cls_name) e.epos)
                 ~pos:e.epos ~atomic:false)
-            (chain ctx c);
+            (chain ctx.program c);
           (st, vo))
   | Spawn (fname, args) ->
       let st, vargs = eval_list ctx fr st args in
@@ -388,7 +362,7 @@ let rec eval ctx fr st (e : expr) : st * Vset.t =
       let st, vi = eval ctx fr st inner in
       (* the deletor wrapper reads the vptr under its own name *)
       add_access ctx fr st ~kind:Aread ~vobj:vi ~field:"<vptr>"
-        ~loc:(loc_of ~func:"ca_deletor_single" e.epos) ~pos:e.epos ~atomic:false;
+        ~loc:(loc_of ~func:deletor_frame e.epos) ~pos:e.epos ~atomic:false;
       (st, vi)
 
 and eval_list ctx fr st args =
@@ -495,14 +469,6 @@ and eval_call ctx fr st name args pos =
           | vp :: _ -> ctx.benign_sites <- ISet.union ctx.benign_sites (obj_sites vp)
           | [] -> ());
           (st, v_prim))
-  | "ca_deletor_single" ->
-      with_args (fun st vargs ->
-          match vargs with
-          | [ vi ] ->
-              add_access ctx fr st ~kind:Aread ~vobj:vi ~field:"<vptr>"
-                ~loc:(loc_of ~func:"ca_deletor_single" pos) ~pos ~atomic:false;
-              (st, vi)
-          | _ -> (st, v_prim))
   | "free" | "hg_destruct" | "cond" | "cond_wait" | "cond_signal" | "cond_broadcast"
   | "sem" | "sem_wait" | "sem_post" | "hb_before" | "hb_after" | "yield" | "sleep"
   | "now" | "self" | "random" | "print" | "print_str" ->
@@ -609,7 +575,7 @@ and walk_stmt ctx fr st (s : stmt) : st =
                   let vo = Vset.singleton (Obj si) in
                   List.fold_left
                     (fun st level ->
-                      let dtor_name = level.cls_name ^ "::~" ^ level.cls_name in
+                      let dtor_name = dtor_frame level.cls_name in
                       add_access ctx fr st ~kind:Awrite ~vobj:vo ~field:"<vptr>"
                         ~loc:(loc_of ~func:dtor_name s.spos) ~pos:s.spos ~atomic:false;
                       match level.cls_dtor with
@@ -632,7 +598,7 @@ and walk_stmt ctx fr st (s : stmt) : st =
                             let st' = walk_stmts ctx fr' { st with env = SMap.empty } body in
                             { st' with env = st.env })
                     st
-                    (List.rev (chain ctx c))))
+                    (List.rev (chain ctx.program c))))
         (obj_sites ve) st
   | Lock (m, body) ->
       let st1, vm = eval ctx fr st m in

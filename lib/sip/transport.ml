@@ -159,13 +159,4 @@ let rec recv_deadline t ep ~deadline =
 let read_buffer buf len =
   String.init len (fun i -> Char.chr (Api.read ~loc:(lc "recvfrom" 41) (buf + i) land 0xff))
 
-(** Non-VM helpers for test drivers inspecting their own inbox after
-    the run finished. *)
-let drain_host ep =
-  let out = ref [] in
-  Queue.iter (fun m -> out := m :: !out) ep.inbox;
-  List.rev !out
-
 let pending ep = Queue.length ep.inbox
-
-let held_count t = List.length t.held

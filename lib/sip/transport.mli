@@ -43,10 +43,4 @@ val recv_deadline : t -> endpoint -> deadline:int -> (string * int * int) option
 val read_buffer : int -> int -> string
 (** Read a received buffer back into a host string (VM reads). *)
 
-val drain_host : endpoint -> (string * string) list
-(** Host-side inspection of undelivered messages (post-run oracles). *)
-
 val pending : endpoint -> int
-
-val held_count : t -> int
-(** Postponed datagrams not yet flushed (host-side, for oracles). *)

@@ -48,11 +48,6 @@ type policy =
           decisions default to 0 (FIFO).  The backbone of systematic
           schedule exploration ({!Explore}). *)
 
-let pp_policy ppf = function
-  | Round_robin -> Fmt.string ppf "round-robin"
-  | Random_seeded -> Fmt.string ppf "random"
-  | Scripted s -> Fmt.pf ppf "scripted[%d]" (Array.length s)
-
 type config = {
   seed : int;
   policy : policy;
@@ -229,7 +224,6 @@ type t = {
   mutable events : int;  (** published to [vm.events_emitted] at the end of {!run} *)
   mutable switches : int;
   mutable tools : Tool.t list;
-  mutable benign_ranges : (int * int) list;
   mutable decisions : (int * int) list;
       (** reverse log of (chosen index, arity) for decision points with
           arity > 1 — the branching structure {!Explore} enumerates.
@@ -286,7 +280,6 @@ let create ?(config = default_config) () =
     events = 0;
     switches = 0;
     tools = [];
-    benign_ranges = [];
     decisions = [];
     cached_ctx = None;
     delayed_fresh = [];
@@ -831,9 +824,6 @@ let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continu
       ret ()
   | Client req ->
       let loc = match th.frames with [] -> Loc.unknown | l :: _ -> l in
-      (match req with
-      | Benign_race { addr; len } -> t.benign_ranges <- (addr, len) :: t.benign_ranges
-      | Destruct _ | Happens_before _ | Happens_after _ -> ());
       emit t (Event.E_client { tid = th.tid; req; loc });
       ret ()
   | Yield -> ret ()

@@ -17,8 +17,6 @@ type policy =
           of the script decisions default to 0 (FIFO).  The backbone of
           systematic schedule exploration ({!Explore}). *)
 
-val pp_policy : Format.formatter -> policy -> unit
-
 type config = {
   seed : int;
   policy : policy;

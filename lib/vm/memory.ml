@@ -29,7 +29,9 @@ type t = {
   pages : int array Growvec.t;  (** values *)
   owners : int array Growvec.t;  (** word -> block base, or -1 *)
   mutable brk : int;
-  blocks : (int, block) Hashtbl.t;  (** base -> block *)
+  blocks : (int, block option) Hashtbl.t;
+      (** base -> block, wrapped once at [alloc] so that [block_of],
+          asked at every traced access, allocates nothing *)
   free_lists : (int, int list ref) Hashtbl.t;  (** len -> bases *)
   mutable live_words : int;
   mutable total_allocs : int;
@@ -74,10 +76,9 @@ let owner_base t addr =
 let set_owner t addr base =
   (Growvec.get t.owners (addr lsr page_bits)).(addr land (page_size - 1)) <- base
 
-let block_of t addr =
-  match owner_base t addr with
-  | -1 -> None
-  | base -> Hashtbl.find_opt t.blocks base
+let find_block t base = try Hashtbl.find t.blocks base with Not_found -> None
+
+let block_of t addr = match owner_base t addr with -1 -> None | base -> find_block t base
 
 let fresh_range t len =
   let base = t.brk in
@@ -97,7 +98,7 @@ let alloc t ~tid ~loc ~stack ~len =
     | _ -> fresh_range t len
   in
   let block = { base; len; alloc_tid = tid; alloc_loc = loc; alloc_stack = stack; freed = false } in
-  Hashtbl.replace t.blocks base block;
+  Hashtbl.replace t.blocks base (Some block);
   for i = base to base + len - 1 do
     set_owner t i base;
     set t i 0
@@ -105,7 +106,7 @@ let alloc t ~tid ~loc ~stack ~len =
   base
 
 let free t ~addr =
-  match Hashtbl.find_opt t.blocks addr with
+  match find_block t addr with
   | None -> Fmt.invalid_arg "Memory.free: %#x is not a block base" addr
   | Some b when b.freed -> Fmt.invalid_arg "Memory.free: double free of %#x" addr
   | Some b ->
@@ -124,4 +125,3 @@ let free t ~addr =
 
 let live_words t = t.live_words
 let total_allocs t = t.total_allocs
-let words_used t = t.brk

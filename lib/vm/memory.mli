@@ -41,4 +41,3 @@ val block_of : t -> int -> block option
 
 val live_words : t -> int
 val total_allocs : t -> int
-val words_used : t -> int

@@ -77,18 +77,25 @@ let read_file path =
 
 (* run [file] under [cfg]; return every report occurrence rendered in
    full plus the fast-path hit counter *)
+(* one Helgrind run's count of a [detector.helgrind.*] metric: its delta
+   over the run, which is this detector's alone (metrics are
+   domain-local and the run attaches one detector) *)
+let helgrind_count ~before name =
+  let delta = Raceguard_obs.Metrics.(diff ~before (snapshot ())) in
+  Option.value ~default:0 (Raceguard_obs.Metrics.find_counter delta ("detector.helgrind." ^ name))
+
 let run_mcc ~seed cfg file =
   let interp, _pretty, _n = M.Interp.compile ~annotate:true ~file (read_file file) in
   let reports = ref [] in
   let h = Det.Helgrind.create ~on_report:(fun r -> reports := r :: !reports) cfg in
   let vm = Engine.create ~config:{ Engine.default_config with seed } () in
   Engine.add_tool vm (Det.Helgrind.tool h);
+  let before = Raceguard_obs.Metrics.snapshot () in
   let outcome = Engine.run vm (fun () -> M.Interp.run_main interp) in
   (match outcome.failures with
   | [] -> ()
   | (_, name, e) :: _ -> Alcotest.failf "thread %s raised %s" name (Printexc.to_string e));
-  ( List.rev_map (Fmt.str "%a" Det.Report.pp) !reports,
-    Det.Helgrind.fast_path_hits h )
+  (List.rev_map (Fmt.str "%a" Det.Report.pp) !reports, helgrind_count ~before "fast_path_hits")
 
 let test_mcc_fast_path_identical file () =
   let path = "../examples/programs/" ^ file in

@@ -33,6 +33,19 @@ let run_ft ?(seed = 1) ?first_only ?demote_check ?on_report program =
   let _ = Engine.run vm program in
   f
 
+(* [run_ft] plus a reader of the run's [detector.fasttrack.*] counts:
+   their metric deltas, which are this detector's alone (metrics are
+   domain-local and the run attaches one detector) *)
+let run_ft_counted ?demote_check program =
+  let before = Raceguard_obs.Metrics.snapshot () in
+  let f = run_ft ?demote_check program in
+  let delta = Raceguard_obs.Metrics.(diff ~before (snapshot ())) in
+  let count name =
+    Option.value ~default:0
+      (Raceguard_obs.Metrics.find_counter delta ("detector.fasttrack." ^ name))
+  in
+  (f, count)
+
 (* signature and report digests of one run, the report digest fed as
    each occurrence is found *)
 let djit_digests ?seed ?first_only program =
@@ -76,8 +89,8 @@ let qc_equivalence =
 
 (* read-same-epoch: repeated reads by one thread are O(1) skips *)
 let test_same_epoch_reads () =
-  let f =
-    run_ft (fun () ->
+  let f, count =
+    run_ft_counted (fun () ->
         let a = Api.alloc ~loc 1 in
         Api.write ~loc a 0;
         for _ = 1 to 50 do
@@ -85,15 +98,14 @@ let test_same_epoch_reads () =
         done)
   in
   Alcotest.(check int) "silent" 0 (Det.Fasttrack.location_count f);
-  Alcotest.(check int) "never promoted" 0 (Det.Fasttrack.read_promotions f);
-  Alcotest.(check bool) "reads decided on the epoch fast path" true
-    (Det.Fasttrack.epoch_hits f >= 50)
+  Alcotest.(check int) "never promoted" 0 (count "read_promotions");
+  Alcotest.(check bool) "reads decided on the epoch fast path" true (count "epoch_hits" >= 50)
 
 (* read-exclusive replacement: totally ordered reads by different
    threads stay a single epoch *)
 let test_ordered_reads_replace () =
-  let f =
-    run_ft (fun () ->
+  let f, count =
+    run_ft_counted (fun () ->
         let a = Api.alloc ~loc 1 in
         Api.write ~loc a 1;
         let t = Api.spawn ~loc ~name:"r1" (fun () -> ignore (Api.read ~loc a)) in
@@ -103,12 +115,12 @@ let test_ordered_reads_replace () =
         Api.join ~loc t2)
   in
   Alcotest.(check int) "silent" 0 (Det.Fasttrack.location_count f);
-  Alcotest.(check int) "ordered reads never promote" 0 (Det.Fasttrack.read_promotions f)
+  Alcotest.(check int) "ordered reads never promote" 0 (count "read_promotions")
 
 (* read-shared promotion: genuinely concurrent readers *)
 let test_concurrent_reads_promote () =
-  let f =
-    run_ft (fun () ->
+  let f, count =
+    run_ft_counted (fun () ->
         let a = Api.alloc ~loc 1 in
         Api.write ~loc a 1;
         let reader () = ignore (Api.read ~loc a) in
@@ -117,21 +129,20 @@ let test_concurrent_reads_promote () =
         Api.join ~loc t1;
         Api.join ~loc t2)
   in
-  Alcotest.(check int) "exactly one promotion" 1 (Det.Fasttrack.read_promotions f);
+  Alcotest.(check int) "exactly one promotion" 1 (count "read_promotions");
   Alcotest.(check int) "concurrent reads are not a race" 0 (Det.Fasttrack.location_count f)
 
 (* write-exclusive fast path: a tight single-thread update loop *)
 let test_same_epoch_writes () =
-  let f =
-    run_ft (fun () ->
+  let f, count =
+    run_ft_counted (fun () ->
         let a = Api.alloc ~loc 1 in
         for i = 1 to 50 do
           Api.write ~loc a i
         done)
   in
   Alcotest.(check int) "silent" 0 (Det.Fasttrack.location_count f);
-  Alcotest.(check bool) "writes decided on the epoch fast path" true
-    (Det.Fasttrack.epoch_hits f >= 49)
+  Alcotest.(check bool) "writes decided on the epoch fast path" true (count "epoch_hits" >= 49)
 
 (* a write racing promoted (read-shared) state must render exactly
    DJIT's report — same previous read picked out of the vector *)
@@ -160,21 +171,19 @@ let test_shared_write_race_matches_djit () =
 let test_demotion_and_repromotion () =
   let words = 4 and rounds = 2 in
   let program () = R.Scenarios.read_shared_churn ~threads:3 ~rounds ~iters:30 ~words () in
-  let f = run_ft ~demote_check:1 program in
+  let f, count = run_ft_counted ~demote_check:1 program in
   Alcotest.(check int) "race-free" 0 (Det.Fasttrack.location_count f);
   Alcotest.(check bool)
-    (Fmt.str "every word demoted at least once (%d)" (Det.Fasttrack.read_demotions f))
+    (Fmt.str "every word demoted at least once (%d)" (count "read_demotions"))
     true
-    (Det.Fasttrack.read_demotions f >= words);
+    (count "read_demotions" >= words);
   Alcotest.(check bool)
-    (Fmt.str "demoted words re-promote next round (%d promotions)"
-       (Det.Fasttrack.read_promotions f))
+    (Fmt.str "demoted words re-promote next round (%d promotions)" (count "read_promotions"))
     true
-    (Det.Fasttrack.read_promotions f >= rounds * words);
+    (count "read_promotions" >= rounds * words);
   (* the default cadence still demotes on this workload *)
-  let f32 = run_ft program in
-  Alcotest.(check bool) "default cadence demotes too" true
-    (Det.Fasttrack.read_demotions f32 >= 1)
+  let _, count32 = run_ft_counted program in
+  Alcotest.(check bool) "default cadence demotes too" true (count32 "read_demotions" >= 1)
 
 (* --- the unordered_now dead-cell fix ------------------------------------- *)
 

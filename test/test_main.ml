@@ -10,6 +10,7 @@ let () =
       Test_cxxsim.suite;
       Test_minicc.suite;
       Test_minicc_gen.suite;
+      Test_minicc_pins.suite;
       Test_sip.suite;
       Test_sip_internals.suite;
       Test_classify.suite;

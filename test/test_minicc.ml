@@ -197,6 +197,33 @@ let test_annotate_pretty_shows_figure4 () =
      in
      contains 0)
 
+(* Annotated source fed back in: the printed deletor call parses to the
+   node the annotator made, so a second annotation changes nothing,
+   [check] counts no raw delete, and the build issues the same VM
+   operations as the first (no second HG_DESTRUCT). *)
+let test_annotate_round_trip_examples () =
+  let dir = "../examples/programs/" in
+  let header = "// instrumented build\n#include \"valgrind/helgrind.h\"" in
+  let ops ~file src =
+    let interp, _, _ = M.Interp.compile ~annotate:true ~file src in
+    let vm = Engine.create ~config:{ Engine.default_config with seed = 1 } () in
+    (Engine.run vm (fun () -> M.Interp.run_main interp)).stats.ops_executed
+  in
+  Sys.readdir dir |> Array.to_list |> List.filter (fun f -> Filename.check_suffix f ".mcc")
+  |> List.sort compare
+  |> List.iter (fun name ->
+         let file = dir ^ name in
+         let src = In_channel.with_open_bin file In_channel.input_all in
+         let parse src = M.Preprocess.parse (M.Preprocess.with_builtins ()) ~file src in
+         let once = M.Pretty.program ~header_comment:header (fst (M.Annotate.annotate (parse src))) in
+         let reparsed = parse once in
+         Alcotest.(check int) (name ^ ": no raw delete") 0 (M.Annotate.unannotated_deletes reparsed);
+         let twice, n = M.Annotate.annotate reparsed in
+         Alcotest.(check int) (name ^ ": nothing to annotate") 0 n;
+         Alcotest.(check string) (name ^ ": same source") once
+           (M.Pretty.program ~header_comment:header twice);
+         Alcotest.(check int) (name ^ ": same VM operations") (ops ~file src) (ops ~file once))
+
 (* --- interpreter --------------------------------------------------------------- *)
 
 let test_interp_arithmetic () =
@@ -406,6 +433,7 @@ let suite =
       Alcotest.test_case "semantic checks" `Quick test_checker;
       Alcotest.test_case "annotate: count/idempotent" `Quick test_annotate_counts_and_idempotent;
       Alcotest.test_case "annotate: figure 4 output" `Quick test_annotate_pretty_shows_figure4;
+      Alcotest.test_case "annotate: output round-trips" `Quick test_annotate_round_trip_examples;
       Alcotest.test_case "interp arithmetic" `Quick test_interp_arithmetic;
       Alcotest.test_case "interp short circuit" `Quick test_interp_short_circuit;
       Alcotest.test_case "interp control flow" `Quick test_interp_control_flow;

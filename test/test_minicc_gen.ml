@@ -204,10 +204,10 @@ let gen_class_program =
 (* --- AST normalisation (round-trip modulo printing) --------------------- *)
 
 (* Two programs are the same modulo printing when they are equal after
-   zeroing every source position and folding the two encodings the
+   zeroing every source position and folding the one encoding the
    printer legitimately conflates: [Unop (Neg, Int n)] prints as the
-   literal [-n], and [Deletor x] prints as the [ca_deletor_single(x)]
-   builtin call. *)
+   literal [-n].  [Deletor x] prints as [ca_deletor_single(x)], which
+   parses back to [Deletor x]. *)
 let zero_pos = { M.Token.file = ""; line = 0; col = 0 }
 
 let rec norm_expr e0 =
@@ -225,7 +225,6 @@ let rec norm_expr e0 =
         | { e = Int n; _ } -> Int (-n)
         | a' -> Unop (Neg, a'))
     | Unop (op, a) -> Unop (op, norm_expr a)
-    | Call ("ca_deletor_single", [ x ]) -> Deletor (norm_expr x)
     | Call (f, args) -> Call (f, List.map norm_expr args)
     | Method_call (o, m, args) -> Method_call (norm_expr o, m, List.map norm_expr args)
     | New c -> New c

@@ -882,6 +882,26 @@ let test_block_metadata () =
         (List.exists (fun l -> Loc.func l = "allocator_caller") b.alloc_stack)
   | None -> Alcotest.fail "no block info observed"
 
+(* [block_of] answers every traced read and write, so it must allocate
+   nothing, whether the address is live, freed or never allocated *)
+let test_block_of_allocates_nothing () =
+  let m = Vm.Memory.create () in
+  let live = Vm.Memory.alloc m ~tid:0 ~loc ~stack:[] ~len:4 in
+  let freed = Vm.Memory.alloc m ~tid:0 ~loc ~stack:[] ~len:2 in
+  ignore (Vm.Memory.free m ~addr:freed);
+  let unallocated = freed + 100 in
+  let found a = Option.map (fun (b : Vm.Memory.block) -> (b.base, b.freed)) (Vm.Memory.block_of m a) in
+  Alcotest.(check (option (pair int bool))) "live" (Some (live, false)) (found (live + 1));
+  Alcotest.(check (option (pair int bool))) "freed" (Some (freed, true)) (found freed);
+  Alcotest.(check (option (pair int bool))) "unallocated" None (found unallocated);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Vm.Memory.block_of m (live + 1)));
+    ignore (Sys.opaque_identity (Vm.Memory.block_of m freed));
+    ignore (Sys.opaque_identity (Vm.Memory.block_of m unallocated))
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. before)
+
 let test_memory_stats () =
   let outcome, result =
     run (fun () ->
@@ -936,4 +956,5 @@ let suite =
       Alcotest.test_case "block metadata" `Quick test_block_metadata;
       Alcotest.test_case "call stacks" `Quick test_frames_stack;
       Alcotest.test_case "memory stats" `Quick test_memory_stats;
+      Alcotest.test_case "block_of allocates nothing" `Quick test_block_of_allocates_nothing;
     ] )
