@@ -32,7 +32,7 @@
       replacement lemma makes this report-preserving.
 
     The {!unordered_now} probe is the {!Hybrid} composition's
-    happens-before gate; cells retired by [first_only] answer
+    happens-before gate ({!gate}); cells retired by [first_only] answer
     [false]. *)
 
 module Loc = Raceguard_util.Loc
@@ -78,6 +78,7 @@ type cell = {
 
 type t = {
   first_only : bool;  (** stop checking a location after its first report *)
+  reports : bool;  (** [false] for the {!gate}: the epochs are kept, no report is built *)
   demote_check : int;
       (** attempt read-shared → epoch demotion every [demote_check]-th
           access to a shared cell (power of two; 0 = never, classic
@@ -91,11 +92,14 @@ type t = {
 let create ?(first_only = true) ?(demote_check = 32) ?on_report () =
   {
     first_only;
+    reports = true;
     demote_check;
     clocks = Hb_clocks.create ();
     shadow = [||];
     collector = Report.collector ?on_report ();
   }
+
+let gate () = { (create ~first_only:false ()) with reports = false }
 
 let locations t = Report.locations t.collector
 let location_count t = Report.location_count t.collector
@@ -129,8 +133,9 @@ let reset_cell c =
   c.n_acc <- 0
 
 let report t ctx ~kind ~tid ~addr ~loc ~prev_tid ~prev_loc =
-  Report.add t.collector
-    (Report.of_access ctx ~kind ~tid ~addr ~loc (Report.unordered_detail ~prev_tid ~prev_loc))
+  if t.reports then
+    Report.add t.collector
+      (Report.of_access ctx ~kind ~tid ~addr ~loc (Report.unordered_detail ~prev_tid ~prev_loc))
 
 let grow_shared s tid =
   if tid >= Array.length s.s_clk then begin

@@ -19,6 +19,12 @@ val create : ?first_only:bool -> ?demote_check:int -> ?on_report:(Report.t -> un
     (power of two; 0 = never, i.e. classic FastTrack).
     Report-preserving either way. *)
 
+val gate : unit -> t
+(** The {!Hybrid} gate: keeps every access's epochs, never retires a
+    cell (as [first_only = false]) and answers {!unordered_now} as a
+    reporting instance does, but builds no report, so its collector
+    stays empty. *)
+
 val tool : t -> Raceguard_vm.Tool.t
 
 val on_event : t -> Raceguard_vm.Tool.ctx -> Raceguard_vm.Event.t -> unit

@@ -41,7 +41,12 @@
     relevant changed since, the state-machine step is provably a no-op
     (it cannot warn and rewrites the state with an identical value), so
     [fast_path] short-circuits it.  Reports are byte-identical with the
-    fast path on or off. *)
+    fast path on or off.  A word's Figure-1 state is stored flat in its
+    cell (a tag, the owner's tid and segment, the candidate set), and a
+    transition overwrites those fields; the [state] value that renders
+    it is built only for a warning, the tracer or [provenance].  So an
+    access allocates nothing unless it warns or one of those reads its
+    history. *)
 
 module Loc = Raceguard_util.Loc
 module Vm = Raceguard_vm
@@ -137,49 +142,71 @@ let config_to_json c =
 (* Shadow state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type owner = { o_tid : int; o_seg : Segments.seg }
-
+(* The Figure-1 state of a word as it is rendered: built from the
+   cell's fields only when a warning, the tracer or provenance reads
+   it.  A state renders from its constructor plus the owner tid or the
+   candidate set, so the owner's segment is not part of it. *)
 type state =
   | Virgin
-  | Exclusive of owner
+  | Exclusive of int  (** owner tid *)
   | Shared_ro of Lockset.t
   | Shared_mod of Lockset.t
 
 let pp_state ~name_of ppf = function
   | Virgin -> Fmt.string ppf "virgin"
-  | Exclusive o -> Fmt.pf ppf "exclusive (thread %d)" o.o_tid
+  | Exclusive tid -> Fmt.pf ppf "exclusive (thread %d)" tid
   | Shared_ro ls -> Fmt.pf ppf "shared RO, %a" (Lockset.pp ~name_of) ls
   | Shared_mod ls -> Fmt.pf ppf "shared modified, %a" (Lockset.pp ~name_of) ls
 
+type tag = T_virgin | T_exclusive | T_shared_ro | T_shared_mod
+
+(* The state is stored flat: a transition overwrites fields of a cell
+   that is usually already in the major heap, where a freshly boxed
+   state would cost an allocation, a write-barrier entry and a
+   promotion at the next minor collection (DESIGN.md §8).  The cell
+   keeps to 7 fields, because each detector allocates 4,096 of them up
+   front. *)
 type cell = {
-  mutable st : state;
+  mutable tag : tag;
+  mutable o_tid : int;  (** Exclusive: the owner *)
+  mutable o_seg : Segments.seg;  (** Exclusive: the owner's segment *)
+  mutable ls : Lockset.t;  (** Shared_ro / Shared_mod: the candidate set *)
   (* fast-path stamp: the interned effective sets the last slow-path
      access applied (physical equality suffices — sets are interned).
      Thread-agnostic on purpose: the Shared transitions never look at
      the accessing thread, and under contention different threads
-     holding the same lock produce the same interned sets.
-     [f_any = Lockset.top] invalidates the stamp (an effective set is
-     never ⊤). *)
+     holding the same lock produce the same interned sets.  An
+     effective set is never ⊤, so [Lockset.top] invalidates a stamp:
+     [f_any] after an allocation, [f_write] also when the last stamped
+     access was a read. *)
   mutable f_any : Lockset.t;
   mutable f_write : Lockset.t;
-  mutable f_wrote : bool;  (** last stamped access was a write *)
-  mutable f_local : bool;
+  mutable local : bool;
       (** statically proven thread-local (allocated at a hinted source
           line, see {!set_static_hints}): the Exclusive fast path may
           skip even across segment advances, because no second thread
           can ever observe the stale segment *)
-  (* provenance history (config.provenance only): genuine state
-     transitions of this word since its last allocation, newest first,
-     capped at [max_history] with an overflow count.  "Genuine" means
-     the stored state actually changed — precisely the steps the fast
-     path can never skip, so the history is mode-independent. *)
-  mutable hist : Report.transition list;
-  mutable hist_len : int;
-  mutable hist_dropped : int;
 }
 
-(* rendered "Previous state: ..." details, keyed by [detail_key] *)
-module Details = Hashtbl.Make (Int)
+(* provenance history (config.provenance only): genuine state
+   transitions of one word since its last allocation, newest first,
+   capped at [max_history] with an overflow count.  "Genuine" means
+   the stored state actually changed — precisely the steps the fast
+   path can never skip, so the history is mode-independent. *)
+type history = {
+  mutable h_rev : Report.transition list;
+  mutable h_len : int;
+  mutable h_dropped : int;
+}
+
+let state_of tag ~tid ls =
+  match tag with
+  | T_virgin -> Virgin
+  | T_exclusive -> Exclusive tid
+  | T_shared_ro -> Shared_ro ls
+  | T_shared_mod -> Shared_mod ls
+
+module Int_tbl = Hashtbl.Make (Int)
 
 type t = {
   config : config;
@@ -189,10 +216,12 @@ type t = {
   mutable locks : Held_locks.t array;  (** indexed by tid *)
   segments : Segments.t;
   lock_names : (int, string) Hashtbl.t;  (** uid -> name *)
-  details : string Details.t;
+  details : string Int_tbl.t;
       (** memoised warning details: every occurrence with the same
-          previous state shares one rendering.  Reset whenever
-          [lock_names] changes, because the rendering names locks. *)
+          previous state ([detail_key]) shares one rendering.  Reset
+          whenever [lock_names] changes, because the rendering names
+          locks. *)
+  histories : history Int_tbl.t;  (** word address -> history, under [provenance] *)
   collector : Report.collector;
   hints : (string * int, unit) Hashtbl.t;
       (** (file, line) of allocation sites statically proven
@@ -213,7 +242,8 @@ let create ?on_report ?suppressions config =
     locks = [||];
     segments = Segments.create ();
     lock_names = Hashtbl.create 64;
-    details = Details.create 64;
+    details = Int_tbl.create 64;
+    histories = Int_tbl.create 64;
     collector = Report.collector ?on_report ?suppressions ();
     hints = Hashtbl.create 8;
     benign = [];
@@ -243,14 +273,13 @@ let thread_locks t tid =
 
 let fresh_cell () =
   {
-    st = Virgin;
+    tag = T_virgin;
+    o_tid = 0;
+    o_seg = 0;
+    ls = Lockset.top;
     f_any = Lockset.top;
     f_write = Lockset.top;
-    f_wrote = false;
-    f_local = false;
-    hist = [];
-    hist_len = 0;
-    hist_dropped = 0;
+    local = false;
   }
 
 let cell t addr =
@@ -272,58 +301,90 @@ type access = Read | Write
     happened. *)
 let max_history = 12
 
-(* Append one genuine transition to the cell's history and offer it to
-   the tracer.  Callers only invoke this when the stored state actually
-   changes — precisely the steps the fast path can never skip — so the
-   recorded history is byte-identical across fast-path modes. *)
-let record_transition t (ctx : Vm.Tool.ctx) c ~tid ~access ~from_st ~to_st ~loc =
+(* Record one genuine transition of the word at [addr]: [c] already
+   holds the new state and the old one comes as its fields.  Append it
+   to the word's history and offer it to the tracer; both render, so
+   nothing is built unless one of them is on.  Callers only invoke this
+   when the stored state actually changes — precisely the steps the
+   fast path can never skip — so the recorded history is byte-identical
+   across fast-path modes. *)
+let record_transition t (ctx : Vm.Tool.ctx) c ~addr ~tid ~access ~from_tag ~from_tid ~from_ls ~loc =
   Metrics.incr m_transitions;
-  let render st = Fmt.str "%a" (pp_state ~name_of:(name_of t)) st in
-  (match t.tracer with
-  | None -> ()
-  | Some tr ->
-      Trace.emit tr ~ts:(ctx.clock ()) ~tid ~name:"state_transition" ~cat:"detector"
-        ~args:
-          [
-            ("from", Raceguard_obs.Json.Str (render from_st));
-            ("to", Raceguard_obs.Json.Str (render to_st));
-            ("access", Raceguard_obs.Json.Str access);
-          ]
-        ());
-  if t.config.provenance then
-    if c.hist_len >= max_history then c.hist_dropped <- c.hist_dropped + 1
-    else begin
-      c.hist <-
-        {
-          Report.t_clock = ctx.clock ();
-          t_tid = tid;
-          t_access = access;
-          t_from = render from_st;
-          t_to = render to_st;
-          t_loc = loc;
-        }
-        :: c.hist;
-      c.hist_len <- c.hist_len + 1
+  if t.tracer != None || t.config.provenance then begin
+    let render st = Fmt.str "%a" (pp_state ~name_of:(name_of t)) st in
+    let from_st = state_of from_tag ~tid:from_tid from_ls
+    and to_st = state_of c.tag ~tid:c.o_tid c.ls in
+    (match t.tracer with
+    | None -> ()
+    | Some tr ->
+        Trace.emit tr ~ts:(ctx.clock ()) ~tid ~name:"state_transition" ~cat:"detector"
+          ~args:
+            [
+              ("from", Raceguard_obs.Json.Str (render from_st));
+              ("to", Raceguard_obs.Json.Str (render to_st));
+              ("access", Raceguard_obs.Json.Str access);
+            ]
+          ());
+    if t.config.provenance then begin
+      let h =
+        match Int_tbl.find t.histories addr with
+        | h -> h
+        | exception Not_found ->
+            let h = { h_rev = []; h_len = 0; h_dropped = 0 } in
+            Int_tbl.add t.histories addr h;
+            h
+      in
+      if h.h_len >= max_history then h.h_dropped <- h.h_dropped + 1
+      else begin
+        h.h_rev <-
+          {
+            Report.t_clock = ctx.clock ();
+            t_tid = tid;
+            t_access = access;
+            t_from = render from_st;
+            t_to = render to_st;
+            t_loc = Some loc;
+          }
+          :: h.h_rev;
+        h.h_len <- h.h_len + 1
+      end
     end
+  end
 
-(* A state renders from its constructor plus the owner tid or the
-   interned set's id alone (given [lock_names]), so that is the key. *)
+(* Store-then-record, so a warning issued just after sees its own
+   transition at the end of the history.  The accessing thread becomes
+   the owner. *)
+let set_exclusive t ctx c ~addr ~tid ~access ~loc seg =
+  let from_tag = c.tag and from_tid = c.o_tid in
+  c.tag <- T_exclusive;
+  c.o_tid <- tid;
+  c.o_seg <- seg;
+  record_transition t ctx c ~addr ~tid ~access ~from_tag ~from_tid ~from_ls:c.ls ~loc
+
+let set_shared t ctx c ~addr ~tid ~access ~loc tag ls =
+  let from_tag = c.tag and from_ls = c.ls in
+  c.tag <- tag;
+  c.ls <- ls;
+  record_transition t ctx c ~addr ~tid ~access ~from_tag ~from_tid:c.o_tid ~from_ls ~loc
+
+(* The key of a detail is the rendered state's constructor plus the
+   owner tid or the interned set's id (given [lock_names]). *)
 let detail_key = function
   | Virgin -> 0
-  | Exclusive o -> (o.o_tid lsl 2) lor 1
+  | Exclusive tid -> (tid lsl 2) lor 1
   | Shared_ro ls -> (Lockset.id ls lsl 2) lor 2
   | Shared_mod ls -> (Lockset.id ls lsl 2) lor 3
 
 let detail t prev_state =
   let key = detail_key prev_state in
-  match Details.find t.details key with
+  match Int_tbl.find t.details key with
   | d -> d
   | exception Not_found ->
       let d = Fmt.str "Previous state: %a" (pp_state ~name_of:(name_of t)) prev_state in
-      Details.add t.details key d;
+      Int_tbl.add t.details key d;
       d
 
-let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~prev_state ~cell:c =
+let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~prev_state =
   Metrics.incr m_warnings;
   (match t.tracer with
   | None -> ()
@@ -334,15 +395,84 @@ let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~prev_state ~cell:c =
   let provenance =
     if t.config.provenance then
       Some
-        {
-          Report.p_history = List.rev c.hist;
-          p_dropped = c.hist_dropped;
-          p_suppressed_by = [];
-        }
+        (match Int_tbl.find_opt t.histories addr with
+        | Some h ->
+            { Report.p_history = List.rev h.h_rev; p_dropped = h.h_dropped; p_suppressed_by = [] }
+        | None -> { Report.p_history = []; p_dropped = 0; p_suppressed_by = [] })
     else None
   in
   Report.add t.collector
     (Report.of_access ctx ~kind ~tid ~addr ~loc ?provenance (detail t prev_state))
+
+(* A warning when the candidate set [ls] is empty, outside a benign
+   range and admitted by the filter; the detail names the state the
+   word was in before this access. *)
+let warn t ctx ~kind ~tid ~addr ~loc ~prev_tag ~prev_tid ~prev_ls ls =
+  if
+    Lockset.is_empty ls
+    && (not (is_benign t addr))
+    && match t.warning_filter with None -> true | Some f -> f ~tid ~addr ~kind
+  then report t ctx ~kind ~tid ~addr ~loc ~prev_state:(state_of prev_tag ~tid:prev_tid prev_ls)
+
+let fast_hit t (ctx : Vm.Tool.ctx) ~tid =
+  Metrics.incr m_fast_hits;
+  match t.tracer with
+  | None -> ()
+  | Some tr -> Trace.emit tr ~ts:(ctx.clock ()) ~tid ~name:"fast_skip" ~cat:"detector" ()
+
+(* The Figure-1 step of an access the fast path let through. *)
+let slow_path t ctx c ~access ~tid ~addr ~loc ~any_set ~write_set =
+  let prev_tag = c.tag and prev_tid = c.o_tid and prev_ls = c.ls in
+  let seg = Segments.seg_of t.segments tid in
+  let access_s = match access with Read -> "read" | Write -> "write" in
+  let kind = match access with Read -> Report.Race_read | Write -> Report.Race_write in
+  (if not t.config.eraser_states then begin
+     (* pure Eraser: C(v) starts at Top and is refined by every access *)
+     let ls_prev = if prev_tag = T_shared_mod then prev_ls else Lockset.top in
+     let ls = Lockset.inter ls_prev (match access with Read -> any_set | Write -> write_set) in
+     (* interned: the same set is the same state *)
+     if not (prev_tag = T_shared_mod && prev_ls == ls) then
+       set_shared t ctx c ~addr ~tid ~access:access_s ~loc T_shared_mod ls;
+     warn t ctx ~kind ~tid ~addr ~loc ~prev_tag ~prev_tid ~prev_ls ls
+   end
+   else
+     match prev_tag with
+     | T_virgin -> set_exclusive t ctx c ~addr ~tid ~access:access_s ~loc seg
+     | T_exclusive ->
+         if prev_tid = tid then begin
+           (* same owner: only a segment advance is a genuine change
+              (and the only case the fast path lets through here) *)
+           if c.o_seg <> seg then set_exclusive t ctx c ~addr ~tid ~access:access_s ~loc seg
+         end
+         else if t.config.thread_segments && Segments.happens_before t.segments c.o_seg seg then
+           (* ownership passes to the later segment; stays exclusive *)
+           set_exclusive t ctx c ~addr ~tid ~access:access_s ~loc seg
+         else begin
+           (* second thread: initialise the candidate set with the locks
+              active at this access and start checking *)
+           match access with
+           | Read -> set_shared t ctx c ~addr ~tid ~access:access_s ~loc T_shared_ro any_set
+           | Write ->
+               set_shared t ctx c ~addr ~tid ~access:access_s ~loc T_shared_mod write_set;
+               warn t ctx ~kind ~tid ~addr ~loc ~prev_tag ~prev_tid ~prev_ls write_set
+         end
+     | T_shared_ro -> (
+         match access with
+         | Read ->
+             let ls' = Lockset.inter prev_ls any_set in
+             if ls' != prev_ls then
+               set_shared t ctx c ~addr ~tid ~access:access_s ~loc T_shared_ro ls'
+         | Write ->
+             let ls = Lockset.inter prev_ls write_set in
+             set_shared t ctx c ~addr ~tid ~access:access_s ~loc T_shared_mod ls;
+             warn t ctx ~kind ~tid ~addr ~loc ~prev_tag ~prev_tid ~prev_ls ls)
+     | T_shared_mod ->
+         let ls' = Lockset.inter prev_ls (match access with Read -> any_set | Write -> write_set) in
+         if ls' != prev_ls then
+           set_shared t ctx c ~addr ~tid ~access:access_s ~loc T_shared_mod ls';
+         warn t ctx ~kind ~tid ~addr ~loc ~prev_tag ~prev_tid ~prev_ls ls');
+  c.f_any <- any_set;
+  c.f_write <- (match access with Write -> write_set | Read -> Lockset.top)
 
 (* Fast-path soundness: the stamp records the interned effective sets
    the last (slow-path) access to this word applied, so when the stamp
@@ -359,128 +489,52 @@ let report t (ctx : Vm.Tool.ctx) ~kind ~tid ~addr ~loc ~prev_state ~cell:c =
 let check_access t ctx ~access ~tid ~addr ~atomic ~loc =
   Metrics.incr m_accesses;
   let c = cell t addr in
-  match c.st with
-  | Exclusive o
-    when t.config.fast_path && o.o_tid = tid
-         && ((c.f_local && not t.config.provenance)
-            || o.o_seg = Segments.seg_of t.segments tid) ->
-      (* steady-state exclusive: the slow path would rewrite the owner
-         with identical fields and cannot warn.  For words allocated at
-         a statically-proven thread-local line [f_local] the skip also
-         covers segment advances — the rewrite would only refresh
-         [o_seg], which no second thread can ever read (kept precise
-         under [provenance], where the seg advance is recorded). *)
-      Metrics.incr m_fast_hits;
-      (match t.tracer with
-      | None -> ()
-      | Some tr ->
-          Trace.emit tr ~ts:(ctx.Vm.Tool.clock ()) ~tid ~name:"fast_skip" ~cat:"detector" ())
-  | prev -> (
-      let lc = (thread_locks t tid).Held_locks.ctx in
-      let any_set =
-        match t.config.bus_model with
-        | Rw_lock -> lc.Held_locks.any_bus
-        | Locked_mutex -> if atomic then lc.Held_locks.any_bus else lc.Held_locks.any_set
-      in
-      let write_set = if atomic then lc.Held_locks.write_bus else lc.Held_locks.write_set in
-      let fast =
-        t.config.fast_path
-        &&
-        match (prev, access) with
-        | Shared_ro _, Read -> c.f_any == any_set
-        | Shared_mod ls, Read -> c.f_any == any_set && not (Lockset.is_empty ls)
-        | Shared_mod ls, Write ->
-            c.f_wrote && c.f_write == write_set && not (Lockset.is_empty ls)
-        | _ -> false
-      in
-      if fast then begin
-        Metrics.incr m_fast_hits;
-        match t.tracer with
-        | None -> ()
-        | Some tr -> Trace.emit tr ~ts:(ctx.Vm.Tool.clock ()) ~tid ~name:"fast_skip" ~cat:"detector" ()
-      end
-      else begin
-        let seg = Segments.seg_of t.segments tid in
-        let access_s = match access with Read -> "read" | Write -> "write" in
-        (* record-then-store, so the warning issued just below sees its
-           own transition at the end of the history *)
-        let set_st to_st =
-          record_transition t ctx c ~tid ~access:access_s ~from_st:prev ~to_st ~loc:(Some loc);
-          c.st <- to_st
-        in
-        let warn kind ls =
-          if
-            Lockset.is_empty ls
-            && (not (is_benign t addr))
-            && (match t.warning_filter with None -> true | Some f -> f ~tid ~addr ~kind)
-          then report t ctx ~kind ~tid ~addr ~loc ~prev_state:prev ~cell:c
-        in
-        (if not t.config.eraser_states then begin
-           (* pure Eraser: C(v) starts at Top and is refined by every access *)
-           let ls_prev = match prev with Shared_mod ls -> ls | _ -> Lockset.top in
-           let ls =
-             match access with
-             | Read -> Lockset.inter ls_prev any_set
-             | Write -> Lockset.inter ls_prev write_set
-           in
-           (match prev with
-           | Shared_mod ls0 when ls0 == ls -> ()  (* interned: same set, same state *)
-           | _ -> set_st (Shared_mod ls));
-           match access with
-           | Read -> warn Report.Race_read ls
-           | Write -> warn Report.Race_write ls
-         end
-         else
-           match prev with
-           | Virgin -> set_st (Exclusive { o_tid = tid; o_seg = seg })
-           | Exclusive o ->
-               if o.o_tid = tid then begin
-                 (* same owner: only a segment advance is a genuine
-                    change (and the only case the fast path lets
-                    through here) *)
-                 if o.o_seg <> seg then set_st (Exclusive { o_tid = tid; o_seg = seg })
-               end
-               else if t.config.thread_segments && Segments.happens_before t.segments o.o_seg seg
-               then
-                 (* ownership passes to the later segment; stays exclusive *)
-                 set_st (Exclusive { o_tid = tid; o_seg = seg })
-               else begin
-                 (* second thread: initialise the candidate set with the locks
-                    active at this access and start checking *)
-                 match access with
-                 | Read -> set_st (Shared_ro any_set)
-                 | Write ->
-                     set_st (Shared_mod write_set);
-                     warn Report.Race_write write_set
-               end
-           | Shared_ro ls -> (
-               match access with
-               | Read ->
-                   let ls' = Lockset.inter ls any_set in
-                   if ls' != ls then set_st (Shared_ro ls')
-               | Write ->
-                   let ls = Lockset.inter ls write_set in
-                   set_st (Shared_mod ls);
-                   warn Report.Race_write ls
-               )
-           | Shared_mod ls -> (
-               match access with
-               | Read ->
-                   let ls' = Lockset.inter ls any_set in
-                   if ls' != ls then set_st (Shared_mod ls');
-                   warn Report.Race_read ls'
-               | Write ->
-                   let ls' = Lockset.inter ls write_set in
-                   if ls' != ls then set_st (Shared_mod ls');
-                   warn Report.Race_write ls'));
-        c.f_any <- any_set;
-        c.f_write <- write_set;
-        c.f_wrote <- access = Write
-      end)
+  if
+    t.config.fast_path && c.tag = T_exclusive && c.o_tid = tid
+    && ((c.local && not t.config.provenance)
+       || c.o_seg = Segments.seg_of t.segments tid)
+  then
+    (* steady-state exclusive: the slow path would rewrite the owner
+       with identical fields and cannot warn.  For words allocated at
+       a statically-proven thread-local line the skip also covers
+       segment advances — the rewrite would only refresh [o_seg],
+       which no second thread can ever read (kept precise under
+       [provenance], where the seg advance is recorded). *)
+    fast_hit t ctx ~tid
+  else begin
+    let lc = (thread_locks t tid).Held_locks.ctx in
+    let any_set =
+      match t.config.bus_model with
+      | Rw_lock -> lc.Held_locks.any_bus
+      | Locked_mutex -> if atomic then lc.Held_locks.any_bus else lc.Held_locks.any_set
+    in
+    let write_set = if atomic then lc.Held_locks.write_bus else lc.Held_locks.write_set in
+    let fast =
+      t.config.fast_path
+      &&
+      match (c.tag, access) with
+      | T_shared_ro, Read -> c.f_any == any_set
+      | T_shared_mod, Read -> c.f_any == any_set && not (Lockset.is_empty c.ls)
+      | T_shared_mod, Write -> c.f_write == write_set && not (Lockset.is_empty c.ls)
+      | _ -> false
+    in
+    if fast then fast_hit t ctx ~tid
+    else slow_path t ctx c ~access ~tid ~addr ~loc ~any_set ~write_set
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Event dispatch                                                      *)
 (* ------------------------------------------------------------------ *)
+
+(* [E_alloc]'s sweep: the word starts virgin with an invalid stamp *)
+let reset_cell c ~local =
+  c.tag <- T_virgin;
+  c.f_any <- Lockset.top;
+  c.f_write <- Lockset.top;
+  c.local <- local
+
+let reset_plain c = reset_cell c ~local:false
+let reset_local c = reset_cell c ~local:true
 
 let on_event t (ctx : Vm.Tool.ctx) (e : Vm.Event.t) =
   match e with
@@ -497,19 +551,16 @@ let on_event t (ctx : Vm.Tool.ctx) (e : Vm.Event.t) =
          A statically-proven thread-local allocation site marks the
          whole block, so its cells past the frontier are materialised
          first — lazily created ones would miss the mark. *)
-      let local = Hashtbl.mem t.hints (loc.Loc.file, loc.Loc.line) in
-      if local && len > 0 then ignore (cell t (addr + len - 1));
-      Dense.iter_range t.shadow ~addr ~len (fun c ->
-          c.st <- Virgin;
-          c.f_any <- Lockset.top;
-          c.f_wrote <- false;
-          c.f_local <- local;
-          if c.hist_len > 0 then begin
-            (* recycled memory starts a fresh provenance life *)
-            c.hist <- [];
-            c.hist_len <- 0;
-            c.hist_dropped <- 0
-          end)
+      if Hashtbl.length t.hints > 0 && Hashtbl.mem t.hints (loc.Loc.file, loc.Loc.line) then begin
+        if len > 0 then ignore (cell t (addr + len - 1));
+        Dense.iter_range t.shadow ~addr ~len reset_local
+      end
+      else Dense.iter_range t.shadow ~addr ~len reset_plain;
+      if t.config.provenance then
+        (* recycled memory starts a fresh provenance life *)
+        for a = addr to min (addr + len - 1) (Array.length t.shadow - 1) do
+          Int_tbl.remove t.histories a
+        done
   | E_free _ -> ()
   | E_sync_create { sync; name; _ } -> (
       match Lock_id.of_sync_ref sync with
@@ -517,7 +568,7 @@ let on_event t (ctx : Vm.Tool.ctx) (e : Vm.Event.t) =
           Hashtbl.replace t.lock_names uid name;
           (* a memoised detail may show this lock as lock#N or under
              an earlier name *)
-          Details.reset t.details
+          Int_tbl.reset t.details
       | None -> ())
   | E_acquire { tid; lock; mode; _ } -> (
       match lock with
@@ -549,15 +600,10 @@ let on_event t (ctx : Vm.Tool.ctx) (e : Vm.Event.t) =
             let seg = Segments.seg_of t.segments tid in
             for a = addr to addr + len - 1 do
               let c = cell t a in
-              (match c.st with
-              | Exclusive o when o.o_tid = tid && o.o_seg = seg -> ()
-              | prev ->
-                  record_transition t ctx c ~tid ~access:"destruct" ~from_st:prev
-                    ~to_st:(Exclusive { o_tid = tid; o_seg = seg })
-                    ~loc:(Some loc));
-              c.st <- Exclusive { o_tid = tid; o_seg = seg };
+              if not (c.tag = T_exclusive && c.o_tid = tid && c.o_seg = seg) then
+                set_exclusive t ctx c ~addr:a ~tid ~access:"destruct" ~loc seg;
               c.f_any <- Lockset.top;
-              c.f_wrote <- false
+              c.f_write <- Lockset.top
             done
           end
       | Vm.Eff.Benign_race { addr; len } -> t.benign <- (addr, len) :: t.benign

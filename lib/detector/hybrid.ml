@@ -25,8 +25,7 @@ type t = { lockset : Helgrind.t; hb : Fasttrack.t }
 
 let create ?on_report () =
   let lockset = Helgrind.create ?on_report Helgrind.hwlc_dr in
-  (* every race is reported, so no cell is ever retired from the gate *)
-  let hb = Fasttrack.create ~first_only:false () in
+  let hb = Fasttrack.gate () in
   (* the gate: a lock-set warning survives only when the access is
      genuinely unordered with a previous conflicting access *)
   Helgrind.set_warning_filter lockset (fun ~tid ~addr ~kind ->

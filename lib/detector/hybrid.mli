@@ -3,8 +3,9 @@
 
     A {!Helgrind} instance (HWLC+DR) performs the lock-set analysis;
     each of its candidate warnings is admitted only if a {!Fasttrack}
-    instance on the same event stream (every race kept) confirms the
-    access is concurrent with a previous conflicting access.
+    gate ({!Fasttrack.gate}: every race's epochs kept, no report built)
+    on the same event stream confirms the access is concurrent with a
+    previous conflicting access.
     Precision up; the happens-before family's schedule-dependence is
     the price. *)
 

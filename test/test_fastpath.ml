@@ -5,7 +5,10 @@
      physical equality for equal sets;
    - fidelity: the per-word shadow fast path produces byte-identical
      reports to the full Figure-1 state machine, on the example
-     MiniC++ programs and on every SIP test case. *)
+     MiniC++ programs and on every SIP test case;
+   - pins: the Helgrind decision counts over the seed-7 replays,
+     explain T4's JSON and the transitions its tracer renders, and an
+     access path that allocates nothing. *)
 
 module Vm = Raceguard_vm
 module Engine = Vm.Engine
@@ -157,6 +160,154 @@ let test_sip_fast_path_other_configs () =
         [ Sip.Workload.t1; Sip.Workload.t4; Sip.Workload.t7 ])
     [ Det.Helgrind.original; Det.Helgrind.hwlc; Det.Helgrind.pure_eraser ]
 
+(* --- what a shadow-state refactor must not move ------------------------ *)
+
+let registry_helgrinds =
+  [ "helgrind-original"; "helgrind-hwlc"; "helgrind-hwlc+dr"; "helgrind-hwlc+dr+hb"; "eraser-pure" ]
+
+(* (config, accesses, fast hits, transitions, warnings) replayed over
+   the seed-7 T2/T3/T7/T8 traces: the fast/slow split and the genuine
+   transitions count every decision the state machine took *)
+let count_pins =
+  [
+    ("helgrind-original", 113_226, 47_509, 62_108, 4_569);
+    ("helgrind-hwlc", 113_226, 48_532, 62_096, 3_483);
+    ("helgrind-hwlc+dr", 113_226, 50_119, 62_292, 2_379);
+    ("helgrind-hwlc+dr+hb", 113_226, 37_463, 75_538, 2_309);
+    ("eraser-pure", 113_226, 1_694, 44_758, 110_434);
+  ]
+
+let test_counts_pinned () =
+  let traces =
+    List.map
+      (fun tc ->
+        match
+          Raceguard_trace.Reader.of_string
+            (Det.Offline.contents (R.Trace_ops.record_test ~seed:7 tc).rec_recorder)
+        with
+        | Ok tr -> tr
+        | Error (`Msg m) -> Alcotest.fail m)
+      Sip.Workload.[ t2; t3; t7; t8 ]
+  in
+  let counts cfg =
+    let before = Raceguard_obs.Metrics.snapshot () in
+    List.iter (fun tr -> ignore (Det.Offline.replay_config tr cfg)) traces;
+    let n name = helgrind_count ~before name in
+    (cfg, n "accesses_checked", n "fast_path_hits", n "state_transitions", n "warnings")
+  in
+  let show (cfg, accesses, fast, transitions, warnings) =
+    Printf.sprintf "%s: %d accesses, %d fast hits, %d transitions, %d warnings" cfg accesses
+      fast transitions warnings
+  in
+  Alcotest.(check (list string)) "per-configuration counts" (List.map show count_pins)
+    (List.map (fun cfg -> show (counts cfg)) registry_helgrinds)
+
+(* [explain T4 --json --trace F] as the CLI runs it (seed 1, a 65,536-record
+   ring), on a fresh domain so the lock-set memo and the metrics start
+   empty as in a fresh process.  The JSON renders every warning's
+   provenance history; the tracer's [state_transition] records render
+   both sides of each transition it keeps. *)
+let test_explain_pinned () =
+  let module Obs = Raceguard_obs in
+  let json, transitions =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let tracer = Obs.Trace.create ~capacity:65536 () in
+           let runner = { R.Runner.default with seed = 1; tracer = Some tracer } in
+           let x = R.Explain.run ~runner Sip.Workload.t4 in
+           let transitions =
+             List.filter_map
+               (fun (r : Obs.Trace.record) ->
+                 if r.name = "state_transition" then
+                   Some
+                     (Printf.sprintf "%d %d %s" r.ts r.tid
+                        (Obs.Json.to_string (Obs.Json.Obj r.args)))
+                 else None)
+               (Obs.Trace.records tracer)
+           in
+           (Obs.Json.to_string ~indent:2 (R.Explain.to_json x) ^ "\n", transitions)))
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "explain T4 JSON" "b402ec1e7f81b7496b6b3b4ef6600841" (md5 json);
+  Alcotest.(check int) "state_transition records kept" 28_618 (List.length transitions);
+  Alcotest.(check string) "state_transition records" "4c48e252370fbb19bd0afdd6df0eb1b6"
+    (md5 (String.concat "\n" transitions))
+
+(* The access path allocates nothing.  Three threads hold one mutex
+   throughout (the detector does not check mutual exclusion), so no
+   configuration warns; the segments are all cut before the loop.
+   Each cycle reallocates one word and walks the common transitions:
+   Virgin -> Exclusive on its first write, an Exclusive fast hit, a
+   segment advance (a word main wrote before joining thread 1),
+   Exclusive -> Exclusive to the joiner (a word thread 1 wrote),
+   Exclusive -> Shared RO (thread 2 reads that word) and Shared RO ->
+   Shared modified under the mutex. *)
+let test_access_path_allocates_nothing () =
+  let open Vm.Event in
+  let loc = Raceguard_util.Loc.v "alloc.c" "f" 1 in
+  let ctx =
+    {
+      Vm.Tool.stack_of = (fun _ -> []);
+      thread_name = string_of_int;
+      block_of = (fun _ -> None);
+      clock = (fun () -> 0);
+    }
+  in
+  let warmup = 10 and cycles = 1_667 in
+  let n = warmup + cycles in
+  let fresh i = i and advanced i = n + i and handed i = (2 * n) + i in
+  let write tid addr = E_write { tid; addr; value = 0; atomic = false; loc } in
+  let read tid addr = E_read { tid; addr; value = 0; atomic = false; loc } in
+  let acquire tid = E_acquire { tid; lock = Mutex 1; mode = Vm.Eff.Write_mode; loc } in
+  let setup =
+    [
+      E_thread_start { tid = 0; name = "main"; parent = None };
+      E_thread_start { tid = 1; name = "t1"; parent = Some 0 };
+      E_thread_start { tid = 2; name = "t2"; parent = Some 0 };
+      acquire 0;
+      acquire 1;
+      acquire 2;
+    ]
+    @ List.init n (fun i -> write 0 (fresh i))
+    @ List.init n (fun i -> write 0 (advanced i))
+    @ List.init n (fun i -> write 1 (handed i))
+    @ [ E_thread_exit { tid = 1 }; E_join { joiner = 0; joined = 1; loc } ]
+  in
+  let cycle i =
+    [
+      E_alloc { tid = 0; addr = fresh i; len = 1; loc };
+      write 0 (fresh i);
+      read 0 (fresh i);
+      write 0 (advanced i);
+      read 0 (handed i);
+      read 2 (handed i);
+      write 2 (handed i);
+    ]
+  in
+  let warm = Array.of_list (List.concat_map cycle (List.init warmup Fun.id)) in
+  let loop = Array.of_list (List.concat_map cycle (List.init cycles (fun i -> warmup + i))) in
+  List.iter2
+    (fun name config ->
+      let h = Det.Helgrind.create config in
+      List.iter (Det.Helgrind.on_event h ctx) setup;
+      Array.iter (Det.Helgrind.on_event h ctx) warm;
+      let before = Raceguard_obs.Metrics.snapshot () in
+      let words = Gc.minor_words () in
+      for k = 0 to Array.length loop - 1 do
+        Det.Helgrind.on_event h ctx (Array.unsafe_get loop k)
+      done;
+      let words = Gc.minor_words () -. words in
+      let count = helgrind_count ~before in
+      let transitions, fast = if config.Det.Helgrind.eraser_states then (5, 1) else (1, 5) in
+      Alcotest.(check int) (name ^ " accesses") (6 * cycles) (count "accesses_checked");
+      Alcotest.(check int) (name ^ " transitions") (transitions * cycles)
+        (count "state_transitions");
+      Alcotest.(check int) (name ^ " fast hits") (fast * cycles) (count "fast_path_hits");
+      Alcotest.(check int) (name ^ " warnings") 0 (count "warnings");
+      Alcotest.(check (float 0.)) (name ^ " minor words") 0. words)
+    registry_helgrinds
+    Det.Helgrind.[ original; hwlc; hwlc_dr; hwlc_dr_hb; pure_eraser ]
+
 let suite =
   ( "fastpath",
     [
@@ -171,4 +322,8 @@ let suite =
       Alcotest.test_case "SIP T1-T8 reports identical" `Quick test_sip_fast_path_identical;
       Alcotest.test_case "other configs identical on T1/T4/T7" `Quick
         test_sip_fast_path_other_configs;
+      Alcotest.test_case "Helgrind counts pinned on seed-7 T2/T3/T7/T8" `Quick test_counts_pinned;
+      Alcotest.test_case "explain T4 and its transitions pinned" `Quick test_explain_pinned;
+      Alcotest.test_case "the access path allocates nothing" `Quick
+        test_access_path_allocates_nothing;
     ] )

@@ -212,6 +212,34 @@ let test_unordered_now_dead_cell () =
   Alcotest.(check bool) "fasttrack: dead cell answers false" false
     (Det.Fasttrack.unordered_now f ~tid:99 ~addr:!addr ~write:true)
 
+(* The Hybrid gate keeps the epochs of a reporting instance that never
+   retires a cell, so before every access of a racy run the two answer
+   [unordered_now] alike; only the reporting one builds reports. *)
+let test_gate_reports_nothing () =
+  let full = Det.Fasttrack.create ~first_only:false () and gate = Det.Fasttrack.gate () in
+  let unordered = ref 0 and disagreements = ref 0 in
+  let on_event ctx (e : Vm.Event.t) =
+    (match e with
+    | E_read { tid; addr; _ } | E_write { tid; addr; _ } ->
+        let write = match e with E_write _ -> true | _ -> false in
+        let a = Det.Fasttrack.unordered_now full ~tid ~addr ~write in
+        if a then incr unordered;
+        if a <> Det.Fasttrack.unordered_now gate ~tid ~addr ~write then incr disagreements
+    | _ -> ());
+    Det.Fasttrack.on_event full ctx e;
+    Det.Fasttrack.on_event gate ctx e
+  in
+  let tools = [ Vm.Tool.make ~name:"gate-check" ~on_event ] in
+  ignore
+    (R.Runner.run_test_case
+       { R.Runner.default with seed = 7; helgrind_configs = []; tools }
+       Sip.Workload.t2);
+  Alcotest.(check bool) "the run races" true
+    (!unordered > 0 && Det.Report.occurrence_count (Det.Fasttrack.collector full) > 0);
+  Alcotest.(check int) "the gate answers as the reporting instance" 0 !disagreements;
+  Alcotest.(check int) "the gate holds no occurrence" 0
+    (Det.Report.occurrence_count (Det.Fasttrack.collector gate))
+
 (* --- Vector_clock.pp normalization --------------------------------------- *)
 
 (* pp must render the logical clock: two pointwise-equal clocks with
@@ -356,6 +384,7 @@ let suite =
         test_demotion_and_repromotion;
       Alcotest.test_case "unordered_now: dead cells answer false" `Quick
         test_unordered_now_dead_cell;
+      Alcotest.test_case "the hybrid gate reports nothing" `Quick test_gate_reports_nothing;
       Alcotest.test_case "alloc recycling matches djit" `Quick
         test_alloc_recycling_matches_djit;
       Alcotest.test_case "fasttrack ≡ djit on T1-T8 (seeds 7/42, live)" `Slow
