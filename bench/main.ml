@@ -382,10 +382,11 @@ let hints_rows ~blocks ~seed =
 (* --- chaos-off overhead suite --------------------------------------- *)
 
 (* The fault-injection plane must compile to a no-op when its plan is
-   empty: wiring an off injector into the transport, the server and the
-   engine may not change the schedule (same events, same report digest)
-   and may not cost more than 5% of throughput vs no injector at all.
-   Gated in-process, not via the baseline comparison. *)
+   empty: wiring an off injector into the transport (and so the
+   server's allocator) and the engine may not change the schedule (same
+   events, same report digest) and may not cost more than 5% of
+   throughput vs no injector at all.  Gated in-process, not via the
+   baseline comparison. *)
 let faults_workload_name = "sip-t2-chaos-off"
 
 let faults_run ~seed ~injector () =
@@ -395,11 +396,11 @@ let faults_run ~seed ~injector () =
   in
   Vm.Engine.add_tool vm (Det.Helgrind.tool h);
   let transport = Sip.Transport.create ?faults:injector () in
-  let server = { R.Runner.default.server with Sip.Proxy.faults = injector } in
   ignore
     (Vm.Engine.run vm (fun () ->
          ignore
-           (Sip.Workload.run_test_case ~transport ~server_config:server Sip.Workload.t2 ())));
+           (Sip.Workload.run_test_case ~transport ~server_config:R.Runner.default.server
+              Sip.Workload.t2 ())));
   h
 
 let faults_configs =
@@ -609,7 +610,7 @@ let fix_rows ~blocks =
       (fun p ->
         p.Fix.Engine.pr_plan.Fix.Synth.pl_strategy ^ "|" ^ p.Fix.Engine.pr_plan.Fix.Synth.pl_guard_desc)
       verified
-    |> List.sort compare |> String.concat "\n" |> Digest.string |> Digest.to_hex
+    |> Det.Offline.digest_lines
   in
   (* one long, allocation-heavy pipeline run against many short plain
      runs makes each block's ratio noisy: four times the blocks *)
@@ -674,7 +675,7 @@ let storm_run ~quick ~seed tools =
               Vm.Api.spawn ~loc:storm_loc ~name:(Printf.sprintf "storm%d" w) (fun () ->
                   for i = w * per to ((w + 1) * per) - 1 do
                     ignore
-                      (Sip.Registrar.register r ~annotate:true
+                      (Sip.Registrar.register r
                          ~aor:(Printf.sprintf "u%d@bench" i)
                          ~contact:(Printf.sprintf "sip:c%d" i)
                          ~cseq:1 ~expires:1_000_000)

@@ -58,11 +58,6 @@ type config = {
           recorder is a pure observer, so digests are unchanged *)
 }
 
-(** The resilience knobs used by every resilient cell: an aggressive
-    high-water mark so pool-mode cells actually shed under bursts. *)
-let cell_resilience =
-  { Sip.Proxy.default_resilience with res_shed_high_water = 4; res_deadline = 400 }
-
 let chaos_opts = Sip.Workload.default_chaos_opts
 
 (** Storm-scenario drivers get a longer retry budget: under the
@@ -70,8 +65,7 @@ let chaos_opts = Sip.Workload.default_chaos_opts
     that gives up while the server is merely saturated (not broken)
     would turn honest backpressure into a spurious "unanswered"
     violation. *)
-let scenario_chaos_opts =
-  { chaos_opts with Sip.Workload.co_max_attempts = 14; co_attempt_timeout = 150 }
+let scenario_chaos_opts = { Sip.Workload.co_max_attempts = 14; co_attempt_timeout = 150 }
 
 let scenario_tests_of scenarios =
   List.map (Sip.Workload.Scenario.to_test_case scenario_chaos_opts) scenarios
@@ -150,11 +144,6 @@ type cell = {
   cl_migrations : int;
   cl_shard_audit : string list;  (** {!Sip.Registrar.audit} violations *)
 }
-
-(* behaviour evidence and the matrix digest; report signatures go
-   through [Det.Offline.digest_signatures] *)
-let digest_of_strings lines =
-  Digest.to_hex (Digest.string (String.concat "\n" (List.sort compare lines)))
 
 (** Final binding expectation per AOR: the last acknowledged
     REGISTER/unREGISTER wins. *)
@@ -257,10 +246,8 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
   let server =
     {
       Sip.Proxy.default_config with
-      annotate = true;
       pattern = pattern_for plan tc;
-      resilience = (if resilient then Some cell_resilience else None);
-      faults = Some inj;
+      resilient;
       registrar_sharding = sharding;
     }
   in
@@ -367,7 +354,7 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
     cl_violations = violations;
     cl_locations = List.length locations;
     cl_sig_digest = Det.Offline.digest_signatures locations;
-    cl_behavior_digest = digest_of_strings behavior;
+    cl_behavior_digest = Det.Offline.digest_lines behavior;
     cl_unanswered = cr.cr_unanswered;
     cl_wrong_finals = List.length cr.cr_base.r_failures;
     cl_shed_seen = cr.cr_shed_seen;
@@ -438,7 +425,7 @@ let passed r = r.rp_resilient_violations = 0 && r.rp_baseline_violations > 0
     digests): the value the determinism pin compares across runs and
     fast-path modes. *)
 let matrix_digest r =
-  digest_of_strings
+  Det.Offline.digest_lines
     (List.map
        (fun c ->
          Printf.sprintf "%s|%s|%b|%s|%s|%s" c.cl_plan c.cl_test c.cl_resilient c.cl_sig_digest

@@ -40,10 +40,6 @@ val quick : config
 (** The CI smoke subset: plans [drop]/[dup]/[oom] on T2 and T6, plus
     [shard-storm] on T9/T10. *)
 
-val cell_resilience : Sip.Proxy.resilience
-(** The knobs every resilient cell runs with (low high-water mark so
-    pool cells actually shed). *)
-
 (** One post-run invariant check. *)
 type oracle = { o_name : string; o_ok : bool; o_detail : string }
 

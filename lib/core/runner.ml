@@ -41,7 +41,7 @@ let default =
         ("HWLC+DR", Det.Helgrind.hwlc_dr);
       ];
     on_report = None;
-    server = { Sip.Proxy.default_config with annotate = true };
+    server = Sip.Proxy.default_config;
     max_ops = 50_000_000;
     tracer = None;
     faults = None;

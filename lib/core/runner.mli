@@ -44,7 +44,8 @@ type config = {
   faults : Raceguard_faults.Injector.t option;
       (** fault injector handed to the engine (spawn-delay and
           lock-delay faults); share the instance wired into the
-          transport and server config for one coherent plan *)
+          transport, whose server allocator consults it, for one
+          coherent plan *)
 }
 
 val default : config

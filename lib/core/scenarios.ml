@@ -111,13 +111,14 @@ let handoff_pool () =
   Api.free ~loc:(lc "main" 25) data;
   Api.join ~loc:(lc "main" 26) tid
 
-(** Synthetic high-contention microbenchmark: [threads] workers hammer
-    [words] shared words, each word consistently guarded by one of
-    [locks] striped mutexes, plus a bus-locked reference counter per
-    iteration.  Disciplined, so every detector stays silent — the
-    shadow state sits in its steady state (Shared-Modified with a
-    stable candidate set) and the run is one long detector hot path. *)
-let high_contention ?(threads = 4) ?(iters = 300) ?(words = 8) ?(locks = 2) () =
+(** Synthetic high-contention microbenchmark: 4 workers hammer 8
+    shared words, each word consistently guarded by one of 2 striped
+    mutexes, plus a bus-locked reference counter per iteration.
+    Disciplined, so every detector stays silent — the shadow state sits
+    in its steady state (Shared-Modified with a stable candidate set)
+    and the run is one long detector hot path. *)
+let high_contention ?(iters = 300) () =
+  let threads = 4 and words = 8 and locks = 2 in
   let lc f line = Loc.v "contention.cpp" f line in
   let base = Api.alloc ~loc:(lc "main" 3) words in
   let refc = Api.alloc ~loc:(lc "main" 4) 1 in
@@ -145,10 +146,11 @@ let high_contention ?(threads = 4) ?(iters = 300) ?(words = 8) ?(locks = 2) () =
   in
   List.iter (Api.join ~loc:(lc "main" 22)) tids
 
-(** Read-mostly steady state: initialise once, then [threads] readers
-    sweep the words without locks — the Shared-RO fast path's best
-    case (and the pattern behind the paper's read-shared tables). *)
-let read_shared ?(threads = 4) ?(iters = 500) ?(words = 16) () =
+(** Read-mostly steady state: initialise 16 words once, then 4 readers
+    sweep them without locks — the Shared-RO fast path's best case (and
+    the pattern behind the paper's read-shared tables). *)
+let read_shared ?(iters = 500) () =
+  let threads = 4 and words = 16 in
   let lc f line = Loc.v "readshared.cpp" f line in
   let base = Api.alloc ~loc:(lc "main" 3) words in
   for i = 0 to words - 1 do

@@ -20,15 +20,14 @@ val handoff_pool : unit -> unit
     honoured (the queue and the post/wait handback are annotated, as in
     the instrumented build). *)
 
-val high_contention :
-  ?threads:int -> ?iters:int -> ?words:int -> ?locks:int -> unit -> unit
-(** Synthetic detector-hot-path microbenchmark: striped-mutex hammering
-    of shared words plus a bus-locked refcount — disciplined (zero
-    reports), Shared-Modified steady state. *)
+val high_contention : ?iters:int -> unit -> unit
+(** Synthetic detector-hot-path microbenchmark: 4 workers hammering 8
+    shared words under 2 striped mutexes, plus a bus-locked refcount —
+    disciplined (zero reports), Shared-Modified steady state. *)
 
-val read_shared : ?threads:int -> ?iters:int -> ?words:int -> unit -> unit
-(** Initialise once, then lock-free concurrent readers — the Shared-RO
-    steady state. *)
+val read_shared : ?iters:int -> unit -> unit
+(** Initialise 16 words once, then 4 lock-free concurrent readers — the
+    Shared-RO steady state. *)
 
 val read_shared_churn :
   ?threads:int -> ?rounds:int -> ?iters:int -> ?words:int -> unit -> unit

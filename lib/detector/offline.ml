@@ -183,12 +183,15 @@ let sink ?(digest = false) name =
 
 (* --- verdicts: what a detector concluded, digested ------------------ *)
 
+(** MD5 (hex) over the lines sorted and joined by newlines. *)
+let digest_lines lines =
+  Digest.to_hex (Digest.string (String.concat "\n" (List.sort String.compare lines)))
+
 (** MD5 over the sorted dedup signatures ({!Report.signature_string}) —
     the one signature digest: verdicts, chaos cells and the bench and
     test audits all use it. *)
 let digest_signatures locations =
-  let sigs = List.sort String.compare (List.map (fun (r, _) -> Report.signature_string r) locations) in
-  Digest.to_hex (Digest.string (String.concat "\n" sigs))
+  digest_lines (List.map (fun (r, _) -> Report.signature_string r) locations)
 
 type verdict = {
   v_config : string;

@@ -116,6 +116,11 @@ type verdict = {
           and when (JSON ["attribution"], 16 hex digits) *)
 }
 
+val digest_lines : string list -> string
+(** MD5 (hex) over the lines sorted and joined by newlines — the one
+    order-free digest: report signatures, the chaos behaviour and matrix
+    digests and the bench fix rows. *)
+
 val digest_signatures : (Report.t * int) list -> string
 (** MD5 over the sorted {!Report.signature_string}s of the locations —
     the signature digest of verdicts, chaos cells, bench rows and the

@@ -34,14 +34,12 @@ let nonce_class =
 type t = {
   mutex : Api.Mutex.t;
   nonces : Containers.Map.t;  (** hash(user) -> Nonce address *)
-  annotate : bool;
 }
 
-let create ~alloc ~annotate =
+let create ~alloc =
   {
     mutex = Api.Mutex.create ~loc:(lc "NonceCache" 38) "auth.mutex";
     nonces = Containers.Map.create alloc;
-    annotate;
   }
 
 (** The client-side response to a challenge (the "digest"). *)
@@ -69,7 +67,7 @@ let challenge t ~user =
         old)
   in
   (match old with
-  | Some o when o <> 0 -> Obj_model.delete_ ~loc:(lc "challenge" 67) ~annotate:t.annotate nonce_class o
+  | Some o when o <> 0 -> Obj_model.delete_ ~loc:(lc "challenge" 67) ~annotate:true nonce_class o
   | _ -> ());
   value
 
@@ -93,5 +91,5 @@ let verify t ~user ~response =
   | Some n ->
       let value = Obj_model.get ~loc nonce_class n "value" in
       let ok = response = response_for ~nonce:value in
-      Obj_model.delete_ ~loc:(lc "verify" 90) ~annotate:t.annotate nonce_class n;
+      Obj_model.delete_ ~loc:(lc "verify" 90) ~annotate:true nonce_class n;
       ok

@@ -9,7 +9,7 @@ val nonce_class : Raceguard_cxxsim.Object_model.class_desc
 
 type t
 
-val create : alloc:Raceguard_cxxsim.Allocator.t -> annotate:bool -> t
+val create : alloc:Raceguard_cxxsim.Allocator.t -> t
 
 val response_for : nonce:int -> int
 (** The client-side digest computation for a challenge nonce. *)

@@ -157,7 +157,7 @@ let cancel t ~call_id =
 
 (** BYE: unlink transaction and session under the lock, delete both
     outside — two distinct destructor-FP sites per call teardown. *)
-let end_call t ~annotate ~call_id =
+let end_call t ~call_id =
   let loc = lc "endCall" 141 in
   Api.with_frame loc @@ fun () ->
   let key = hash call_id in
@@ -175,8 +175,8 @@ let end_call t ~annotate ~call_id =
   in
   match victims with
   | Some txn, Some session when txn <> 0 && session <> 0 ->
-      Obj_model.delete_ ~loc:(lc "endCall" 157) ~annotate invite_transaction_class txn;
-      Obj_model.delete_ ~loc:(lc "endCall" 158) ~annotate call_session_class session;
+      Obj_model.delete_ ~loc:(lc "endCall" 157) ~annotate:true invite_transaction_class txn;
+      Obj_model.delete_ ~loc:(lc "endCall" 158) ~annotate:true call_session_class session;
       Stats.decr_active_calls t.stats;
       true
   | _ -> false

@@ -28,7 +28,7 @@ val start_call : t -> caller:string -> callee:string -> call_id:string -> cseq:i
 val confirm : t -> call_id:string -> bool
 val cancel : t -> call_id:string -> bool
 
-val end_call : t -> annotate:bool -> call_id:string -> bool
+val end_call : t -> call_id:string -> bool
 (** Unlink transaction and session under the lock, delete both outside;
     false for an unknown dialog. *)
 

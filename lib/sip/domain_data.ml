@@ -53,7 +53,6 @@ type t = {
   alloc : Raceguard_cxxsim.Allocator.t;
   mutable reload_thread : int;
   stop_flag : int;
-  init_racy : bool;  (** B2 toggle: populate after starting the reloader *)
   recover_alloc_failure : bool;  (** survive injected allocation faults *)
   domains : string list;
 }
@@ -77,7 +76,7 @@ let populate t gen =
     (fun d -> Containers.Map.insert t.map (hash d) (new_domain_data ~loc d gen))
     t.domains
 
-let reload t ~annotate gen =
+let reload t gen =
   (* periodic reload: correctly locked replacement of every entry *)
   let loc = lc "reload" 66 in
   Api.with_frame loc @@ fun () ->
@@ -92,10 +91,10 @@ let reload t ~annotate gen =
           Containers.Map.insert t.map key (new_domain_data ~loc d gen))
         t.domains);
   List.iter
-    (fun old -> Obj_model.delete_ ~loc:(lc "reload" 79) ~annotate domain_data_class old)
+    (fun old -> Obj_model.delete_ ~loc:(lc "reload" 79) ~annotate:true domain_data_class old)
     !victims
 
-let run_reloader t ~annotate () =
+let run_reloader t () =
   Api.with_frame (lc "reloader" 83) @@ fun () ->
   (* initial sanity pass: touch every domain entry right at thread
      start — this is what races with the main thread's population when
@@ -108,7 +107,7 @@ let run_reloader t ~annotate () =
     Api.sleep 25;
     if Api.read ~loc:(lc "reloader" 87) t.stop_flag = 0 then begin
       incr gen;
-      try reload t ~annotate !gen
+      try reload t !gen
       with Raceguard_faults.Injector.Out_of_memory when t.recover_alloc_failure ->
         (* injected allocation failure mid-reload: skip this generation
            instead of killing the reload thread *)
@@ -118,7 +117,7 @@ let run_reloader t ~annotate () =
 
 (** Create the manager.  With [init_racy = true] (the shipped code) the
     reload thread starts {e before} [populate] runs — bug B2. *)
-let create ~alloc ~annotate ~init_racy ?(recover_alloc_failure = false) ~domains () =
+let create ~alloc ~init_racy ?(recover_alloc_failure = false) ~domains () =
   let t =
     {
       mutex = Api.Mutex.create ~loc:(lc "ctor" 98) "domain_data.mutex";
@@ -126,18 +125,17 @@ let create ~alloc ~annotate ~init_racy ?(recover_alloc_failure = false) ~domains
       alloc;
       reload_thread = -1;
       stop_flag = Api.alloc ~loc:(lc "ctor" 101) 1;
-      init_racy;
       recover_alloc_failure;
       domains;
     }
   in
   if init_racy then begin
-    t.reload_thread <- Api.spawn ~loc:(lc "ctor" 106) ~name:"domain-reloader" (run_reloader t ~annotate);
+    t.reload_thread <- Api.spawn ~loc:(lc "ctor" 106) ~name:"domain-reloader" (run_reloader t);
     populate t 0
   end
   else begin
     populate t 0;
-    t.reload_thread <- Api.spawn ~loc:(lc "ctor" 111) ~name:"domain-reloader" (run_reloader t ~annotate)
+    t.reload_thread <- Api.spawn ~loc:(lc "ctor" 111) ~name:"domain-reloader" (run_reloader t)
   end;
   t
 

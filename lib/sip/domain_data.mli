@@ -11,7 +11,6 @@ type t
 
 val create :
   alloc:Raceguard_cxxsim.Allocator.t ->
-  annotate:bool ->
   init_racy:bool ->
   ?recover_alloc_failure:bool ->
   domains:string list ->

@@ -49,10 +49,9 @@ type t = {
   ring : int;  (** capacity words holding digest addresses *)
   capacity : int;
   next : int;  (** address of the rotating insert index *)
-  annotate : bool;
 }
 
-let create ~annotate ~capacity =
+let create ~capacity =
   let loc = lc "RequestHistory" 44 in
   let ring = Api.alloc ~loc (capacity + 1) in
   {
@@ -60,7 +59,6 @@ let create ~annotate ~capacity =
     ring;
     capacity;
     next = ring + capacity;
-    annotate;
   }
 
 (** Record one request: build a digest, swap it into the ring under the
@@ -88,7 +86,7 @@ let record t ~src_id ~meth ~uri ~outcome =
         old)
   in
   if evicted <> 0 then
-    Obj_model.delete_ ~loc:(lc "record" 78) ~annotate:t.annotate request_digest_class evicted
+    Obj_model.delete_ ~loc:(lc "record" 78) ~annotate:true request_digest_class evicted
 
 (** Drain the ring at shutdown. *)
 let clear t =
@@ -105,5 +103,5 @@ let clear t =
         !out)
   in
   List.iter
-    (fun d -> Obj_model.delete_ ~loc:(lc "clear" 96) ~annotate:t.annotate request_digest_class d)
+    (fun d -> Obj_model.delete_ ~loc:(lc "clear" 96) ~annotate:true request_digest_class d)
     victims

@@ -14,7 +14,7 @@ val request_digest_class : Raceguard_cxxsim.Object_model.class_desc
 
 type t
 
-val create : annotate:bool -> capacity:int -> t
+val create : capacity:int -> t
 
 val record : t -> src_id:int -> meth:int -> uri:string -> outcome:int -> unit
 (** Build a digest, swap it into the ring under the lock, delete the

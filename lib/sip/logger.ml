@@ -39,7 +39,6 @@ type t = {
   stop_flag : int;  (** word set with a bus-locked write, read plainly *)
   stats : Stats.t;
   time : Timeutil.t;
-  annotate : bool;
   categories : Refstring.t array;
       (** canned per-level category strings, shared by every logging
           thread (each use copies a shared rep: bus-lock sites) *)
@@ -47,16 +46,15 @@ type t = {
   mutable lines : string list;  (** host-side sink (the "log file") *)
 }
 
-let create ~stats ~time ~annotate =
+let create ~stats ~time =
   let stop_flag = Api.alloc ~loc:(lc "Logger" 40) 1 in
   Api.write ~loc:(lc "Logger" 41) stop_flag 0;
   let mk = Refstring.create ~loc:(lc "Logger" 42) in
   {
-    queue = Msg_queue.create ~annotated:annotate ~name:"logger.queue" ~capacity:64 ();
+    queue = Msg_queue.create ~annotated:true ~name:"logger.queue" ~capacity:64 ();
     stop_flag;
     stats;
     time;
-    annotate;
     categories = [| mk "DEBUG"; mk "INFO"; mk "WARN"; mk "ERROR" |];
     thread = -1;
     lines = [];
@@ -89,7 +87,7 @@ let process_record t record =
      (queue-handoff) false positive even with HWLC+DR *)
   Obj_model.set ~loc:(lc "run" 73) cls record "processed" 1;
   Stats.incr_lines_logged t.stats;
-  Obj_model.delete_ ~loc:(lc "run" 76) ~annotate:t.annotate cls record
+  Obj_model.delete_ ~loc:(lc "run" 76) ~annotate:true cls record
 
 (** The logger thread body. *)
 let run t () =

@@ -15,7 +15,7 @@ val log_record_class : Raceguard_cxxsim.Object_model.class_desc
 
 type t
 
-val create : stats:Stats.t -> time:Timeutil.t -> annotate:bool -> t
+val create : stats:Stats.t -> time:Timeutil.t -> t
 val start : t -> unit
 
 val log : t -> loc:Loc.t -> level:int -> string -> unit

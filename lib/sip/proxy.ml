@@ -9,7 +9,7 @@
 
     - B1 watchdog race ([enable_watchdog], disabled by default exactly
       as the authors disabled it "for further experiments");
-    - B2 initialisation-order race ([init_racy], §4.1.1);
+    - B2 initialisation-order race (always on, §4.1.1);
     - B3 shutdown-order race ([shutdown_racy], §4.1.1);
     - B4 returning a reference to a locked map ([use_leaked_ref],
       §4.1.2 / Figure 7);
@@ -22,7 +22,7 @@
     flags written with [LOCK]-prefixed stores, and (optionally) the
     pooled container allocator.
 
-    With [config.resilience] set the server additionally behaves like
+    With [config.resilient] set the server additionally behaves like
     a hardened RFC 3261 element: final responses are cached and replay
     retransmitted requests ({!Txn_cache}), INVITE 200s are retransmitted
     with exponential backoff until ACKed ({!Timer_wheel} + {!Backoff}),
@@ -47,34 +47,24 @@ let m_invite_replayed = Metrics.counter "sip.resilience.invite_replayed"
 
 type pattern = Per_request | Pool of int
 
-type resilience = {
-  res_shed_high_water : int;
-      (** pool-queue depth at which the listener starts shedding *)
-  res_retry_after : int;  (** Retry-After value on shed 503s (ticks) *)
-  res_deadline : int;
-      (** drop (with 503) requests older than this when dequeued;
-          0 disables the deadline check *)
-}
+(* The resilient server's overload profile. *)
+let shed_high_water = 4  (* pool-queue depth at which the listener sheds *)
+let retry_after = 60  (* Retry-After on every deliberate 503 (ticks) *)
+let deadline = 400  (* requests older than this when dequeued get a 503 *)
 
-let default_resilience = { res_shed_high_water = 12; res_retry_after = 60; res_deadline = 300 }
+let domains = [ "example.com"; "voip.example.net"; "pbx.local" ]
 
 type config = {
-  annotate : bool;  (** built with the DR instrumentation? *)
   alloc_mode : Allocator.mode;
   pattern : pattern;
   enable_watchdog : bool;  (** B1 *)
-  init_racy : bool;  (** B2 *)
   shutdown_racy : bool;  (** B3 *)
   use_leaked_ref : bool;  (** B4 *)
   require_auth : bool;
       (** challenge REGISTERs with a digest nonce (401 flow) *)
-  domains : string list;
-  resilience : resilience option;
-      (** [None] = the legacy server; [Some _] enables the recovery
+  resilient : bool;
+      (** [false] = the legacy server; [true] enables the recovery
           paths (response cache, 200 retransmission, shedding) *)
-  faults : Raceguard_faults.Injector.t option;
-      (** fault injector shared with the transport/engine, consulted by
-          the allocator (allocation-failure faults) *)
   registrar_sharding : Registrar.sharding;
       (** [Unsharded] (the default) keeps the historical single-mutex
           registrar byte-identical; [Sharded] stripes it with online
@@ -83,17 +73,13 @@ type config = {
 
 let default_config =
   {
-    annotate = false;
     alloc_mode = Allocator.Direct;
     pattern = Per_request;
     enable_watchdog = false;
-    init_racy = true;
     shutdown_racy = true;
     use_leaked_ref = true;
     require_auth = false;
-    domains = [ "example.com"; "voip.example.net"; "pbx.local" ];
-    resilience = None;
-    faults = None;
+    resilient = false;
     registrar_sharding = Registrar.Unsharded;
   }
 
@@ -170,10 +156,7 @@ let extract_user uri =
   in
   match String.index_opt uri '@' with Some i -> String.sub uri 0 i | None -> uri
 
-let resilient t = Option.is_some t.config.resilience
-
-let retry_after t =
-  match t.config.resilience with Some r -> r.res_retry_after | None -> 0
+let resilient t = t.config.resilient
 
 let txn_key_of (w : Sip_msg.wire_request) =
   Txn_cache.key ~call_id:w.w_call_id ~cseq:w.w_cseq ~meth:(Sip_msg.meth_code w.w_meth)
@@ -209,7 +192,7 @@ let reply t ~src ?(www_auth = 0) ?store ~status ~reason_rs req_obj =
   | _ -> ());
   (* the response was created and is deleted by this worker: exclusive,
      so its destructor chain is (correctly) silent *)
-  Obj_model.delete_ ~loc:(lc "reply" 127) ~annotate:t.config.annotate Sip_msg.sip_response resp;
+  Obj_model.delete_ ~loc:(lc "reply" 127) ~annotate:true Sip_msg.sip_response resp;
   wire
 
 let reply_raw t ~src ~status ~reason =
@@ -248,7 +231,7 @@ let handle_register t ~src ~src_id (w : Sip_msg.wire_request) req_obj =
   end
   else
   if w.w_expires = 0 then begin
-    let existed = Registrar.unregister t.registrar ~annotate:t.config.annotate ~aor in
+    let existed = Registrar.unregister t.registrar ~aor in
     Logger.log t.logger ~loc:(lc "handleRegister" 140) ~level:1
       (Printf.sprintf "unregister %s (%b)" aor existed);
     ignore (reply t ~src ?store:(ck t w) ~status:200 ~reason_rs:t.reason_ok req_obj)
@@ -256,8 +239,7 @@ let handle_register t ~src ~src_id (w : Sip_msg.wire_request) req_obj =
   else begin
     let expires = if w.w_expires > 0 then w.w_expires else 3600 in
     let outcome =
-      Registrar.register t.registrar ~annotate:t.config.annotate ~aor ~contact:w.w_contact
-        ~cseq:w.w_cseq ~expires
+      Registrar.register t.registrar ~aor ~contact:w.w_contact ~cseq:w.w_cseq ~expires
     in
     Logger.log t.logger ~loc:(lc "handleRegister" 150) ~level:1
       (Printf.sprintf "register %s -> %s (%s)" aor w.w_contact
@@ -305,7 +287,7 @@ let handle_invite t ~src ~src_id (w : Sip_msg.wire_request) req_obj =
              legacy spurious 482 *)
           Metrics.incr m_invite_replayed;
           clear_retransmit t ~call_id:w.w_call_id;
-          ignore (Dialogs.end_call t.dialogs ~annotate:t.config.annotate ~call_id:w.w_call_id);
+          ignore (Dialogs.end_call t.dialogs ~call_id:w.w_call_id);
           establish ~retry_left:(retry_left - 1)
         end
         else
@@ -317,7 +299,7 @@ let handle_invite t ~src ~src_id (w : Sip_msg.wire_request) req_obj =
 let handle_bye t ~src ~src_id (w : Sip_msg.wire_request) req_obj =
   Api.with_frame (lc "handleBye" 189) @@ fun () ->
   record_history t ~src_id w ~outcome:200;
-  let ended = Dialogs.end_call t.dialogs ~annotate:t.config.annotate ~call_id:w.w_call_id in
+  let ended = Dialogs.end_call t.dialogs ~call_id:w.w_call_id in
   Logger.log t.logger ~loc:(lc "handleBye" 191) ~level:1
     (Printf.sprintf "BYE %s (%b)" w.w_call_id ended);
   if ended then begin
@@ -374,11 +356,7 @@ let process_request t ~src_id ~buf ~len ~born =
             | None -> false)
         | _ -> false
       in
-      let past_deadline =
-        match t.config.resilience with
-        | Some r -> r.res_deadline > 0 && Api.now () - born > r.res_deadline
-        | None -> false
-      in
+      let past_deadline = resilient t && Api.now () - born > deadline in
       if answered_from_cache then ()
       else if past_deadline then begin
         (* the client has long since retransmitted or given up: answer
@@ -387,7 +365,7 @@ let process_request t ~src_id ~buf ~len ~born =
         t.sheds <- t.sheds + 1;
         ignore
           (Transport.send t.transport ~src:"server" ~dst:src
-             (unavailable_wire w ~retry_after:(retry_after t)));
+             (unavailable_wire w ~retry_after));
         Stats.incr_total_responses t.stats
       end
       else begin
@@ -411,10 +389,10 @@ let process_request t ~src_id ~buf ~len ~born =
              (Printf.sprintf "allocation failure handling %s: 503" w.w_call_id);
            ignore
              (Transport.send t.transport ~src:"server" ~dst:src
-                (unavailable_wire w ~retry_after:(retry_after t)));
+                (unavailable_wire w ~retry_after));
            Stats.incr_total_responses t.stats);
         (* request object was created and dies here: exclusive, silent *)
-        Obj_model.delete_ ~loc:(lc "processRequest" 234) ~annotate:t.config.annotate
+        Obj_model.delete_ ~loc:(lc "processRequest" 234) ~annotate:true
           Sip_msg.sip_request req_obj
       end);
   (* scrub the datagram before releasing it (it may hold credentials);
@@ -442,7 +420,7 @@ let run_ctx t ctx =
   Obj_model.set ~loc:(lc "runCtx" 250) cls ctx "status" 200;
   Obj_model.set ~loc:(lc "runCtx" 251) cls ctx "handled" 1;
   Obj_model.set ~loc:(lc "runCtx" 252) cls ctx "latency" (Api.now () - t0);
-  Obj_model.delete_ ~loc:(lc "runCtx" 253) ~annotate:t.config.annotate cls ctx
+  Obj_model.delete_ ~loc:(lc "runCtx" 253) ~annotate:true cls ctx
 
 (* ------------------------------------------------------------------ *)
 (* Listener                                                            *)
@@ -476,7 +454,7 @@ let shed_datagram t ~src wire_peek =
     (Transport.send t.transport ~src:"server" ~dst:src
        (Printf.sprintf
           "SIP/2.0 503 Service Unavailable\r\nCall-ID: %s\r\nCSeq: %s\r\nRetry-After: %d\r\n\r\n"
-          (header "Call-ID" "?") (header "CSeq" "0") (retry_after t)));
+          (header "Call-ID" "?") (header "CSeq" "0") retry_after));
   Stats.incr_total_responses t.stats
 
 let listener_body t () =
@@ -493,10 +471,11 @@ let listener_body t () =
       let loc = lc "listener" 285 in
       let src_id = src_id_of t src in
       let overloaded =
-        match (t.config.resilience, !(t.pool)) with
-        | Some r, Some pool ->
-            Raceguard_vm.Thread_pool.queue_length pool >= r.res_shed_high_water
-        | _ -> false
+        resilient t
+        &&
+        match !(t.pool) with
+        | Some pool -> Raceguard_vm.Thread_pool.queue_length pool >= shed_high_water
+        | None -> false
       in
       if overloaded then begin
         shed_datagram t ~src wire_peek;
@@ -542,34 +521,32 @@ let listener_body t () =
 let start ~transport config =
   let loc = lc "start" 322 in
   Api.with_frame loc @@ fun () ->
-  let resilient_cfg = Option.is_some config.resilience in
-  let alloc = Allocator.create ?faults:config.faults config.alloc_mode in
+  let alloc = Allocator.create ?faults:(Transport.faults transport) config.alloc_mode in
   let stats = Stats.create () in
   let time = Timeutil.create () in
-  let logger = Logger.create ~stats ~time ~annotate:config.annotate in
+  let logger = Logger.create ~stats ~time in
   Logger.start logger;
   let registrar = Registrar.create ~sharding:config.registrar_sharding ~alloc ~stats () in
   let dialogs = Dialogs.create ~alloc ~stats in
   (* B2 lives inside: the reloader starts before the map is filled *)
   let domain_data =
-    Domain_data.create ~alloc ~annotate:config.annotate ~init_racy:config.init_racy
-      ~recover_alloc_failure:resilient_cfg ~domains:config.domains ()
+    Domain_data.create ~alloc ~init_racy:true ~recover_alloc_failure:config.resilient ~domains ()
   in
-  let routing = Routing.create ~domains:config.domains in
-  let history = History.create ~annotate:config.annotate ~capacity:6 in
-  let auth = Auth.create ~alloc ~annotate:config.annotate in
+  let routing = Routing.create ~domains in
+  let history = History.create ~capacity:6 in
+  let auth = Auth.create ~alloc in
   let registrar_ref = ref registrar in
   (* the resend callback closes over [t], which does not exist yet:
      indirect through a ref cell filled in below *)
   let resend_ref = ref (fun ~txn_key:_ ~attempt:_ -> false) in
   let timer =
-    Timer_wheel.create ~alloc ~annotate:config.annotate
+    Timer_wheel.create ~alloc
       ?resend:
-        (if resilient_cfg then Some (fun ~txn_key ~attempt -> !resend_ref ~txn_key ~attempt)
+        (if config.resilient then Some (fun ~txn_key ~attempt -> !resend_ref ~txn_key ~attempt)
          else None)
-      ~recover_alloc_failure:resilient_cfg
+      ~recover_alloc_failure:config.resilient
       ~housekeeping:(fun () ->
-        ignore (Registrar.expire_stale !registrar_ref ~annotate:config.annotate);
+        ignore (Registrar.expire_stale !registrar_ref);
         Routing.refresh routing)
       ()
   in
@@ -601,8 +578,7 @@ let start ~transport config =
       timer;
       watchdog;
       txn_cache =
-        (if resilient_cfg then Some (Txn_cache.create ~alloc ~annotate:config.annotate)
-         else None);
+        (if config.resilient then Some (Txn_cache.create ~alloc) else None);
       retrans = Hashtbl.create 32;
       server_name = Refstring.create ~loc "RaceGuard-SIP/0.9 (experimental)";
       reason_ok = Refstring.create ~loc "OK";
@@ -634,7 +610,7 @@ let start ~transport config =
   | Pool n ->
       t.pool :=
         Some
-          (Raceguard_vm.Thread_pool.create ~annotated:config.annotate ~name:"sip-pool"
+          (Raceguard_vm.Thread_pool.create ~annotated:true ~name:"sip-pool"
              ~workers:n ~queue_capacity:32
              ~handler:(fun ctx -> run_ctx t ctx)
              ()));
@@ -666,14 +642,14 @@ let shutdown t =
   History.clear t.history;
   if t.config.shutdown_racy then begin
     (* B3: tear down Stats, then stop/join the logger that uses it *)
-    Stats.destroy t.stats ~annotate:t.config.annotate;
+    Stats.destroy t.stats;
     Logger.stop t.logger;
     Logger.join t.logger
   end
   else begin
     Logger.stop t.logger;
     Logger.join t.logger;
-    Stats.destroy t.stats ~annotate:t.config.annotate
+    Stats.destroy t.stats
   end;
   (* either way the logger's destructor flushes leftovers: B3 reorders
      destruction but must not silently drop enqueued lines *)
@@ -685,7 +661,6 @@ let shutdown t =
   | None -> ()
 
 let requests_handled t = t.requests_handled
-let log_lines t = Logger.lines t.logger
 let sheds t = t.sheds
 let cache_hits t = match t.txn_cache with Some c -> Txn_cache.hits c | None -> 0
 let retransmits t = Timer_wheel.resent t.timer

@@ -4,13 +4,16 @@
     signalling server: thread-per-request (or thread-pool) concurrency,
     shared state behind mutexes and one rw-lock, copy-on-write strings,
     destructor-heavy object traffic — and the real bugs the paper found
-    (§4.1) injected and individually toggleable.
+    (§4.1) injected, B1, B3 and B4 individually toggleable.
 
-    With [config.resilience] set, the server also exercises the
+    With [config.resilient] set, the server also exercises the
     RFC 3261 recovery paths the chaos matrix stresses: a response cache
     absorbing retransmissions, timer-driven 200 retransmission with
     exponential backoff until ACK, request deadlines, and overload
-    shedding with 503 + Retry-After. *)
+    shedding with 503 + Retry-After.  Their profile is fixed: the
+    listener sheds once the pool queue is 4 deep, a request older than
+    400 ticks when dequeued is answered 503, and every deliberate 503
+    carries [Retry-After: 60]. *)
 
 module Refstring = Raceguard_cxxsim.Refstring
 module Allocator = Raceguard_cxxsim.Allocator
@@ -19,38 +22,19 @@ type pattern =
   | Per_request  (** one worker thread per datagram (§3.3, Figure 10) *)
   | Pool of int  (** fixed worker pool fed by a queue (§4.2.3, Figure 11) *)
 
-type resilience = {
-  res_shed_high_water : int;
-      (** pool-queue depth at which the listener sheds with 503 *)
-  res_retry_after : int;  (** Retry-After value on shed 503s (ticks) *)
-  res_deadline : int;
-      (** requests older than this when dequeued are answered 503
-          instead of processed; 0 disables the check *)
-}
-
-val default_resilience : resilience
-
 type config = {
-  annotate : bool;
-      (** built with the automatic instrumentation (delete + queue
-          annotations); no-ops unless a detector honours them *)
   alloc_mode : Allocator.mode;  (** container allocator strategy (§4) *)
   pattern : pattern;
   enable_watchdog : bool;
       (** B1: the racy home-grown deadlock detector; default off, as
           the authors "disabled it for further experiments" *)
-  init_racy : bool;  (** B2: reloader starts before the table is filled *)
   shutdown_racy : bool;  (** B3: Stats destroyed before the logger exits *)
   use_leaked_ref : bool;  (** B4: callers use the Figure-7 accessor *)
   require_auth : bool;
       (** challenge REGISTERs with a digest nonce (401 flow) *)
-  domains : string list;
-  resilience : resilience option;
-      (** [None] = the legacy server (tier-1 behaviour, unchanged);
-          [Some _] enables the recovery paths *)
-  faults : Raceguard_faults.Injector.t option;
-      (** fault injector consulted by the allocator; share the instance
-          wired into the transport and engine for one coherent plan *)
+  resilient : bool;
+      (** [false] = the legacy server (tier-1 behaviour, unchanged);
+          [true] enables the recovery paths *)
   registrar_sharding : Registrar.sharding;
       (** [Unsharded] (the default) keeps the historical single-mutex
           registrar byte-identical; [Sharded] stripes it with online
@@ -58,8 +42,11 @@ type config = {
 }
 
 val default_config : config
-(** Uninstrumented, direct allocator, thread-per-request, watchdog off,
-    bugs B2–B6 present, no resilience, no faults. *)
+(** Direct allocator, thread-per-request, watchdog off, bugs B2–B6
+    present, not resilient.  The server is always the instrumented
+    build (delete and queue annotations, no-ops unless a detector
+    honours them, §3.1), and its allocator consults the fault injector
+    of the transport it is started on ({!Transport.faults}). *)
 
 type t
 
@@ -78,7 +65,6 @@ val shutdown : t -> unit
     in the racy order when [config.shutdown_racy]. *)
 
 val requests_handled : t -> int
-val log_lines : t -> string list
 
 val sheds : t -> int
 (** 503s deliberately sent by overload control (high-water + deadline). *)

@@ -407,7 +407,7 @@ let rebalance t =
 (** Register or refresh a binding.  Returns [`Registered] or
     [`Refreshed].  A refresh unlinks the old binding under the lock and
     deletes it outside (the FP-generating pattern). *)
-let register t ~annotate ~aor ~contact ~cseq ~expires =
+let register t ~aor ~contact ~cseq ~expires =
   let loc = lc "addBinding" 70 in
   Api.with_frame loc @@ fun () ->
   let expires_at = Api.now () + (expires * 100) in
@@ -435,14 +435,14 @@ let register t ~annotate ~aor ~contact ~cseq ~expires =
   match old with
   | Some old_binding when old_binding <> 0 ->
       (* delete outside the lock: the object is private again *)
-      Obj_model.delete_ ~loc:(lc "addBinding" 82) ~annotate contact_binding_class old_binding;
+      Obj_model.delete_ ~loc:(lc "addBinding" 82) ~annotate:true contact_binding_class old_binding;
       `Refreshed
   | _ ->
       Stats.incr_registered t.stats;
       `Registered
 
 (** Remove a binding (REGISTER with Expires: 0). *)
-let unregister t ~annotate ~aor =
+let unregister t ~aor =
   let loc = lc "removeBinding" 91 in
   Api.with_frame loc @@ fun () ->
   let key = intern_key t ~aor in
@@ -474,7 +474,7 @@ let unregister t ~annotate ~aor =
   match victim with
   | Some b ->
       Stats.decr_registered t.stats;
-      Obj_model.delete_ ~loc:(lc "removeBinding" 103) ~annotate contact_binding_class b;
+      Obj_model.delete_ ~loc:(lc "removeBinding" 103) ~annotate:true contact_binding_class b;
       true
   | None -> false
 
@@ -505,7 +505,7 @@ let lookup t ~aor =
 
 (** Delete every expired binding: unlink under the lock, delete
     outside.  Called from the housekeeping timer. *)
-let expire_stale t ~annotate =
+let expire_stale t =
   let loc = lc "expireStale" 126 in
   Api.with_frame loc @@ fun () ->
   let now = Api.now () in
@@ -558,7 +558,7 @@ let expire_stale t ~annotate =
   List.iter
     (fun (_key, b) ->
       Stats.decr_registered t.stats;
-      Obj_model.delete_ ~loc:(lc "expireStale" 145) ~annotate contact_binding_class b)
+      Obj_model.delete_ ~loc:(lc "expireStale" 145) ~annotate:true contact_binding_class b)
     !victims;
   List.length !victims
 

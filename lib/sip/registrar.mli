@@ -51,7 +51,6 @@ val create :
 
 val register :
   t ->
-  annotate:bool ->
   aor:string ->
   contact:string ->
   cseq:int ->
@@ -62,13 +61,13 @@ val register :
     sharded registrar the triggering worker also grows the table when
     the load factor crosses [grow_at]. *)
 
-val unregister : t -> annotate:bool -> aor:string -> bool
+val unregister : t -> aor:string -> bool
 
 val lookup : t -> aor:string -> Refstring.t option
 (** Current contact for an AOR, as a {e copy} of the stored string
     (caller must release it); [None] if absent or expired. *)
 
-val expire_stale : t -> annotate:bool -> int
+val expire_stale : t -> int
 (** Delete every expired binding; returns how many. *)
 
 val size : t -> int

@@ -103,6 +103,6 @@ let get t counter ~loc = Api.read ~loc (t.base + counter)
 (** Free the counter block — part of the shutdown-order bug (B3): the
     main thread destroys the statistics while the logger thread is
     still bumping [lines_logged]. *)
-let destroy t ~annotate =
-  if annotate then Api.hg_destruct ~addr:t.base ~len:n_counters;
+let destroy t =
+  Api.hg_destruct ~addr:t.base ~len:n_counters;
   Api.free ~loc:(lc "~Stats" 58) t.base

@@ -36,6 +36,6 @@ val decr_registered : t -> unit
 
 val get : t -> int -> loc:Loc.t -> int
 
-val destroy : t -> annotate:bool -> unit
+val destroy : t -> unit
 (** Free the counter block — half of the shutdown-order bug B3 when
     called before the logger thread is joined. *)

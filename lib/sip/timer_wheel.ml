@@ -48,12 +48,10 @@ type t = {
   mutex : Api.Mutex.t;
   pending : Raceguard_cxxsim.Containers.Vector.t;  (** task addresses *)
   stop_flag : int;
-  annotate : bool;
   housekeeping : unit -> unit;
   resend : (txn_key:int -> attempt:int -> bool) option;
       (** [resend ~txn_key ~attempt] retransmits the transaction's
           final response; [true] = keep the timer armed *)
-  backoff : Backoff.params;
   recover_alloc_failure : bool;
       (** timer thread swallows injected allocation failures instead of
           dying (the resilient server's behaviour) *)
@@ -63,16 +61,13 @@ type t = {
   mutable cancelled : int;
 }
 
-let create ~alloc ~annotate ?resend ?(backoff = Backoff.default)
-    ?(recover_alloc_failure = false) ~housekeeping () =
+let create ~alloc ?resend ?(recover_alloc_failure = false) ~housekeeping () =
   {
     mutex = Api.Mutex.create ~loc:(lc "TimerWheel" 40) "timer.mutex";
     pending = Raceguard_cxxsim.Containers.Vector.create alloc;
     stop_flag = Api.alloc ~loc:(lc "TimerWheel" 42) 1;
-    annotate;
     housekeeping;
     resend;
-    backoff;
     recover_alloc_failure;
     thread = -1;
     fired = 0;
@@ -119,7 +114,7 @@ let cancel t ~txn_key =
     (fun task ->
       t.cancelled <- t.cancelled + 1;
       Metrics.incr m_cancelled;
-      Obj_model.delete_ ~loc:(lc "cancel" 64) ~annotate:t.annotate retransmit_timer_class task)
+      Obj_model.delete_ ~loc:(lc "cancel" 64) ~annotate:true retransmit_timer_class task)
     !victims;
   List.length !victims
 
@@ -163,9 +158,9 @@ let fire_due t =
             Metrics.incr m_resend;
             if attempt < max_attempts then
               schedule_attempt t ~txn_key ~attempt
-                ~delay:(Backoff.delay t.backoff ~seed:txn_key ~attempt)
+                ~delay:(Backoff.delay Backoff.default ~seed:txn_key ~attempt)
           end);
-      Obj_model.delete_ ~loc:(lc "fireDue" 90) ~annotate:t.annotate retransmit_timer_class task)
+      Obj_model.delete_ ~loc:(lc "fireDue" 90) ~annotate:true retransmit_timer_class task)
     !due
 
 let run t () =

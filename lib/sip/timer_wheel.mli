@@ -17,18 +17,16 @@ type t
 
 val create :
   alloc:Raceguard_cxxsim.Allocator.t ->
-  annotate:bool ->
   ?resend:(txn_key:int -> attempt:int -> bool) ->
-  ?backoff:Backoff.params ->
   ?recover_alloc_failure:bool ->
   housekeeping:(unit -> unit) ->
   unit ->
   t
 (** [resend ~txn_key ~attempt] must retransmit the transaction's final
     response and return whether to keep the timer armed; attempts are
-    rescheduled with [backoff] delays (seeded by [txn_key]) while the
-    budget lasts.  [recover_alloc_failure] makes the timer thread
-    swallow injected allocation failures instead of dying. *)
+    rescheduled with {!Backoff.default} delays (seeded by [txn_key])
+    while the budget lasts.  [recover_alloc_failure] makes the timer
+    thread swallow injected allocation failures instead of dying. *)
 
 val start : t -> unit
 val schedule_retransmit : t -> txn_key:int -> delay:int -> unit

@@ -51,6 +51,7 @@ type t = {
 }
 
 let create ?faults () = { endpoints = Hashtbl.create 8; faults; held = []; held_seq = 0 }
+let faults t = t.faults
 
 (** Must be called from inside the VM (it creates a semaphore). *)
 let endpoint t name =

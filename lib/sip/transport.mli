@@ -24,6 +24,11 @@ type delivery =
 
 val create : ?faults:Raceguard_faults.Injector.t -> unit -> t
 
+val faults : t -> Raceguard_faults.Injector.t option
+(** The injector the transport was created with.  The server's
+    allocator consults the same one (allocation-failure faults), so one
+    instance drives the whole plan. *)
+
 val endpoint : t -> string -> endpoint
 (** Look up or create a named endpoint (call from inside the VM: the
     first call creates its semaphore). *)

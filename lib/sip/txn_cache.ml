@@ -23,16 +23,14 @@ type t = {
       (** host-side mirror of the full response payloads (the byte
           buffers a real cache would hold in the entry); keyed like the
           VM map and updated only while holding the write lock *)
-  annotate : bool;
   mutable hit_count : int;
 }
 
-let create ~alloc ~annotate =
+let create ~alloc =
   {
     rw = Api.Rwlock.create ~loc:(lc "TxnCache" 20) "txn_cache.rwlock";
     entries = Containers.Map.create alloc;
     wires = Hashtbl.create 32;
-    annotate;
     hit_count = 0;
   }
 
@@ -76,7 +74,7 @@ let store t ~key ~status ~wire =
   match old with
   | Some o when o <> 0 ->
       (* unlinked under the write lock, private again: delete outside *)
-      Obj_model.delete_ ~loc:(lc "store" 55) ~annotate:t.annotate txn_entry_class o
+      Obj_model.delete_ ~loc:(lc "store" 55) ~annotate:true txn_entry_class o
   | _ -> ()
 
 let size t =
@@ -94,5 +92,5 @@ let destroy t =
       Containers.Map.clear t.entries;
       Hashtbl.reset t.wires);
   List.iter
-    (fun e -> Obj_model.delete_ ~loc:(lc "~TxnCache" 71) ~annotate:t.annotate txn_entry_class e)
+    (fun e -> Obj_model.delete_ ~loc:(lc "~TxnCache" 71) ~annotate:true txn_entry_class e)
     !victims

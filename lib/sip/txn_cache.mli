@@ -15,7 +15,7 @@ val txn_entry_class : Raceguard_cxxsim.Object_model.class_desc
 
 type t
 
-val create : alloc:Raceguard_cxxsim.Allocator.t -> annotate:bool -> t
+val create : alloc:Raceguard_cxxsim.Allocator.t -> t
 
 val key : call_id:string -> cseq:int -> meth:int -> int
 (** Transaction key: Call-ID × CSeq × method (CANCEL shares the

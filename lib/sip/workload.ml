@@ -45,14 +45,14 @@ let make_driver ~transport name =
 let send d wire = ignore (Transport.send d.transport ~src:d.d_name ~dst:"server" wire)
 
 (** Wait for one response and check its status code. *)
-let expect d ?(among = []) status =
+let expect d status =
   let _src, buf, len = Transport.recv d.transport d.endpoint in
   let wire = Transport.read_buffer buf len in
   Api.free ~loc:(lc "expect" 36) buf;
   d.responses <- d.responses + 1;
   let ok =
     match Sip_msg.wire_status wire with
-    | Some s -> s = status || List.mem s among
+    | Some s -> s = status
     | None -> false
   in
   if not ok then
@@ -407,30 +407,41 @@ type run_result = {
   r_requests_handled : int;
 }
 
-(** Body to execute as the VM main thread: start the server, run every
-    driver of [tc] in its own thread, join them, stop and shut down the
-    server.  Returns the oracle result. *)
-let run_test_case ~transport ~(server_config : Proxy.config) tc () =
+(** The lifecycle both test-case runners share: start the server, run
+    every driver of [tc] in its own thread, join them, stop and shut
+    down the server.  The spawn, the driver's frame and the join sit at
+    lines [line], [line + 1] and [line + 6] of [frame] — locations every
+    driver-side report stack carries. *)
+let run_drivers ~frame ~line ~transport server_config tc =
   let server = Proxy.start ~transport server_config in
   let drivers =
     List.map
       (fun (name, script) ->
         let d = make_driver ~transport name in
         let tid =
-          Api.spawn ~loc:(lc "main" 300) ~name (fun () ->
-              Api.with_frame (lc name 301) (fun () -> script d))
+          Api.spawn ~loc:(lc frame line) ~name (fun () ->
+              Api.with_frame (lc name (line + 1)) (fun () -> script d))
         in
         (d, tid))
       tc.tc_drivers
   in
-  List.iter (fun (_, tid) -> Api.join ~loc:(lc "main" 306) tid) drivers;
+  List.iter (fun (_, tid) -> Api.join ~loc:(lc frame (line + 6)) tid) drivers;
   Proxy.post_stop server;
   Proxy.shutdown server;
+  (server, List.map fst drivers)
+
+let result_of server drivers =
   {
-    r_failures = List.concat_map (fun (d, _) -> List.rev d.failures) drivers;
-    r_responses = List.fold_left (fun acc (d, _) -> acc + d.responses) 0 drivers;
+    r_failures = List.concat_map (fun d -> List.rev d.failures) drivers;
+    r_responses = List.fold_left (fun acc d -> acc + d.responses) 0 drivers;
     r_requests_handled = Proxy.requests_handled server;
   }
+
+(** Body to execute as the VM main thread: {!run_drivers} under the
+    ["main"] frame.  Returns the oracle result. *)
+let run_test_case ~transport ~(server_config : Proxy.config) tc () =
+  let server, drivers = run_drivers ~frame:"main" ~line:300 ~transport server_config tc in
+  result_of server drivers
 
 (* ------------------------------------------------------------------ *)
 (* Chaos workload: fault-tolerant UAC drivers                          *)
@@ -448,10 +459,9 @@ let run_test_case ~transport ~(server_config : Proxy.config) tc () =
 type chaos_opts = {
   co_max_attempts : int;  (** per transaction, before declaring it unanswered *)
   co_attempt_timeout : int;  (** base wait (ticks) before retransmitting *)
-  co_seed : int;  (** perturbs the per-transaction backoff jitter *)
 }
 
-let default_chaos_opts = { co_max_attempts = 8; co_attempt_timeout = 90; co_seed = 1 }
+let default_chaos_opts = { co_max_attempts = 8; co_attempt_timeout = 90 }
 
 (** Does [wire] carry a final/provisional status for transaction
     (call_id, cseq)?  [None] = not ours (stale, duplicate, garbage). *)
@@ -477,7 +487,7 @@ let resp_matches ~call_id ~cseq wire =
     Returns the final status, or [None] after [co_max_attempts]. *)
 let chaos_transact opts d ~wire ~call_id ~cseq =
   let bo = Backoff.default in
-  let jitter_seed = opts.co_seed lxor Registrar.hash_string call_id in
+  let jitter_seed = 1 lxor Registrar.hash_string call_id in
   let saw_shed = ref false in
   let rec attempt n =
     if n >= opts.co_max_attempts then begin
@@ -815,31 +825,12 @@ type chaos_run_result = {
 (** Chaos variant of {!run_test_case}: same lifecycle, hardened drivers,
     richer post-run evidence for the invariant oracles. *)
 let run_chaos_test_case ~transport ~(server_config : Proxy.config) tc () =
-  let server = Proxy.start ~transport server_config in
-  let drivers =
-    List.map
-      (fun (name, script) ->
-        let d = make_driver ~transport name in
-        let tid =
-          Api.spawn ~loc:(lc "chaos_main" 700) ~name (fun () ->
-              Api.with_frame (lc name 701) (fun () -> script d))
-        in
-        (d, tid))
-      tc.tc_drivers
-  in
-  List.iter (fun (_, tid) -> Api.join ~loc:(lc "chaos_main" 706) tid) drivers;
-  Proxy.post_stop server;
-  Proxy.shutdown server;
+  let server, drivers = run_drivers ~frame:"chaos_main" ~line:700 ~transport server_config tc in
   {
-    cr_base =
-      {
-        r_failures = List.concat_map (fun (d, _) -> List.rev d.failures) drivers;
-        r_responses = List.fold_left (fun acc (d, _) -> acc + d.responses) 0 drivers;
-        r_requests_handled = Proxy.requests_handled server;
-      };
-    cr_acked_regs = List.concat_map (fun (d, _) -> List.rev d.chaos_regs) drivers;
-    cr_shed_seen = List.fold_left (fun acc (d, _) -> acc + d.shed_seen) 0 drivers;
-    cr_unanswered = List.fold_left (fun acc (d, _) -> acc + d.unanswered) 0 drivers;
+    cr_base = result_of server drivers;
+    cr_acked_regs = List.concat_map (fun d -> List.rev d.chaos_regs) drivers;
+    cr_shed_seen = List.fold_left (fun acc d -> acc + d.shed_seen) 0 drivers;
+    cr_unanswered = List.fold_left (fun acc d -> acc + d.unanswered) 0 drivers;
     cr_bound = Proxy.bound_aors server;
     cr_sheds = Proxy.sheds server;
     cr_cache_hits = Proxy.cache_hits server;

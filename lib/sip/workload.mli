@@ -32,9 +32,9 @@ val request :
   string
 (** Build a request wire message. *)
 
-val expect : driver -> ?among:int list -> int -> unit
+val expect : driver -> int -> unit
 (** Wait for one response and record an oracle failure unless its
-    status is the expected one (or in [among]). *)
+    status is the expected one. *)
 
 (** {1 Scenario building blocks} *)
 
@@ -127,7 +127,6 @@ val run_test_case :
 type chaos_opts = {
   co_max_attempts : int;  (** per transaction, before declaring it unanswered *)
   co_attempt_timeout : int;  (** base wait (ticks) before retransmitting *)
-  co_seed : int;  (** perturbs the per-transaction backoff jitter *)
 }
 
 val default_chaos_opts : chaos_opts

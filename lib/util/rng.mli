@@ -23,7 +23,6 @@ val chance : t -> num:int -> den:int -> bool
 (** True with probability [num/den]. *)
 
 val pick : t -> 'a array -> 'a
-val pick_list : t -> 'a list -> 'a
 val shuffle_in_place : t -> 'a array -> unit
 
 val split : t -> t

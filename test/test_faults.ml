@@ -110,7 +110,7 @@ let timer_cancel_race seed =
     Engine.run vm (fun () ->
         let alloc = Raceguard_cxxsim.Allocator.create Raceguard_cxxsim.Allocator.Direct in
         let wheel =
-          Sip.Timer_wheel.create ~alloc ~annotate:false
+          Sip.Timer_wheel.create ~alloc
             ~resend:(fun ~txn_key:_ ~attempt:_ ->
               incr resends;
               true)
@@ -194,6 +194,105 @@ let test_chaos_fast_path_invariant () =
       Alcotest.(check (list string)) "violations" a.cl_violations b.cl_violations)
     r_fast.rp_cells r_slow.rp_cells
 
+(* The committed quick-grid pin that CI's par-smoke job checks at 4
+   domains, checked here sequentially: every cell's coordinates and
+   digests, in grid order, and the matrix digest. *)
+let test_chaos_committed_pin () =
+  let module Json = Raceguard_obs.Json in
+  let pin =
+    match
+      Json.parse (In_channel.with_open_bin "../ci/chaos_quick_digests.json" In_channel.input_all)
+    with
+    | Ok j -> j
+    | Error e -> Alcotest.fail ("ci/chaos_quick_digests.json: " ^ e)
+  in
+  let field key j = Option.get (Json.member key j) in
+  let str key j = Option.get (Json.to_string_opt (field key j)) in
+  let seed = int_of_float (Option.get (Json.to_float_opt (field "seed" pin))) in
+  let r = Raceguard.Chaos.run { Raceguard.Chaos.quick with seed; domains = 1 } in
+  let cell plan test resilient sig_ behavior =
+    Printf.sprintf "%s/%s/%b sig %s behaviour %s" plan test resilient sig_ behavior
+  in
+  Alcotest.(check (list string)) "cells at one domain = the committed pin"
+    (List.map
+       (fun c ->
+         cell (str "plan" c) (str "test" c) (field "resilient" c = Json.Bool true)
+           (str "sig_digest" c) (str "behavior_digest" c))
+       (Option.get (Json.to_list_opt (field "cells" pin))))
+    (List.map
+       (fun (c : Raceguard.Chaos.cell) ->
+         cell c.cl_plan c.cl_test c.cl_resilient c.cl_sig_digest c.cl_behavior_digest)
+       r.rp_cells);
+  Alcotest.(check string) "matrix digest" (str "matrix_digest" pin)
+    (Raceguard.Chaos.matrix_digest r)
+
+(* --- listener overload shedding --------------------------------------- *)
+
+(* One driver sends [n] OPTIONS back to back to a one-worker pool
+   server, then reads [n] replies.  A resilient worker answers every
+   request dequeued past the deadline with a cheap 503, so the queue
+   climbs slowly: 20 OPTIONS never reach the high-water mark at seeds
+   1–30.  At seed 1, 120 OPTIONS make the listener shed 6 of them. *)
+let options_burst ~resilient =
+  let n = 120 in
+  let result, replies =
+    Raceguard.Runner.run_main
+      { Raceguard.Runner.default with seed = 1; helgrind_configs = [] }
+      (fun () ->
+        let transport = Sip.Transport.create () in
+        let server =
+          Sip.Proxy.start ~transport
+            { Sip.Proxy.default_config with pattern = Sip.Proxy.Pool 1; resilient }
+        in
+        let d = Sip.Workload.make_driver ~transport "uac" in
+        for cseq = 1 to n do
+          Sip.Workload.send d
+            (Sip.Workload.request ~meth:Sip.Sip_msg.OPTIONS ~uri:"sip:example.com"
+               ~from:"sip:uac@example.com" ~to_:"sip:example.com"
+               ~call_id:(Printf.sprintf "burst-%d" cseq) ~cseq ())
+        done;
+        let replies = List.init n (fun _ -> Sip.Workload.recv_response d) in
+        Sip.Proxy.post_stop server;
+        Sip.Proxy.shutdown server;
+        replies)
+  in
+  Alcotest.(check string) "run stops cleanly" "clean"
+    (Engine.stop_name (Engine.stop_of result.outcome));
+  let replies = Option.get replies in
+  (* one final response per request: n replies carrying n distinct CSeqs *)
+  let cseq w =
+    match Sip.Sip_msg.wire_header w "CSeq" with
+    | Some v -> int_of_string (List.hd (String.split_on_char ' ' (String.trim v)))
+    | None -> Alcotest.failf "reply without CSeq: %s" w
+  in
+  Alcotest.(check (list int)) "one reply per request" (List.init n succ)
+    (List.sort compare (List.map cseq replies));
+  let delta name =
+    Option.value ~default:0 (Raceguard_obs.Metrics.find_counter result.metrics name)
+  in
+  (replies, delta "sip.resilience.shed", delta "sip.resilience.deadline_dropped")
+
+let test_listener_sheds () =
+  let is_503 w = Sip.Sip_msg.wire_status w = Some 503 in
+  let replies, shed, deadline = options_burst ~resilient:true in
+  let unavailable = List.filter is_503 replies in
+  Alcotest.(check (list (option string))) "every 503 carries Retry-After: 60"
+    (List.map (fun _ -> Some "60") unavailable)
+    (List.map (fun w -> Sip.Sip_msg.wire_header w "Retry-After") unavailable);
+  (* the listener's 503 echoes Call-ID and CSeq only; a deadline 503
+     also echoes From and To *)
+  let from_listener =
+    List.length (List.filter (fun w -> Sip.Sip_msg.wire_header w "From" = None) unavailable)
+  in
+  Alcotest.(check int) "listener 503s at seed 1" 6 from_listener;
+  Alcotest.(check int) "shed delta = listener 503s" from_listener shed;
+  Alcotest.(check int) "deadline delta = the other 503s"
+    (List.length unavailable - from_listener)
+    deadline;
+  let replies, shed, _ = options_burst ~resilient:false in
+  Alcotest.(check int) "legacy server: no 503" 0 (List.length (List.filter is_503 replies));
+  Alcotest.(check int) "legacy server: no shed" 0 shed
+
 (* --- chaos asymmetry ------------------------------------------------ *)
 
 let test_chaos_oom_asymmetry () =
@@ -248,6 +347,9 @@ let suite =
         test_chaos_deterministic;
       Alcotest.test_case "chaos: digests invariant under detector fast path" `Quick
         test_chaos_fast_path_invariant;
+      Alcotest.test_case "chaos: quick grid = the committed pin" `Quick test_chaos_committed_pin;
+      Alcotest.test_case "resilience: the listener sheds past the high-water mark" `Quick
+        test_listener_sheds;
       Alcotest.test_case "chaos: oom asymmetry (resilient clean, legacy breaks)" `Quick
         test_chaos_oom_asymmetry;
       Alcotest.test_case "chaos: oom cells stop as hangs, none at the budget" `Quick test_chaos_stops;

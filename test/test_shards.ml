@@ -35,7 +35,7 @@ let make_registrar ?(sharding = Registrar.Unsharded) () =
   Registrar.create ~sharding ~alloc ~stats ()
 
 let reg r ~aor ~contact =
-  ignore (Registrar.register r ~annotate:true ~aor ~contact ~cseq:1 ~expires:600)
+  ignore (Registrar.register r ~aor ~contact ~cseq:1 ~expires:600)
 
 let lookup_str r ~aor =
   match Registrar.lookup r ~aor with
@@ -202,7 +202,7 @@ let timer_under_delay seed =
       let fired = ref [] in
       let alloc = Raceguard_cxxsim.Allocator.create Raceguard_cxxsim.Allocator.Direct in
       let wheel =
-        Sip.Timer_wheel.create ~alloc ~annotate:false
+        Sip.Timer_wheel.create ~alloc
           ~resend:(fun ~txn_key ~attempt:_ ->
             fired := txn_key :: !fired;
             false)
@@ -252,12 +252,11 @@ let cancelled_timer_never_fires seed =
       in
       reg r ~aor:"vic@x" ~contact:"sip:original";
       let wheel =
-        Sip.Timer_wheel.create ~alloc ~annotate:false
+        Sip.Timer_wheel.create ~alloc
           ~resend:(fun ~txn_key:_ ~attempt:_ ->
             (* the stale refresh the cancel must suppress *)
             ignore
-              (Registrar.register r ~annotate:true ~aor:"vic@x" ~contact:"sip:stale" ~cseq:9
-                 ~expires:600);
+              (Registrar.register r ~aor:"vic@x" ~contact:"sip:stale" ~cseq:9 ~expires:600);
             false)
           ~housekeeping:(fun () -> ())
           ()

@@ -99,12 +99,10 @@ let test_registrar_lifecycle () =
         let stats = Sip.Stats.create () in
         let reg = Sip.Registrar.create ~alloc ~stats () in
         let o1 =
-          Sip.Registrar.register reg ~annotate:true ~aor:"alice@x" ~contact:"sip:a@1" ~cseq:1
-            ~expires:60
+          Sip.Registrar.register reg ~aor:"alice@x" ~contact:"sip:a@1" ~cseq:1 ~expires:60
         in
         let o2 =
-          Sip.Registrar.register reg ~annotate:true ~aor:"alice@x" ~contact:"sip:a@2" ~cseq:2
-            ~expires:60
+          Sip.Registrar.register reg ~aor:"alice@x" ~contact:"sip:a@2" ~cseq:2 ~expires:60
         in
         let found = Sip.Registrar.lookup reg ~aor:"alice@x" in
         let contact =
@@ -116,8 +114,8 @@ let test_registrar_lifecycle () =
           | None -> "<none>"
         in
         let missing = Sip.Registrar.lookup reg ~aor:"bob@x" in
-        let removed = Sip.Registrar.unregister reg ~annotate:true ~aor:"alice@x" in
-        let removed_again = Sip.Registrar.unregister reg ~annotate:true ~aor:"alice@x" in
+        let removed = Sip.Registrar.unregister reg ~aor:"alice@x" in
+        let removed_again = Sip.Registrar.unregister reg ~aor:"alice@x" in
         (o1, o2, contact, missing = None, removed, removed_again, Sip.Registrar.size reg))
   in
   let o1, o2, contact, missing, removed, removed_again, size = r in
@@ -135,14 +133,12 @@ let test_registrar_expiry () =
         let alloc = Raceguard_cxxsim.Allocator.create Raceguard_cxxsim.Allocator.Direct in
         let stats = Sip.Stats.create () in
         let reg = Sip.Registrar.create ~alloc ~stats () in
-        ignore
-          (Sip.Registrar.register reg ~annotate:true ~aor:"a@x" ~contact:"c" ~cseq:1 ~expires:0);
+        ignore (Sip.Registrar.register reg ~aor:"a@x" ~contact:"c" ~cseq:1 ~expires:0);
         (* expires:0 means unregister in SIP, but register() treats the
            caller-provided ttl; use a tiny ttl then advance the clock *)
-        ignore
-          (Sip.Registrar.register reg ~annotate:true ~aor:"b@x" ~contact:"c" ~cseq:1 ~expires:1);
+        ignore (Sip.Registrar.register reg ~aor:"b@x" ~contact:"c" ~cseq:1 ~expires:1);
         Api.sleep 500;
-        let n = Sip.Registrar.expire_stale reg ~annotate:true in
+        let n = Sip.Registrar.expire_stale reg in
         (n, Sip.Registrar.lookup reg ~aor:"b@x"))
   in
   Alcotest.(check bool) "stale bindings expired" true (expired >= 1);
@@ -160,8 +156,8 @@ let test_dialog_lifecycle () =
         let dup = Sip.Dialogs.start_call d ~caller:"a" ~callee:"b" ~call_id:"c1" ~cseq:2 in
         let confirmed = Sip.Dialogs.confirm d ~call_id:"c1" in
         let active = Sip.Dialogs.active_count d in
-        let ended = Sip.Dialogs.end_call d ~annotate:true ~call_id:"c1" in
-        let ended_again = Sip.Dialogs.end_call d ~annotate:true ~call_id:"c1" in
+        let ended = Sip.Dialogs.end_call d ~call_id:"c1" in
+        let ended_again = Sip.Dialogs.end_call d ~call_id:"c1" in
         let stray = Sip.Dialogs.confirm d ~call_id:"zzz" in
         (started, dup, confirmed, active, ended, ended_again, stray))
   in
@@ -176,7 +172,7 @@ let test_dialog_lifecycle () =
 
 (* --- full proxy functional behaviour -------------------------------------- *)
 
-let run_tc ?(server_config = { Sip.Proxy.default_config with annotate = true }) ?(seed = 3) tc =
+let run_tc ?(server_config = Sip.Proxy.default_config) ?(seed = 3) tc =
   run ~seed (fun () ->
       let transport = Sip.Transport.create () in
       Sip.Workload.run_test_case ~transport ~server_config tc ())
@@ -196,9 +192,7 @@ let test_all_cases_functionally_clean () =
 
 let test_pool_mode_functionally_clean () =
   let r =
-    run_tc
-      ~server_config:
-        { Sip.Proxy.default_config with annotate = true; pattern = Sip.Proxy.Pool 3 }
+    run_tc ~server_config:{ Sip.Proxy.default_config with pattern = Sip.Proxy.Pool 3 }
       Sip.Workload.t2
   in
   Alcotest.(check (list string)) "pool-mode oracle clean" [] r.r_failures
@@ -230,7 +224,7 @@ let has_bug bug locs =
   List.exists (fun ((r : Det.Report.t), _) -> List.mem bug (Sip.Bugs.identify r.stack)) locs
 
 let test_bug_toggles () =
-  let base = { Sip.Proxy.default_config with annotate = true; enable_watchdog = true } in
+  let base = { Sip.Proxy.default_config with enable_watchdog = true } in
   let locs = locations_with base Sip.Workload.t4 ~seed:7 in
   Alcotest.(check bool) "B1 found when watchdog on" true (has_bug Sip.Bugs.B1_watchdog locs);
   Alcotest.(check bool) "B4 found" true (has_bug Sip.Bugs.B4_returned_reference locs);
@@ -245,7 +239,7 @@ let test_bug_toggles () =
     (has_bug Sip.Bugs.B4_returned_reference fixed_ref)
 
 let test_shutdown_bug_toggle () =
-  let base = { Sip.Proxy.default_config with annotate = true } in
+  let base = Sip.Proxy.default_config in
   let racy = locations_with base Sip.Workload.t3 ~seed:7 in
   let fixed = locations_with { base with shutdown_racy = false } Sip.Workload.t3 ~seed:7 in
   Alcotest.(check bool) "B3 present with racy shutdown" true
@@ -278,10 +272,7 @@ let test_auth_challenge_flow () =
     }
   in
   let r =
-    run_tc
-      ~server_config:
-        { Sip.Proxy.default_config with annotate = true; require_auth = true }
-      auth_case
+    run_tc ~server_config:{ Sip.Proxy.default_config with require_auth = true } auth_case
   in
   Alcotest.(check (list string)) "auth flow oracle clean" [] r.r_failures
 
@@ -289,7 +280,7 @@ let test_auth_wrong_response_rejected () =
   let ok =
     run (fun () ->
         let alloc = Raceguard_cxxsim.Allocator.create Raceguard_cxxsim.Allocator.Direct in
-        let a = Sip.Auth.create ~alloc ~annotate:true in
+        let a = Sip.Auth.create ~alloc in
         let nonce = Sip.Auth.challenge a ~user:"u@x" in
         let wrong = Sip.Auth.verify a ~user:"u@x" ~response:(Sip.Auth.response_for ~nonce + 1) in
         (* the nonce is consumed even by a failed attempt: single use *)
@@ -304,7 +295,7 @@ let test_auth_wrong_response_rejected () =
 let test_history_and_routing_exercised () =
   (* white-box: the report population must include history-eviction
      destructor sites (without DR) and routing must answer lookups *)
-  let base = { Sip.Proxy.default_config with annotate = true } in
+  let base = Sip.Proxy.default_config in
   let vm = Engine.create ~config:{ Engine.default_config with seed = 7 } () in
   let hwlc = Det.Helgrind.create Det.Helgrind.hwlc in
   Engine.add_tool vm (Det.Helgrind.tool hwlc);

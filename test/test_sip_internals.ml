@@ -70,7 +70,7 @@ let test_logger_lines () =
     run (fun () ->
         let stats = Sip.Stats.create () in
         let time = Sip.Timeutil.create () in
-        let logger = Sip.Logger.create ~stats ~time ~annotate:true in
+        let logger = Sip.Logger.create ~stats ~time in
         Sip.Logger.start logger;
         Sip.Logger.log logger ~loc ~level:1 "first";
         Sip.Logger.log logger ~loc ~level:2 "second";
@@ -143,7 +143,7 @@ let test_history_eviction () =
          match e with Vm.Event.E_client { req = Vm.Eff.Destruct _; _ } -> incr frees | _ -> ()));
   let outcome =
     Engine.run vm (fun () ->
-        let h = Sip.History.create ~annotate:true ~capacity:3 in
+        let h = Sip.History.create ~capacity:3 in
         for i = 1 to 8 do
           Sip.History.record h ~src_id:i ~meth:1 ~uri:(Printf.sprintf "sip:u%d@x" i) ~outcome:200
         done;
@@ -227,8 +227,7 @@ let test_domain_data_lookups () =
     run (fun () ->
         let alloc = Raceguard_cxxsim.Allocator.create Raceguard_cxxsim.Allocator.Direct in
         let dd =
-          Sip.Domain_data.create ~alloc ~annotate:true ~init_racy:false
-            ~domains:[ "x.com"; "y.org" ] ()
+          Sip.Domain_data.create ~alloc ~init_racy:false ~domains:[ "x.com"; "y.org" ] ()
         in
         let unsafe = Sip.Domain_data.unsafe_lookup dd ~domain:"x.com" in
         let safe = Sip.Domain_data.safe_lookup dd ~domain:"y.org" in
