@@ -33,8 +33,14 @@ let () =
   let res = R.Runner.run_test_case config tc in
   (match res.oracle with
   | Some o ->
+      (* the server counts the requests it handled in the metrics
+         registry, and the run's delta carries them *)
+      let handled =
+        Option.value ~default:0
+          (Raceguard_obs.Metrics.find_counter res.metrics "sip.stats.total_requests")
+      in
       Printf.printf "functional oracle: %d requests handled, %d responses, %d failures\n"
-        o.r_requests_handled o.r_responses (List.length o.r_failures)
+        handled o.r_responses (List.length o.r_failures)
   | None -> ());
   let original = R.Runner.locations_of res "Original" in
   let hwlc = R.Runner.locations_of res "HWLC" in

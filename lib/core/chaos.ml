@@ -21,7 +21,13 @@
     does (that asymmetry is what the resilience layer buys).  Each
     cell also carries the MD5 digest of its detector-report signatures
     and of its behavioural evidence, so (seed, plan) ⇒ byte-identical
-    digests is pinned by test and CI. *)
+    digests is pinned by test and CI.
+
+    A cell's counts (faults injected, sheds, cache hits, resends, shard
+    resizes and migrations) come from one place: its run's delta of the
+    metrics registry ([Runner.result.metrics]), taken on the cell's own
+    domain.  Neither the injector nor the server keeps a count of its
+    own. *)
 
 module Vm = Raceguard_vm
 module Det = Raceguard_detector
@@ -134,7 +140,8 @@ type cell = {
   cl_sheds : int;
   cl_cache_hits : int;
   cl_retransmits : int;
-  cl_injected : Faults.Injector.counts;
+  cl_injected : (string * int) list;
+      (** (report key, count) per fault kind, in [injected_kinds] order *)
   cl_thread_failures : int;
   cl_stop : Vm.Engine.stop;  (** why the cell's run stopped *)
   cl_ops : int;  (** VM operations the run executed *)
@@ -145,6 +152,21 @@ type cell = {
   cl_shard_audit : string list;  (** {!Sip.Registrar.audit} violations *)
 }
 
+(** The fault kinds as the report names them, each with the registry
+    counter that counts it, in report order. *)
+let injected_kinds =
+  [
+    ("dropped", "faults.injected.datagram_drop");
+    ("duplicated", "faults.injected.datagram_duplicate");
+    ("delayed", "faults.injected.datagram_delay");
+    ("corrupted", "faults.injected.datagram_corrupt");
+    ("alloc_failures", "faults.injected.alloc_failure");
+    ("spawn_delays", "faults.injected.spawn_delay");
+    ("lock_delays", "faults.injected.lock_delay");
+  ]
+
+let injected_total injected = List.fold_left (fun acc (_, n) -> acc + n) 0 injected
+
 (** Final binding expectation per AOR: the last acknowledged
     REGISTER/unREGISTER wins. *)
 let final_expectations acked =
@@ -154,7 +176,7 @@ let final_expectations acked =
   |> List.sort compare
 
 let run_oracles ~(plan : Faults.Plan.t) ~sharded ~(cr : Sip.Workload.chaos_run_result)
-    ~(outcome : Vm.Engine.outcome) =
+    ~(outcome : Vm.Engine.outcome) ~sheds ~resizes ~migrations =
   let expectations = final_expectations cr.cr_acked_regs in
   let lost =
     List.filter_map
@@ -191,7 +213,7 @@ let run_oracles ~(plan : Faults.Plan.t) ~sharded ~(cr : Sip.Workload.chaos_run_r
       o_ok = cr.cr_unanswered = 0 && wrong = 0;
       o_detail =
         Printf.sprintf "%d unanswered, %d wrong finals, %d shed%s" cr.cr_unanswered wrong
-          (cr.cr_sheds + cr.cr_shed_seen) sample }
+          (sheds + cr.cr_shed_seen) sample }
   in
   let dead = outcome.Vm.Engine.deadlock <> None in
   let crashed = List.length outcome.Vm.Engine.failures in
@@ -219,7 +241,7 @@ let run_oracles ~(plan : Faults.Plan.t) ~sharded ~(cr : Sip.Workload.chaos_run_r
           o_detail =
             (if cr.cr_shard_audit = [] then
                Printf.sprintf "clean: %d shard(s), %d resize(s), %d migration(s)"
-                 cr.cr_shard_count cr.cr_resizes cr.cr_migrations
+                 cr.cr_shard_count resizes migrations
              else String.concat ", " cr.cr_shard_audit) };
       ]
 
@@ -286,22 +308,16 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
     | Some cr -> cr
     | None ->
         (* the main thread itself died (legacy server under OOM faults):
-           synthesise empty evidence; the shutdown oracle flags the cell *)
+           synthesise empty evidence; the shutdown oracle flags the cell,
+           and its counts still come from the run's metric delta *)
         {
-          Sip.Workload.cr_base =
-            { r_failures = [ "main thread did not complete" ]; r_responses = 0;
-              r_requests_handled = 0 };
+          Sip.Workload.cr_base = { r_failures = [ "main thread did not complete" ]; r_responses = 0 };
           cr_acked_regs = [];
           cr_shed_seen = 0;
           cr_unanswered = 0;
           cr_bound = [];
-          cr_sheds = 0;
-          cr_cache_hits = 0;
-          cr_retransmits = 0;
           cr_shard_audit = [];
           cr_shard_count = 1;
-          cr_resizes = 0;
-          cr_migrations = 0;
         }
   in
   (match (config.record_dir, recorder) with
@@ -313,7 +329,22 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
       in
       Det.Offline.to_file r (Filename.concat dir file)
   | _ -> ());
-  let oracles = run_oracles ~plan ~sharded ~cr ~outcome:result.Runner.outcome in
+  (* every instrument is registered at module initialisation, so each
+     name is in the delta; an unknown one is a typo, not a zero *)
+  let count name =
+    match Obs.Metrics.find_counter result.Runner.metrics name with
+    | Some n -> n
+    | None -> invalid_arg ("Chaos.run_cell: no counter " ^ name)
+  in
+  let sheds = count "sip.resilience.shed" + count "sip.resilience.deadline_dropped" in
+  let cache_hits = count "sip.resilience.retransmit_absorbed" in
+  let retransmits = count "sip.resilience.timer_resend" in
+  let resizes = count "sip.registrar.shard.resizes" in
+  let migrations = count "sip.registrar.shard.migrations" in
+  let injected = List.map (fun (key, metric) -> (key, count metric)) injected_kinds in
+  let oracles =
+    run_oracles ~plan ~sharded ~cr ~outcome:result.Runner.outcome ~sheds ~resizes ~migrations
+  in
   let violations =
     List.filter_map (fun o -> if o.o_ok then None else Some (o.o_name ^ ": " ^ o.o_detail)) oracles
   in
@@ -326,10 +357,10 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
       Printf.sprintf "unanswered=%d" cr.cr_unanswered;
       Printf.sprintf "wrong=%d" (List.length cr.cr_base.r_failures);
       Printf.sprintf "responses=%d" cr.cr_base.r_responses;
-      Printf.sprintf "sheds=%d/%d" cr.cr_sheds cr.cr_shed_seen;
-      Printf.sprintf "cache_hits=%d" cr.cr_cache_hits;
-      Printf.sprintf "retransmits=%d" cr.cr_retransmits;
-      Printf.sprintf "injected=%d" (Faults.Injector.total (Faults.Injector.counts inj));
+      Printf.sprintf "sheds=%d/%d" sheds cr.cr_shed_seen;
+      Printf.sprintf "cache_hits=%d" cache_hits;
+      Printf.sprintf "retransmits=%d" retransmits;
+      Printf.sprintf "injected=%d" (injected_total injected);
     ]
     @ (if not sharded then []
        else
@@ -337,8 +368,8 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
             untouched by the sharding feature *)
          [
            Printf.sprintf "shards=%d" cr.cr_shard_count;
-           Printf.sprintf "resizes=%d" cr.cr_resizes;
-           Printf.sprintf "migrations=%d" cr.cr_migrations;
+           Printf.sprintf "resizes=%d" resizes;
+           Printf.sprintf "migrations=%d" migrations;
            "audit=" ^ String.concat "," cr.cr_shard_audit;
          ])
     @ [
@@ -358,17 +389,17 @@ let run_cell config ~(plan : Faults.Plan.t) ~resilient (tc : Sip.Workload.test_c
     cl_unanswered = cr.cr_unanswered;
     cl_wrong_finals = List.length cr.cr_base.r_failures;
     cl_shed_seen = cr.cr_shed_seen;
-    cl_sheds = cr.cr_sheds;
-    cl_cache_hits = cr.cr_cache_hits;
-    cl_retransmits = cr.cr_retransmits;
-    cl_injected = Faults.Injector.counts inj;
+    cl_sheds = sheds;
+    cl_cache_hits = cache_hits;
+    cl_retransmits = retransmits;
+    cl_injected = injected;
     cl_thread_failures = List.length result.Runner.outcome.Vm.Engine.failures;
     cl_stop = Vm.Engine.stop_of result.Runner.outcome;
     cl_ops = result.Runner.outcome.Vm.Engine.stats.ops_executed;
     cl_sharded = sharded;
     cl_shard_count = cr.cr_shard_count;
-    cl_resizes = cr.cr_resizes;
-    cl_migrations = cr.cr_migrations;
+    cl_resizes = resizes;
+    cl_migrations = migrations;
     cl_shard_audit = cr.cr_shard_audit;
   }
 
@@ -464,7 +495,7 @@ let cell_to_json c =
       ("shed_seen", Json.int c.cl_shed_seen);
       ("cache_hits", Json.int c.cl_cache_hits);
       ("retransmits", Json.int c.cl_retransmits);
-      ("injected", Faults.Injector.counts_to_json c.cl_injected);
+      ("injected", Json.Obj (List.map (fun (key, n) -> (key, Json.int n)) c.cl_injected));
       ("thread_failures", Json.int c.cl_thread_failures);
       ("deadlocked", Json.Bool (c.cl_stop <> Vm.Engine.Clean));
       ("stop", Json.Str (Vm.Engine.stop_name c.cl_stop));
@@ -480,7 +511,7 @@ let cell_to_json c =
         ("shard_audit", Json.List (List.map (fun v -> Json.Str v) c.cl_shard_audit));
       ])
 
-let to_json ?(config = default) r =
+let to_json ~config r =
   Json.Obj
     [
       ("schema", Json.Str "raceguard-chaos/1");
@@ -511,7 +542,7 @@ let pp ppf r =
       fprintf ppf "%-12s %-4s %-4s %5d %5d %5d %5d %6d  %s@," c.cl_plan c.cl_test
         (if c.cl_resilient then "on" else "off")
         c.cl_locations c.cl_unanswered c.cl_wrong_finals (c.cl_sheds + c.cl_shed_seen)
-        (Faults.Injector.total c.cl_injected)
+        (injected_total c.cl_injected)
         (if c.cl_violations = [] then "ok" else String.concat "; " c.cl_violations))
     r.rp_cells;
   fprintf ppf "violations: %d resilient, %d baseline — %s@," r.rp_resilient_violations

@@ -58,7 +58,10 @@ type cell = {
   cl_sheds : int;
   cl_cache_hits : int;
   cl_retransmits : int;
-  cl_injected : Faults.Injector.counts;
+  cl_injected : (string * int) list;
+      (** (report key, count) for each fault kind, in the order of the
+          JSON's [injected] object; like every count of a cell, read
+          from its run's metric delta *)
   cl_thread_failures : int;
   cl_stop : Vm.Engine.stop;  (** why the cell's run stopped *)
   cl_ops : int;  (** VM operations the run executed *)
@@ -100,7 +103,8 @@ val matrix_digest : report -> string
 (** MD5 over every cell's (plan, test, resilient, signature digest,
     behaviour digest, violations) — the determinism pin. *)
 
-val to_json : ?config:config -> report -> Obs.Json.t
-(** Schema [raceguard-chaos/1]. *)
+val to_json : config:config -> report -> Obs.Json.t
+(** Schema [raceguard-chaos/1]; [config] is the one [report] ran, whose
+    plans the report lists. *)
 
 val pp : Format.formatter -> report -> unit

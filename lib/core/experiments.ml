@@ -621,8 +621,7 @@ let perf ?(seed = default_seed) ?(reps = 3) () =
   let g name = Option.value ~default:0 (Obs.Metrics.find_gauge run_metrics name) in
   let checked = m "detector.helgrind.accesses_checked" in
   let fast_hits = m "detector.helgrind.fast_path_hits" in
-  (* gauges are levels, so these read as process-global totals — the
-     same semantics Lockset.stats always had *)
+  (* gauges are levels, so these read as process-global totals *)
   let interned = g "detector.lockset.interned" in
   let memo_entries = g "detector.lockset.inter_memo_entries" in
   let memo_hits = m "detector.lockset.inter_memo_hits" in

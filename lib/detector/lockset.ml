@@ -169,14 +169,6 @@ let mem x t = match t.repr with Top -> true | Set s -> Iss.mem x s
 let cardinal t = match t.repr with Top -> max_int | Set s -> Iss.cardinal s
 let to_list t = match t.repr with Top -> None | Set s -> Some (Iss.to_list s)
 
-let interned_count () = (store ()).next_id - 2
-
-let stats () =
-  ( interned_count (),
-    Memo.length (store ()).inter_memo,
-    Metrics.counter_value m_memo_hits,
-    Metrics.counter_value m_memo_misses )
-
 let pp ~name_of ppf t =
   match t.repr with
   | Top -> Fmt.string ppf "<all locks>"

@@ -37,11 +37,4 @@ val cardinal : t -> int
 val to_list : t -> int list option
 (** [None] for [Top]. *)
 
-val interned_count : unit -> int
-(** Distinct sets interned so far (process-global). *)
-
-val stats : unit -> int * int * int * int
-(** [(interned sets, memoised intersections, memo hits, memo misses)]
-    — process-global counters for the perf experiment and bench. *)
-
 val pp : name_of:(int -> string) -> Format.formatter -> t -> unit

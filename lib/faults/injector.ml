@@ -1,6 +1,5 @@
 module Rng = Raceguard_util.Rng
 module Metrics = Raceguard_obs.Metrics
-module Json = Raceguard_obs.Json
 
 exception Out_of_memory
 
@@ -19,17 +18,11 @@ type t = {
   rng_spawn : Rng.t;
   rng_lock : Rng.t;
   mutable allocs_seen : int;
-  mutable n_dropped : int;
-  mutable n_duplicated : int;
-  mutable n_delayed : int;
-  mutable n_corrupted : int;
-  mutable n_alloc_failures : int;
-  mutable n_spawn_delays : int;
-  mutable n_lock_delays : int;
 }
 
-(* Process-wide registry counters: one per category, shared by every
-   injector instance (per-run deltas come from Metrics.diff). *)
+(* The only count of what fired: one registry counter per category,
+   shared by every injector instance.  A run's counts are its
+   Metrics.diff delta (Runner.result.metrics). *)
 let m_dropped = Metrics.counter "faults.injected.datagram_drop"
 let m_duplicated = Metrics.counter "faults.injected.datagram_duplicate"
 let m_delayed = Metrics.counter "faults.injected.datagram_delay"
@@ -60,13 +53,6 @@ let create ~seed ~plan =
     rng_spawn;
     rng_lock;
     allocs_seen = 0;
-    n_dropped = 0;
-    n_duplicated = 0;
-    n_delayed = 0;
-    n_corrupted = 0;
-    n_alloc_failures = 0;
-    n_spawn_delays = 0;
-    n_lock_delays = 0;
   }
 
 let plan t = t.i_plan
@@ -84,27 +70,22 @@ let datagram t =
     (* One category per datagram, checked in fixed order; each check
        consumes from the same stream so outcomes stay reproducible. *)
     if roll t.rng_datagram d.Plan.drop then begin
-      t.n_dropped <- t.n_dropped + 1;
       Metrics.incr m_dropped;
       Drop
     end
     else if roll t.rng_datagram d.Plan.duplicate then begin
-      t.n_duplicated <- t.n_duplicated + 1;
       Metrics.incr m_duplicated;
       Duplicate
     end
     else if roll t.rng_datagram d.Plan.delay then begin
-      t.n_delayed <- t.n_delayed + 1;
       Metrics.incr m_delayed;
       Delay_by (ticks_in t.rng_datagram d.Plan.delay_ticks)
     end
     else if roll t.rng_datagram d.Plan.reorder then begin
-      t.n_delayed <- t.n_delayed + 1;
       Metrics.incr m_delayed;
       Delay_by (ticks_in t.rng_datagram d.Plan.delay_ticks)
     end
     else if roll t.rng_datagram d.Plan.corrupt then begin
-      t.n_corrupted <- t.n_corrupted + 1;
       Metrics.incr m_corrupted;
       Corrupt_with (1 + Rng.int t.rng_datagram 255)
     end
@@ -117,7 +98,6 @@ let alloc_fails t =
     t.allocs_seen <- t.allocs_seen + 1;
     if t.allocs_seen <= t.i_plan.Plan.p_alloc_failure_after then false
     else if roll t.rng_alloc t.i_plan.Plan.p_alloc_failure then begin
-      t.n_alloc_failures <- t.n_alloc_failures + 1;
       Metrics.incr m_alloc;
       true
     end
@@ -127,7 +107,6 @@ let alloc_fails t =
 let spawn_delay t =
   if t.i_off || not (roll t.rng_spawn t.i_plan.Plan.p_spawn_delay) then 0
   else begin
-    t.n_spawn_delays <- t.n_spawn_delays + 1;
     Metrics.incr m_spawn;
     ticks_in t.rng_spawn t.i_plan.Plan.p_spawn_delay_ticks
   end
@@ -135,7 +114,6 @@ let spawn_delay t =
 let lock_delay t =
   if t.i_off || not (roll t.rng_lock t.i_plan.Plan.p_lock_delay) then 0
   else begin
-    t.n_lock_delays <- t.n_lock_delays + 1;
     Metrics.incr m_lock;
     ticks_in t.rng_lock t.i_plan.Plan.p_lock_delay_ticks
   end
@@ -153,40 +131,3 @@ let corrupt_wire ~key wire =
     done
   end;
   Bytes.to_string b
-
-type counts = {
-  c_dropped : int;
-  c_duplicated : int;
-  c_delayed : int;
-  c_corrupted : int;
-  c_alloc_failures : int;
-  c_spawn_delays : int;
-  c_lock_delays : int;
-}
-
-let counts t =
-  {
-    c_dropped = t.n_dropped;
-    c_duplicated = t.n_duplicated;
-    c_delayed = t.n_delayed;
-    c_corrupted = t.n_corrupted;
-    c_alloc_failures = t.n_alloc_failures;
-    c_spawn_delays = t.n_spawn_delays;
-    c_lock_delays = t.n_lock_delays;
-  }
-
-let total c =
-  c.c_dropped + c.c_duplicated + c.c_delayed + c.c_corrupted
-  + c.c_alloc_failures + c.c_spawn_delays + c.c_lock_delays
-
-let counts_to_json c =
-  Json.Obj
-    [
-      ("dropped", Json.int c.c_dropped);
-      ("duplicated", Json.int c.c_duplicated);
-      ("delayed", Json.int c.c_delayed);
-      ("corrupted", Json.int c.c_corrupted);
-      ("alloc_failures", Json.int c.c_alloc_failures);
-      ("spawn_delays", Json.int c.c_spawn_delays);
-      ("lock_delays", Json.int c.c_lock_delays);
-    ]

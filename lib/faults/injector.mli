@@ -4,9 +4,17 @@
     from its own [Util.Rng] stream (derived with [Rng.split] from the
     run seed and the plan name), so consulting one category never
     perturbs another — and, crucially, never perturbs the scheduler's
-    stream.  Every "did it fire?" outcome is counted, both in the
-    process-wide metrics registry ([faults.injected.*]) and in
-    per-instance counters the chaos oracles read as ground truth. *)
+    stream.
+
+    Every "did it fire?" outcome is counted once, in the metrics
+    registry: [faults.injected.datagram_drop], [datagram_duplicate],
+    [datagram_delay] (reorders included), [datagram_corrupt],
+    [alloc_failure], [spawn_delay] and [lock_delay].  The instance
+    keeps no counts of its own: a run's counts are its metric delta
+    ({!Raceguard_obs.Metrics.diff}, which [Runner.run_main] returns as
+    [result.metrics]), and the chaos cells and perfbench read them
+    there.  The per-instance [counts] record, [total] and
+    [counts_to_json] that once mirrored these counters are gone. *)
 
 exception Out_of_memory
 (** Raised by the allocator when an allocation-failure fault fires. *)
@@ -47,19 +55,3 @@ val lock_delay : t -> int
 val corrupt_wire : key:int -> string -> string
 (** Deterministically mangle a payload: flips bytes chosen by [key].
     Pure — exposed for tests. *)
-
-(** Ground truth for oracles and reports: *)
-
-type counts = {
-  c_dropped : int;
-  c_duplicated : int;
-  c_delayed : int;
-  c_corrupted : int;
-  c_alloc_failures : int;
-  c_spawn_delays : int;
-  c_lock_delays : int;
-}
-
-val counts : t -> counts
-val total : counts -> int
-val counts_to_json : counts -> Raceguard_obs.Json.t

@@ -130,8 +130,6 @@ type t = {
   mutable listener : int;
   mutable workers : int list;  (** per-request worker tids *)
   pool : Raceguard_vm.Thread_pool.t option ref;
-  mutable requests_handled : int;
-  mutable sheds : int;  (** host-side mirror: 503s sent by overload control *)
 }
 
 let stop_wire = "__STOP__"
@@ -336,7 +334,6 @@ let process_request t ~src_id ~buf ~len ~born =
   (match t.watchdog with Some w -> Watchdog.before_lock w | None -> ());
   let src = t.sources.(src_id) in
   Stats.incr_total_requests t.stats;
-  t.requests_handled <- t.requests_handled + 1;
   (match Sip_msg.parse_request buf len with
   | exception Sip_msg.Parse_error why ->
       Stats.incr_parse_errors t.stats;
@@ -362,7 +359,6 @@ let process_request t ~src_id ~buf ~len ~born =
         (* the client has long since retransmitted or given up: answer
            cheaply and deliberately instead of doing stale work *)
         Metrics.incr m_deadline_dropped;
-        t.sheds <- t.sheds + 1;
         ignore
           (Transport.send t.transport ~src:"server" ~dst:src
              (unavailable_wire w ~retry_after));
@@ -446,7 +442,6 @@ let src_id_of t name =
     listener and never enqueue the work. *)
 let shed_datagram t ~src wire_peek =
   Metrics.incr m_shed;
-  t.sheds <- t.sheds + 1;
   let header name default =
     match Sip_msg.wire_header wire_peek name with Some v -> v | None -> default
   in
@@ -592,8 +587,6 @@ let start ~transport config =
       listener = -1;
       workers = [];
       pool = ref None;
-      requests_handled = 0;
-      sheds = 0;
     }
   in
   resend_ref :=
@@ -660,12 +653,6 @@ let shutdown t =
       Watchdog.join w
   | None -> ()
 
-let requests_handled t = t.requests_handled
-let sheds t = t.sheds
-let cache_hits t = match t.txn_cache with Some c -> Txn_cache.hits c | None -> 0
-let retransmits t = Timer_wheel.resent t.timer
 let bound_aors t = Registrar.bound_aors t.registrar
 let registrar_audit t = Registrar.audit t.registrar
 let registrar_shard_count t = Registrar.shard_count t.registrar
-let registrar_resizes t = Registrar.resizes t.registrar
-let registrar_migrations t = Registrar.migrations t.registrar

@@ -13,7 +13,16 @@
     shedding with 503 + Retry-After.  Their profile is fixed: the
     listener sheds once the pool queue is 4 deep, a request older than
     400 ticks when dequeued is answered 503, and every deliberate 503
-    carries [Retry-After: 60]. *)
+    carries [Retry-After: 60].
+
+    The server keeps no counts of its own.  Requests
+    ([sip.stats.total_requests]), sheds ([sip.resilience.shed] and
+    [sip.resilience.deadline_dropped]), cache hits
+    ([sip.resilience.retransmit_absorbed]), 200 resends
+    ([sip.resilience.timer_resend]) and shard moves
+    ([sip.registrar.shard.resizes] and [.migrations]) are counted once,
+    in the metrics registry; read a run's counts from its metric
+    delta. *)
 
 module Refstring = Raceguard_cxxsim.Refstring
 module Allocator = Raceguard_cxxsim.Allocator
@@ -64,17 +73,6 @@ val shutdown : t -> unit
 (** Join workers and service threads and tear the server down —
     in the racy order when [config.shutdown_racy]. *)
 
-val requests_handled : t -> int
-
-val sheds : t -> int
-(** 503s deliberately sent by overload control (high-water + deadline). *)
-
-val cache_hits : t -> int
-(** Retransmissions absorbed by the response cache. *)
-
-val retransmits : t -> int
-(** Timer-driven 200 retransmissions sent while awaiting ACK. *)
-
 val bound_aors : t -> string list
 (** Currently bound AORs (host-side mirror; safe after shutdown) — the
     chaos runner's lost-registration oracle. *)
@@ -84,8 +82,6 @@ val registrar_audit : t -> string list
     oracle evidence (host-side, safe after shutdown). *)
 
 val registrar_shard_count : t -> int
-val registrar_resizes : t -> int
-val registrar_migrations : t -> int
 
 (** {1 Exposed for white-box tests} *)
 

@@ -133,8 +133,6 @@ type striped = {
   mutable st_lock_pairs : (int * int) list;
       (** (outer, inner) shard-index pairs of every nested two-lock
           transfer, audited for lower-index-first ordering *)
-  mutable st_resizes : int;
-  mutable st_migrations : int;
 }
 
 type mode =
@@ -228,8 +226,6 @@ let create ?(sharding = Unsharded) ~alloc ~stats () =
               st_max = max initial max_shards;
               st_host_count = initial;
               st_lock_pairs = [];
-              st_resizes = 0;
-              st_migrations = 0;
             },
           flavor = Resilient )
   in
@@ -301,7 +297,6 @@ let grow_locked t st ~loc =
   let n = st.st_host_count in
   if 2 * n > st.st_max then false
   else begin
-    st.st_resizes <- st.st_resizes + 1;
     Metrics.incr m_resizes;
     let fresh = Array.init n (fun i -> make_shard ~alloc:t.alloc ~index:(n + i)) in
     st.st_shards <- Array.append st.st_shards fresh;
@@ -321,7 +316,6 @@ let grow_locked t st ~loc =
             (fun (k, b) ->
               ignore (Containers.Map.remove src.sh_map k);
               Containers.Map.insert dst.sh_map k b;
-              st.st_migrations <- st.st_migrations + 1;
               Metrics.incr m_migrations;
               let mk = mirror_key_of_key t k in
               match Hashtbl.find_opt src.sh_mirror mk with
@@ -363,7 +357,6 @@ let grow_locked t st ~loc =
           List.iter
             (fun (k, b, mk, v) ->
               Containers.Map.insert dst.sh_map k b;
-              st.st_migrations <- st.st_migrations + 1;
               Metrics.incr m_migrations;
               (* faithfully mirror the clobbering insert: if a refresh
                  raced its own binding into [dst] meanwhile, the stale
@@ -591,8 +584,6 @@ let bound_aors t =
 (* ------------------------------------------------------------------ *)
 
 let shard_count t = match t.mode with Single _ -> 1 | Striped st -> st.st_host_count
-let resizes t = match t.mode with Single _ -> 0 | Striped st -> st.st_resizes
-let migrations t = match t.mode with Single _ -> 0 | Striped st -> st.st_migrations
 
 (** Which shard an AOR routes to at the current shard count (host-side,
     no VM traffic) — the router function the qcheck properties pin. *)

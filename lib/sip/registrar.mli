@@ -85,8 +85,9 @@ val rebalance : t -> bool
     required); [false] on an unsharded registrar or at [max_shards]. *)
 
 val shard_count : t -> int
-val resizes : t -> int
-val migrations : t -> int
+(** The current shard count, which routing reads.  Resizes and
+    migrations are counted only in the metrics registry
+    ([sip.registrar.shard.resizes] and [.migrations]). *)
 
 val route : t -> aor:string -> int
 (** Which shard the AOR routes to at the current shard count

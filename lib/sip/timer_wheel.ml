@@ -57,8 +57,6 @@ type t = {
           dying (the resilient server's behaviour) *)
   mutable thread : int;
   mutable fired : int;
-  mutable resent : int;
-  mutable cancelled : int;
 }
 
 let create ~alloc ?resend ?(recover_alloc_failure = false) ~housekeeping () =
@@ -71,8 +69,6 @@ let create ~alloc ?resend ?(recover_alloc_failure = false) ~housekeeping () =
     recover_alloc_failure;
     thread = -1;
     fired = 0;
-    resent = 0;
-    cancelled = 0;
   }
 
 let schedule_attempt t ~txn_key ~delay ~attempt =
@@ -112,7 +108,6 @@ let cancel t ~txn_key =
       done);
   List.iter
     (fun task ->
-      t.cancelled <- t.cancelled + 1;
       Metrics.incr m_cancelled;
       Obj_model.delete_ ~loc:(lc "cancel" 64) ~annotate:true retransmit_timer_class task)
     !victims;
@@ -154,7 +149,6 @@ let fire_due t =
           let attempt = attempts + 1 in
           let keep_armed = resend ~txn_key ~attempt in
           if keep_armed then begin
-            t.resent <- t.resent + 1;
             Metrics.incr m_resend;
             if attempt < max_attempts then
               schedule_attempt t ~txn_key ~attempt
@@ -184,5 +178,3 @@ let start t = t.thread <- Api.spawn ~loc:(lc "start" 102) ~name:"timer-wheel" (r
 let stop t = ignore (Api.atomic_rmw ~loc:(lc "stop" 103) t.stop_flag (fun _ -> 1))
 let join t = if t.thread >= 0 then Api.join ~loc:(lc "join" 104) t.thread
 let fired t = t.fired
-let resent t = t.resent
-let cancelled t = t.cancelled

@@ -38,5 +38,6 @@ val cancel : t -> txn_key:int -> int
 val stop : t -> unit
 val join : t -> unit
 val fired : t -> int
-val resent : t -> int
-val cancelled : t -> int
+(** Tasks fired so far.  Resends and cancellations are counted only in
+    the metrics registry ([sip.resilience.timer_resend] and
+    [timer_cancelled]). *)

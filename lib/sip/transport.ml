@@ -32,7 +32,6 @@ type endpoint = {
   name : string;
   inbox : (string * string) Queue.t;  (** (source, wire) — host level *)
   ready : Api.Sem.t;
-  mutable dropped : int;
 }
 
 type delivery =
@@ -63,7 +62,6 @@ let endpoint t name =
           name;
           inbox = Queue.create ();
           ready = Api.Sem.create ~loc:(lc "socket" 10) ~init:0 (name ^ ".sock");
-          dropped = 0;
         }
       in
       Hashtbl.replace t.endpoints name ep;
@@ -111,7 +109,6 @@ let send t ~src ~dst wire =
               deliver ep ~src wire;
               Delivered
           | Injector.Drop ->
-              ep.dropped <- ep.dropped + 1;
               Metrics.incr m_fault_dropped;
               Dropped_fault
           | Injector.Duplicate ->

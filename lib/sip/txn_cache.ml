@@ -23,7 +23,6 @@ type t = {
       (** host-side mirror of the full response payloads (the byte
           buffers a real cache would hold in the entry); keyed like the
           VM map and updated only while holding the write lock *)
-  mutable hit_count : int;
 }
 
 let create ~alloc =
@@ -31,7 +30,6 @@ let create ~alloc =
     rw = Api.Rwlock.create ~loc:(lc "TxnCache" 20) "txn_cache.rwlock";
     entries = Containers.Map.create alloc;
     wires = Hashtbl.create 32;
-    hit_count = 0;
   }
 
 let key ~call_id ~cseq ~meth =
@@ -48,7 +46,6 @@ let lookup t ~key =
           ignore
             (Api.atomic_incr ~loc:(lc "lookup" 34)
                (entry + Obj_model.field_offset txn_entry_class "hits"));
-          t.hit_count <- t.hit_count + 1;
           Metrics.incr m_hits;
           Hashtbl.find_opt t.wires key
       | _ -> None)
@@ -80,8 +77,6 @@ let store t ~key ~status ~wire =
 let size t =
   Api.Rwlock.with_rdlock ~loc:(lc "size" 60) t.rw (fun () ->
       Containers.Map.size t.entries)
-
-let hits t = t.hit_count
 
 let destroy t =
   let loc = lc "~TxnCache" 66 in

@@ -23,14 +23,14 @@ val key : call_id:string -> cseq:int -> meth:int -> int
 
 val lookup : t -> key:int -> string option
 (** The cached final response wire, if this transaction already
-    completed (read lock + atomic hit count). *)
+    completed (read lock + atomic hit count).  Each hit is counted in
+    the metrics registry as [sip.resilience.retransmit_absorbed]. *)
 
 val store : t -> key:int -> status:int -> wire:string -> unit
 (** Record a transaction's final response (write lock; replaces any
     previous entry, deleting it outside the lock). *)
 
 val size : t -> int
-val hits : t -> int  (** host-side mirror of total lookup hits *)
 
 val destroy : t -> unit
 (** Delete every entry (server shutdown). *)

@@ -404,7 +404,6 @@ let all_test_cases = [ t1; t2; t3; t4; t5; t6; t7; t8 ]
 type run_result = {
   r_failures : string list;  (** oracle violations across all drivers *)
   r_responses : int;
-  r_requests_handled : int;
 }
 
 (** The lifecycle both test-case runners share: start the server, run
@@ -430,18 +429,17 @@ let run_drivers ~frame ~line ~transport server_config tc =
   Proxy.shutdown server;
   (server, List.map fst drivers)
 
-let result_of server drivers =
+let result_of drivers =
   {
     r_failures = List.concat_map (fun d -> List.rev d.failures) drivers;
     r_responses = List.fold_left (fun acc d -> acc + d.responses) 0 drivers;
-    r_requests_handled = Proxy.requests_handled server;
   }
 
 (** Body to execute as the VM main thread: {!run_drivers} under the
     ["main"] frame.  Returns the oracle result. *)
 let run_test_case ~transport ~(server_config : Proxy.config) tc () =
-  let server, drivers = run_drivers ~frame:"main" ~line:300 ~transport server_config tc in
-  result_of server drivers
+  let _, drivers = run_drivers ~frame:"main" ~line:300 ~transport server_config tc in
+  result_of drivers
 
 (* ------------------------------------------------------------------ *)
 (* Chaos workload: fault-tolerant UAC drivers                          *)
@@ -811,15 +809,10 @@ type chaos_run_result = {
   cr_shed_seen : int;  (** 503s received by drivers *)
   cr_unanswered : int;  (** transactions with no final after all retries *)
   cr_bound : string list;  (** server-side bound AORs after shutdown *)
-  cr_sheds : int;  (** server-side deliberate 503 count *)
-  cr_cache_hits : int;  (** retransmissions absorbed by the cache *)
-  cr_retransmits : int;  (** timer-driven 200 retransmissions *)
   cr_shard_audit : string list;
       (** {!Registrar.audit} violations after shutdown (empty when the
           registrar kept its invariants — always, when unsharded) *)
   cr_shard_count : int;  (** final shard count (1 when unsharded) *)
-  cr_resizes : int;  (** online shard-doublings performed *)
-  cr_migrations : int;  (** bindings moved shard-to-shard *)
 }
 
 (** Chaos variant of {!run_test_case}: same lifecycle, hardened drivers,
@@ -827,18 +820,13 @@ type chaos_run_result = {
 let run_chaos_test_case ~transport ~(server_config : Proxy.config) tc () =
   let server, drivers = run_drivers ~frame:"chaos_main" ~line:700 ~transport server_config tc in
   {
-    cr_base = result_of server drivers;
+    cr_base = result_of drivers;
     cr_acked_regs = List.concat_map (fun d -> List.rev d.chaos_regs) drivers;
     cr_shed_seen = List.fold_left (fun acc d -> acc + d.shed_seen) 0 drivers;
     cr_unanswered = List.fold_left (fun acc d -> acc + d.unanswered) 0 drivers;
     cr_bound = Proxy.bound_aors server;
-    cr_sheds = Proxy.sheds server;
-    cr_cache_hits = Proxy.cache_hits server;
-    cr_retransmits = Proxy.retransmits server;
     cr_shard_audit = Proxy.registrar_audit server;
     cr_shard_count = Proxy.registrar_shard_count server;
-    cr_resizes = Proxy.registrar_resizes server;
-    cr_migrations = Proxy.registrar_migrations server;
   }
 
 (* ------------------------------------------------------------------ *)

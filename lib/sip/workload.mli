@@ -108,7 +108,6 @@ val all_test_cases : test_case list
 type run_result = {
   r_failures : string list;  (** oracle violations across all drivers *)
   r_responses : int;
-  r_requests_handled : int;
 }
 
 val run_test_case :
@@ -143,15 +142,10 @@ type chaos_run_result = {
   cr_shed_seen : int;  (** 503s received by drivers *)
   cr_unanswered : int;  (** transactions with no final after all retries *)
   cr_bound : string list;  (** server-side bound AORs after shutdown *)
-  cr_sheds : int;  (** server-side deliberate 503 count *)
-  cr_cache_hits : int;  (** retransmissions absorbed by the cache *)
-  cr_retransmits : int;  (** timer-driven 200 retransmissions *)
   cr_shard_audit : string list;
       (** {!Registrar.audit} violations after shutdown (empty when the
           registrar kept its invariants — always, when unsharded) *)
   cr_shard_count : int;  (** final shard count (1 when unsharded) *)
-  cr_resizes : int;  (** online shard-doublings performed *)
-  cr_migrations : int;  (** bindings moved shard-to-shard *)
 }
 
 val run_chaos_test_case :

@@ -174,9 +174,7 @@ let pp_deadlock ppf d =
 
 type run_stats = {
   ops_executed : int;
-  scheduler_switches : int;
   threads_created : int;
-  final_clock : int;
   memory_allocs : int;
   memory_live_words : int;
 }
@@ -1046,9 +1044,7 @@ let run t main =
     stats =
       {
         ops_executed = t.ops;
-        scheduler_switches = t.switches;
         threads_created = Growvec.length t.threads;
-        final_clock = t.clock;
         memory_allocs = Memory.total_allocs t.memory;
         memory_live_words = Memory.live_words t.memory;
       };

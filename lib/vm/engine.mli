@@ -64,9 +64,7 @@ val pp_deadlock : Format.formatter -> deadlock -> unit
 
 type run_stats = {
   ops_executed : int;
-  scheduler_switches : int;
   threads_created : int;
-  final_clock : int;
   memory_allocs : int;
   memory_live_words : int;
 }

@@ -64,6 +64,8 @@ let qc_corrupt_wire_pure =
       a = b && String.length a = String.length wire)
 
 let test_injector_off_is_noop () =
+  let module Metrics = Raceguard_obs.Metrics in
+  let before = Metrics.snapshot () in
   let inj = Faults.Injector.create ~seed:1 ~plan:Faults.Plan.none in
   Alcotest.(check bool) "off" true (Faults.Injector.is_off inj);
   for _ = 1 to 100 do
@@ -74,8 +76,17 @@ let test_injector_off_is_noop () =
     Alcotest.(check int) "no spawn delay" 0 (Faults.Injector.spawn_delay inj);
     Alcotest.(check int) "no lock delay" 0 (Faults.Injector.lock_delay inj)
   done;
-  Alcotest.(check int) "nothing counted" 0
-    (Faults.Injector.total (Faults.Injector.counts inj))
+  (* the registry is the injector's only count: no faults.injected.*
+     counter may have moved *)
+  let injected =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"faults.injected." name)
+      (Metrics.diff ~before (Metrics.snapshot ())).s_counters
+  in
+  Alcotest.(check int) "seven fault counters" 7 (List.length injected);
+  Alcotest.(check (list (pair string int))) "nothing counted"
+    (List.map (fun (name, _) -> (name, 0)) injected)
+    injected
 
 let test_injector_deterministic_stream () =
   let drain seed =
@@ -100,12 +111,13 @@ let test_injector_deterministic_stream () =
 
 (* Schedule a retransmission, then cancel it from another thread while
    the timer thread may be firing it.  Whatever the interleaving: the
-   run ends cleanly, the attempt budget is respected, and the resend
-   count the wheel reports equals the number of callback invocations. *)
+   run ends cleanly, the attempt budget is respected, and the run's
+   timer_resend delta equals the number of callback invocations. *)
 let timer_cancel_race seed =
+  let module Metrics = Raceguard_obs.Metrics in
   let vm = Engine.create ~config:{ Engine.default_config with seed } () in
   let resends = ref 0 in
-  let result = ref None in
+  let before = Metrics.snapshot () in
   let outcome =
     Engine.run vm (fun () ->
         let alloc = Raceguard_cxxsim.Allocator.create Raceguard_cxxsim.Allocator.Direct in
@@ -127,15 +139,17 @@ let timer_cancel_race seed =
         Api.join ~loc canceller;
         Api.sleep 30;
         Sip.Timer_wheel.stop wheel;
-        Sip.Timer_wheel.join wheel;
-        result := Some (Sip.Timer_wheel.resent wheel, Sip.Timer_wheel.cancelled wheel))
+        Sip.Timer_wheel.join wheel)
   in
+  let delta = Metrics.diff ~before (Metrics.snapshot ()) in
+  let count name = Option.get (Metrics.find_counter delta name) in
   (match outcome.Engine.failures with
   | [] -> ()
   | (_, name, e) :: _ -> Alcotest.failf "thread %s raised %s" name (Printexc.to_string e));
   Alcotest.(check bool) "no deadlock" true (outcome.Engine.deadlock = None);
-  let resent, cancelled = Option.get !result in
-  Alcotest.(check int) "resend callback count matches the wheel's" !resends resent;
+  let resent = count "sip.resilience.timer_resend" in
+  let cancelled = count "sip.resilience.timer_cancelled" in
+  Alcotest.(check int) "resend callback count matches the timer_resend delta" !resends resent;
   Alcotest.(check bool) "attempt budget respected" true
     (resent <= Sip.Timer_wheel.max_attempts);
   Alcotest.(check bool) "cancel accounted" true (cancelled >= 0);
@@ -310,7 +324,7 @@ let test_chaos_oom_asymmetry () =
   let off = Raceguard.Chaos.run_cell config ~plan ~resilient:false tc in
   Alcotest.(check (list string)) "resilient cell violation-free" [] on.cl_violations;
   Alcotest.(check bool) "faults actually injected" true
-    (Faults.Injector.total on.cl_injected > 0);
+    (List.exists (fun (_, n) -> n > 0) on.cl_injected);
   Alcotest.(check bool) "legacy cell demonstrably violates" true (off.cl_violations <> [])
 
 (* --- why each cell's run stopped -------------------------------------- *)
@@ -320,7 +334,14 @@ let test_chaos_stops () =
      workers die hang with the logger, reloader and timer wheel still
      cycling, and stop as a hang long before the 4M-op budget; no cell
      reaches the budget, and every resilient cell finishes cleanly *)
+  let module Json = Raceguard_obs.Json in
   let r = Raceguard.Chaos.run Raceguard.Chaos.default in
+  (* the whole seed-7 report, every count field included (the per-kind
+     injected object, shed_server, cache_hits, retransmits, ops, stop):
+     the matrix digest covers counts only as behaviour-line totals *)
+  Alcotest.(check string) "seed-7 chaos JSON pinned" "0a955a7487b73878e31a9e83d86cc751"
+    (Digest.to_hex
+       (Digest.string (Json.to_string (Raceguard.Chaos.to_json ~config:Raceguard.Chaos.default r))));
   List.iter
     (fun (c : Raceguard.Chaos.cell) ->
       let key = Printf.sprintf "%s/%s/%s" c.cl_plan c.cl_test (if c.cl_resilient then "res" else "base") in

@@ -197,8 +197,10 @@ let qc_rebalance_union =
 let shard_plan name = Option.get (Faults.Plan.lookup name)
 
 let timer_under_delay seed =
+  let module Metrics = Raceguard_obs.Metrics in
   let inj = Faults.Injector.create ~seed ~plan:(shard_plan "shard-quake") in
   run ~seed ~faults:inj (fun () ->
+      let before = Metrics.snapshot () in
       let fired = ref [] in
       let alloc = Raceguard_cxxsim.Allocator.create Raceguard_cxxsim.Allocator.Direct in
       let wheel =
@@ -222,7 +224,10 @@ let timer_under_delay seed =
       Api.sleep 60;
       Sip.Timer_wheel.stop wheel;
       Sip.Timer_wheel.join wheel;
-      (List.rev !fired, Sip.Timer_wheel.fired wheel, Sip.Timer_wheel.cancelled wheel))
+      let delta = Metrics.diff ~before (Metrics.snapshot ()) in
+      ( List.rev !fired,
+        Sip.Timer_wheel.fired wheel,
+        Metrics.find_counter delta "sip.resilience.timer_cancelled" ))
 
 let test_timer_delay_deterministic () =
   List.iter
