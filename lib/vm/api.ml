@@ -1,25 +1,23 @@
 (** Operations available {e inside} simulated threads.
 
     These are the "system calls" of the VM: a simulated application is
-    ordinary OCaml code calling these functions.  Each call suspends
-    the fiber and hands control to the scheduler, so every call is a
-    potential preemption point — the granularity at which Valgrind's
-    serialised execution can interleave threads.
+    ordinary OCaml code calling these functions.  Each is a plain call
+    into {!Engine.Op} on the calling thread's fiber, and each ends in a
+    scheduling decision, so every call is a potential preemption point —
+    the granularity at which Valgrind's serialised execution can
+    interleave threads.
 
     All functions taking [~loc] record the (pseudo) source position for
     race reports; use {!with_frame} to maintain the simulated call
     stack. *)
 
 module Loc = Raceguard_util.Loc
-open Eff
+
+(* read, write, atomic_rmw, alloc, free, spawn, join, self, yield,
+   sleep, now, random_int, push_frame and pop_frame keep their names *)
+include Engine.Op
 
 (* --- memory ------------------------------------------------------- *)
-
-let read ~loc addr = perform (Read { addr; loc })
-let write ~loc addr value = perform (Write { addr; value; loc })
-
-(** [LOCK]-prefixed read-modify-write; returns the old value. *)
-let atomic_rmw ~loc addr f = perform (Atomic_rmw { addr; f; loc })
 
 let atomic_incr ~loc addr = atomic_rmw ~loc addr (fun v -> v + 1)
 let atomic_decr ~loc addr = atomic_rmw ~loc addr (fun v -> v - 1)
@@ -28,28 +26,15 @@ let atomic_cas ~loc addr ~expected ~desired =
   let old = atomic_rmw ~loc addr (fun v -> if v = expected then desired else v) in
   old = expected
 
-let alloc ~loc len = perform (Alloc { len; loc })
-let free ~loc addr = perform (Free { addr; loc })
-
-(* --- threads ------------------------------------------------------ *)
-
-let spawn ~loc ~name body = perform (Spawn { name; body; loc })
-let join ~loc tid = perform (Join { tid; loc })
-let self () = perform Self
-let yield () = perform Yield
-let sleep n = perform (Sleep n)
-let now () = perform Now
-let random_int bound = perform (Random_int bound)
-
 (* --- synchronisation ---------------------------------------------- *)
 
 module Mutex = struct
   type t = int
 
-  let create ~loc name = perform (Mutex_create { name; loc })
-  let lock ~loc m = perform (Mutex_lock { m; loc })
-  let try_lock ~loc m = perform (Mutex_trylock { m; loc })
-  let unlock ~loc m = perform (Mutex_unlock { m; loc })
+  let create = mutex_create
+  let lock = mutex_lock
+  let try_lock = mutex_trylock
+  let unlock = mutex_unlock
 
   let with_lock ~loc m f =
     lock ~loc m;
@@ -59,10 +44,10 @@ end
 module Rwlock = struct
   type t = int
 
-  let create ~loc name = perform (Rwlock_create { name; loc })
-  let rdlock ~loc rw = perform (Rwlock_lock { rw; mode = Read_mode; loc })
-  let wrlock ~loc rw = perform (Rwlock_lock { rw; mode = Write_mode; loc })
-  let unlock ~loc rw = perform (Rwlock_unlock { rw; loc })
+  let create = rwlock_create
+  let rdlock ~loc rw = rwlock_lock ~loc rw Read_mode
+  let wrlock ~loc rw = rwlock_lock ~loc rw Write_mode
+  let unlock = rwlock_unlock
 
   let with_rdlock ~loc rw f =
     rdlock ~loc rw;
@@ -76,18 +61,18 @@ end
 module Cond = struct
   type t = int
 
-  let create ~loc name = perform (Cond_create { name; loc })
-  let wait ~loc cv m = perform (Cond_wait { cv; m; loc })
-  let signal ~loc cv = perform (Cond_signal { cv; loc })
-  let broadcast ~loc cv = perform (Cond_broadcast { cv; loc })
+  let create = cond_create
+  let wait = cond_wait
+  let signal ~loc cv = cond_signal ~loc ~broadcast:false cv
+  let broadcast ~loc cv = cond_signal ~loc ~broadcast:true cv
 end
 
 module Sem = struct
   type t = int
 
-  let create ~loc ~init name = perform (Sem_create { name; init; loc })
-  let wait ~loc s = perform (Sem_wait { s; loc })
-  let post ~loc s = perform (Sem_post { s; loc })
+  let create = sem_create
+  let wait = sem_wait
+  let post = sem_post
 end
 
 (* --- client requests (Valgrind user-space calls) ------------------ *)
@@ -95,21 +80,18 @@ end
 (** Announce that the object at [addr..addr+len-1] is about to be
     destroyed — the [VALGRIND_HG_DESTRUCT] macro of Figure 4.  A no-op
     for the VM itself; only tools interpret it. *)
-let hg_destruct ~addr ~len = perform (Client (Destruct { addr; len }))
+let hg_destruct ~addr ~len = client (Destruct { addr; len })
 
-let benign_race ~addr ~len = perform (Client (Benign_race { addr; len }))
+let benign_race ~addr ~len = client (Benign_race { addr; len })
 
 (** [ANNOTATE_HAPPENS_BEFORE]/[_AFTER]: make a higher-level handoff
     (queue put/get, custom synchronisation) visible to detectors that
     honour these annotations — the paper's §5 future-work direction. *)
-let annotate_happens_before ~tag = perform (Client (Happens_before { tag }))
+let annotate_happens_before ~tag = client (Happens_before { tag })
 
-let annotate_happens_after ~tag = perform (Client (Happens_after { tag }))
+let annotate_happens_after ~tag = client (Happens_after { tag })
 
 (* --- call stack maintenance --------------------------------------- *)
-
-let push_frame loc = perform (Push_frame loc)
-let pop_frame () = perform Pop_frame
 
 (** Run [f] with [loc] pushed on the simulated call stack. *)
 let with_frame loc f =

@@ -2,16 +2,16 @@
     call" surface of the VM.
 
     A simulated application is ordinary OCaml code calling these
-    functions; each call suspends the calling fiber, lets the scheduler
-    interpret the operation and emit events to the attached tools, and
-    resumes.  Every call is therefore a potential preemption point —
-    the granularity at which the serialised execution can interleave
+    functions.  Each call applies its operation on the calling thread,
+    emits its events to the attached tools and ends in a scheduling
+    decision, so every call is a potential preemption point — the
+    granularity at which the serialised execution can interleave
     threads, as under Valgrind.
 
     All functions taking [~loc] record the (pseudo) source position for
-    race reports; use {!with_frame} to maintain the simulated call
-    stack that reports print.  Calling any of these outside
-    {!Engine.run} raises [Effect.Unhandled]. *)
+    race reports; use {!with_frame} to maintain the simulated call stack
+    that reports print.  Outside {!Engine.run} they raise
+    [Invalid_argument]. *)
 
 module Loc = Raceguard_util.Loc
 

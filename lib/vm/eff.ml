@@ -1,12 +1,11 @@
-(** The VM instruction set, exposed as an OCaml effect.
-
-    A simulated thread is an ordinary OCaml closure that [perform]s
-    {!Do} effects; the scheduler in {!Engine} interprets them.  This
-    mirrors Valgrind's architecture: the "binary" runs on a virtual
-    machine that observes every memory access and every call into the
-    threading library, serialising all threads onto a single carrier
-    thread ({i "the virtual machine in itself is single-threaded"},
-    §3.3 of the paper). *)
+(** The operands the VM's operations share with its event stream: lock
+    modes and client requests.  The operations themselves are plain
+    calls ({!Engine.Op}, behind {!Api}) on the calling simulated thread.
+    As under Valgrind, the "binary" runs on a virtual machine that
+    observes every memory access and every call into the threading
+    library, serialising all threads onto a single carrier thread ({i
+    "the virtual machine in itself is single-threaded"}, §3.3 of the
+    paper). *)
 
 module Loc = Raceguard_util.Loc
 
@@ -36,41 +35,3 @@ type client_request =
           payload as tag, making ownership transfer through queues
           visible to the thread-segment graph. *)
   | Happens_after of { tag : int }  (** [ANNOTATE_HAPPENS_AFTER] *)
-
-type 'a op =
-  | Read : { addr : int; loc : Loc.t } -> int op
-  | Write : { addr : int; value : int; loc : Loc.t } -> unit op
-  | Atomic_rmw : { addr : int; f : int -> int; loc : Loc.t } -> int op
-      (** Bus-locked read-modify-write ([LOCK]-prefixed instruction);
-          returns the {e old} value. *)
-  | Alloc : { len : int; loc : Loc.t } -> int op
-  | Free : { addr : int; loc : Loc.t } -> unit op
-  | Spawn : { name : string; body : unit -> unit; loc : Loc.t } -> int op
-  | Join : { tid : int; loc : Loc.t } -> unit op
-  | Mutex_create : { name : string; loc : Loc.t } -> int op
-  | Mutex_lock : { m : int; loc : Loc.t } -> unit op
-  | Mutex_trylock : { m : int; loc : Loc.t } -> bool op
-  | Mutex_unlock : { m : int; loc : Loc.t } -> unit op
-  | Rwlock_create : { name : string; loc : Loc.t } -> int op
-  | Rwlock_lock : { rw : int; mode : mode; loc : Loc.t } -> unit op
-  | Rwlock_unlock : { rw : int; loc : Loc.t } -> unit op
-  | Cond_create : { name : string; loc : Loc.t } -> int op
-  | Cond_wait : { cv : int; m : int; loc : Loc.t } -> unit op
-  | Cond_signal : { cv : int; loc : Loc.t } -> unit op
-  | Cond_broadcast : { cv : int; loc : Loc.t } -> unit op
-  | Sem_create : { name : string; init : int; loc : Loc.t } -> int op
-  | Sem_wait : { s : int; loc : Loc.t } -> unit op
-  | Sem_post : { s : int; loc : Loc.t } -> unit op
-  | Client : client_request -> unit op
-  | Yield : unit op
-  | Sleep : int -> unit op  (** block for [n] virtual clock ticks *)
-  | Now : int op  (** current virtual clock *)
-  | Self : int op  (** calling thread's id *)
-  | Push_frame : Loc.t -> unit op
-  | Pop_frame : unit op
-  | Random_int : int -> int op
-      (** deterministic per-run randomness drawn from the VM seed *)
-
-type _ Effect.t += Do : 'a op -> 'a Effect.t
-
-let perform op = Effect.perform (Do op)

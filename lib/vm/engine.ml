@@ -1,12 +1,16 @@
 (** The virtual machine engine: a deterministic cooperative scheduler.
 
-    Simulated threads are OCaml fibers (effect handlers).  Every VM
-    operation is a scheduling point: the fiber suspends, the operation
-    is applied to the VM state, events are emitted to the registered
-    tools, and the scheduler picks the next runnable thread according
-    to the configured policy.  Given the same seed and policy, a run is
-    bit-for-bit reproducible — which is what makes "rerun the test
-    suite after fixing a problem" (§4 of the paper) meaningful.
+    Simulated threads are OCaml fibers.  Every VM operation ({!Op}, the
+    primitives behind {!Api}) is a plain call that runs on the calling
+    thread's own fiber: it counts the operation, ticks the clock,
+    applies it to the VM state, emits its events to the registered
+    tools and makes a scheduling decision by the configured policy.
+    When the decision picks the calling thread again the call simply
+    returns; the fiber suspends (one effect) only to switch to another
+    thread or when the operation blocks.  Given the same seed and
+    policy, a run is bit-for-bit reproducible — which is what makes
+    "rerun the test suite after fixing a problem" (§4 of the paper)
+    meaningful.
 
     The engine also performs runtime deadlock detection: when no thread
     is runnable or sleeping but some are blocked, it reconstructs the
@@ -29,7 +33,7 @@ open Eff
 (* Process-global instruments; per-run deltas come from snapshot/diff. *)
 let m_events = Metrics.counter "vm.events_emitted"
 let m_ops = Metrics.counter "vm.ops_executed"
-let m_switches = Metrics.counter "vm.scheduler_switches"
+let m_switches = Metrics.counter "vm.scheduler_switches" (* decisions, not fiber switches *)
 let m_threads = Metrics.counter "vm.threads_created"
 let m_allocs = Metrics.counter "vm.memory_allocs"
 let m_deadlocks = Metrics.counter "vm.deadlocks"
@@ -39,28 +43,14 @@ let h_thread_ops = Metrics.histogram "vm.ops_per_thread"
 (* Scheduling policies                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type policy =
-  | Round_robin  (** strict FIFO over ready threads *)
-  | Random_seeded  (** uniformly random among ready threads (uses seed) *)
-  | Scripted of int array
-      (** replay a decision script: the k-th scheduling decision picks
-          ready thread [script.(k) mod n]; past the end of the script
-          decisions default to 0 (FIFO).  The backbone of systematic
-          schedule exploration ({!Explore}). *)
+type policy = Round_robin | Random_seeded | Scripted of int array
 
 type config = {
   seed : int;
   policy : policy;
-  max_ops : int;  (** safety valve against runaway simulations *)
+  max_ops : int;
   tracer : Trace.t option;
-      (** when set, every emitted event is offered to this sampling
-          ring tracer (Chrome trace_event export); [None] costs one
-          comparison per event *)
   faults : Injector.t option;
-      (** fault-injection decision engine: delayed thread starts and
-          slow mutex acquisitions are drawn from its dedicated streams
-          (never from the scheduler's rng); [None] costs one comparison
-          per spawn / free-mutex lock *)
 }
 
 let default_config =
@@ -75,12 +65,6 @@ let default_config =
 (* ------------------------------------------------------------------ *)
 (* Threads                                                             *)
 (* ------------------------------------------------------------------ *)
-
-type wake =
-  | No_wake
-  | Wake : ('a, unit) Effect.Deep.continuation * (unit -> 'a) -> wake
-  | Wake_v : ('a, unit) Effect.Deep.continuation * 'a -> wake
-      (** plain-value resume: the common case, no thunk allocation *)
 
 type block_reason =
   | On_mutex of int
@@ -102,7 +86,10 @@ type thread = {
   name : string;
   parent : int option;
   mutable status : status;
-  mutable wake : wake;
+  mutable k : (unit, unit) Effect.Deep.continuation option;  (** where a suspended thread resumes *)
+  mutable signal_loc : Loc.t option;
+      (** the signaller's location, while a signalled waiter is parked on
+          its busy mutex: it emits its [E_cond_wait_post] on resuming *)
   mutable frames : Loc.t list;
   mutable failure : exn option;
   mutable join_waiters : int list;
@@ -188,8 +175,6 @@ type outcome = {
 let stop_of o = match o.deadlock with None -> Clean | Some d -> d.dl_stop
 
 exception Misuse of string
-(** raised inside a simulated thread on API misuse (unlocking a mutex
-    one does not hold, double free, ...) *)
 
 (* ------------------------------------------------------------------ *)
 (* The VM                                                              *)
@@ -216,7 +201,8 @@ type t = {
   sems : sem_obj Growvec.t;
   mutable ready : int array;  (** first [ready_len] entries: ready tids, FIFO *)
   mutable ready_len : int;
-  mutable current : int;
+  mutable cur : thread;  (** the running thread *)
+  mutable next : int;  (** the thread a [Suspend] hands over to; -1: [schedule] picks *)
   mutable clock : int;
   mutable ops : int;
   mutable events : int;  (** published to [vm.events_emitted] at the end of {!run} *)
@@ -240,19 +226,11 @@ type t = {
   mutable next_wake : int;  (** set by [wake_due_sleepers]: the earliest wake time to come *)
 }
 
-let dummy_thread =
-  {
-    tid = -1;
-    name = "<dummy>";
-    parent = None;
-    status = Done;
-    wake = No_wake;
-    frames = [];
-    failure = None;
-    join_waiters = [];
-    ops = 0;
-    mark = 0;
-  }
+let new_thread tid name parent status frame =
+  let frames = [ frame ] in
+  { tid; name; parent; status; k = None; signal_loc = None; frames; failure = None; join_waiters = []; ops = 0; mark = 0 }
+
+let dummy_thread = new_thread (-1) "<dummy>" None Done Loc.unknown
 
 let create ?(config = default_config) () =
   {
@@ -272,7 +250,8 @@ let create ?(config = default_config) () =
     ready = [||];
     ready_len = 0;
     decision_count = 0;
-    current = -1;
+    cur = dummy_thread;
+    next = -1;
     clock = 0;
     ops = 0;
     events = 0;
@@ -288,8 +267,6 @@ let create ?(config = default_config) () =
 
 let add_tool t tool = t.tools <- t.tools @ [ tool ]
 
-(** Chronological log of nontrivial scheduling decisions as
-    (chosen index, arity) pairs; meaningful after {!run}. *)
 let decision_log t = List.rev t.decisions
 
 let thread t tid = Growvec.get t.threads tid
@@ -317,13 +294,28 @@ let rec dispatch ctx event = function
       tool.on_event ctx event;
       dispatch ctx event rest
 
-let emit t event =
+(* Emit from the scheduler, outside every thread: an exception a tool
+   raises there leaves {!run}. *)
+let publish t event =
   t.events <- t.events + 1;
   (match t.config.tracer with
   | None -> ()
   | Some tr ->
       Trace.emit tr ~ts:t.clock ~tid:(Event.tid event) ~name:(Event.kind_name event) ~cat:"vm" ());
   dispatch (tool_ctx t) event t.tools
+
+(* The two effects a VM thread performs.  [Suspend] hands the carrier
+   to thread [t.next] (to [schedule] when it is -1) until the thread is
+   picked again.  [Abort e] stops the run: the thread's handler raises
+   [e] outside the thread, where no [try] of the thread can catch it. *)
+type _ Effect.t += Suspend : unit Effect.t | Abort : exn -> 'a Effect.t
+
+(* [emit] publishes from the running thread's fiber.  API misuse (bad
+   unlock, double free, out-of-bounds access, ...) is the thread's own
+   error and is raised in it, so it fails and the VM runs on; any other
+   exception, from a tool or [atomic_rmw]'s function, stops the run. *)
+let fail = function (Misuse _ | Invalid_argument _) as e -> raise e | e -> Effect.perform (Abort e)
+let emit t event = match publish t event with () -> () | exception e -> fail e
 
 (* --- ready queue ------------------------------------------------- *)
 
@@ -358,35 +350,28 @@ let take_ready_at t idx =
   t.ready_len <- t.ready_len - 1;
   x
 
+(* The policy's pick among [n] ready threads, as an index into the queue. *)
+let choose t n =
+  let choice =
+    match t.config.policy with
+    | Round_robin -> 0
+    | Random_seeded -> Rng.int t.rng n
+    | Scripted script ->
+        let k = t.decision_count in
+        if k < Array.length script then script.(k) mod n else 0
+  in
+  if n > 1 then begin
+    t.decision_count <- t.decision_count + 1;
+    match t.config.policy with
+    | Scripted _ -> t.decisions <- (choice, n) :: t.decisions
+    | Round_robin | Random_seeded -> ()
+  end;
+  choice
+
 (* The next thread to run, or -1 when none is ready. *)
-let pick_ready t =
-  let n = t.ready_len in
-  if n = 0 then -1
-  else begin
-    let choice =
-      match t.config.policy with
-      | Round_robin -> 0
-      | Random_seeded -> Rng.int t.rng n
-      | Scripted script ->
-          let k = t.decision_count in
-          if k < Array.length script then script.(k) mod n else 0
-    in
-    if n > 1 then begin
-      t.decision_count <- t.decision_count + 1;
-      match t.config.policy with
-      | Scripted _ -> t.decisions <- (choice, n) :: t.decisions
-      | Round_robin | Random_seeded -> ()
-    end;
-    take_ready_at t choice
-  end
+let pick_ready t = if t.ready_len = 0 then -1 else take_ready_at t (choose t t.ready_len)
 
 (* --- waking helpers ---------------------------------------------- *)
-
-let resume_with (th : thread) (v : unit -> 'a) (k : ('a, unit) Effect.Deep.continuation) =
-  th.wake <- Wake (k, v)
-
-let resume_value (th : thread) (v : 'a) (k : ('a, unit) Effect.Deep.continuation) =
-  th.wake <- Wake_v (k, v)
 
 (* Grant a mutex to a waiting thread and make it runnable.  The
    acquire event is emitted at grant time: that is the moment the
@@ -595,281 +580,336 @@ let live_threads t ~hang =
          Option.map (fun s -> (th.tid, Fmt.str "(%s) %s (%d ops)" th.name s th.ops)) state)
 
 (* ------------------------------------------------------------------ *)
-(* Operation interpretation                                            *)
+(* Operations, on the calling thread                                   *)
 (* ------------------------------------------------------------------ *)
 
 exception Too_many_ops
 
-let reschedule_self t th v k =
-  resume_value th v k;
-  enqueue_ready t th.tid
+(* This domain's running engine (set by {!run}) and its count of runs. *)
+type slot = { mutable vm : t option; mutable runs : int }
 
-(* Interpret one operation performed by thread [th].  Must either make
-   [th] runnable again (with a wake) or leave it blocked in some wait
-   queue. *)
-let rec handle_op : type a. t -> thread -> a op -> (a, unit) Effect.Deep.continuation -> unit =
- fun t th op k ->
-  t.ops <- t.ops + 1;
-  th.ops <- th.ops + 1;
-  t.clock <- t.clock + 1;
-  if t.ops > t.config.max_ops then raise Too_many_ops;
-  let ret (v : a) = reschedule_self t th v k in
-  match op with
-  | Read { addr; loc } ->
-      let value = Memory.get t.memory addr in
-      emit t (Event.E_read { tid = th.tid; addr; value; atomic = false; loc });
-      ret value
-  | Write { addr; value; loc } ->
-      Memory.set t.memory addr value;
-      emit t (Event.E_write { tid = th.tid; addr; value; atomic = false; loc });
-      ret ()
-  | Atomic_rmw { addr; f; loc } ->
-      (* one LOCK-prefixed instruction: an atomic load followed by an
-         atomic store, indivisible (no scheduling point in between) *)
-      let old = Memory.get t.memory addr in
-      let value = f old in
-      Memory.set t.memory addr value;
-      emit t (Event.E_read { tid = th.tid; addr; value = old; atomic = true; loc });
-      emit t (Event.E_write { tid = th.tid; addr; value; atomic = true; loc });
-      ret old
-  | Alloc { len; loc } ->
-      let addr = Memory.alloc t.memory ~tid:th.tid ~loc ~stack:th.frames ~len in
-      emit t (Event.E_alloc { tid = th.tid; addr; len; loc });
-      ret addr
-  | Free { addr; loc } ->
-      let len = Memory.free t.memory ~addr in
-      emit t (Event.E_free { tid = th.tid; addr; len; loc });
-      ret ()
-  | Spawn { name; body; loc } ->
-      let child =
-        {
-          tid = Growvec.length t.threads;
-          name;
-          parent = Some th.tid;
-          status = Fresh body;
-          wake = No_wake;
-          frames = [ loc ];
-          failure = None;
-          join_waiters = [];
-          ops = 0;
-          mark = 0;
-        }
-      in
-      ignore (Growvec.push t.threads child);
-      emit t (Event.E_thread_start { tid = child.tid; name; parent = Some th.tid });
-      emit t (Event.E_spawn { parent = th.tid; child = child.tid; loc });
-      let spawn_delay =
-        match t.config.faults with Some inj -> Injector.spawn_delay inj | None -> 0
-      in
-      if spawn_delay = 0 then enqueue_ready t child.tid
-      else t.delayed_fresh <- (child.tid, t.clock + spawn_delay) :: t.delayed_fresh;
-      ret child.tid
-  | Join { tid; loc } ->
-      if tid < 0 || tid >= Growvec.length t.threads then
-        raise (Misuse (Fmt.str "join of unknown thread %d" tid));
-      let target = thread t tid in
-      if target.status = Done then begin
-        emit t (Event.E_join { joiner = th.tid; joined = tid; loc });
-        ret ()
-      end
-      else begin
-        target.join_waiters <- (th.tid :: target.join_waiters);
-        th.status <- Blocked (On_join tid);
-        resume_with th (fun () -> ()) k
-      end
-  | Mutex_create { name; loc } ->
-      let m = { m_id = Growvec.length t.mutexes; m_name = name; m_owner = None; m_waiters = Queue.create () } in
-      ignore (Growvec.push t.mutexes m);
-      emit t (Event.E_sync_create { tid = th.tid; sync = Event.Mutex m.m_id; name; loc });
-      ret m.m_id
-  | Mutex_lock { m; loc } -> (
-      let mu = Growvec.get t.mutexes m in
-      match mu.m_owner with
-      | None ->
-          mu.m_owner <- Some th.tid;
-          emit t (Event.E_acquire { tid = th.tid; lock = Event.Mutex m; mode = Write_mode; loc });
-          let lock_delay =
-            match t.config.faults with Some inj -> Injector.lock_delay inj | None -> 0
-          in
-          if lock_delay = 0 then ret ()
-          else begin
-            (* slow-acquire fault: the lock is held from this moment
-               (contention builds behind it) but the owner stalls
-               before proceeding *)
-            resume_value th () k;
-            th.status <- Blocked (On_sleep (t.clock + lock_delay))
-          end
-      | Some owner when owner = th.tid ->
-          raise (Misuse (Fmt.str "thread %d relocks non-recursive mutex %S" th.tid mu.m_name))
-      | Some _ ->
-          Queue.push th.tid mu.m_waiters;
-          th.status <- Blocked (On_mutex m);
-          resume_with th (fun () -> ()) k)
-  | Mutex_trylock { m; loc } -> (
-      let mu = Growvec.get t.mutexes m in
-      match mu.m_owner with
-      | None ->
-          mu.m_owner <- Some th.tid;
-          emit t (Event.E_acquire { tid = th.tid; lock = Event.Mutex m; mode = Write_mode; loc });
-          ret true
-      | Some _ -> ret false)
-  | Mutex_unlock { m; loc } ->
-      let mu = Growvec.get t.mutexes m in
-      do_mutex_unlock t th mu ~loc;
-      ret ()
-  | Rwlock_create { name; loc } ->
-      let rw =
-        { rw_id = Growvec.length t.rwlocks; rw_name = name; rw_writer = None; rw_readers = []; rw_waiters = Queue.create () }
-      in
-      ignore (Growvec.push t.rwlocks rw);
-      emit t (Event.E_sync_create { tid = th.tid; sync = Event.Rwlock rw.rw_id; name; loc });
-      ret rw.rw_id
-  | Rwlock_lock { rw; mode; loc } -> (
-      let r = Growvec.get t.rwlocks rw in
-      match mode with
-      | Read_mode ->
-          if r.rw_writer = None && Queue.is_empty r.rw_waiters then begin
-            r.rw_readers <- th.tid :: r.rw_readers;
-            emit t (Event.E_acquire { tid = th.tid; lock = Event.Rwlock rw; mode; loc });
-            ret ()
-          end
-          else begin
-            Queue.push (th.tid, mode) r.rw_waiters;
-            th.status <- Blocked (On_rwlock (rw, mode));
-            resume_with th (fun () -> ()) k
-          end
-      | Write_mode ->
-          if r.rw_writer = None && r.rw_readers = [] && Queue.is_empty r.rw_waiters then begin
-            r.rw_writer <- Some th.tid;
-            emit t (Event.E_acquire { tid = th.tid; lock = Event.Rwlock rw; mode; loc });
-            ret ()
-          end
-          else begin
-            Queue.push (th.tid, mode) r.rw_waiters;
-            th.status <- Blocked (On_rwlock (rw, mode));
-            resume_with th (fun () -> ()) k
-          end)
-  | Rwlock_unlock { rw; loc } ->
-      let r = Growvec.get t.rwlocks rw in
-      (if r.rw_writer = Some th.tid then r.rw_writer <- None
-       else if List.mem th.tid r.rw_readers then
-         (* one hold per [rdlock]: an unlock releases one *)
-         r.rw_readers <- Int_list.remove_one th.tid r.rw_readers
-       else raise (Misuse (Fmt.str "thread %d unlocks rwlock %S it does not hold" th.tid r.rw_name)));
-      emit t (Event.E_release { tid = th.tid; lock = Event.Rwlock rw; loc });
-      rwlock_grant_waiters t r ~loc;
-      ret ()
-  | Cond_create { name; loc } ->
-      let cv = { cv_id = Growvec.length t.conds; cv_name = name; cv_waiters = Queue.create (); cv_signallers = [] } in
-      ignore (Growvec.push t.conds cv);
-      emit t (Event.E_sync_create { tid = th.tid; sync = Event.Cond cv.cv_id; name; loc });
-      ret cv.cv_id
-  | Cond_wait { cv; m; loc } ->
-      let c = Growvec.get t.conds cv in
-      let mu = Growvec.get t.mutexes m in
-      emit t (Event.E_cond_wait_pre { tid = th.tid; cv; m; loc });
-      do_mutex_unlock t th mu ~loc;
-      Queue.push (th.tid, m) c.cv_waiters;
-      th.status <- Blocked (On_cond (cv, m));
-      resume_with th (fun () -> ()) k
-  | Cond_signal { cv; loc } ->
-      let c = Growvec.get t.conds cv in
-      c.cv_signallers <- Int_list.add_new th.tid c.cv_signallers;
-      emit t (Event.E_cond_signal { tid = th.tid; cv; broadcast = false; loc });
-      (if not (Queue.is_empty c.cv_waiters) then begin
-         let w, m = Queue.pop c.cv_waiters in
-         wake_cond_waiter t w m ~cv ~loc
-       end);
-      ret ()
-  | Cond_broadcast { cv; loc } ->
-      let c = Growvec.get t.conds cv in
-      c.cv_signallers <- Int_list.add_new th.tid c.cv_signallers;
-      emit t (Event.E_cond_signal { tid = th.tid; cv; broadcast = true; loc });
-      while not (Queue.is_empty c.cv_waiters) do
-        let w, m = Queue.pop c.cv_waiters in
-        wake_cond_waiter t w m ~cv ~loc
-      done;
-      ret ()
-  | Sem_create { name; init; loc } ->
-      let s =
-        { sem_id = Growvec.length t.sems; sem_name = name; sem_count = init; sem_waiters = Queue.create (); sem_posters = [] }
-      in
-      ignore (Growvec.push t.sems s);
-      emit t (Event.E_sync_create { tid = th.tid; sync = Event.Sem s.sem_id; name; loc });
-      ret s.sem_id
-  | Sem_wait { s; loc } ->
-      let sem = Growvec.get t.sems s in
-      if sem.sem_count > 0 then begin
-        sem.sem_count <- sem.sem_count - 1;
-        emit t (Event.E_sem_wait_post { tid = th.tid; sem = s; loc });
-        ret ()
-      end
-      else begin
-        Queue.push th.tid sem.sem_waiters;
-        th.status <- Blocked (On_sem s);
-        resume_with th (fun () -> ()) k
-      end
-  | Sem_post { s; loc } ->
-      let sem = Growvec.get t.sems s in
-      sem.sem_posters <- Int_list.add_new th.tid sem.sem_posters;
-      emit t (Event.E_sem_post { tid = th.tid; sem = s; loc });
-      (if Queue.is_empty sem.sem_waiters then sem.sem_count <- sem.sem_count + 1
-       else begin
-         let w = Queue.pop sem.sem_waiters in
-         emit t (Event.E_sem_wait_post { tid = w; sem = s; loc });
-         enqueue_ready t w
-       end);
-      ret ()
-  | Client req ->
-      let loc = match th.frames with [] -> Loc.unknown | l :: _ -> l in
-      emit t (Event.E_client { tid = th.tid; req; loc });
-      ret ()
-  | Yield -> ret ()
-  | Sleep n ->
-      th.status <- Blocked (On_sleep (t.clock + max 1 n));
-      resume_with th (fun () -> ()) k
-  | Now -> ret t.clock
-  | Self -> ret th.tid
-  | Push_frame loc ->
-      th.frames <- loc :: th.frames;
-      ret ()
-  | Pop_frame ->
-      (match th.frames with [] -> () | _ :: rest -> th.frames <- rest);
-      ret ()
-  | Random_int bound -> ret (Rng.int t.rng bound)
+let slot = Domain.DLS.new_key (fun () -> { vm = None; runs = 0 })
 
-and wake_cond_waiter t w m ~cv ~loc =
-  (* a signalled waiter must reacquire its mutex before returning *)
-  let mu = Growvec.get t.mutexes m in
-  let wth = thread t w in
-  (match mu.m_owner with
-  | None ->
-      mu.m_owner <- Some w;
-      emit t (Event.E_acquire { tid = w; lock = Event.Mutex m; mode = Write_mode; loc });
-      emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
-      enqueue_ready t w
-  | Some _ ->
-      (* park on the mutex; when granted, the wait_post event must
-         still be emitted — we wrap the thread's wake closure. *)
-      chain_moved t wth;
-      wth.status <- Blocked (On_mutex m);
-      (match wth.wake with
-      | Wake (k, v) ->
-          wth.wake <-
-            Wake
-              ( k,
-                fun () ->
-                  emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
-                  v () )
-      | Wake_v (k, v) ->
-          wth.wake <-
-            Wake
-              ( k,
-                fun () ->
-                  emit t (Event.E_cond_wait_post { tid = w; cv; m; loc });
-                  v )
-      | No_wake -> ());
-      Queue.push w mu.m_waiters)
+(* Start an operation of the running thread: count it and tick the
+   clock.  The budget stops the run here. *)
+let step () =
+  match (Domain.DLS.get slot).vm with
+  | None -> invalid_arg "Engine: no VM is running on this domain"
+  | Some t ->
+      t.ops <- t.ops + 1;
+      t.cur.ops <- t.cur.ops + 1;
+      t.clock <- t.clock + 1;
+      if t.ops > t.config.max_ops then Effect.perform (Abort Too_many_ops);
+      t
+
+(* The scheduling decision after an operation that did not block, made
+   as if the thread had re-entered the ready queue at its end.  Picked
+   again, it returns at once and the queue is as it was; it suspends
+   only to switch to another thread. *)
+let next t =
+  let choice = choose t (t.ready_len + 1) in
+  if choice = t.ready_len then t.switches <- t.switches + 1
+  else begin
+    t.next <- take_ready_at t choice;
+    enqueue_ready t t.cur.tid;
+    Effect.perform Suspend
+  end
+
+(* After an operation that blocked the thread: [schedule] picks. *)
+let block t =
+  t.next <- -1;
+  Effect.perform Suspend
+
+(* Wake the first waiter of [c], or all of them: a woken waiter must
+   reacquire its mutex before it returns.  A free mutex is granted at
+   once; a held one parks the waiter on it, and the waiter emits its
+   [E_cond_wait_post] when it resumes. *)
+let rec wake_cond_waiters t c ~all ~loc =
+  if not (Queue.is_empty c.cv_waiters) then begin
+    let w, m = Queue.pop c.cv_waiters in
+    let mu = Growvec.get t.mutexes m in
+    (match mu.m_owner with
+    | None ->
+        mu.m_owner <- Some w;
+        emit t (Event.E_acquire { tid = w; lock = Event.Mutex m; mode = Write_mode; loc });
+        emit t (Event.E_cond_wait_post { tid = w; cv = c.cv_id; m; loc });
+        enqueue_ready t w
+    | Some _ ->
+        let wth = thread t w in
+        chain_moved t wth;
+        wth.status <- Blocked (On_mutex m);
+        wth.signal_loc <- Some loc;
+        Queue.push w mu.m_waiters);
+    if all then wake_cond_waiters t c ~all ~loc
+  end
+
+(* The tail of the four [*_create] operations. *)
+let created t sync ~name ~loc =
+  emit t (Event.E_sync_create { tid = t.cur.tid; sync; name; loc });
+  next t
+
+(* Each operation ends in [next] (it returns) or in [block] (the thread
+   waits in some queue until a waker makes it ready). *)
+module Op = struct
+  let read ~loc addr =
+    let t = step () in
+    let value = Memory.get t.memory addr in
+    emit t (Event.E_read { tid = t.cur.tid; addr; value; atomic = false; loc });
+    next t;
+    value
+
+  let write ~loc addr value =
+    let t = step () in
+    Memory.set t.memory addr value;
+    emit t (Event.E_write { tid = t.cur.tid; addr; value; atomic = false; loc });
+    next t
+
+  (* one LOCK-prefixed instruction: an atomic load followed by an atomic
+     store, indivisible (no scheduling point in between) *)
+  let atomic_rmw ~loc addr f =
+    let t = step () in
+    let old = Memory.get t.memory addr in
+    let value = match f old with v -> v | exception e -> fail e in
+    Memory.set t.memory addr value;
+    emit t (Event.E_read { tid = t.cur.tid; addr; value = old; atomic = true; loc });
+    emit t (Event.E_write { tid = t.cur.tid; addr; value; atomic = true; loc });
+    next t;
+    old
+
+  let alloc ~loc len =
+    let t = step () in
+    let addr = Memory.alloc t.memory ~tid:t.cur.tid ~loc ~stack:t.cur.frames ~len in
+    emit t (Event.E_alloc { tid = t.cur.tid; addr; len; loc });
+    next t;
+    addr
+
+  let free ~loc addr =
+    let t = step () in
+    let len = Memory.free t.memory ~addr in
+    emit t (Event.E_free { tid = t.cur.tid; addr; len; loc });
+    next t
+
+  let spawn ~loc ~name body =
+    let t = step () in
+    let child = new_thread (Growvec.length t.threads) name (Some t.cur.tid) (Fresh body) loc in
+    ignore (Growvec.push t.threads child);
+    emit t (Event.E_thread_start { tid = child.tid; name; parent = Some t.cur.tid });
+    emit t (Event.E_spawn { parent = t.cur.tid; child = child.tid; loc });
+    let spawn_delay = match t.config.faults with Some inj -> Injector.spawn_delay inj | None -> 0 in
+    if spawn_delay = 0 then enqueue_ready t child.tid
+    else t.delayed_fresh <- (child.tid, t.clock + spawn_delay) :: t.delayed_fresh;
+    next t;
+    child.tid
+
+  let join ~loc tid =
+    let t = step () in
+    if tid < 0 || tid >= Growvec.length t.threads then
+      raise (Misuse (Fmt.str "join of unknown thread %d" tid));
+    let target = thread t tid in
+    if target.status = Done then begin
+      emit t (Event.E_join { joiner = t.cur.tid; joined = tid; loc });
+      next t
+    end
+    else begin
+      target.join_waiters <- t.cur.tid :: target.join_waiters;
+      t.cur.status <- Blocked (On_join tid);
+      block t
+    end
+
+  let mutex_create ~loc name =
+    let t = step () in
+    let m = { m_id = Growvec.length t.mutexes; m_name = name; m_owner = None; m_waiters = Queue.create () } in
+    ignore (Growvec.push t.mutexes m);
+    created t (Event.Mutex m.m_id) ~name ~loc;
+    m.m_id
+
+  let mutex_lock ~loc m =
+    let t = step () in
+    let mu = Growvec.get t.mutexes m in
+    match mu.m_owner with
+    | None ->
+        mu.m_owner <- Some t.cur.tid;
+        emit t (Event.E_acquire { tid = t.cur.tid; lock = Event.Mutex m; mode = Write_mode; loc });
+        let lock_delay = match t.config.faults with Some inj -> Injector.lock_delay inj | None -> 0 in
+        if lock_delay = 0 then next t
+        else begin
+          (* slow-acquire fault: the lock is held from this moment
+             (contention builds behind it) but the owner stalls before
+             proceeding *)
+          t.cur.status <- Blocked (On_sleep (t.clock + lock_delay));
+          block t
+        end
+    | Some owner when owner = t.cur.tid ->
+        raise (Misuse (Fmt.str "thread %d relocks non-recursive mutex %S" t.cur.tid mu.m_name))
+    | Some _ ->
+        Queue.push t.cur.tid mu.m_waiters;
+        t.cur.status <- Blocked (On_mutex m);
+        block t
+
+  let mutex_trylock ~loc m =
+    let t = step () in
+    let mu = Growvec.get t.mutexes m in
+    let got = mu.m_owner = None in
+    if got then begin
+      mu.m_owner <- Some t.cur.tid;
+      emit t (Event.E_acquire { tid = t.cur.tid; lock = Event.Mutex m; mode = Write_mode; loc })
+    end;
+    next t;
+    got
+
+  let mutex_unlock ~loc m =
+    let t = step () in
+    do_mutex_unlock t t.cur (Growvec.get t.mutexes m) ~loc;
+    next t
+
+  let rwlock_create ~loc name =
+    let t = step () in
+    let rw =
+      { rw_id = Growvec.length t.rwlocks; rw_name = name; rw_writer = None; rw_readers = []; rw_waiters = Queue.create () }
+    in
+    ignore (Growvec.push t.rwlocks rw);
+    created t (Event.Rwlock rw.rw_id) ~name ~loc;
+    rw.rw_id
+
+  let rwlock_lock ~loc rw mode =
+    let t = step () in
+    let r = Growvec.get t.rwlocks rw in
+    if r.rw_writer = None && Queue.is_empty r.rw_waiters && (mode = Read_mode || r.rw_readers = [])
+    then begin
+      (match mode with
+      | Read_mode -> r.rw_readers <- t.cur.tid :: r.rw_readers
+      | Write_mode -> r.rw_writer <- Some t.cur.tid);
+      emit t (Event.E_acquire { tid = t.cur.tid; lock = Event.Rwlock rw; mode; loc });
+      next t
+    end
+    else begin
+      Queue.push (t.cur.tid, mode) r.rw_waiters;
+      t.cur.status <- Blocked (On_rwlock (rw, mode));
+      block t
+    end
+
+  let rwlock_unlock ~loc rw =
+    let t = step () in
+    let r = Growvec.get t.rwlocks rw in
+    (if r.rw_writer = Some t.cur.tid then r.rw_writer <- None
+     else if List.mem t.cur.tid r.rw_readers then
+       (* one hold per [rdlock]: an unlock releases one *)
+       r.rw_readers <- Int_list.remove_one t.cur.tid r.rw_readers
+     else raise (Misuse (Fmt.str "thread %d unlocks rwlock %S it does not hold" t.cur.tid r.rw_name)));
+    emit t (Event.E_release { tid = t.cur.tid; lock = Event.Rwlock rw; loc });
+    rwlock_grant_waiters t r ~loc;
+    next t
+
+  let cond_create ~loc name =
+    let t = step () in
+    let cv = { cv_id = Growvec.length t.conds; cv_name = name; cv_waiters = Queue.create (); cv_signallers = [] } in
+    ignore (Growvec.push t.conds cv);
+    created t (Event.Cond cv.cv_id) ~name ~loc;
+    cv.cv_id
+
+  let cond_wait ~loc cv m =
+    let t = step () in
+    let th = t.cur in
+    let c = Growvec.get t.conds cv in
+    let mu = Growvec.get t.mutexes m in
+    emit t (Event.E_cond_wait_pre { tid = th.tid; cv; m; loc });
+    do_mutex_unlock t th mu ~loc;
+    Queue.push (th.tid, m) c.cv_waiters;
+    th.status <- Blocked (On_cond (cv, m));
+    block t;
+    match th.signal_loc with
+    | None -> ()
+    | Some loc ->
+        th.signal_loc <- None;
+        emit t (Event.E_cond_wait_post { tid = th.tid; cv; m; loc })
+
+  let cond_signal ~loc ~broadcast cv =
+    let t = step () in
+    let c = Growvec.get t.conds cv in
+    c.cv_signallers <- Int_list.add_new t.cur.tid c.cv_signallers;
+    emit t (Event.E_cond_signal { tid = t.cur.tid; cv; broadcast; loc });
+    wake_cond_waiters t c ~all:broadcast ~loc;
+    next t
+
+  let sem_create ~loc ~init name =
+    let t = step () in
+    let s =
+      { sem_id = Growvec.length t.sems; sem_name = name; sem_count = init; sem_waiters = Queue.create (); sem_posters = [] }
+    in
+    ignore (Growvec.push t.sems s);
+    created t (Event.Sem s.sem_id) ~name ~loc;
+    s.sem_id
+
+  let sem_wait ~loc s =
+    let t = step () in
+    let sem = Growvec.get t.sems s in
+    if sem.sem_count > 0 then begin
+      sem.sem_count <- sem.sem_count - 1;
+      emit t (Event.E_sem_wait_post { tid = t.cur.tid; sem = s; loc });
+      next t
+    end
+    else begin
+      Queue.push t.cur.tid sem.sem_waiters;
+      t.cur.status <- Blocked (On_sem s);
+      block t
+    end
+
+  let sem_post ~loc s =
+    let t = step () in
+    let sem = Growvec.get t.sems s in
+    sem.sem_posters <- Int_list.add_new t.cur.tid sem.sem_posters;
+    emit t (Event.E_sem_post { tid = t.cur.tid; sem = s; loc });
+    (if Queue.is_empty sem.sem_waiters then sem.sem_count <- sem.sem_count + 1
+     else begin
+       let w = Queue.pop sem.sem_waiters in
+       emit t (Event.E_sem_wait_post { tid = w; sem = s; loc });
+       enqueue_ready t w
+     end);
+    next t
+
+  let client req =
+    let t = step () in
+    let loc = match t.cur.frames with [] -> Loc.unknown | l :: _ -> l in
+    emit t (Event.E_client { tid = t.cur.tid; req; loc });
+    next t
+
+  let yield () =
+    let t = step () in
+    next t
+
+  let sleep n =
+    let t = step () in
+    t.cur.status <- Blocked (On_sleep (t.clock + max 1 n));
+    block t
+
+  let now () =
+    let t = step () in
+    let clock = t.clock in
+    next t;
+    clock
+
+  let self () =
+    let t = step () in
+    let tid = t.cur.tid in
+    next t;
+    tid
+
+  let push_frame loc =
+    let t = step () in
+    t.cur.frames <- loc :: t.cur.frames;
+    next t
+
+  let pop_frame () =
+    let t = step () in
+    (match t.cur.frames with [] -> () | _ :: rest -> t.cur.frames <- rest);
+    next t
+
+  let random_int bound =
+    let t = step () in
+    let v = Rng.int t.rng bound in
+    next t;
+    v
+end
 
 (* ------------------------------------------------------------------ *)
 (* The scheduler                                                       *)
@@ -877,10 +917,10 @@ and wake_cond_waiter t w m ~cv ~loc =
 
 let thread_finished t th =
   th.status <- Done;
-  emit t (Event.E_thread_exit { tid = th.tid });
+  publish t (Event.E_thread_exit { tid = th.tid });
   List.iter
     (fun w ->
-      emit t (Event.E_join { joiner = w; joined = th.tid; loc = Loc.unknown });
+      publish t (Event.E_join { joiner = w; joined = th.tid; loc = Loc.unknown });
       enqueue_ready t w)
     th.join_waiters;
   th.join_waiters <- []
@@ -915,13 +955,14 @@ let wake_due_sleepers t =
       | _ -> horizon)
     horizon t.threads
 
-(* The scheduler is a trampoline.  [schedule] picks the next thread and
-   resumes it; that thread runs until its next operation, whose handler
-   applies the operation and calls [schedule] again; a finishing thread's
-   [retc]/[exnc] do the same.  Every one of these calls — [schedule] from
-   a handler, and [continue]/[match_with] from [run_thread] — is a tail
-   call (OCaml compiles a tail [%resume]/[%runstack] as a jump), so the
-   carrier stack stays flat however many operations run, and [schedule]
+(* The scheduler is a trampoline.  [schedule] picks a thread and resumes
+   it; the thread runs its operations on its own fiber until one blocks
+   or picks another thread, and then performs [Suspend], whose handler
+   stores the continuation and resumes the pick or calls [schedule]
+   ([retc]/[exnc] call [schedule] too; [Abort] raises out to {!run}).
+   Each of these calls, and [continue]/[match_with] in [run_thread], is
+   a tail call (a tail [%resume]/[%runstack] compiles to a jump), so the
+   carrier stack stays flat however many operations run; [schedule]
    returns to {!run} only when no thread is runnable or sleeping.  None
    of them may sit inside a [try]: test/stack_flat.ml runs a million
    operations on a 64 KiB stack to hold this. *)
@@ -940,8 +981,9 @@ let rec schedule t =
     end
   end
 
+(* Count the decision that picked [th] and resume it. *)
 and run_thread t th =
-  t.current <- th.tid;
+  t.cur <- th;
   t.switches <- t.switches + 1;
   match th.status with
   | Fresh body ->
@@ -949,77 +991,42 @@ and run_thread t th =
       Effect.Deep.match_with body () (handler t th)
   | Ready -> (
       th.status <- Running;
-      match th.wake with
-      | Wake (k, v) ->
-          th.wake <- No_wake;
-          Effect.Deep.continue k (v ())
-      | Wake_v (k, v) ->
-          th.wake <- No_wake;
-          Effect.Deep.continue k v
-      | No_wake -> invalid_arg "run_thread: ready thread without wake")
+      match th.k with
+      | Some k ->
+          th.k <- None;
+          Effect.Deep.continue k ()
+      | None -> invalid_arg "run_thread: ready thread without continuation")
   | Running | Blocked _ | Done -> invalid_arg "run_thread: thread not runnable"
 
+(* Built once per thread, with the one [Suspend] closure it returns. *)
 and handler t th : (unit, unit) Effect.Deep.handler =
+  let suspend =
+    Some
+      (fun k ->
+        th.k <- Some k;
+        if t.next < 0 then schedule t else run_thread t (thread t t.next))
+  in
   {
-    retc =
-      (fun () ->
-        thread_finished t th;
-        schedule t);
-    exnc =
-      (fun e ->
-        th.failure <- Some e;
-        thread_finished t th;
-        schedule t);
+    retc = (fun () -> thread_finished t th; schedule t);
+    exnc = (fun e -> th.failure <- Some e; thread_finished t th; schedule t);
     effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Do op ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                (* API misuse (bad unlock, double free, out-of-bounds
-                   access, ...) is the calling thread's error: deliver
-                   it at the perform point so the thread fails and the
-                   VM keeps running.  Engine-level conditions
-                   (Too_many_ops, and Hung from [schedule]) still abort
-                   the run.  [schedule] is in the value branch, outside
-                   the trap. *)
-                match handle_op t th op k with
-                | () -> schedule t
-                | exception ((Misuse _ | Invalid_argument _) as e) ->
-                    Effect.Deep.discontinue k e)
-        | _ -> None);
+      (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with Suspend -> suspend | Abort e -> Some (fun _ -> raise e) | _ -> None);
   }
 
-(* Runs started on this domain so far.  [run] takes the next number,
-   so per-run state kept outside [t] (the C++ object model's vtable
-   numbering) can tell when a new run began. *)
-let runs : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+let run_id () = (Domain.DLS.get slot).runs
 
-let run_id () = !(Domain.DLS.get runs)
-
-(** Run [main] as thread 0 until all threads finish, a deadlock or hang
-    is detected, or the op budget is exhausted. *)
 let run t main =
-  incr (Domain.DLS.get runs);
-  let main_thread =
-    {
-      tid = 0;
-      name = "main";
-      parent = None;
-      status = Fresh main;
-      wake = No_wake;
-      frames = [ Loc.v "<vm>" "main" 0 ];
-      failure = None;
-      join_waiters = [];
-      ops = 0;
-      mark = 0;
-    }
-  in
-  ignore (Growvec.push t.threads main_thread);
-  emit t (Event.E_thread_start { tid = 0; name = "main"; parent = None });
-  enqueue_ready t 0;
+  let domain = Domain.DLS.get slot in
+  let outer = domain.vm in
+  domain.runs <- domain.runs + 1;
+  domain.vm <- Some t;
+  ignore (Growvec.push t.threads (new_thread 0 "main" None (Fresh main) (Loc.v "<vm>" "main" 0)));
   let deadlock =
+    Fun.protect ~finally:(fun () -> domain.vm <- outer) @@ fun () ->
     try
+      publish t (Event.E_thread_start { tid = 0; name = "main"; parent = None });
+      enqueue_ready t 0;
       schedule t;
       detect_deadlock t
     with

@@ -4,7 +4,12 @@
     Create a VM, attach tools, then {!run} a main function that uses
     {!Api} operations.  Execution is fully serialised: tools observe
     one totally ordered event stream, and a given (program, seed,
-    policy) triple reproduces bit-for-bit. *)
+    policy) triple reproduces bit-for-bit.
+
+    Each operation runs on the calling thread's own fiber and ends in
+    one scheduling decision; the [vm.scheduler_switches] metric counts
+    these decisions.  Only a decision that picks another thread, or an
+    operation that blocks, suspends the fiber and switches threads. *)
 
 (** {1 Configuration} *)
 
@@ -127,6 +132,46 @@ val run : t -> (unit -> unit) -> outcome
     The op budget stays the fallback for a spin livelock, where threads
     never sleep or never stop being ready; its [dl_stuck] lists every
     live thread with its name, state and op count. *)
+
+module Loc := Raceguard_util.Loc
+
+(** {1 Operations}
+
+    The primitives behind {!Api}, which documents each; the header says
+    how they run.  Misuse raises in the calling thread; a tool's
+    exception or the op budget stops the run from outside every thread.
+    Outside {!run} they raise [Invalid_argument]. *)
+
+module Op : sig
+  val read : loc:Loc.t -> int -> int
+  val write : loc:Loc.t -> int -> int -> unit
+  val atomic_rmw : loc:Loc.t -> int -> (int -> int) -> int
+  val alloc : loc:Loc.t -> int -> int
+  val free : loc:Loc.t -> int -> unit
+  val spawn : loc:Loc.t -> name:string -> (unit -> unit) -> int
+  val join : loc:Loc.t -> int -> unit
+  val mutex_create : loc:Loc.t -> string -> int
+  val mutex_lock : loc:Loc.t -> int -> unit
+  val mutex_trylock : loc:Loc.t -> int -> bool
+  val mutex_unlock : loc:Loc.t -> int -> unit
+  val rwlock_create : loc:Loc.t -> string -> int
+  val rwlock_lock : loc:Loc.t -> int -> Eff.mode -> unit
+  val rwlock_unlock : loc:Loc.t -> int -> unit
+  val cond_create : loc:Loc.t -> string -> int
+  val cond_wait : loc:Loc.t -> int -> int -> unit
+  val cond_signal : loc:Loc.t -> broadcast:bool -> int -> unit
+  val sem_create : loc:Loc.t -> init:int -> string -> int
+  val sem_wait : loc:Loc.t -> int -> unit
+  val sem_post : loc:Loc.t -> int -> unit
+  val client : Eff.client_request -> unit
+  val yield : unit -> unit
+  val sleep : int -> unit
+  val now : unit -> int
+  val self : unit -> int
+  val push_frame : Loc.t -> unit
+  val pop_frame : unit -> unit
+  val random_int : int -> int
+end
 
 val run_id : unit -> int
 (** The number of the latest {!run} started on the calling domain; each

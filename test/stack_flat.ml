@@ -1,21 +1,40 @@
 (* The scheduler's tail-call invariant.  test/dune runs this program
-   under OCAMLRUNPARAM=l=8192, a 64 KiB limit on every OCaml stack
-   (a 100k-deep non-tail recursion overflows it).  Every VM operation's
-   handler resumes the next thread with a tail call, so the carrier
-   stack stays flat; if any resume path stopped being one (a [schedule]
-   wrapped in a [try], a [continue] whose result is used), the stack
-   would grow by a frame per operation and overflow long before the
-   million operations below complete.
+   under OCAMLRUNPARAM=l=8192, a 64 KiB limit on every OCaml stack: the
+   carrier's and each VM thread's fiber (a 100k-deep non-tail recursion
+   overflows it).  A VM operation runs on the calling thread's fiber,
+   and control comes back by one of these paths:
 
-   The workload covers every way control comes back to the scheduler:
-   mutex handoffs under contention, cond wait/signal, sleeps, spawn and
-   join (fresh threads start from inside a handler), a [Misuse] that the
-   thread catches (the handler's [discontinue]), and thread exit, both
-   normal ([retc]) and by an uncaught [Misuse] ([exnc]).  Start and exit
-   run once per thread, so 8,000 threads take each exit path: enough for
-   one leaked frame per thread to overflow as well.
+   - direct return: the operation's scheduling decision picks the
+     calling thread again, and the call returns without suspending;
+   - switch: the decision picks another thread; the thread performs
+     [Suspend], and its handler resumes the pick;
+   - blocking suspension: a contended mutex, a cond wait, a join or a
+     sleep suspends the thread, and its handler calls [schedule];
+   - [retc]/[exnc]: the thread finishes, normally or by an uncaught
+     [Misuse], and its handler calls [schedule];
+   - the budget and abort exits: the op budget runs out, or a tool
+     raises, and the thread's [Abort] handler raises out of the run (as
+     [schedule] raises the hang stop).
 
-   A second run hangs: main joins a thread waiting on a condition
+   Every handler resumes with a tail call, so the carrier stack stays
+   flat; if any resume path stopped being one (a [schedule] wrapped in a
+   [try], a [continue] whose result is used), the stack would grow by a
+   frame per operation and overflow long before the million operations
+   below complete.
+
+   The workload takes every path: mutex handoffs under contention, cond
+   wait/signal, sleeps, spawn and join (fresh threads start from inside
+   a handler), a [Misuse] that the thread catches (raised in the thread
+   itself), and thread exit, both normal and by an uncaught [Misuse].
+   Start and exit run once per thread, so 8,000 threads take each exit
+   path: enough for one leaked frame per thread to overflow as well.
+   One round runs again with HWLC+DR attached and must warn of the
+   producers' unlocked writes: tools run on each thread's fiber, so a
+   detector's frames, its warnings' included, must fit in 64 KiB too.
+   Two more runs of the rounds stop 300,000 operations in, at the op
+   budget and at a tool's exception.
+
+   Another run hangs: main joins a thread waiting on a condition
    variable whose only signaller has finished, while three daemons poll
    a stop flag with sleeps of 3, 4 and 1,000,000 ticks.  The short
    sleepers empty the ready queue every few operations, so for over
@@ -39,6 +58,7 @@ module Vm = Raceguard_vm
 module Engine = Vm.Engine
 module Api = Vm.Api
 module Loc = Raceguard_util.Loc
+module Helgrind = Raceguard_detector.Helgrind
 
 let loc = Loc.v "stack_flat.ml" "worker" 1
 let rounds = 2000
@@ -52,12 +72,15 @@ let round () =
   let m = Api.Mutex.create ~loc "m" in
   let cv = Api.Cond.create ~loc "cv" in
   let pending = Api.alloc ~loc 1 in
+  let last = Api.alloc ~loc 1 in
   let producer () =
     for i = 1 to items do
       Api.Mutex.lock ~loc m;
       Api.write ~loc pending (Api.read ~loc pending + 1);
       Api.Cond.signal ~loc cv;
       Api.Mutex.unlock ~loc m;
+      (* both producers, no lock: the race a detector reports *)
+      Api.write ~loc last i;
       if i mod 8 = 0 then Api.sleep 3
     done
   in
@@ -79,7 +102,8 @@ let round () =
     @ List.init failing_per_round (fun _ -> spawn "f" failing)
   in
   List.iter (Api.join ~loc) ts;
-  Api.free ~loc pending
+  Api.free ~loc pending;
+  Api.free ~loc last
 
 let min_hung_ops = 400_000
 
@@ -121,6 +145,22 @@ let () =
   if o.stats.ops_executed < min_ops then fail "only %d ops, want >= %d" o.stats.ops_executed min_ops;
   if !misuses <> rounds * 2 * items then fail "%d caught misuses, want %d" !misuses (rounds * 2 * items);
   if !events = 0 then fail "no events dispatched";
+  let detector = Helgrind.create Helgrind.hwlc_dr in
+  let vm = Engine.create ~config:{ Engine.default_config with seed = 11 } () in
+  Engine.add_tool vm (Helgrind.tool detector);
+  let o = Engine.run vm round in
+  if Engine.stop_of o <> Engine.Clean then fail "detector round stopped as %s" (Engine.stop_name (Engine.stop_of o));
+  if Helgrind.location_count detector = 0 then fail "HWLC+DR warned of no race in a round";
+  let rounds () = for _ = 1 to rounds do round () done in
+  let stop_at = 300_000 in
+  let o = Engine.run (Engine.create ~config:{ Engine.default_config with seed = 11; max_ops = stop_at } ()) rounds in
+  if Engine.stop_of o <> Engine.Op_budget then fail "budget run stopped as %s" (Engine.stop_name (Engine.stop_of o));
+  let vm = Engine.create ~config:{ Engine.default_config with seed = 11 } () in
+  let seen = ref 0 in
+  Engine.add_tool vm (Vm.Tool.of_fn "abort" (fun _ -> incr seen; if !seen = stop_at then raise Exit));
+  (match Engine.run vm rounds with
+  | _ -> fail "a tool's exception did not stop the run"
+  | exception Exit -> ());
   let o = Engine.run (Engine.create ~config:{ Engine.default_config with seed = 11 } ()) hung in
   if Engine.stop_of o <> Engine.Hang then fail "hung run stopped as %s" (Engine.stop_name (Engine.stop_of o));
   if o.stats.ops_executed < min_hung_ops then

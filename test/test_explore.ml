@@ -66,6 +66,25 @@ let test_explore_finds_fneg_witness () =
       ignore vm;
       Alcotest.(check bool) "witness script reproduces" true (check vm <> None)
 
+(* The search itself, pinned: how many runs it takes to reach the
+   witness and every decision log it read on the way.  A drift in the
+   scripted pick order shows here even when a witness is still found. *)
+let test_explore_witness_search_pinned () =
+  let logs = Buffer.create 1024 in
+  let instantiate' ~policy =
+    let execute, check = instantiate Raceguard.Scenarios.false_negative_schedule ~policy in
+    let check vm =
+      List.iter (fun (c, n) -> Buffer.add_string logs (Printf.sprintf "%d/%d " c n)) (Engine.decision_log vm);
+      Buffer.add_char logs '\n';
+      check vm
+    in
+    (execute, check)
+  in
+  let result = Vm.Explore.search ~max_depth:24 ~max_runs:500 instantiate' in
+  Alcotest.(check int) "runs to the witness" 5 result.runs;
+  Alcotest.(check string) "MD5 of the decision logs" "92c2c4c03d6a0ec9ba145d5ae2bb456d"
+    (Digest.to_hex (Digest.string (Buffer.contents logs)))
+
 let test_explore_exhausts_clean_program () =
   let clean () =
     let v = Api.alloc ~loc 1 in
@@ -94,6 +113,7 @@ let suite =
     [
       Alcotest.test_case "scripted replay" `Quick test_scripted_policy_replays;
       Alcotest.test_case "finds the §4.3 witness" `Quick test_explore_finds_fneg_witness;
+      Alcotest.test_case "§4.3 witness search pinned" `Quick test_explore_witness_search_pinned;
       Alcotest.test_case "exhausts clean trees" `Quick test_explore_exhausts_clean_program;
       Alcotest.test_case "run cap" `Quick test_explore_respects_run_cap;
     ] )

@@ -474,6 +474,36 @@ let test_recording_pinned () =
       Alcotest.(check string) (name ^ " trace MD5") md5 (Digest.to_hex (Digest.string bytes)))
     recorded_pins recorded
 
+(* The schedule itself at seed 7: each case's operations and scheduling
+   decisions ([vm.scheduler_switches] counts every pick, whether or not
+   it switched threads), with the recording's MD5 from the table above.
+   A drift in the pick order or the rng draws shows here first. *)
+let schedule_pins =
+  [
+    ("T1", 61510, 61553);
+    ("T2", 46388, 46426);
+    ("T3", 21420, 21442);
+    ("T4", 63116, 63165);
+    ("T5", 87407, 87477);
+    ("T6", 90278, 90342);
+    ("T7", 17319, 17342);
+    ("T8", 33923, 33953);
+  ]
+
+let test_schedule_pinned () =
+  List.iter2
+    (fun (name, ops, picks) (tc : Sip.Workload.test_case) ->
+      let before = Obs.Metrics.snapshot () in
+      let _, bytes = record_seed7 tc in
+      let delta = Obs.Metrics.diff ~before (Obs.Metrics.snapshot ()) in
+      let count c = Option.value ~default:(-1) (Obs.Metrics.find_counter delta c) in
+      let _, md5, _ = List.find (fun (n, _, _) -> n = name) recorded_pins in
+      Alcotest.(check string) "cases in order" name tc.tc_name;
+      Alcotest.(check int) (name ^ " ops_executed") ops (count "vm.ops_executed");
+      Alcotest.(check int) (name ^ " scheduling decisions") picks (count "vm.scheduler_switches");
+      Alcotest.(check string) (name ^ " recording MD5") md5 (Digest.to_hex (Digest.string bytes)))
+    schedule_pins Sip.Workload.all_test_cases
+
 (* Each case recorded alone, on a fresh domain and in reverse order,
    gives the bytes it gives after the cases before it: nothing a run
    writes into VM memory depends on earlier runs. *)
@@ -654,6 +684,7 @@ let suite =
       Alcotest.test_case "monotonic clock enforced" `Quick test_monotonic_clock_enforced;
       Alcotest.test_case "recording is deterministic" `Slow test_recording_deterministic;
       Alcotest.test_case "recorded bytes pinned (T1-T8, seed 7)" `Slow test_recording_pinned;
+      Alcotest.test_case "schedule pinned: ops and picks (T1-T8, seed 7)" `Slow test_schedule_pinned;
       Alcotest.test_case "recorded bytes independent of run order" `Slow test_recording_order_free;
       Alcotest.test_case "trace is self-describing" `Slow test_trace_self_describing;
       Alcotest.test_case "replay byte-identical to live (T1-T8 x 10 configs x 2 seeds)" `Slow

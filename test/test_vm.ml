@@ -656,6 +656,88 @@ let test_op_budget () =
         [ (0, "(main) waits for termination of thread 1 (2 ops)"); (1, "(spinner) is running (999 ops)") ]
         d.dl_stuck
 
+(* The budget stops the run from outside the thread: a spinner that
+   catches every exception around its reads and writes cannot swallow
+   the stop. *)
+let test_op_budget_outside_thread () =
+  let vm = Engine.create ~config:{ Engine.default_config with max_ops = 1000 } () in
+  let caught = ref 0 in
+  let outcome =
+    Engine.run vm (fun () ->
+        let a = Api.alloc ~loc 1 in
+        let spinner =
+          Api.spawn ~loc ~name:"spinner" (fun () ->
+              while true do
+                try Api.write ~loc a (Api.read ~loc a + 1) with _ -> incr caught
+              done)
+        in
+        Api.join ~loc spinner)
+  in
+  Alcotest.(check string) "stops as op-budget" "op-budget" (Engine.stop_name (Engine.stop_of outcome));
+  Alcotest.(check int) "the spinner caught nothing" 0 !caught;
+  match outcome.deadlock with
+  | None -> Alcotest.fail "no budget report"
+  | Some d ->
+      (* main spent 3 of the 1001 ops (alloc, spawn, join); the spinner the rest *)
+      Alcotest.(check (list (pair int string)))
+        "every live thread named with its state and op count"
+        [ (0, "(main) waits for termination of thread 1 (3 ops)"); (1, "(spinner) is running (998 ops)") ]
+        d.dl_stuck
+
+(* An exception a tool raises stops the whole run: [Engine.run] raises
+   it, and the thread whose operation emitted the event never sees it. *)
+let test_tool_exception_stops_run () =
+  let reads = ref 0 and caught = ref 0 in
+  let vm = Engine.create () in
+  Engine.add_tool vm
+    (Vm.Tool.of_fn "fails"
+       (function
+         | Event.E_read _ ->
+             incr reads;
+             if !reads = 50 then failwith "tool failed"
+         | _ -> ()));
+  let body a () =
+    for _ = 1 to 100 do
+      try ignore (Api.read ~loc a) with _ -> incr caught
+    done
+  in
+  (match
+     Engine.run vm (fun () ->
+         let a = Api.alloc ~loc 1 in
+         let reader = Api.spawn ~loc ~name:"reader" (body a) in
+         body a ();
+         Api.join ~loc reader)
+   with
+  | _ -> Alcotest.fail "the run returned"
+  | exception Failure msg -> Alcotest.(check string) "Engine.run raises the tool's exception" "tool failed" msg);
+  Alcotest.(check int) "stopped at the 50th read" 50 !reads;
+  Alcotest.(check int) "no thread handler saw it" 0 !caught;
+  let outcome, result = run (fun () -> Api.read ~loc (Api.alloc ~loc 1)) in
+  check_clean outcome;
+  Alcotest.(check (option int)) "the next run on this domain is unaffected" (Some 0) result
+
+(* API misuse is the calling thread's error: it is raised there, and a
+   thread that catches it keeps running. *)
+let test_misuse_raised_in_thread () =
+  let outcome, result =
+    run (fun () ->
+        let a = Api.alloc ~loc 2 in
+        let caught = ref [] in
+        let worker () =
+          (try ignore (Api.read ~loc (a + 1_000_000)) with Invalid_argument _ -> caught := "read" :: !caught);
+          Api.free ~loc a;
+          (try Api.free ~loc a with Invalid_argument _ -> caught := "free" :: !caught);
+          let b = Api.alloc ~loc 1 in
+          Api.write ~loc b 7;
+          caught := string_of_int (Api.read ~loc b) :: !caught
+        in
+        Api.join ~loc (Api.spawn ~loc ~name:"worker" worker);
+        List.rev !caught)
+  in
+  check_clean outcome;
+  Alcotest.(check (option (list string))) "both misuses caught, then the thread ran on"
+    (Some [ "read"; "free"; "7" ]) result
+
 let test_frames_stack () =
   let stacks = ref [] in
   let tool =
@@ -944,6 +1026,10 @@ let suite =
       Alcotest.test_case "atomic rmw indivisible" `Quick test_atomic_rmw_indivisible;
       Alcotest.test_case "atomic cas" `Quick test_atomic_cas;
       Alcotest.test_case "op budget stops livelock" `Quick test_op_budget;
+      Alcotest.test_case "op budget stops a thread that catches everything" `Quick
+        test_op_budget_outside_thread;
+      Alcotest.test_case "a tool's exception stops the run" `Quick test_tool_exception_stops_run;
+      Alcotest.test_case "misuse is raised in the calling thread" `Quick test_misuse_raised_in_thread;
       Alcotest.test_case "memory LIFO reuse" `Quick test_memory_reuse_lifo;
       Alcotest.test_case "queue blocks when full" `Quick test_queue_blocks_when_full;
       Alcotest.test_case "lost signal semantics" `Quick test_signal_with_no_waiter_is_lost;
