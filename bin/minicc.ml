@@ -99,8 +99,7 @@ let run_program ~seed tools interp =
     [--cross-check]: the first occurrence of each location, because
     the cross-check reads only signatures. *)
 let dynamic_reports ~seed ~file ~src =
-  let pp = M.Preprocess.with_builtins () in
-  let interp, _pretty, _n = M.Interp.compile ~annotate:true ~preprocessor:pp ~file src in
+  let interp, _pretty, _n = M.Interp.compile ~annotate:true ~file src in
   let helgrind = Det.Helgrind.create Det.Helgrind.hwlc_dr in
   ignore (run_program ~seed [ Det.Helgrind.tool helgrind ] interp);
   List.map fst (Det.Helgrind.locations helgrind)
@@ -236,14 +235,14 @@ let run_cmd =
   let run path seed no_annotate config djit lock_order gen_suppressions suppressions_file
       static_hints =
     handle_front_end_errors @@ fun () ->
-    let file, src, pp = load path in
+    let file, src, _ = load path in
     let suppressions =
       match suppressions_file with
       | None -> []
       | Some f -> Det.Suppression.parse_string (read_file f)
     in
     let interp, _pretty, n_annotated =
-      M.Interp.compile ~annotate:(not no_annotate) ~preprocessor:pp ~file src
+      M.Interp.compile ~annotate:(not no_annotate) ~file src
     in
     let helgrind = Det.Helgrind.create ~suppressions config in
     if static_hints then begin

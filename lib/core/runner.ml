@@ -24,7 +24,8 @@ type config = {
   server : Sip.Proxy.config;
   max_ops : int;
   tracer : Obs.Trace.t option;
-      (** offered every VM event and every detector decision *)
+      (** offered every VM event, ahead of [tools], and every detector
+          decision *)
   faults : Raceguard_faults.Injector.t option;
       (** fault injector consulted by the engine's spawn/lock hooks *)
 }
@@ -61,11 +62,12 @@ let run_main config main =
       Vm.Engine.seed = config.seed;
       policy = config.policy;
       max_ops = config.max_ops;
-      tracer = config.tracer;
       faults = config.faults;
     }
   in
   let vm = Vm.Engine.create ~config:vm_config () in
+  (* the ring's VM record of an event precedes every tool's *)
+  Option.iter (fun tr -> Vm.Engine.add_tool vm (Vm.Tool.tracer tr)) config.tracer;
   List.iter (Vm.Engine.add_tool vm) config.tools;
   let helgrind =
     List.map

@@ -38,9 +38,10 @@ type config = {
   server : Sip.Proxy.config;
   max_ops : int;
   tracer : Obs.Trace.t option;
-      (** installed on the VM and on every [helgrind_configs]
-          instance, so one ring receives both VM events and detector
-          decisions *)
+      (** attached to the VM as a {!Vm.Tool.tracer} ahead of [tools]
+          and installed on every [helgrind_configs] instance, so one
+          ring receives both VM events and detector decisions, each
+          event's VM record first *)
   faults : Raceguard_faults.Injector.t option;
       (** fault injector handed to the engine (spawn-delay and
           lock-delay faults); share the instance wired into the

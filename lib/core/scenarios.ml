@@ -83,7 +83,7 @@ let handoff_per_request () =
     real but invisible to the lock-set algorithm — false positives. *)
 let handoff_pool () =
   let lc f line = Loc.v "handoff_pool.cpp" f line in
-  let queue = Raceguard_vm.Msg_queue.create ~annotated:true ~name:"pool.q" ~capacity:4 () in
+  let queue = Raceguard_vm.Msg_queue.create ~name:"pool.q" ~capacity:4 () in
   let done_sem = Api.Sem.create ~loc:(lc "main" 4) ~init:0 "done" in
   let worker () =
     Api.with_frame (lc "worker" 6) @@ fun () ->

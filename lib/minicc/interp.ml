@@ -342,9 +342,8 @@ let run_main t =
     check, optionally annotate.  Returns the executable program, the
     (possibly annotated) pretty-printed source, and the number of
     deletes annotated. *)
-let compile ?(annotate = true) ?preprocessor ~file src =
-  let pp = match preprocessor with Some p -> p | None -> Preprocess.with_builtins () in
-  let ast = Preprocess.parse pp ~file src in
+let compile ?(annotate = true) ~file src =
+  let ast = Preprocess.parse (Preprocess.with_builtins ()) ~file src in
   Check.check ast;
   let ast, n_annotated = if annotate then Annotate.annotate ast else (ast, 0) in
   let header =

@@ -25,7 +25,6 @@ val output : t -> string list
 
 val compile :
   ?annotate:bool ->
-  ?preprocessor:Preprocess.t ->
   file:string ->
   string ->
   t * string * int
@@ -33,5 +32,5 @@ val compile :
     {!Check.check}, optionally {!Annotate.annotate}.  Returns the
     executable program, the (possibly annotated) pretty-printed source,
     and the number of deletes annotated.  [annotate] defaults to
-    [true]; the default preprocessor knows the built-in headers
+    [true]; the preprocessor knows the built-in headers
     ([valgrind/helgrind.h]). *)

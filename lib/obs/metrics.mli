@@ -1,14 +1,15 @@
-(** Metrics registry: named counters, gauges and log2-bucket
-    histograms with snapshot / merge / diff / JSON export.
+(** Metrics registry: named counters and gauges with snapshot / merge
+    / diff / JSON export.
 
     Instruments are registered once (typically at module init) and
-    incremented through their handle — the hot path is a single
-    domain-local array store, no hashing or allocation.  Instrument
-    {e state} is domain-local ([Domain.DLS]): each domain sees only the
-    work it did, so independent cells running on the multicore pool
-    ([lib/par/]) never interfere, and their per-cell [snapshot]/[diff]
-    deltas combine with [merge].  Consumers take [snapshot]s of the
-    [default] registry and [diff] them to get per-run deltas. *)
+    updated through their handle — the hot path is a single
+    domain-local array store, no hashing or allocation.  Counters and
+    gauges share one slot table per registry; instrument {e state} is
+    domain-local ([Domain.DLS]): each domain sees only the work it did,
+    so independent cells running on the multicore pool ([lib/par/])
+    never interfere, and their per-cell [snapshot]/[diff] deltas
+    combine with [merge].  Consumers take [snapshot]s of the [default]
+    registry and [diff] them to get per-run deltas. *)
 
 type registry
 
@@ -19,58 +20,42 @@ val default : registry
 (** {1 Instruments}
 
     Registering the same name twice in one registry raises
-    [Invalid_argument]. *)
+    [Invalid_argument], whichever kinds the two registrations ask for. *)
 
 type counter
 type gauge
-type histogram
 
 val counter : ?registry:registry -> string -> counter
 val gauge : ?registry:registry -> string -> gauge
-val histogram : ?registry:registry -> string -> histogram
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val counter_value : counter -> int
 
 val set : gauge -> int -> unit
 val gauge_value : gauge -> int
 
-val observe : histogram -> int -> unit
-(** Record one value.  Negative values clamp to 0.  Value [v] lands in
-    bucket [bucket_of_value v]; bucket [i>0] covers [2^(i-1), 2^i). *)
-
-val buckets : int
-(** Number of histogram buckets (64 — enough for any [int]). *)
-
-val bucket_of_value : int -> int
-
 (** {1 Snapshots} *)
 
-type hist_data = { buckets : int array; count : int; sum : int }
-
-type snapshot = {
-  s_counters : (string * int) list;
-  s_gauges : (string * int) list;
-  s_histograms : (string * hist_data) list;
-}
-(** All three lists are sorted by name. *)
+type snapshot = { s_counters : (string * int) list; s_gauges : (string * int) list }
+(** Both lists are sorted by name. *)
 
 val snapshot : ?registry:registry -> unit -> snapshot
 val empty : snapshot
 
 val merge : snapshot -> snapshot -> snapshot
-(** Combine snapshots from independent runs: counters and histogram
-    buckets add, gauges keep the max.  Associative and commutative,
-    with [empty] as identity (qcheck-tested). *)
+(** Combine snapshots from independent runs: counters add, gauges keep
+    the max.  Associative and commutative, with [empty] as identity
+    (qcheck-tested). *)
 
 val diff : before:snapshot -> snapshot -> snapshot
-(** Per-run delta: counters and histograms subtract (clamped at 0),
-    gauges keep the [after] level. *)
+(** Per-run delta: counters subtract (clamped at 0), gauges keep the
+    [after] level. *)
 
 val find_counter : snapshot -> string -> int option
 val find_gauge : snapshot -> string -> int option
 
 val to_json : snapshot -> Json.t
+(** [{"counters": {...}, "gauges": {...}}], each sorted by name. *)
+
 val pp : Format.formatter -> snapshot -> unit
 (** Human-readable dump; zero-valued instruments are omitted. *)

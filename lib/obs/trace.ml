@@ -1,10 +1,12 @@
 (** Fixed-capacity ring-buffer event tracer with Chrome
     [trace_event]-JSON export.
 
-    The VM and detectors call [emit] on their hot paths, so the tracer
-    must be cheap when disabled and bounded when enabled:
+    The VM's tracer tool ([Vm.Tool.tracer]) and the detectors call
+    [emit] on their hot paths, so the tracer must be cheap when
+    disabled and bounded when enabled:
 
-    - A [None] tracer (the default everywhere) costs one physical
+    - Without a tracer the VM runs no tracing code (the tool is not
+      attached), and a detector's [None] tracer costs one physical
       comparison at each site.
     - An enabled tracer samples 1-in-[sample] events with a plain
       counter — deterministic, so two runs over the same event stream
@@ -13,8 +15,8 @@
       which is where crashes and warnings live).
 
     Records are deliberately generic (ts/tid/name/cat/args): this
-    library sits below [lib/vm], so the engine maps its [Event.t] to
-    strings itself.  Timestamps are VM logical clock ticks, exported as
+    library sits below [lib/vm], so the VM's tracer tool maps each
+    [Event.t] to strings itself.  Timestamps are VM logical clock ticks, exported as
     microseconds so chrome://tracing renders them on a sensible axis. *)
 
 type record = {

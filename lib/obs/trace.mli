@@ -2,10 +2,12 @@
     [trace_event]-JSON export (load the output in chrome://tracing or
     Perfetto).
 
-    Sampling is counter-based (1-in-[sample]) and therefore
-    deterministic: two runs over the same event stream record the same
-    subset.  Once full, the ring overwrites oldest-first, keeping the
-    tail of the run. *)
+    The VM offers its events through an ordinary tool
+    ([Vm.Tool.tracer], category ["vm"]); Helgrind offers its decisions
+    through [Helgrind.set_tracer].  Sampling is counter-based
+    (1-in-[sample]) and therefore deterministic: two runs over the same
+    event stream record the same subset.  Once full, the ring
+    overwrites oldest-first, keeping the tail of the run. *)
 
 type t
 

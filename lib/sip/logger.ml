@@ -51,7 +51,7 @@ let create ~stats ~time =
   Api.write ~loc:(lc "Logger" 41) stop_flag 0;
   let mk = Refstring.create ~loc:(lc "Logger" 42) in
   {
-    queue = Msg_queue.create ~annotated:true ~name:"logger.queue" ~capacity:64 ();
+    queue = Msg_queue.create ~name:"logger.queue" ~capacity:64 ();
     stop_flag;
     stats;
     time;

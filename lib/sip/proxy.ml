@@ -603,7 +603,7 @@ let start ~transport config =
   | Pool n ->
       t.pool :=
         Some
-          (Raceguard_vm.Thread_pool.create ~annotated:true ~name:"sip-pool"
+          (Raceguard_vm.Thread_pool.create ~name:"sip-pool"
              ~workers:n ~queue_capacity:32
              ~handler:(fun ctx -> run_ctx t ctx)
              ()));

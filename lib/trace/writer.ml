@@ -21,8 +21,9 @@
     themselves.
 
     Snapshot markers are written every [snapshot_every] events with the
-    event index, clock and table sizes — the seek points the time-travel
-    and info views use.
+    event index, clock and table sizes.  Only [trace info] lists them:
+    the time-travel view ([Trace_ops.locate]) binary-searches the
+    decoded entries by clock, so nothing seeks by a marker.
 
     Recorder throughput stats ([trace.record.events], [.bytes],
     [.snapshots], [.events_per_kb]) are published through the

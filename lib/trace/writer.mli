@@ -5,8 +5,9 @@
     introspection data a live detector would have queried (clock,
     acting thread's call stack and name, accessed heap block) — zero
     analysis at record time.  The interned string/location/stack/block
-    tables keep the encoding compact; periodic snapshot markers give
-    readers seek points.
+    tables keep the encoding compact; periodic snapshot markers record
+    the event index, clock and table sizes, which [trace info] lists
+    (no reader seeks by them).
     {!contents} seals the stream with an event-count end record and a
     CRC-32-guarded footer. *)
 

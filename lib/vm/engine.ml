@@ -26,7 +26,6 @@ module Rng = Raceguard_util.Rng
 module Growvec = Raceguard_util.Growvec
 module Int_list = Raceguard_util.Int_list
 module Metrics = Raceguard_obs.Metrics
-module Trace = Raceguard_obs.Trace
 module Injector = Raceguard_faults.Injector
 open Eff
 
@@ -37,7 +36,6 @@ let m_switches = Metrics.counter "vm.scheduler_switches" (* decisions, not fiber
 let m_threads = Metrics.counter "vm.threads_created"
 let m_allocs = Metrics.counter "vm.memory_allocs"
 let m_deadlocks = Metrics.counter "vm.deadlocks"
-let h_thread_ops = Metrics.histogram "vm.ops_per_thread"
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling policies                                                 *)
@@ -49,7 +47,6 @@ type config = {
   seed : int;
   policy : policy;
   max_ops : int;
-  tracer : Trace.t option;
   faults : Injector.t option;
 }
 
@@ -58,7 +55,6 @@ let default_config =
     seed = 1;
     policy = Random_seeded;
     max_ops = 50_000_000;
-    tracer = None;
     faults = None;
   }
 
@@ -298,10 +294,6 @@ let rec dispatch ctx event = function
    raises there leaves {!run}. *)
 let publish t event =
   t.events <- t.events + 1;
-  (match t.config.tracer with
-  | None -> ()
-  | Some tr ->
-      Trace.emit tr ~ts:t.clock ~tid:(Event.tid event) ~name:(Event.kind_name event) ~cat:"vm" ());
   dispatch (tool_ctx t) event t.tools
 
 (* The two effects a VM thread performs.  [Suspend] hands the carrier
@@ -1044,7 +1036,6 @@ let run t main =
   Metrics.add m_threads (Growvec.length t.threads);
   Metrics.add m_allocs (Memory.total_allocs t.memory);
   if deadlock <> None then Metrics.incr m_deadlocks;
-  Growvec.iter (fun (th : thread) -> Metrics.observe h_thread_ops th.ops) t.threads;
   {
     deadlock;
     failures = List.rev failures;

@@ -26,10 +26,6 @@ type config = {
   seed : int;
   policy : policy;
   max_ops : int;  (** safety valve against runaway simulations *)
-  tracer : Raceguard_obs.Trace.t option;
-      (** offer every emitted event to this sampling ring tracer
-          (Chrome trace_event export); [None] (the default) costs one
-          comparison per event *)
   faults : Raceguard_faults.Injector.t option;
       (** fault-injection decision engine for delayed thread starts and
           slow mutex acquisitions; [None] (the default) costs one
@@ -38,6 +34,8 @@ type config = {
           scheduler's rng — and therefore every fault-free run — is
           untouched *)
 }
+(** A run's settings.  Tracing is not one of them: to offer the VM's
+    events to a ring tracer, attach {!Tool.tracer} as a tool. *)
 
 val default_config : config
 

@@ -8,7 +8,9 @@
     reports false positives on data handed over through a queue.  For
     that effect to reproduce, the detector must see exactly what
     Helgrind saw — mutex acquire/release and condition signal/wait —
-    and nothing more.
+    and nothing more.  The HAPPENS_BEFORE/AFTER client requests that
+    put/get emit (the instrumented build of the §5 extension) are read
+    only by a detector that honours them.
 
     The ring buffer storage lives in VM memory, so the detector also
     checks the queue's own internals (which are properly locked and
@@ -27,13 +29,9 @@ type t = {
   head : int;  (** address of head index *)
   tail : int;  (** address of tail index *)
   count : int;  (** address of element count *)
-  annotated : bool;
-      (** emit HAPPENS_BEFORE/AFTER client requests around put/get —
-          the instrumented build of the §5 extension.  No-ops unless a
-          detector honours them. *)
 }
 
-let create ?(annotated = false) ~name ~capacity () =
+let create ~name ~capacity () =
   if capacity <= 0 then invalid_arg "Msg_queue.create: capacity must be positive";
   let buf = Api.alloc ~loc:(lc 20) (capacity + 3) in
   {
@@ -45,13 +43,12 @@ let create ?(annotated = false) ~name ~capacity () =
     head = buf + capacity;
     tail = buf + capacity + 1;
     count = buf + capacity + 2;
-    annotated;
   }
 
 (** Enqueue a value (usually the address of a message struct).  Blocks
     while the queue is full. *)
 let put t v =
-  if t.annotated then Api.annotate_happens_before ~tag:v;
+  Api.annotate_happens_before ~tag:v;
   Api.Mutex.lock ~loc:(lc 30) t.mutex;
   while Api.read ~loc:(lc 31) t.count = t.capacity do
     Api.Cond.wait ~loc:(lc 32) t.nonfull t.mutex
@@ -75,7 +72,7 @@ let get t =
   Api.write ~loc:(lc 51) t.count (Api.read ~loc:(lc 51) t.count - 1);
   Api.Cond.signal ~loc:(lc 52) t.nonfull;
   Api.Mutex.unlock ~loc:(lc 53) t.mutex;
-  if t.annotated then Api.annotate_happens_after ~tag:v;
+  Api.annotate_happens_after ~tag:v;
   v
 
 let length t =

@@ -3,14 +3,14 @@
     visible to the detectors — deliberately, per §4.2.3: the lock-set
     algorithm must see exactly what Helgrind saw).
 
-    With [annotated = true] (the instrumented build of the §5
-    extension) put/get emit [ANNOTATE_HAPPENS_BEFORE]/[_AFTER] client
-    requests tagged with the transferred value, so annotation-aware
-    detectors recognise the ownership transfer. *)
+    As in the instrumented build of the §5 extension, put/get emit
+    [ANNOTATE_HAPPENS_BEFORE]/[_AFTER] client requests tagged with the
+    transferred value, so annotation-aware detectors recognise the
+    ownership transfer; the requests are no-ops for the others. *)
 
 type t
 
-val create : ?annotated:bool -> name:string -> capacity:int -> unit -> t
+val create : name:string -> capacity:int -> unit -> t
 (** Allocates the ring storage in VM memory; call from inside a
     simulated thread.  [capacity] must be positive. *)
 

@@ -21,9 +21,9 @@ type t = {
 (** [create ~name ~workers ~handler] starts [workers] threads, each
     looping: pop a task address from the queue and run [handler] on it.
     The handler runs on the worker's simulated stack. *)
-let create ?(annotated = false) ~name ~workers ~queue_capacity ~handler () =
+let create ~name ~workers ~queue_capacity ~handler () =
   let stop_sentinel = -1 in
-  let queue = Msg_queue.create ~annotated ~name:(name ^ ".queue") ~capacity:queue_capacity () in
+  let queue = Msg_queue.create ~name:(name ^ ".queue") ~capacity:queue_capacity () in
   let worker_body _idx () =
     (* every pool worker runs the same function: one stack frame name,
        so identical reports from different workers dedup together *)

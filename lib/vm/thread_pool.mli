@@ -3,13 +3,12 @@
 
     Workers are created before any task data exists, so ownership of
     submitted tasks transfers through queue put/get — synchronisation
-    the lock-set algorithm cannot see, unless the queue is [annotated]
-    and the detector honours happens-before annotations. *)
+    the lock-set algorithm cannot see, unless the detector honours the
+    queue's happens-before annotations. *)
 
 type t
 
 val create :
-  ?annotated:bool ->
   name:string ->
   workers:int ->
   queue_capacity:int ->

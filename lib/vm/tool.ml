@@ -22,3 +22,10 @@ let make ~name ~on_event = { name; on_event }
 
 (** A tool that invokes a callback on every event; handy in tests. *)
 let of_fn name f = { name; on_event = (fun _ctx e -> f e) }
+
+(** Offer every event to a sampling ring tracer as category ["vm"],
+    stamped with the VM clock. *)
+let tracer tr =
+  make ~name:"tracer" ~on_event:(fun ctx e ->
+      Raceguard_obs.Trace.emit tr ~ts:(ctx.clock ()) ~tid:(Event.tid e) ~name:(Event.kind_name e)
+        ~cat:"vm" ())

@@ -20,3 +20,10 @@ val make : name:string -> on_event:(ctx -> Event.t -> unit) -> t
 
 val of_fn : string -> (Event.t -> unit) -> t
 (** A tool that ignores the context — handy in tests. *)
+
+val tracer : Raceguard_obs.Trace.t -> t
+(** Offer every event to a sampling ring tracer (Chrome trace_event
+    export) as category ["vm"], stamped with the VM clock.  Attach it
+    ahead of any tool that emits into the same ring (a detector's
+    [set_tracer]), so an event's VM record precedes the records the
+    other tools make of it. *)

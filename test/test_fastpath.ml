@@ -7,8 +7,8 @@
      reports to the full Figure-1 state machine, on the example
      MiniC++ programs and on every SIP test case;
    - pins: the Helgrind decision counts over the seed-7 replays,
-     explain T4's JSON and the transitions its tracer renders, and an
-     access path that allocates nothing. *)
+     explain T4's JSON, the transitions its tracer renders and the
+     whole ring, and an access path that allocates nothing. *)
 
 module Vm = Raceguard_vm
 module Engine = Vm.Engine
@@ -206,10 +206,11 @@ let test_counts_pinned () =
    ring), on a fresh domain so the lock-set memo and the metrics start
    empty as in a fresh process.  The JSON renders every warning's
    provenance history; the tracer's [state_transition] records render
-   both sides of each transition it keeps. *)
+   both sides of each transition it keeps, and each VM record precedes
+   the detector records of the same event. *)
 let test_explain_pinned () =
   let module Obs = Raceguard_obs in
-  let json, transitions =
+  let json, transitions, ring =
     Domain.join
       (Domain.spawn (fun () ->
            let tracer = Obs.Trace.create ~capacity:65536 () in
@@ -225,13 +226,16 @@ let test_explain_pinned () =
                  else None)
                (Obs.Trace.records tracer)
            in
-           (Obs.Json.to_string ~indent:2 (R.Explain.to_json x) ^ "\n", transitions)))
+           ( Obs.Json.to_string ~indent:2 (R.Explain.to_json x) ^ "\n",
+             transitions,
+             Obs.Trace.to_string tracer )))
   in
   let md5 s = Digest.to_hex (Digest.string s) in
-  Alcotest.(check string) "explain T4 JSON" "b402ec1e7f81b7496b6b3b4ef6600841" (md5 json);
+  Alcotest.(check string) "explain T4 JSON" "8395f9159734b22875dd55e019e87daa" (md5 json);
   Alcotest.(check int) "state_transition records kept" 28_618 (List.length transitions);
   Alcotest.(check string) "state_transition records" "4c48e252370fbb19bd0afdd6df0eb1b6"
-    (md5 (String.concat "\n" transitions))
+    (md5 (String.concat "\n" transitions));
+  Alcotest.(check string) "the ring" "028604532c808e344d8ee24bdab0fef7" (md5 ring)
 
 (* The access path allocates nothing.  Three threads hold one mutex
    throughout (the detector does not check mutual exclusion), so no

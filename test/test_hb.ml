@@ -495,7 +495,7 @@ let test_hb_does_not_mask_real_races () =
   let program () =
     let loc = Loc.v "hbx.c" "main" 1 in
     let wloc = Loc.v "hbx.c" "worker" 2 in
-    let q = Vm.Msg_queue.create ~annotated:true ~name:"q" ~capacity:2 () in
+    let q = Vm.Msg_queue.create ~name:"q" ~capacity:2 () in
     let x = Api.alloc ~loc 1 in
     let y = Api.alloc ~loc 1 in
     Api.write ~loc y 1;

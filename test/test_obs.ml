@@ -1,8 +1,9 @@
 (* Tests for the observability layer:
 
-   - properties: histogram/counter merge is associative and commutative
-     with [empty] as identity, and snapshotting one registry that saw
-     all observations equals merging per-registry snapshots;
+   - properties: counter/gauge merge is associative and commutative
+     with [empty] as identity, snapshotting one registry that saw all
+     observations equals merging per-registry snapshots, and the two
+     kinds keep their merge and diff rules in their shared slot table;
    - the ring tracer's JSON export round-trips through our own parser,
      with sampling and overwrite accounting intact;
    - warning provenance is byte-identical with the shadow fast path on
@@ -20,18 +21,17 @@ module Det = Raceguard_detector
 
 (* --- metrics merge properties ------------------------------------------ *)
 
-(* one registry per sample list: a histogram, a counter and their
-   observations; gauges are excluded from the merge-equals-combined
-   property because merge takes the max while a combined run keeps the
-   last [set] *)
+(* one registry per sample list: a counter that adds the observations
+   and a gauge that keeps their high-water mark, so a combined run's
+   level is the max that merge takes *)
 let snapshot_of xs =
   let r = Metrics.create () in
-  let h = Metrics.histogram ~registry:r "test.hist" in
   let c = Metrics.counter ~registry:r "test.count" in
+  let g = Metrics.gauge ~registry:r "test.peak" in
   List.iter
     (fun x ->
-      Metrics.observe h x;
-      Metrics.add c x)
+      Metrics.add c x;
+      Metrics.set g (max x (Metrics.gauge_value g)))
     xs;
   Metrics.snapshot ~registry:r ()
 
@@ -66,9 +66,64 @@ let qc_diff_recovers =
   QCheck2.Test.make ~name:"diff after merge recovers the increment" ~count:200
     QCheck2.Gen.(pair gen_obs gen_obs)
     (fun (a, b) ->
-      (* counters/histograms: (a merged b) diffed against a gives b *)
+      (* (a merged b) diffed against a: b's counters, the merged level *)
       let sa = snapshot_of a and sb = snapshot_of b in
-      Metrics.diff ~before:sa (Metrics.merge sa sb) = sb)
+      let after = Metrics.merge sa sb in
+      Metrics.diff ~before:sa after = { sb with s_gauges = after.s_gauges })
+
+(* Counters and gauges registered alternately, so the kinds interleave
+   in the slot table; each op bumps a counter or sets a gauge.  The
+   second component is false if a counter bump moved a gauge. *)
+let slots_after ops =
+  let r = Metrics.create () in
+  let c0 = Metrics.counter ~registry:r "t.c0" in
+  let g0 = Metrics.gauge ~registry:r "t.g0" in
+  let c1 = Metrics.counter ~registry:r "t.c1" in
+  let g1 = Metrics.gauge ~registry:r "t.g1" in
+  let levels () = (Metrics.gauge_value g0, Metrics.gauge_value g1) in
+  let still = ref true in
+  List.iter
+    (fun (is_set, first, v) ->
+      if is_set then Metrics.set (if first then g0 else g1) v
+      else begin
+        let before = levels () in
+        Metrics.add (if first then c0 else c1) v;
+        if levels () <> before then still := false
+      end)
+    ops;
+  (Metrics.snapshot ~registry:r (), !still)
+
+let gen_ops = QCheck2.Gen.(list_size (int_bound 40) (triple bool bool (int_bound 100_000)))
+
+let qc_gauge_rules =
+  QCheck2.Test.make ~name:"gauges: merge keeps the max, diff the after level" ~count:200
+    QCheck2.Gen.(pair gen_ops gen_ops)
+    (fun (a, b) ->
+      let sa, still_a = slots_after a in
+      let sb, still_b = slots_after b in
+      let level s name = Option.get (Metrics.find_gauge s name) in
+      still_a && still_b
+      && List.for_all
+           (fun name ->
+             Metrics.find_gauge (Metrics.merge sa sb) name
+             = Some (max (level sa name) (level sb name))
+             && Metrics.find_gauge (Metrics.diff ~before:sa sb) name = Some (level sb name))
+           [ "t.g0"; "t.g1" ])
+
+let test_duplicate_name () =
+  let r = Metrics.create () in
+  ignore (Metrics.counter ~registry:r "dup.c");
+  ignore (Metrics.gauge ~registry:r "dup.g");
+  let dup name = Invalid_argument (Printf.sprintf "Obs.Metrics: duplicate instrument %S" name) in
+  Alcotest.check_raises "counter, then counter" (dup "dup.c") (fun () ->
+      ignore (Metrics.counter ~registry:r "dup.c"));
+  Alcotest.check_raises "gauge, then gauge" (dup "dup.g") (fun () ->
+      ignore (Metrics.gauge ~registry:r "dup.g"));
+  Alcotest.check_raises "counter, then gauge" (dup "dup.c") (fun () ->
+      ignore (Metrics.gauge ~registry:r "dup.c"));
+  Alcotest.check_raises "gauge, then counter" (dup "dup.g") (fun () ->
+      ignore (Metrics.counter ~registry:r "dup.g"));
+  ignore (Metrics.counter ~registry:(Metrics.create ()) "dup.c")
 
 (* --- trace export round-trip ------------------------------------------- *)
 
@@ -153,23 +208,20 @@ let test_metrics_json_parses () =
   let r = Metrics.create () in
   let c = Metrics.counter ~registry:r "c.one" in
   let g = Metrics.gauge ~registry:r "g.one" in
-  let h = Metrics.histogram ~registry:r "h.one" in
   Metrics.add c 41;
   Metrics.incr c;
   Metrics.set g 17;
-  List.iter (Metrics.observe h) [ 0; 1; 5; 5; 1024 ];
   let j = get_exn (Json.parse (Json.to_string ~indent:2 (Metrics.to_json (Metrics.snapshot ~registry:r ())))) in
+  Alcotest.(check (list string))
+    "exactly counters and gauges" [ "counters"; "gauges" ]
+    (match j with Json.Obj members -> List.map fst members | _ -> []);
   let counters = member_exn "counters" j in
   Alcotest.(check (option (float 0.)))
     "counter value" (Some 42.)
     (Json.to_float_opt (member_exn "c.one" counters));
-  let hist = member_exn "h.one" (member_exn "histograms" j) in
   Alcotest.(check (option (float 0.)))
-    "histogram count" (Some 5.)
-    (Json.to_float_opt (member_exn "count" hist));
-  Alcotest.(check (option (float 0.)))
-    "histogram sum" (Some 1035.)
-    (Json.to_float_opt (member_exn "sum" hist))
+    "gauge value" (Some 17.)
+    (Json.to_float_opt (member_exn "g.one" (member_exn "gauges" j)))
 
 let test_json_non_finite () =
   let v = Json.List [ Json.Num nan; Json.Num infinity; Json.Num neg_infinity; Json.Num 1.5 ] in
@@ -182,7 +234,7 @@ let test_json_non_finite () =
 (* --- the parser fails closed -------------------------------------------- *)
 
 (* Documents the project writes: a scenario step tree (the deepest,
-   7 levels), metrics with histograms, and escapes of every kind. *)
+   7 levels), metrics, and escapes of every kind. *)
 let project_documents =
   [
     Json.to_string ~indent:2 (R.Scenarios.Scenario.to_json R.Scenarios.t10_rebalance);
@@ -344,4 +396,8 @@ let suite =
         test_provenance_fast_path_stable;
       Alcotest.test_case "explain JSON carries provenance + knobs" `Slow
         test_provenance_in_explain_json;
+      (* later cases go last: Alcotest addresses a case by its index
+         ([test obs 14]), so an insertion renumbers every case after it *)
+      QCheck_alcotest.to_alcotest qc_gauge_rules;
+      Alcotest.test_case "a name registers once, whatever the kind" `Quick test_duplicate_name;
     ] )
