@@ -72,7 +72,7 @@ let explain_cmd =
       value
       & opt (some file) None
       & info [ "from-trace" ] ~docv:"FILE"
-          ~doc:"time-travel a recorded raceguard-trace/1 file instead of running a test case")
+          ~doc:"time-travel a recorded raceguard-trace/2 file instead of running a test case")
   in
   let window_arg =
     Arg.(
@@ -209,7 +209,7 @@ let chaos_cmd =
       & opt (some string) None
       & info [ "record-dir" ] ~docv:"DIR"
           ~doc:
-            "record every cell into a raceguard-trace/1 file under $(docv) (created if \
+            "record every cell into a raceguard-trace/2 file under $(docv) (created if \
              missing); the recorder is a pure observer, digests are unchanged")
   in
   let run json quick seed plan test no_fast_path out domains record_dir =
@@ -300,7 +300,7 @@ let pp_verdict ppf (v : Det.Offline.verdict) =
 
 let trace_record_cmd =
   let doc =
-    "Record a test case into a compact raceguard-trace/1 binary file: one VM run with the \
+    "Record a test case into a compact raceguard-trace/2 binary file: one VM run with the \
      zero-analysis recorder attached.  With --verify-live, every registry detector \
      configuration also observes the same run and its verdict digests are printed — the \
      ground truth a later replay must reproduce."
@@ -315,44 +315,37 @@ let trace_record_cmd =
       & info [ "out" ] ~docv:"FILE" ~doc:"output file (default $(i,TEST)-$(i,SEED).rgt)")
   in
   let seed_arg = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc:"VM scheduling seed") in
-  let snapshot_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "snapshot-every" ] ~docv:"N" ~doc:"snapshot marker cadence in events")
-  in
   let verify_arg =
     Arg.(
       value & flag
       & info [ "verify-live" ]
           ~doc:"attach all registry detector configurations live and print their verdicts")
   in
-  let run test out seed snapshot_every verify =
+  let run test out seed verify =
     match Raceguard.Trace_ops.test_case_of_string test with
     | None -> `Error (false, Printf.sprintf "unknown test case %S (expected T1..T8)" test)
     | Some tc ->
         let live = if verify then Det.Offline.configs else [] in
-        let r = Raceguard.Trace_ops.record_test ~seed ?snapshot_every ~live tc in
+        let r = Raceguard.Trace_ops.record_test ~seed ~live tc in
         let file =
           match out with
           | Some f -> f
           | None -> Printf.sprintf "%s-%d.rgt" (String.lowercase_ascii test) seed
         in
-        Det.Offline.to_file r.rec_recorder file;
-        let w = Det.Offline.writer r.rec_recorder in
-        Printf.printf "recorded %s: %d events, %d snapshot(s), %d bytes (%.2f bytes/event)\n"
-          file
-          (Trace.Writer.event_count w)
-          (Trace.Writer.snapshot_count w)
-          (Trace.Writer.byte_size w)
-          (if Trace.Writer.event_count w = 0 then 0.
-           else float_of_int (Trace.Writer.byte_size w) /. float_of_int (Trace.Writer.event_count w));
+        let bytes = Det.Offline.contents r.rec_recorder in
+        let oc = open_out_bin file in
+        output_string oc bytes;
+        close_out oc;
+        let events = Det.Offline.length r.rec_recorder in
+        Printf.printf "recorded %s: %d events, %d bytes (%.2f bytes/event)\n" file events
+          (String.length bytes)
+          (if events = 0 then 0. else float_of_int (String.length bytes) /. float_of_int events);
         List.iter (fun v -> Fmt.pr "live    %a@." pp_verdict v) r.rec_live;
         `Ok ()
   in
   Cmd.v
     (Cmd.info "record" ~doc)
-    Term.(ret (const run $ test_arg $ out_arg $ seed_arg $ snapshot_arg $ verify_arg))
+    Term.(ret (const run $ test_arg $ out_arg $ seed_arg $ verify_arg))
 
 let configs_arg =
   Arg.(
@@ -510,7 +503,7 @@ let trace_info_cmd =
   Cmd.v (Cmd.info "info" ~doc) Term.(ret (const run $ file_arg $ json_arg))
 
 let trace_cmd =
-  let doc = "Record, replay, diff and inspect raceguard-trace/1 binary traces." in
+  let doc = "Record, replay, diff and inspect raceguard-trace/2 binary traces." in
   Cmd.group (Cmd.info "trace" ~doc)
     [ trace_record_cmd; trace_replay_cmd; trace_diff_cmd; trace_info_cmd ]
 

@@ -59,7 +59,7 @@ type config = {
           from [Domain.recommended_domain_count] — must not change any
           digest either (pinned by test and the CI par-smoke step) *)
   record_dir : string option;
-      (** when set, every cell also records a [raceguard-trace/1]
+      (** when set, every cell also records a [raceguard-trace/2]
           binary trace into [<dir>/<plan>-<test>-<res|base>.rgt]; the
           recorder is a pure observer, so digests are unchanged *)
 }

@@ -27,7 +27,7 @@ type config = {
           [lib/par/]); 1 = sequential, 0 = auto — guaranteed not to
           change digests either *)
   record_dir : string option;
-      (** when set, every cell also records a [raceguard-trace/1]
+      (** when set, every cell also records a [raceguard-trace/2]
           binary trace into [<dir>/<plan>-<test>-<res|base>.rgt]; the
           recorder is a pure observer, so digests are unchanged *)
 }

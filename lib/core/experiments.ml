@@ -580,16 +580,12 @@ let median l =
   let a = Array.of_list (List.sort compare l) in
   a.(Array.length a / 2)
 
-let perf ?(seed = default_seed) ?(reps = 3) () =
-  let run_with tools =
-    let samples =
-      List.init reps (fun i ->
-          let cfg = { Runner.default with seed = seed + i; helgrind_configs = tools } in
-          let t, _ = time_run (fun () -> Runner.run_test_case cfg Sip.Workload.t2) in
-          t)
-    in
-    median samples
-  in
+(* Each round runs every VM leg once, in turn, at the round's seed:
+   one leg's run takes 4-14 ms, so a ratio of two runs timed apart
+   moves with the host, while runs timed back to back share its state. *)
+let rounds = 15
+
+let perf ?(seed = default_seed) () =
   (* native: the workload logic without the VM — a pure OCaml analogue
      doing the same arithmetic over a plain array, for the 8-10x
      "program on the bare VM" comparison *)
@@ -604,13 +600,9 @@ let perf ?(seed = default_seed) ?(reps = 3) () =
     !acc
   in
   let native_t, _ = time_run (fun () -> native_analogue ()) in
-  let bare = run_with [] in
-  let helgrind = run_with [ ("HWLC+DR", Det.Helgrind.hwlc_dr) ] in
-  let helgrind_slow =
-    run_with [ ("HWLC+DR", { Det.Helgrind.hwlc_dr with fast_path = false }) ]
-  in
   (* hot-path counters from one instrumented run: its delta of the
-     process-global metrics registry *)
+     process-global metrics registry, taken before the timed rounds so
+     that no level it reads depends on how many rounds ran *)
   let run_metrics =
     (Runner.run_test_case
        { Runner.default with seed; helgrind_configs = [ ("HWLC+DR", Det.Helgrind.hwlc_dr) ] }
@@ -626,14 +618,32 @@ let perf ?(seed = default_seed) ?(reps = 3) () =
   let memo_entries = g "detector.lockset.inter_memo_entries" in
   let memo_hits = m "detector.lockset.inter_memo_hits" in
   let memo_misses = m "detector.lockset.inter_memo_misses" in
-  let all3 =
-    run_with
+  (* the timed legs: the bare VM, HWLC+DR, HWLC+DR without the fast
+     path, and three configurations at once *)
+  let legs =
+    [|
+      [];
+      [ ("HWLC+DR", Det.Helgrind.hwlc_dr) ];
+      [ ("HWLC+DR", { Det.Helgrind.hwlc_dr with fast_path = false }) ];
       [
         ("Original", Det.Helgrind.original);
         ("HWLC", Det.Helgrind.hwlc);
         ("HWLC+DR", Det.Helgrind.hwlc_dr);
-      ]
+      ];
+    |]
   in
+  let times =
+    List.init rounds (fun i ->
+        Array.map
+          (fun tools ->
+            let cfg = { Runner.default with seed = seed + i; helgrind_configs = tools } in
+            fst (time_run (fun () -> Runner.run_test_case cfg Sip.Workload.t2)))
+          legs)
+  in
+  (* a leg's median time, and the median of its rounds' ratios to the
+     bare VM *)
+  let leg k = median (List.map (fun r -> r.(k)) times) in
+  let factor k = median (List.map (fun r -> r.(k) /. r.(0)) times) in
   (* offline: record the trace, then replay through the detector *)
   let offline_record_t, (rec_len, rec_words, replay_t, offline_locs) =
     time_run (fun () ->
@@ -646,7 +656,10 @@ let perf ?(seed = default_seed) ?(reps = 3) () =
           Det.Helgrind.location_count h ))
   in
   Printf.sprintf
-    "§4.5 — performance of the debugging process (test case T2, median of %d)\n\n\
+    "§4.5 — performance of the debugging process (test case T2, %d rounds)\n\n\
+     Each round runs the four VM legs in turn at its own seed.  A time is\n\
+     the leg's median; a factor is the median of the rounds' ratios to\n\
+     the bare VM.\n\n\
      native analogue (no VM):          %8.4f s   (reference computation)\n\
      VM, no tools:                     %8.4f s   (x%.1f vs bare VM)\n\
      VM + Helgrind (HWLC+DR):          %8.4f s   (x%.2f vs bare VM)\n\
@@ -661,8 +674,8 @@ let perf ?(seed = default_seed) ?(reps = 3) () =
      20-30x.  Our VM's per-op cost replaces binary translation, so the\n\
      bare-VM factor differs, but the detector-on-top overhead and the\n\
      online/offline trade-off reproduce.\n"
-    reps native_t bare 1.0 helgrind (helgrind /. bare) helgrind_slow
-    (helgrind_slow /. bare) all3 (all3 /. bare) fast_hits checked
+    rounds native_t (leg 0) 1.0 (leg 1) (factor 1) (leg 2) (factor 2) (leg 3) (factor 3)
+    fast_hits checked
     (100.0 *. float_of_int fast_hits /. float_of_int (max 1 checked))
     interned memo_entries memo_hits memo_misses rec_len (rec_words / 1024)
     offline_record_t replay_t offline_locs

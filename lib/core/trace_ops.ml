@@ -1,5 +1,5 @@
 (** Record / replay / diff / time-travel orchestration over
-    [raceguard-trace/1] binary traces — the user-facing face of the
+    [raceguard-trace/2] binary traces — the user-facing face of the
     offline plane ({!Raceguard_detector.Offline} + {!Raceguard_trace}).
 
     - {!record_test} runs a SIP test case once with the compact binary
@@ -45,7 +45,7 @@ type recorded = {
     unperturbed and the returned live verdicts describe exactly the
     execution the trace captured — the ground truth replay must
     reproduce. *)
-let record_test ?(seed = 7) ?snapshot_every ?(live = []) (tc : Sip.Workload.test_case) =
+let record_test ?(seed = 7) ?(live = []) (tc : Sip.Workload.test_case) =
   let meta =
     [
       ("workload", tc.Sip.Workload.tc_name);
@@ -53,7 +53,7 @@ let record_test ?(seed = 7) ?snapshot_every ?(live = []) (tc : Sip.Workload.test
       ("generator", "raceguard-experiments");
     ]
   in
-  let recorder = Det.Offline.create_recorder ?snapshot_every ~meta () in
+  let recorder = Det.Offline.create_recorder ~meta () in
   let sinks = List.map (Det.Offline.sink ~digest:true) live in
   let tools = Det.Offline.tool recorder :: List.map (fun s -> s.Det.Offline.sk_tool) sinks in
   ignore (Runner.run_test_case { Runner.default with seed; helgrind_configs = []; tools } tc);
@@ -91,7 +91,7 @@ let replay_json ?(live = []) ~trace replayed =
   Json.Obj
     ([
        ("schema", Json.Str "raceguard-replay/1");
-       ("trace_schema", Json.Str (Trace.Reader.schema trace));
+       ("trace_schema", Json.Str Trace.Writer.schema);
        ("meta", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) (Trace.Reader.meta trace)));
        ("events", Json.int (Trace.Reader.length trace));
        ("verdicts", Json.List (List.map Det.Offline.verdict_to_json replayed));
@@ -153,8 +153,8 @@ let info_json trace =
   Json.Obj
     [
       ("schema", Json.Str "raceguard-trace-info/1");
-      ("trace_schema", Json.Str (Trace.Reader.schema trace));
-      ("version", Json.int (Trace.Reader.version trace));
+      ("trace_schema", Json.Str Trace.Writer.schema);
+      ("version", Json.int Trace.Writer.version);
       ("meta", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) (Trace.Reader.meta trace)));
       ("events", Json.int events);
       ("bytes", Json.int bytes);
@@ -163,33 +163,20 @@ let info_json trace =
       ("threads", Json.int (thread_count trace));
       ("clock_first", Json.int first_clock);
       ("clock_last", Json.int last_clock);
-      ( "snapshots",
-        Json.List
-          (List.map
-             (fun (s : Trace.Reader.snapshot_mark) ->
-               Json.Obj
-                 [
-                   ("offset", Json.int s.sn_offset);
-                   ("event_index", Json.int s.sn_index);
-                   ("clock", Json.int s.sn_clock);
-                 ])
-             (Trace.Reader.snapshots trace)) );
       ( "kinds",
         Json.Obj (List.map (fun (name, n) -> (name, Json.int n)) (kind_histogram trace)) );
     ]
 
 let pp_info ppf trace =
   let first_clock, last_clock = clock_span trace in
-  Fmt.pf ppf "@[<v>schema:    %s (version %d)@," (Trace.Reader.schema trace)
-    (Trace.Reader.version trace);
+  Fmt.pf ppf "@[<v>schema:    %s (version %d)@," Trace.Writer.schema Trace.Writer.version;
   List.iter (fun (k, v) -> Fmt.pf ppf "meta:      %s = %s@," k v) (Trace.Reader.meta trace);
   Fmt.pf ppf "events:    %d (%d bytes, %.2f bytes/event)@," (Trace.Reader.length trace)
     (Trace.Reader.byte_size trace)
     (if Trace.Reader.length trace = 0 then 0.
      else float_of_int (Trace.Reader.byte_size trace) /. float_of_int (Trace.Reader.length trace));
-  Fmt.pf ppf "threads:   %d@,clock:     %d .. %d@,snapshots: %d@," (thread_count trace)
-    first_clock last_clock
-    (List.length (Trace.Reader.snapshots trace));
+  Fmt.pf ppf "threads:   %d@,clock:     %d .. %d@," (thread_count trace) first_clock
+    last_clock;
   List.iter (fun (name, n) -> Fmt.pf ppf "  %-16s %d@," name n) (kind_histogram trace);
   Fmt.pf ppf "@]"
 

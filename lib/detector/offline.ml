@@ -8,7 +8,7 @@
     A {!recorder} is the compact binary recorder of {!Raceguard_trace}:
     a VM tool that encodes every event as the VM emits it, {e together
     with} the introspection data a detector would have queried live
-    (call stack, heap block, clock), into a [raceguard-trace/1] byte
+    (call stack, heap block, clock), into a [raceguard-trace/2] byte
     stream — interned tables, varint encoding, CRC-guarded footer.  {!replay}
     then feeds any detector tool the decoded stream through the
     synthetic context of {!Raceguard_trace.Reader}.  The recorder's
@@ -31,12 +31,10 @@ module Trace = Raceguard_trace
 
 type recorder = { writer : Trace.Writer.t }
 
-let create_recorder ?snapshot_every ?meta () =
-  { writer = Trace.Writer.create ?snapshot_every ?meta () }
+let create_recorder ?meta () = { writer = Trace.Writer.create ?meta () }
 
 let tool r = Trace.Writer.tool r.writer
 let length r = Trace.Writer.event_count r.writer
-let writer r = r.writer
 let contents r = Trace.Writer.contents r.writer
 let to_file r path = Trace.Writer.to_file r.writer path
 

@@ -2,7 +2,7 @@
 
     A {!recorder} encodes every event as the VM emits it, together with
     the introspection data a detector would query live (stacks, blocks,
-    clock), into a compact [raceguard-trace/1] binary log
+    clock), into a compact [raceguard-trace/2] binary log
     ({!Raceguard_trace});
     {!replay} feeds any tool the decoded stream afterwards.  Replaying
     a detector over a recorded trace reproduces its online reports
@@ -25,8 +25,7 @@ module Trace = Raceguard_trace
 
 type recorder
 
-val create_recorder :
-  ?snapshot_every:int -> ?meta:(string * string) list -> unit -> recorder
+val create_recorder : ?meta:(string * string) list -> unit -> recorder
 (** [meta] lands in the trace header (seed, workload, …), making the
     recording self-describing. *)
 
@@ -39,9 +38,8 @@ val length : recorder -> int
 val footprint_words : recorder -> int
 (** Space cost of the encoded log, in words. *)
 
-val writer : recorder -> Trace.Writer.t
 val contents : recorder -> string
-(** The sealed [raceguard-trace/1] bytes (CRC footer included). *)
+(** The sealed [raceguard-trace/2] bytes (CRC footer included). *)
 
 val to_file : recorder -> string -> unit
 

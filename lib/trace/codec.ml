@@ -1,4 +1,4 @@
-(** Low-level byte codec for the [raceguard-trace/1] container:
+(** Low-level byte codec for the [raceguard-trace/2] container:
     LEB128 varints, zigzag signed ints, length-prefixed strings, fixed
     32-bit little-endian words, and CRC-32 (IEEE 802.3, the zlib
     polynomial) for the footer guard.

@@ -1,10 +1,10 @@
-(** Decoder and replay driver for [raceguard-trace/1] traces.
+(** Decoder and replay driver for [raceguard-trace/2] traces.
 
     [of_string]/[of_file] validate the whole container up front — head
-    and tail magics, version, schema, the CRC-32 footer, and the event
-    and snapshot counts in the end record — before decoding a single
-    event, so a truncated or bit-flipped trace is rejected with a
-    message instead of yielding a silently shorter replay.
+    and tail magics, the version byte, the CRC-32 footer, and the event
+    count in the end record — before a single entry is returned, so a
+    truncated or bit-flipped trace is rejected with a message instead
+    of yielding a silently shorter replay.
 
     [replay] feeds the decoded entries to any set of VM tools through a
     synthesised {!Raceguard_vm.Tool.ctx} whose queries answer from the
@@ -28,31 +28,11 @@ type entry = {
   en_block : Vm.Memory.block option;  (** reads/writes: block containing the address *)
 }
 
-type snapshot_mark = {
-  sn_offset : int;
-  sn_index : int;  (** events before this marker *)
-  sn_clock : int;
-  sn_strings : int;
-  sn_locs : int;
-  sn_stacks : int;
-  sn_blocks : int;
-}
+type t = { meta : (string * string) list; entries : entry array; byte_size : int }
 
-type t = {
-  version : int;
-  schema : string;
-  meta : (string * string) list;
-  entries : entry array;
-  snapshots : snapshot_mark list;
-  byte_size : int;
-}
-
-let version t = t.version
-let schema t = t.schema
 let meta t = t.meta
 let entries t = t.entries
 let length t = Array.length t.entries
-let snapshots t = t.snapshots
 let byte_size t = t.byte_size
 let meta_find t key = List.assoc_opt key t.meta
 
@@ -213,8 +193,6 @@ let decode data =
   let c = Codec.cursor ~pos:4 ~limit:(len - 8) data in
   let version = Codec.read_byte c in
   if version <> Writer.version then fail "unsupported trace version %d" version;
-  let schema = Codec.read_string c in
-  if schema <> Writer.schema then fail "unsupported schema %S (want %S)" schema Writer.schema;
   let n_meta = Codec.read_varint c in
   let meta =
     List.init n_meta (fun _ ->
@@ -232,8 +210,6 @@ let decode data =
     }
   in
   let entries = Tbl.create "entry" no_entry in
-  let snapshots = ref [] in
-  let n_snapshots = ref 0 in
   let last_clock = ref 0 in
   let finished = ref false in
   while not !finished do
@@ -277,47 +253,16 @@ let decode data =
       let freed = Codec.read_bool c in
       Tbl.add d.blocks (Some { Vm.Memory.base; len = blen; alloc_tid; alloc_loc; alloc_stack; freed })
     end
-    else if tag = Writer.tag_snap then begin
-      let sn_index = Codec.read_varint c in
-      let sn_clock = Codec.read_varint c in
-      let sn_strings = Codec.read_varint c in
-      let sn_locs = Codec.read_varint c in
-      let sn_stacks = Codec.read_varint c in
-      let sn_blocks = Codec.read_varint c in
-      if sn_index <> Tbl.length entries then
-        fail "snapshot marker claims %d events at offset %d, decoded %d" sn_index offset
-          (Tbl.length entries);
-      if
-        sn_strings > Tbl.length d.strings
-        || sn_locs > Tbl.length d.locs
-        || sn_stacks > Tbl.length d.stacks
-        || sn_blocks > Tbl.length d.blocks
-      then fail "snapshot marker at offset %d claims undefined table entries" offset;
-      snapshots :=
-        { sn_offset = offset; sn_index; sn_clock; sn_strings; sn_locs; sn_stacks; sn_blocks }
-        :: !snapshots;
-      incr n_snapshots
-    end
     else if tag = Writer.tag_end then begin
       let claimed_events = Codec.read_varint c in
-      let claimed_snaps = Codec.read_varint c in
       if claimed_events <> Tbl.length entries then
         fail "end record claims %d events, decoded %d" claimed_events (Tbl.length entries);
-      if claimed_snaps <> !n_snapshots then
-        fail "end record claims %d snapshots, decoded %d" claimed_snaps !n_snapshots;
       if not (Codec.at_end c) then fail "%d trailing bytes after end record" (Codec.remaining c);
       finished := true
     end
     else fail "unknown record tag 0x%02x at offset %d" tag offset
   done;
-  {
-    version;
-    schema;
-    meta;
-    entries = Tbl.to_array entries;
-    snapshots = List.rev !snapshots;
-    byte_size = len;
-  }
+  { meta; entries = Tbl.to_array entries; byte_size = len }
 
 let of_string data =
   match decode data with

@@ -1,8 +1,10 @@
-(** Decoder and replay driver for [raceguard-trace/1] traces.
+(** Decoder and replay driver for [raceguard-trace/2] traces.
 
-    Decoding validates the whole container up front (magics, version,
-    schema, CRC-32 footer, end-record counts) and rejects truncated or
-    corrupt input with a descriptive error.  {!replay} then drives any
+    Decoding validates the whole container up front (magics, version
+    byte, CRC-32 footer, the end record's event count) and rejects
+    truncated or corrupt input with a descriptive error; a trace of
+    another format version is refused as
+    ["unsupported trace version N"].  {!replay} then drives any
     set of VM tools over the decoded stream through a synthesised
     {!Raceguard_vm.Tool.ctx} that answers introspection queries from
     the recorded per-event data — no VM, no re-execution. *)
@@ -21,16 +23,6 @@ type entry = {
       (** reads/writes: the heap block containing the address *)
 }
 
-type snapshot_mark = {
-  sn_offset : int;  (** byte offset of the marker *)
-  sn_index : int;  (** events before this marker *)
-  sn_clock : int;
-  sn_strings : int;
-  sn_locs : int;
-  sn_stacks : int;
-  sn_blocks : int;
-}
-
 type t
 
 val of_string : string -> (t, [ `Msg of string ]) result
@@ -38,13 +30,10 @@ val of_string : string -> (t, [ `Msg of string ]) result
 
 val of_file : string -> (t, [ `Msg of string ]) result
 
-val version : t -> int
-val schema : t -> string
 val meta : t -> (string * string) list
 val meta_find : t -> string -> string option
 val entries : t -> entry array
 val length : t -> int
-val snapshots : t -> snapshot_mark list
 val byte_size : t -> int
 
 val replay : t -> Vm.Tool.t list -> unit

@@ -1,11 +1,11 @@
-(** Streaming encoder for the [raceguard-trace/1] compact binary trace.
+(** Streaming encoder for the [raceguard-trace/2] compact binary trace.
 
     Layout (all multi-byte integers are LEB128 varints unless noted):
 
     {v
-    "RGTR"  version=1  schema  meta-count (key value)*     header
-    ( Sdef | Ldef | Kdef | Bdef | Snap | Event )*          body
-    0x7F  event-count  snapshot-count                      end record
+    "RGTR"  version=2  meta-count (key value)*             header
+    ( Sdef | Ldef | Kdef | Bdef | Event )*                 body
+    0x7F  event-count                                      end record
     crc32 (u32 LE, over everything before it)  "RGTE"      footer
     v}
 
@@ -20,38 +20,30 @@
     encoder, for the tool and for callers that build entries
     themselves.
 
-    Snapshot markers are written every [snapshot_every] events with the
-    event index, clock and table sizes.  Only [trace info] lists them:
-    the time-travel view ([Trace_ops.locate]) binary-searches the
-    decoded entries by clock, so nothing seeks by a marker.
-
-    Recorder throughput stats ([trace.record.events], [.bytes],
-    [.snapshots], [.events_per_kb]) are published through the
-    {!Raceguard_obs.Metrics} registry, so they ride the existing
-    snapshot/merge/JSON path. *)
+    Recorder throughput stats ([trace.record.events], [.bytes]) are
+    published through the {!Raceguard_obs.Metrics} registry when the
+    stream is sealed, so they ride the existing snapshot/merge/JSON
+    path. *)
 
 module Vm = Raceguard_vm
 module Loc = Raceguard_util.Loc
 module Metrics = Raceguard_obs.Metrics
 
-let schema = "raceguard-trace/1"
+let schema = "raceguard-trace/2"
 let magic_head = "RGTR"
 let magic_tail = "RGTE"
-let version = 1
+let version = 2
 
 (* record tags (events live at 0x20 + Event.kind_id) *)
 let tag_sdef = 0x01
 let tag_ldef = 0x02
 let tag_kdef = 0x03
 let tag_bdef = 0x04
-let tag_snap = 0x05
 let tag_end = 0x7F
 let tag_event = 0x20
 
 let m_events = Metrics.counter "trace.record.events"
 let m_bytes = Metrics.counter "trace.record.bytes"
-let m_snapshots = Metrics.counter "trace.record.snapshots"
-let g_events_per_kb = Metrics.gauge "trace.record.events_per_kb"
 
 (* The intern tables hash no string on a lookup: a location hashes its
    line and string lengths ({!Loc.hash}), a stack the hashes of its
@@ -107,13 +99,11 @@ type t = {
   stacks : int Stack_tbl.t;
   blocks : int Block_tbl.t;
   probe : block_key;
-  snapshot_every : int;
   mutable n_strings : int;
   mutable n_locs : int;
   mutable n_stacks : int;
   mutable n_blocks : int;
   mutable events : int;
-  mutable snapshots : int;
   mutable last_clock : int;
   (* Physical-equality memos over the intern tables.  The VM hands
      tools the SAME cons cells / records between events — a thread's
@@ -135,22 +125,18 @@ type t = {
   mutable block_memo : int;
   (* metrics are batched: per-event [Metrics] traffic (two domain-local
      lookups per event) is visible against a ~12-byte encode, so the
-     counters advance only at snapshot markers and in [contents] *)
+     counters advance only in [contents] *)
   mutable flushed_events : int;
   mutable flushed_bytes : int;
 }
 
-let default_snapshot_every = 4096
-
 let no_block =
   { Vm.Memory.base = 0; len = 0; alloc_tid = 0; alloc_loc = Loc.unknown; alloc_stack = []; freed = false }
 
-let create ?(snapshot_every = default_snapshot_every) ?(meta = []) () =
-  if snapshot_every <= 0 then invalid_arg "Writer.create: snapshot_every must be positive";
+let create ?(meta = []) () =
   let buf = Buffer.create (64 * 1024) in
   Buffer.add_string buf magic_head;
   Buffer.add_char buf (Char.chr version);
-  Codec.write_string buf schema;
   Codec.write_varint buf (List.length meta);
   List.iter
     (fun (k, v) ->
@@ -164,13 +150,11 @@ let create ?(snapshot_every = default_snapshot_every) ?(meta = []) () =
     stacks = Stack_tbl.create 256;
     blocks = Block_tbl.create 64;
     probe = { k_base = 0; k_len = 0; k_tid = 0; k_lid = 0; k_sid = 0; k_freed = false };
-    snapshot_every;
     n_strings = 0;
     n_locs = 0;
     n_stacks = 0;
     n_blocks = 0;
     events = 0;
-    snapshots = 0;
     last_clock = 0;
     stack_keys = Array.make 16 [];
     stack_ids = Array.make 16 (-1);
@@ -441,33 +425,10 @@ let loc_of_event t (ev : Vm.Event.t) =
   | E_client { loc; _ } ->
       loc_id t loc
 
-let flush_metrics t =
-  let bytes = Buffer.length t.buf in
-  Metrics.add m_events (t.events - t.flushed_events);
-  Metrics.add m_bytes (bytes - t.flushed_bytes);
-  Metrics.set g_events_per_kb (t.events * 1024 / max 1 bytes);
-  t.flushed_events <- t.events;
-  t.flushed_bytes <- bytes
-
-let maybe_snapshot t =
-  if t.events > 0 && t.events mod t.snapshot_every = 0 then begin
-    Buffer.add_char t.buf (Char.chr tag_snap);
-    Codec.write_varint t.buf t.events;
-    Codec.write_varint t.buf t.last_clock;
-    Codec.write_varint t.buf t.n_strings;
-    Codec.write_varint t.buf t.n_locs;
-    Codec.write_varint t.buf t.n_stacks;
-    Codec.write_varint t.buf t.n_blocks;
-    t.snapshots <- t.snapshots + 1;
-    Metrics.incr m_snapshots;
-    flush_metrics t
-  end
-
 (** Record one event together with the introspection data a live
     detector would query: the acting thread's call stack and name, the
     accessed heap block (reads/writes), and the clock. *)
 let add_entry t ~event ~clock ~stack ~thread_name ~block =
-  maybe_snapshot t;
   let tid = Vm.Event.tid event in
   if tid < 0 then invalid_arg "Writer.add_entry: negative tid";
   let name = name_of_event t event in
@@ -504,20 +465,21 @@ let add_event t (ctx : Vm.Tool.ctx) event =
 let tool t = Vm.Tool.make ~name:"trace-recorder" ~on_event:(add_event t)
 
 let event_count t = t.events
-let snapshot_count t = t.snapshots
 let byte_size t = Buffer.length t.buf
 
 (** Body + end record + CRC-guarded footer.  Non-destructive: the
-    writer stays usable, so in-memory record/replay can snapshot the
+    writer stays usable, so in-memory record/replay can seal the
     stream at any point. *)
 let contents t =
-  flush_metrics t;
-  let tail = Buffer.create 32 in
+  let head = Buffer.length t.buf in
+  Metrics.add m_events (t.events - t.flushed_events);
+  Metrics.add m_bytes (head - t.flushed_bytes);
+  t.flushed_events <- t.events;
+  t.flushed_bytes <- head;
+  let tail = Buffer.create 16 in
   Buffer.add_char tail (Char.chr tag_end);
   Codec.write_varint tail t.events;
-  Codec.write_varint tail t.snapshots;
   (* the body is copied once, into the sealed result *)
-  let head = Buffer.length t.buf in
   let body = head + Buffer.length tail in
   let out = Bytes.create (body + 8) in
   Buffer.blit t.buf 0 out 0 head;

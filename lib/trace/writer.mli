@@ -1,13 +1,11 @@
-(** Streaming encoder for [raceguard-trace/1] binary traces.
+(** Streaming encoder for [raceguard-trace/2] binary traces.
 
     Record mode: attach {!tool} to a VM run and every event is encoded
     as the VM emits it, into an in-memory stream, together with the
     introspection data a live detector would have queried (clock,
     acting thread's call stack and name, accessed heap block) — zero
     analysis at record time.  The interned string/location/stack/block
-    tables keep the encoding compact; periodic snapshot markers record
-    the event index, clock and table sizes, which [trace info] lists
-    (no reader seeks by them).
+    tables keep the encoding compact.
     {!contents} seals the stream with an event-count end record and a
     CRC-32-guarded footer. *)
 
@@ -15,7 +13,8 @@ module Vm = Raceguard_vm
 module Loc = Raceguard_util.Loc
 
 val schema : string
-(** ["raceguard-trace/1"]. *)
+(** ["raceguard-trace/2"]: the name of the format whose {!version} the
+    header's version byte holds.  The header stores no schema string. *)
 
 val magic_head : string
 val magic_tail : string
@@ -27,15 +26,12 @@ val tag_sdef : int
 val tag_ldef : int
 val tag_kdef : int
 val tag_bdef : int
-val tag_snap : int
 val tag_end : int
 val tag_event : int
 
-val default_snapshot_every : int
-
 type t
 
-val create : ?snapshot_every:int -> ?meta:(string * string) list -> unit -> t
+val create : ?meta:(string * string) list -> unit -> t
 (** [meta] is a list of free-form (key, value) pairs stored in the
     header — seed, workload, detector config, anything a replay needs
     to be self-describing. *)
@@ -58,10 +54,10 @@ val tool : t -> Vm.Tool.t
     at every event, with the live ctx's answers. *)
 
 val event_count : t -> int
-val snapshot_count : t -> int
 
 val byte_size : t -> int
-(** Bytes written so far (header + body, without the footer). *)
+(** Bytes encoded so far: header and body, without the end record and
+    footer that {!contents} adds. *)
 
 val contents : t -> string
 (** The complete trace: body + end record + CRC footer.

@@ -231,7 +231,7 @@ let test_explain_pinned () =
              Obs.Trace.to_string tracer )))
   in
   let md5 s = Digest.to_hex (Digest.string s) in
-  Alcotest.(check string) "explain T4 JSON" "8395f9159734b22875dd55e019e87daa" (md5 json);
+  Alcotest.(check string) "explain T4 JSON" "8c18fa64c1cc5f5e0403d28bede9f57c" (md5 json);
   Alcotest.(check int) "state_transition records kept" 28_618 (List.length transitions);
   Alcotest.(check string) "state_transition records" "4c48e252370fbb19bd0afdd6df0eb1b6"
     (md5 (String.concat "\n" transitions));

@@ -5,13 +5,15 @@
      CRC-32 equals whole-buffer CRC-32, the sliced CRC-32 kernel equals
      the byte-at-a-time loop;
    - qcheck container round-trip: decode (encode entries) = entries for
-     random event streams, including interning-table reuse, locations
-     that collide on [Loc.hash] and snapshot markers at aggressive
-     cadences;
+     random event streams, including interning-table reuse and
+     locations that collide on [Loc.hash]; every entry's byte offset
+     indexes its own event tag;
    - corruption rejection: truncation anywhere, a flipped body byte
-     (CRC), bad magics, wrong version byte are all decode errors, and
-     so are varints above max_int; a mutated body re-sealed with a
-     valid CRC decodes to Ok or Error, never an exception;
+     (CRC), bad magics and a flipped version byte are all decode
+     errors, and so are varints above max_int; a re-sealed container
+     of format version 1 is refused by its version byte, while an empty
+     hand-sealed version-2 container decodes; a mutated body re-sealed
+     with a valid CRC decodes to Ok or Error, never an exception;
    - recording determinism: the same (workload, seed) produces
      byte-identical trace files;
    - the replay fidelity pin: for every SIP test case x seeds 7/42, all
@@ -22,7 +24,11 @@
      across free and reuse;
    - trace diffing: identical traces have no divergence; a mutated
      stream is pinpointed at the exact first divergent event;
-   - recorder throughput metrics ride the Obs.Metrics registry. *)
+   - recorder throughput metrics ride the Obs.Metrics registry;
+   - the views of a recorded file: time travel locates every moment of
+     every warning at the entry of its transition, with the warnings a
+     live run found, and the Chrome export holds one event per entry
+     at the entry's clock. *)
 
 module Trace = Raceguard_trace
 module Codec = Trace.Codec
@@ -228,13 +234,13 @@ let gen_stream =
          (ev, !clock, stack, name, block))
        raw)
 
-let encode ?snapshot_every ?meta stream =
-  let w = Writer.create ?snapshot_every ?meta () in
+let encode ?meta stream =
+  let w = Writer.create ?meta () in
   List.iter
     (fun (event, clock, stack, thread_name, block) ->
       Writer.add_entry w ~event ~clock ~stack ~thread_name ~block)
     stream;
-  (w, Writer.contents w)
+  Writer.contents w
 
 let decode_exn s =
   match Reader.of_string s with
@@ -246,17 +252,19 @@ let entry_matches (e : Reader.entry) (event, clock, stack, thread_name, block) =
   && e.en_thread = thread_name
   && e.en_block = block
 
+(* time travel prints [en_offset] as the event's byte offset *)
+let offset_at_tag bytes (e : Reader.entry) =
+  bytes.[e.en_offset] = Char.chr (Writer.tag_event + Event.kind_id e.en_event)
+
 let qc_container_roundtrip =
-  QCheck2.Test.make ~name:"decode (encode stream) = stream" ~count:120
-    Gen.(pair gen_stream (int_range 1 9))
-    (fun (stream, snapshot_every) ->
-      let w, bytes = encode ~snapshot_every ~meta:[ ("k", "v"); ("seed", "9") ] stream in
+  QCheck2.Test.make ~name:"decode (encode stream) = stream" ~count:120 gen_stream
+    (fun stream ->
+      let bytes = encode ~meta:[ ("k", "v"); ("seed", "9") ] stream in
       let t = decode_exn bytes in
       Reader.length t = List.length stream
-      && Reader.schema t = Writer.schema
       && Reader.meta_find t "k" = Some "v"
-      && List.length (Reader.snapshots t) = Writer.snapshot_count w
-      && List.for_all2 entry_matches (Array.to_list (Reader.entries t)) stream)
+      && List.for_all2 entry_matches (Array.to_list (Reader.entries t)) stream
+      && Array.for_all (offset_at_tag bytes) (Reader.entries t))
 
 (* Colliding locations, in stacks and blocks too, intern to distinct
    ids: each decodes back to itself, and the trace defines each once. *)
@@ -284,7 +292,7 @@ let test_hash_collisions_interned () =
         (Loc.v "a.cpp" "f" 1, [ locs.(0); locs.(1) ], block locs.(0) [ locs.(1) ]);
       ]
   in
-  let _, bytes = encode stream in
+  let bytes = encode stream in
   let t = decode_exn bytes in
   Alcotest.(check bool) "every entry decodes to itself" true
     (List.for_all2 entry_matches (Array.to_list (Reader.entries t)) stream);
@@ -296,7 +304,7 @@ let test_hash_collisions_interned () =
 let qc_truncation_rejected =
   QCheck2.Test.make ~name:"every truncation is rejected" ~count:40 gen_stream
     (fun stream ->
-      let _, bytes = encode ~snapshot_every:5 stream in
+      let bytes = encode stream in
       let n = String.length bytes in
       (* every prefix strictly shorter than the container fails *)
       List.for_all
@@ -318,7 +326,7 @@ let test_corruption_rejected () =
       (Event.E_thread_exit { tid = 0 }, 3, [], "main", None);
     ]
   in
-  let _, bytes = encode stream in
+  let bytes = encode stream in
   let expect_error what s =
     match Reader.of_string s with
     | Error _ -> ()
@@ -363,12 +371,11 @@ let header ~meta_count =
   let b = Buffer.create 32 in
   Buffer.add_string b Writer.magic_head;
   Buffer.add_char b (Char.chr Writer.version);
-  Codec.write_string b Writer.schema;
   Buffer.add_string b meta_count;
   Buffer.contents b
 
 let tag t = String.make 1 (Char.chr t)
-let end_record = tag Writer.tag_end ^ "\000\000"
+let end_record = tag Writer.tag_end ^ "\000"
 
 (* nine varint bytes whose last sets the sign bit: read without a range
    check, this is -1 *)
@@ -427,7 +434,7 @@ let qc_mutated_body_never_raises =
   QCheck2.Test.make ~name:"a re-sealed mutated body decodes to Ok or Error" ~count:200
     Gen.(pair gen_stream (list_size (int_range 1 3) gen_mutation))
     (fun (stream, mutations) ->
-      let _, bytes = encode ~snapshot_every:7 stream in
+      let bytes = encode stream in
       let body = List.fold_left mutate (String.sub bytes 0 (String.length bytes - 8)) mutations in
       match Reader.of_string (seal body) with Ok _ | Error _ -> true)
 
@@ -450,14 +457,14 @@ let test_recording_deterministic () =
    before (see the order test below). *)
 let recorded_pins =
   [
-    ("T1", "c4cc8dc6c71da4ed51de2792e4235e68", 757730);
-    ("T2", "f7f9e7959089772fbaf4e5735ff0dd1b", 559809);
-    ("T3", "d4bdcd97632d73eed27b21d08de39522", 258172);
-    ("T4", "4a5fad54d8c36d4f0ca8c70ef2c9c8a6", 783123);
-    ("T5", "3642c2627a75ed46752d1c4e74b47d45", 1076145);
-    ("T6", "7ba24f9f579ffa6729830061f03093c2", 1094260);
-    ("T7", "d2af445dc813ebc0e7abc539cd81387a", 209751);
-    ("T8", "5f11d8c73a969576d15d4a87aeafbf5a", 413576);
+    ("T1", "65d20046bbbc0a4108c23408d108a108", 757522);
+    ("T2", "b279abaca405a697c992e44dce3b8fc9", 559645);
+    ("T3", "7de4bdbd12a9bca4702f2a3a7b041725", 258096);
+    ("T4", "10fb25e5c93a6359858e96c5a272fab8", 782903);
+    ("T5", "e1ea43219b4e789ef3784f957442d244", 1075841);
+    ("T6", "975e483825bc2e81d13273bada5c151e", 1093943);
+    ("T7", "463b58c83f568061e0c5944a21aed85c", 209687);
+    ("T8", "e08d1c6a402721feb6382768748657a8", 413454);
   ]
 
 let record_seed7 (tc : Sip.Workload.test_case) =
@@ -519,8 +526,7 @@ let test_trace_self_describing () =
   let r = R.Trace_ops.record_test ~seed:7 t4 in
   let t = decode_exn (Det.Offline.contents r.rec_recorder) in
   Alcotest.(check (option string)) "workload in meta" (Some "T4") (Reader.meta_find t "workload");
-  Alcotest.(check (option string)) "seed in meta" (Some "7") (Reader.meta_find t "seed");
-  Alcotest.(check bool) "snapshots present" true (Reader.snapshots t <> [])
+  Alcotest.(check (option string)) "seed in meta" (Some "7") (Reader.meta_find t "seed")
 
 let test_replay_matches_live () =
   List.iter
@@ -608,7 +614,7 @@ let fixed_stream n =
         None ))
 
 let test_diff_identical () =
-  let _, bytes = encode (fixed_stream 32) in
+  let bytes = encode (fixed_stream 32) in
   let t = decode_exn bytes in
   Alcotest.(check bool) "no divergence against itself" true
     (Trace.Diff.first_divergence t t = None)
@@ -624,7 +630,7 @@ let test_diff_pinpoints_first_divergence () =
         else e)
       stream
   in
-  let _, a = encode stream and _, b = encode mutated in
+  let a = encode stream and b = encode mutated in
   match Trace.Diff.first_divergence ~window:5 (decode_exn a) (decode_exn b) with
   | None -> Alcotest.fail "divergence not detected"
   | Some d ->
@@ -637,8 +643,8 @@ let test_diff_pinpoints_first_divergence () =
 
 let test_diff_prefix_shorter () =
   let stream = fixed_stream 20 in
-  let _, a = encode stream in
-  let _, b = encode (fixed_stream 12) in
+  let a = encode stream in
+  let b = encode (fixed_stream 12) in
   match Trace.Diff.first_divergence (decode_exn a) (decode_exn b) with
   | None -> Alcotest.fail "length divergence not detected"
   | Some d ->
@@ -650,7 +656,7 @@ let test_diff_prefix_shorter () =
 let test_recorder_metrics () =
   let before = Obs.Metrics.snapshot () in
   let stream = fixed_stream 10 in
-  let _, bytes = encode stream in
+  let bytes = encode stream in
   let after = Obs.Metrics.snapshot () in
   let d = Obs.Metrics.diff ~before after in
   let j = Obs.Metrics.to_json d in
@@ -665,6 +671,81 @@ let test_recorder_metrics () =
   Alcotest.(check bool) "trace.record.bytes within container size" true
     (counter "trace.record.bytes" > 0.
     && counter "trace.record.bytes" <= float_of_int (String.length bytes))
+
+(* --- the version byte ------------------------------------------------------ *)
+
+(* The CRC covers the version byte, so a flipped byte fails the CRC
+   first; re-sealed, a version-1 container reaches the version check.
+   The empty container is the control: the helpers the varint cases
+   are built on make a trace the reader accepts. *)
+let test_version_checked () =
+  (match Reader.of_string (seal (header ~meta_count:"\000" ^ end_record)) with
+  | Ok t ->
+      Alcotest.(check int) "no events" 0 (Reader.length t);
+      Alcotest.(check (list (pair string string))) "no meta" [] (Reader.meta t)
+  | Error (`Msg m) -> Alcotest.failf "empty container refused: %s" m);
+  let bytes = encode ~meta:[ ("seed", "7") ] (fixed_stream 8) in
+  let v1 = Bytes.of_string (String.sub bytes 0 (String.length bytes - 8)) in
+  Bytes.set v1 4 '\001';
+  match Reader.of_string (seal (Bytes.to_string v1)) with
+  | Error (`Msg m) -> Alcotest.(check string) "refused by version" "unsupported trace version 1" m
+  | Ok _ -> Alcotest.fail "a version-1 container was accepted"
+
+(* --- views of a recording ------------------------------------------------- *)
+
+let t4_seed7 = lazy (R.Trace_ops.record_test ~seed:7 ~live:[ "helgrind-hwlc+dr" ] t4)
+let t4_bytes () = Det.Offline.contents (Lazy.force t4_seed7).rec_recorder
+
+let test_offsets_index_tags () =
+  let bytes = t4_bytes () in
+  let entries = Reader.entries (decode_exn bytes) in
+  Alcotest.(check bool) "T4 recorded" true (Array.length entries > 0);
+  Alcotest.(check bool) "every offset indexes its event's tag" true
+    (Array.for_all (offset_at_tag bytes) entries)
+
+(* [explain --from-trace]: HWLC+DR replayed with provenance finds the
+   warnings the live detector found, and each transition of each
+   history is located at an entry of its clock and thread. *)
+let test_explain_from_trace () =
+  let ft = R.Trace_ops.explain_from_trace (decode_exn (t4_bytes ())) in
+  let live = List.hd (Lazy.force t4_seed7).rec_live in
+  Alcotest.(check string) "warnings = live HWLC+DR" live.v_sig_digest
+    (Det.Offline.digest_signatures
+       (List.map (fun (tv : R.Trace_ops.travel) -> (tv.tv_report, tv.tv_count)) ft.ft_travels));
+  let moments = List.concat_map (fun (tv : R.Trace_ops.travel) -> tv.tv_moments) ft.ft_travels in
+  Alcotest.(check (pair int int)) "warnings and moments" (29, 93)
+    (List.length ft.ft_travels, List.length moments);
+  List.iter
+    (fun (m : R.Trace_ops.moment) ->
+      let t = m.mo_transition in
+      match m.mo_entry with
+      | Some e ->
+          Alcotest.(check (pair int int)) "located at the transition's clock and thread"
+            (t.t_clock, t.t_tid)
+            (e.en_clock, Event.tid e.en_event)
+      | None -> Alcotest.failf "moment at clock %d not located" t.t_clock)
+    moments
+
+(* [trace replay --chrome]: one instant event per entry, in order, at
+   the entry's clock, and the document parses *)
+let test_chrome_export () =
+  let trace = decode_exn (t4_bytes ()) in
+  let doc = Obs.Json.to_string ~indent:1 (R.Trace_ops.chrome_json trace) in
+  let events =
+    match Obs.Json.parse doc with
+    | Ok j -> Option.get (Option.bind (Obs.Json.member "traceEvents" j) Obs.Json.to_list_opt)
+    | Error e -> Alcotest.failf "chrome JSON does not parse: %s" e
+  in
+  Alcotest.(check int) "one event per entry" (Reader.length trace) (List.length events);
+  let field name ev =
+    int_of_float (Option.get (Option.bind (Obs.Json.member name ev) Obs.Json.to_float_opt))
+  in
+  Alcotest.(check bool) "each ts and tid is its entry's" true
+    (List.for_all2
+       (fun ev (e : Reader.entry) ->
+         field "ts" ev = e.en_clock && field "tid" ev = Event.tid e.en_event)
+       events
+       (Array.to_list (Reader.entries trace)))
 
 let suite =
   ( "trace",
@@ -696,4 +777,12 @@ let suite =
         test_diff_pinpoints_first_divergence;
       Alcotest.test_case "diff: one trace a prefix of the other" `Quick test_diff_prefix_shorter;
       Alcotest.test_case "recorder metrics published" `Quick test_recorder_metrics;
+      Alcotest.test_case "version byte checked: v1 refused, empty v2 decodes" `Quick
+        test_version_checked;
+      Alcotest.test_case "entry offsets index their event tags (T4, seed 7)" `Slow
+        test_offsets_index_tags;
+      Alcotest.test_case "time travel: live warnings, every moment located (T4)" `Slow
+        test_explain_from_trace;
+      Alcotest.test_case "chrome export: an event per entry at its clock (T4)" `Slow
+        test_chrome_export;
     ] )
